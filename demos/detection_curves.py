@@ -17,9 +17,9 @@ from cirauth import (
     FusionRule,
     Scenario,
     Scheme,
+    Variant,
     estimate_curves,
 )
-from cirauth.simkit import _Variant
 
 TRIALS = 2000
 GRID = tuple(np.arange(-10.0, 11.0, 2.5))
@@ -45,7 +45,7 @@ fc = Scenario(
     seed=5000,
 )
 fc_variants = [
-    _Variant(label=f"delta={d:g}", detector=DetectorConfig(delta=d)) for d in (260.0, 300.0, 340.0)
+    Variant(label=f"delta={d:g}", detector=DetectorConfig(delta=d)) for d in (260.0, 300.0, 340.0)
 ]
 show("Fusion center on raw measurements (P_d per threshold)", estimate_curves(fc, fc_variants))
 
@@ -59,15 +59,8 @@ local = Scenario(
     seed=5001,
 )
 local_variants = [
-    _Variant(label=k.value, detector=DetectorConfig(delta_n=26.2), rule=FusionRule(kind=k))
-    for k in (FusionKind.OR, FusionKind.MAJORITY, FusionKind.AND)
-] + [
-    _Variant(
-        label="single node",
-        detector=DetectorConfig(delta_n=26.2),
-        rule=FusionRule(kind=FusionKind.MAJORITY),
-        single_node=True,
-    )
+    Variant(label=k.value, detector=DetectorConfig(delta_n=26.2), rule=FusionRule(kind=k))
+    for k in (FusionKind.OR, FusionKind.MAJORITY, FusionKind.AND, FusionKind.SINGLE)
 ]
 show(
     "Local decisions, per-node threshold 26.2 (P_fa,n = 0.01)",

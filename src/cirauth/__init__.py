@@ -14,7 +14,6 @@ from .numerics import (
     chi2_quantile,
     cholesky,
     sample_complex_gaussian,
-    solve_hpd,
 )
 from .channel import (
     ChannelConfig,
@@ -26,7 +25,6 @@ from .channel import (
     exp_correlation_matrix,
     measure,
     stack_columns,
-    unstack_columns,
 )
 from .detect import (
     H0,
@@ -34,8 +32,6 @@ from .detect import (
     DetectorConfig,
     FusionKind,
     FusionRule,
-    StatisticScale,
-    fc_raw_decide,
     fc_raw_statistic,
     fuse,
     fused_pfa_analytic,
@@ -48,7 +44,6 @@ from .sparse import (
     RecoveryError,
     compress,
     dct_basis,
-    dft_basis,
     gaussian_phi,
     identity_basis,
     omp,
@@ -61,9 +56,9 @@ from .simkit import (
     DetectionCurve,
     Scenario,
     Scheme,
+    Variant,
     estimate_curve,
     estimate_curves,
-    run_trial,
     snr_margin,
 )
 
@@ -90,18 +85,16 @@ __all__ = [
     "Rng",
     "Scenario",
     "Scheme",
-    "StatisticScale",
+    "Variant",
     "chi2_cdf",
     "chi2_quantile",
     "cholesky",
     "compress",
     "dct_basis",
-    "dft_basis",
     "draw_channel",
     "estimate_curve",
     "estimate_curves",
     "exp_correlation_matrix",
-    "fc_raw_decide",
     "fc_raw_statistic",
     "fuse",
     "fused_pfa_analytic",
@@ -112,12 +105,9 @@ __all__ = [
     "omp",
     "reconstruct_decisions",
     "reconstruct_raw",
-    "run_trial",
     "sample_complex_gaussian",
     "snr_margin",
-    "solve_hpd",
     "solve_threshold",
     "stack_columns",
-    "unstack_columns",
     "__version__",
 ]

@@ -60,8 +60,8 @@ class ChannelConfig:
             pdp = tuple(float(v) for v in self.pdp)
             if len(pdp) != self.n_taps:
                 raise ValueError(f"pdp must have length {self.n_taps}, got {len(pdp)}")
-            if any(v < 0 for v in pdp):
-                raise ValueError("pdp entries must be nonnegative")
+            if not all(0.0 <= v < math.inf for v in pdp):
+                raise ValueError("pdp entries must be finite and nonnegative")
             object.__setattr__(self, "pdp", pdp)
 
     @property
@@ -104,8 +104,8 @@ class NoiseModel:
         sigma2 = tuple(float(v) for v in self.sigma2)
         if not sigma2:
             raise ValueError("sigma2 must be nonempty")
-        if any(v <= 0 for v in sigma2):
-            raise ValueError("sigma2 entries must be positive")
+        if not all(0.0 < v < math.inf for v in sigma2):
+            raise ValueError("sigma2 entries must be finite and positive")
         object.__setattr__(self, "sigma2", sigma2)
         if self.base_cov is not None:
             cov = np.asarray(self.base_cov, dtype=np.complex128)
@@ -154,41 +154,16 @@ class NoiseModel:
         out = blocks / self.sigma2_array[..., :, None]
         return out.reshape(d.shape)
 
-    def node_inverse_applier(self, node: int):
-        """Callable applying Sigma_node^-1 to (batches of) length-L vectors."""
-        s2 = self.sigma2[node]
-        if self.base_cov is None:
-            return lambda d: np.asarray(d) / s2
-        chol = self._base_chol
-
-        def apply(d):
-            d = np.asarray(d)
-            flat = d.reshape(-1, self.n_taps)
-            solved = sla.cho_solve((chol, True), flat.T).T / s2
-            return solved.reshape(d.shape)
-
-        return apply
-
-
 @dataclass(frozen=True)
 class MeasurementBatch:
-    """Stacked noisy measurement z of length N*L plus the simulation truth."""
+    """Stacked noisy measurement z of length N*L."""
 
     z_star: np.ndarray
-    truth_label: Occupant
 
 
 def stack_columns(h: np.ndarray) -> np.ndarray:
     """Stack an L x N matrix node-major: node 1's L taps first."""
     return np.asarray(h).T.reshape(-1)
-
-
-def unstack_columns(z: np.ndarray, n_taps: int) -> np.ndarray:
-    """Inverse of :func:`stack_columns`; returns the L x N matrix."""
-    z = np.asarray(z)
-    if z.size % n_taps:
-        raise ValueError(f"length {z.size} is not a multiple of n_taps={n_taps}")
-    return z.reshape(-1, n_taps).T
 
 
 def exp_correlation_matrix(n: int, rho: float) -> np.ndarray:
@@ -247,4 +222,4 @@ def measure(
             f"noise model is {noise.n_nodes} nodes x {noise.n_taps} taps "
             f"but the ensemble stacks to length {h.size}"
         )
-    return MeasurementBatch(z_star=h + noise.sample_stacked(rng), truth_label=Occupant(occupant))
+    return MeasurementBatch(z_star=h + noise.sample_stacked(rng))

@@ -27,9 +27,9 @@ import numpy as np
 
 from . import __version__, detect, numerics, simkit, sparse
 from .channel import ChannelConfig
-from .detect import DetectorConfig, FusionKind, FusionRule, StatisticScale
+from .detect import DetectorConfig, FusionKind, FusionRule
 from .numerics import Rng
-from .simkit import CsCodecConfig, Scenario, Scheme, _Variant
+from .simkit import CsCodecConfig, Scenario, Scheme, Variant
 
 PRESET_NAMES = ("fig2", "fig3", "fig4", "fig5")
 
@@ -60,13 +60,7 @@ _SCHEMA = {
 _REQUIRED = ("scenario.scheme", "scenario.snr_db", "scenario.trials", "scenario.seed",
              "channel.n_nodes", "channel.n_taps", "channel.rho")
 
-_RULE_NAMES = {
-    "or": FusionKind.OR,
-    "and": FusionKind.AND,
-    "majority": FusionKind.MAJORITY,
-    "weighted_average": FusionKind.WEIGHTED_AVERAGE,
-    "single": None,  # single-node baseline pseudo-rule
-}
+_RULE_NAMES = {kind.value: kind for kind in FusionKind}
 
 
 class ConfigError(Exception):
@@ -176,7 +170,8 @@ def build_run(values: dict) -> ResolvedRun:
             pdp=values.get("channel.pdp"),
             normalize_kronecker=values.get("channel.normalize_kronecker", True),
         )
-        scale = StatisticScale(values.get("detector.scale", "chi2"))
+        if values.get("detector.scale", "chi2") != "chi2":
+            raise ConfigError(f"detector.scale must be chi2, got {values['detector.scale']!r}")
         codec = None
         if scheme in (Scheme.FC_RAW_CS, Scheme.LOCAL_FUSION_CS):
             if "cs.m" not in values:
@@ -187,7 +182,7 @@ def build_run(values: dict) -> ResolvedRun:
                 max_atoms=values.get("cs.max_atoms"),
                 residual_tol=values.get("cs.residual_tol", 1e-6),
             )
-        variants, base_detector, fusion = _build_variants(scheme, scale, values)
+        variants, base_detector, fusion = _build_variants(scheme, values)
         scenario = Scenario(
             scheme=scheme,
             channel=channel,
@@ -213,7 +208,7 @@ def build_run(values: dict) -> ResolvedRun:
     )
 
 
-def _build_variants(scheme: Scheme, scale: StatisticScale, values: dict):
+def _build_variants(scheme: Scheme, values: dict):
     """Expand threshold lists / fusion-rule lists into labelled variants."""
     local = scheme in (Scheme.LOCAL_FUSION, Scheme.LOCAL_FUSION_CS)
     if local:
@@ -227,25 +222,13 @@ def _build_variants(scheme: Scheme, scale: StatisticScale, values: dict):
         for name in rule_names:
             if name not in _RULE_NAMES:
                 raise ConfigError(f"unknown fusion rule {name!r}")
-            kind = _RULE_NAMES[name]
-            rules.append((name, None if kind is None else FusionRule(kind=kind, avg_threshold=avg_threshold)))
+            rules.append((name, FusionRule(kind=_RULE_NAMES[name], avg_threshold=avg_threshold)))
         variants = []
         for value in deltas if deltas is not None else alphas:
-            det = (
-                DetectorConfig(delta_n=value, scale=scale)
-                if deltas is not None
-                else DetectorConfig(target_pfa_n=value, scale=scale)
-            )
+            det = DetectorConfig(delta_n=value) if deltas is not None else DetectorConfig(target_pfa_n=value)
             tag = f"delta_n={value:g}" if deltas is not None else f"pfa_n={value:g}"
             for name, rule in rules:
-                variants.append(
-                    _Variant(
-                        label=f"{tag} rule={name}",
-                        detector=det,
-                        rule=rule if rule is not None else FusionRule(kind=FusionKind.MAJORITY),
-                        single_node=rule is None,
-                    )
-                )
+                variants.append(Variant(label=f"{tag} rule={name}", detector=det, rule=rule))
         base = variants[0]
         return variants, base.detector, base.rule
     deltas = values.get("detector.delta")
@@ -254,13 +237,9 @@ def _build_variants(scheme: Scheme, scale: StatisticScale, values: dict):
         raise ConfigError("FC schemes need exactly one of detector.delta / detector.target_pfa")
     variants = []
     for value in deltas if deltas is not None else alphas:
-        det = (
-            DetectorConfig(delta=value, scale=scale)
-            if deltas is not None
-            else DetectorConfig(target_pfa=value, scale=scale)
-        )
+        det = DetectorConfig(delta=value) if deltas is not None else DetectorConfig(target_pfa=value)
         tag = f"delta={value:g}" if deltas is not None else f"pfa={value:g}"
-        variants.append(_Variant(label=tag, detector=det))
+        variants.append(Variant(label=tag, detector=det))
     return variants, variants[0].detector, None
 
 
@@ -365,8 +344,8 @@ def cmd_thresholds(args) -> int:
         if not 0.0 < alpha < 1.0:
             raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
     print(f"{'alpha':>12}  {'dof':>5}  {'threshold':>12}")
-    for alpha, dof, delta in detect.solved_threshold_table(alphas, args.dof):
-        print(f"{alpha:>12g}  {dof:>5d}  {delta:>12.4f}")
+    for alpha in alphas:
+        print(f"{alpha:>12g}  {args.dof:>5d}  {detect.solve_threshold(alpha, args.dof):>12.4f}")
     return 0
 
 
@@ -393,14 +372,6 @@ def _selfchecks():
             L = numerics.cholesky(a)
             err = np.abs(L @ L.conj().T - a).max() / np.abs(a).max()
             assert err < 1e-10, f"round-trip error {err}"
-
-    def hpd_solve():
-        rng = Rng(99, 0)
-        b = numerics.sample_complex_gaussian(rng, 144, 1.0).reshape(12, 12)
-        a = b @ b.conj().T + 12 * np.eye(12)
-        rhs = numerics.sample_complex_gaussian(rng, 12, 1.0)
-        x = numerics.solve_hpd(a, rhs)
-        assert np.linalg.norm(a @ x - rhs) / np.linalg.norm(rhs) < 1e-9
 
     def omp_single_atom():
         rng = Rng(7, 0)
@@ -432,7 +403,6 @@ def _selfchecks():
         ("chi2_roundtrip", chi2_roundtrip),
         ("threshold_table", threshold_table),
         ("cholesky_roundtrip", cholesky_roundtrip),
-        ("hpd_solve", hpd_solve),
         ("omp_single_atom", omp_single_atom),
         ("dct_orthonormal", dct_orthonormal),
         ("fusion_identities", fusion_identities),

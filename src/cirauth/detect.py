@@ -6,41 +6,23 @@ a threshold solved from a target false-alarm rate.  Under the null the
 doubled quadratic form is exactly chi-squared with 2*(vector length)
 degrees of freedom, which is what the calibration relies on.  Local
 binary decisions are combined with OR / AND / majority / weighted
-averaging.  Decisions are plain bools: ``H1`` (True) means "reject,
+averaging, or node 0's decision is reported alone (the single-sensor
+baseline).  Decisions are plain bools: ``H1`` (True) means "reject,
 declare intruder"; ties always resolve to ``H0`` (accept).
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import stats
-
-from .numerics import chi2_quantile
+from scipy import special, stats
 
 H0 = False
 H1 = True
-
-
-class StatisticScale(str, enum.Enum):
-    """Scaling convention for the quadratic-form statistic.
-
-    ``CHI2`` doubles the whitened quadratic form so that under the null
-    it literally follows chi-squared(2*len), making thresholds plain
-    chi-squared quantiles (26.2/32.9/39.1 at 12 dof and so on).
-    ``RAW_QUADRATIC`` keeps the bare form (null mean = len), retained for
-    sensitivity studies.
-    """
-
-    CHI2 = "chi2"
-    RAW_QUADRATIC = "raw_quadratic"
-
-    @property
-    def multiplier(self) -> float:
-        return 2.0 if self is StatisticScale.CHI2 else 1.0
 
 
 class FusionKind(str, enum.Enum):
@@ -48,6 +30,7 @@ class FusionKind(str, enum.Enum):
     AND = "and"
     MAJORITY = "majority"
     WEIGHTED_AVERAGE = "weighted_average"
+    SINGLE = "single"
 
 
 @dataclass(frozen=True)
@@ -70,8 +53,8 @@ class FusionRule:
             raise ValueError(f"avg_threshold must lie in (0, 1), got {self.avg_threshold}")
         if self.weights is not None:
             w = tuple(float(v) for v in self.weights)
-            if any(v < 0 for v in w):
-                raise ValueError("weights must be nonnegative")
+            if not all(0.0 <= v < math.inf for v in w):
+                raise ValueError("weights must be finite and nonnegative")
             if abs(sum(w) - 1.0) > 1e-9:
                 raise ValueError(f"weights must sum to 1, got {sum(w)}")
             object.__setattr__(self, "weights", w)
@@ -84,23 +67,26 @@ class DetectorConfig:
     ``delta`` drives the fusion-center raw-measurement test; ``delta_n``
     the per-node local tests (a scalar is shared by all nodes).  Exactly
     one of threshold / target may be set per test; `resolve` fills in the
-    missing thresholds once the problem dimensions are known.
+    missing thresholds once the problem dimensions are known.  Thresholds
+    must be finite and positive; targets must lie in (0, 1).
     """
 
     delta: float | None = None
     target_pfa: float | None = None
     delta_n: float | tuple[float, ...] | None = None
     target_pfa_n: float | tuple[float, ...] | None = None
-    scale: StatisticScale = StatisticScale.CHI2
 
     def __post_init__(self):
-        object.__setattr__(self, "scale", StatisticScale(self.scale))
         if self.delta is not None and self.target_pfa is not None:
             raise ValueError("give either delta or target_pfa, not both")
         if self.delta_n is not None and self.target_pfa_n is not None:
             raise ValueError("give either delta_n or target_pfa_n, not both")
-        if self.delta is not None and self.delta <= 0:
-            raise ValueError(f"delta must be positive, got {self.delta}")
+        bounds = {"delta": math.inf, "delta_n": math.inf, "target_pfa": 1.0, "target_pfa_n": 1.0}
+        for name, hi in bounds.items():
+            value = getattr(self, name)
+            for v in () if value is None else np.atleast_1d(value).tolist():
+                if not 0.0 < v < hi:
+                    raise ValueError(f"{name} entries must lie in (0, {hi:g}), got {v}")
 
     def resolve(self, n_nodes: int, n_taps: int) -> "DetectorConfig":
         """Solve any target false-alarm rates into concrete thresholds."""
@@ -114,7 +100,7 @@ class DetectorConfig:
                 delta_n = solve_threshold(float(targets), 2 * n_taps)
             else:
                 delta_n = tuple(solve_threshold(float(a), 2 * n_taps) for a in targets)
-        return DetectorConfig(delta=delta, delta_n=delta_n, scale=self.scale)
+        return DetectorConfig(delta=delta, delta_n=delta_n)
 
     def delta_n_vector(self, n_nodes: int) -> np.ndarray:
         """Per-node thresholds broadcast to length ``n_nodes``."""
@@ -129,24 +115,34 @@ class DetectorConfig:
 
 
 def solve_threshold(alpha: float, dof: int) -> float:
-    """Threshold whose chi-squared(dof) upper-tail mass equals ``alpha``."""
+    """Threshold whose chi-squared(dof) upper-tail mass equals ``alpha``.
+
+    Inverts the upper regularized incomplete gamma directly, so targets
+    far below machine epsilon keep full relative accuracy.
+    """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    return chi2_quantile(1.0 - alpha, dof)
+    if dof < 1 or int(dof) != dof:
+        raise ValueError(f"dof must be a positive integer, got {dof}")
+    return 2.0 * float(special.gammainccinv(dof / 2.0, alpha))
 
 
-def _quadratic_statistic(
+def quadratic_statistic(
     z: np.ndarray,
     h_ref: np.ndarray,
     inv_applier: Callable[[np.ndarray], np.ndarray],
-    scale: StatisticScale,
 ) -> np.ndarray | float:
+    """Doubled whitened squared deviation 2 (z - h)^H Sigma^-1 (z - h).
+
+    The sum runs over the trailing axis; leading axes are a batch.  Under
+    the null it is chi-squared with 2*(trailing length) degrees of freedom.
+    """
     d = np.asarray(z) - np.asarray(h_ref)
     q = (d.conj() * inv_applier(d)).sum(axis=-1)
     q_im = np.abs(np.imag(q)) if np.iscomplexobj(q) else 0.0
     if np.any(q_im > 1e-10 * np.maximum(1.0, np.abs(q))):
         raise ValueError("quadratic form has a non-negligible imaginary part")
-    stat = StatisticScale(scale).multiplier * np.maximum(np.real(q), 0.0)
+    stat = 2.0 * np.maximum(np.real(q), 0.0)
     return stat[()] if np.ndim(stat) == 0 else stat
 
 
@@ -154,25 +150,16 @@ def fc_raw_statistic(
     z_star: np.ndarray,
     h_ab_star: np.ndarray,
     sigma_star_inv_applier: Callable[[np.ndarray], np.ndarray],
-    scale: StatisticScale = StatisticScale.CHI2,
 ) -> float:
     """Fusion-center test statistic on the stacked raw measurement.
 
-    Whitened squared deviation (z - h)^H Sigma^-1 (z - h), doubled under
-    the ``CHI2`` scale.  ``sigma_star_inv_applier`` applies the
-    inverse stacked noise covariance.  Leading axes of ``z_star`` are
-    treated as a batch.
+    :func:`quadratic_statistic` of the stacked vector;
+    ``sigma_star_inv_applier`` applies the inverse stacked noise
+    covariance.  Leading axes of ``z_star`` are treated as a batch.
     """
     if np.asarray(z_star).shape[-1] != np.asarray(h_ab_star).shape[-1]:
         raise ValueError("z_star and h_ab_star lengths differ")
-    return _quadratic_statistic(z_star, h_ab_star, sigma_star_inv_applier, scale)
-
-
-def fc_raw_decide(statistic: float, delta: float) -> bool:
-    """H1 iff the statistic strictly exceeds the threshold (tie -> H0)."""
-    if delta <= 0:
-        raise ValueError(f"delta must be positive, got {delta}")
-    return np.asarray(statistic) > delta if np.ndim(statistic) else bool(statistic > delta)
+    return quadratic_statistic(z_star, h_ab_star, sigma_star_inv_applier)
 
 
 def local_decide(
@@ -180,7 +167,6 @@ def local_decide(
     h_abn: np.ndarray,
     sigma_n_inv: Callable[[np.ndarray], np.ndarray],
     delta_n: float,
-    scale: StatisticScale = StatisticScale.CHI2,
 ) -> int:
     """One node's hard decision on its own L-tap measurement.
 
@@ -190,7 +176,7 @@ def local_decide(
     """
     if np.asarray(z_n).shape[-1] != np.asarray(h_abn).shape[-1]:
         raise ValueError("z_n and h_abn lengths differ")
-    stat = _quadratic_statistic(z_n, h_abn, sigma_n_inv, scale)
+    stat = quadratic_statistic(z_n, h_abn, sigma_n_inv)
     if np.ndim(stat):
         return (stat > delta_n).astype(np.int64)
     return int(stat > delta_n)
@@ -201,13 +187,14 @@ def fuse(u_star: Sequence[int] | np.ndarray, rule: FusionRule) -> bool:
 
     OR: H1 iff any node fired; AND: H1 iff all fired; MAJORITY: H1 iff
     strictly more than half fired; WEIGHTED_AVERAGE: H1 iff the weighted
-    mean strictly exceeds ``avg_threshold``.  All ties resolve to H0.
-    A trailing batch axis is supported: shape (..., N) returns (...).
+    mean strictly exceeds ``avg_threshold``; SINGLE: node 0's decision.
+    All ties resolve to H0.  A trailing batch axis is supported: shape
+    (..., N) returns (...).
     """
     u = np.asarray(u_star)
     if u.ndim == 0 or u.shape[-1] == 0:
         raise ValueError("u_star must be a nonempty decision vector")
-    if not np.isin(u, (0, 1)).all():
+    if not ((u == 0) | (u == 1)).all():
         raise ValueError("u_star entries must be 0 or 1")
     n = u.shape[-1]
     if rule.kind is FusionKind.OR:
@@ -216,6 +203,8 @@ def fuse(u_star: Sequence[int] | np.ndarray, rule: FusionRule) -> bool:
         out = u.all(axis=-1)
     elif rule.kind is FusionKind.MAJORITY:
         out = u.sum(axis=-1) > n / 2.0
+    elif rule.kind is FusionKind.SINGLE:
+        out = u[..., 0] == 1
     else:
         w = np.full(n, 1.0 / n) if rule.weights is None else np.asarray(rule.weights)
         if w.shape != (n,):
@@ -227,8 +216,9 @@ def fuse(u_star: Sequence[int] | np.ndarray, rule: FusionRule) -> bool:
 def fused_pfa_analytic(alpha_n: float, n: int, rule: FusionKind) -> float:
     """Closed-form fused false-alarm rate under iid per-node alarms.
 
-    Used to validate the Monte Carlo engine: OR is 1-(1-a)^N, AND is a^N,
-    MAJORITY is the binomial tail P(Bin(N, a) > N/2).
+    Used to validate the Monte Carlo engine: OR is 1-(1-a)^N (evaluated
+    as -expm1(N log1p(-a)) to keep small rates exact), AND is a^N,
+    MAJORITY is the binomial tail P(Bin(N, a) > N/2), SINGLE is a.
     """
     if not 0.0 <= alpha_n <= 1.0:
         raise ValueError(f"alpha_n must lie in [0, 1], got {alpha_n}")
@@ -236,14 +226,11 @@ def fused_pfa_analytic(alpha_n: float, n: int, rule: FusionKind) -> float:
         raise ValueError(f"n must be positive, got {n}")
     kind = FusionKind(rule)
     if kind is FusionKind.OR:
-        return 1.0 - (1.0 - alpha_n) ** n
+        return -math.expm1(n * math.log1p(-alpha_n)) if 0.0 < alpha_n < 1.0 else alpha_n
     if kind is FusionKind.AND:
         return alpha_n**n
     if kind is FusionKind.MAJORITY:
         return float(stats.binom.sf(n // 2, n, alpha_n))
+    if kind is FusionKind.SINGLE:
+        return alpha_n
     raise ValueError("no closed form for weighted averaging with general weights")
-
-
-def solved_threshold_table(alphas: Sequence[float], dof: int) -> list[tuple[float, int, float]]:
-    """(alpha, dof, threshold) rows for a list of false-alarm targets."""
-    return [(float(a), dof, solve_threshold(float(a), dof)) for a in alphas]

@@ -1,10 +1,10 @@
 """Numerical kernels shared by every other module.
 
 Counter-based random streams, circularly-symmetric complex Gaussian
-sampling, chi-squared distribution functions, and the two pieces of
-Hermitian linear algebra the simulator needs (PSD Cholesky and an HPD
-solve).  Everything here is a pure function of its inputs; ``Rng`` is the
-only stateful object and is cheap to fork per Monte Carlo trial.
+sampling, chi-squared distribution functions, and the PSD Cholesky
+factorization the simulator needs.  Everything here is a pure function
+of its inputs; ``Rng`` is the only stateful object and is cheap to fork
+per Monte Carlo trial.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import linalg as sla
 from scipy import special
 
 
@@ -86,31 +85,12 @@ def chi2_cdf(x: float, dof: int) -> float:
 
 
 def chi2_quantile(p: float, dof: int) -> float:
-    """Inverse of :func:`chi2_cdf` in its first argument.
-
-    Bisection on the (monotone) cdf over ``[0, dof + 40*sqrt(2*dof)]``,
-    capped at 200 halvings; the interval is far wider than any quantile
-    with p < 1 - 1e-12, and bisection is run once per scenario so
-    robustness beats speed here.
-    """
+    """Inverse of :func:`chi2_cdf` in its first argument."""
     if not 0 <= p < 1:
         raise ValueError(f"p must lie in [0, 1), got {p}")
     if dof < 1 or int(dof) != dof:
         raise ValueError(f"dof must be a positive integer, got {dof}")
-    if p == 0:
-        return 0.0
-    lo, hi = 0.0, dof + 40.0 * math.sqrt(2.0 * dof)
-    while chi2_cdf(hi, dof) < p:  # not reachable for p < 1 - 1e-12, kept as a guard
-        hi *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if chi2_cdf(mid, dof) < p:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-13 * (1.0 + hi):
-            break
-    return 0.5 * (lo + hi)
+    return 2.0 * float(special.gammaincinv(dof / 2.0, p))
 
 
 def _require_hermitian(a: np.ndarray, rtol: float = 1e-12) -> np.ndarray:
@@ -151,16 +131,3 @@ def cholesky(a: np.ndarray, psd_tol: float = 1e-10) -> np.ndarray:
         L[j, j] = math.sqrt(pivot)
         L[j + 1 :, j] = col[1:] / L[j, j]
     return L
-
-
-def solve_hpd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve ``a @ x = b`` for Hermitian positive-definite ``a``.
-
-    Cholesky factorization followed by forward/back substitution.
-    """
-    a = _require_hermitian(a)
-    try:
-        factor = sla.cho_factor(a, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise DecompositionError(f"matrix is not positive definite: {exc}") from exc
-    return sla.cho_solve(factor, b)

@@ -18,7 +18,6 @@ produced.
 from __future__ import annotations
 
 import enum
-import hashlib
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -67,6 +66,10 @@ class CsCodecConfig:
         object.__setattr__(self, "basis", Basis(self.basis))
         if self.m < 1:
             raise ValueError(f"m must be positive, got {self.m}")
+        if self.max_atoms is not None and self.max_atoms < 1:
+            raise ValueError(f"max_atoms must be positive, got {self.max_atoms}")
+        if not 0.0 <= self.residual_tol < math.inf:
+            raise ValueError(f"residual_tol must be finite and nonnegative, got {self.residual_tol}")
 
 
 @dataclass(frozen=True)
@@ -87,6 +90,8 @@ class Scenario:
         object.__setattr__(self, "snr_grid_db", tuple(float(s) for s in self.snr_grid_db))
         if not self.snr_grid_db:
             raise ValueError("snr_grid_db must be nonempty")
+        if not all(math.isfinite(s) for s in self.snr_grid_db):
+            raise ValueError(f"snr_grid_db entries must be finite, got {self.snr_grid_db}")
         if len(self.snr_grid_db) > _MAX_SNR_POINTS:
             raise ValueError("snr grid too large for the substream packing")
         if self.trials < 1:
@@ -130,7 +135,6 @@ class DetectionCurve:
     p_fa: tuple[float, ...]
     p_fa_stderr: tuple[float, ...]
     trials: int
-    config_digest: str = ""
 
     def __post_init__(self):
         lengths = {len(self.snr_db), len(self.p_d), len(self.p_d_stderr), len(self.p_fa), len(self.p_fa_stderr)}
@@ -142,18 +146,17 @@ class DetectionCurve:
 
 
 @dataclass(frozen=True)
-class _Variant:
+class Variant:
     """One detector specialization evaluated against the shared draws.
 
-    ``single_node`` reports node 0's local decision directly (the
-    single-sensor baseline curve); otherwise local schemes fuse with
-    ``rule``.
+    Local schemes combine the per-node decisions with ``rule`` (the
+    single-sensor baseline is ``FusionKind.SINGLE``); fusion-center
+    schemes ignore it.
     """
 
     label: str
     detector: DetectorConfig
     rule: FusionRule | None = None
-    single_node: bool = False
 
 
 def _trial_stream(snr_index: int, occupant: Occupant, trial_index: int) -> int:
@@ -176,11 +179,11 @@ def scenario_codec(scenario: Scenario) -> CsCodec:
     return _build_codec(scenario.seed, scenario.report_length, scenario.codec)
 
 
-def _resolved_variants(scenario: Scenario, variants: list[_Variant] | None) -> list[_Variant]:
+def _resolved_variants(scenario: Scenario, variants: list[Variant] | None) -> list[Variant]:
     n, L = scenario.channel.n_nodes, scenario.channel.n_taps
     if variants is None:
         variants = [
-            _Variant(
+            Variant(
                 label=scenario.scheme.value,
                 detector=scenario.detector,
                 rule=scenario.fusion,
@@ -189,17 +192,17 @@ def _resolved_variants(scenario: Scenario, variants: list[_Variant] | None) -> l
     resolved = [replace(v, detector=v.detector.resolve(n, L)) for v in variants]
     local = scenario.scheme in _LOCAL_SCHEMES
     for v in resolved:
-        if v.detector.scale is not resolved[0].detector.scale:
-            raise ValueError("all variants must share one statistic scale")
         if (v.detector.delta_n if local else v.detector.delta) is None:
             raise ValueError(f"variant {v.label!r} lacks a threshold for {scenario.scheme.value}")
+        if local and v.rule is None:
+            raise ValueError(f"variant {v.label!r} lacks a fusion rule")
     return resolved
 
 
 def _decisions_one_trial(
     rng: Rng,
     scenario: Scenario,
-    variants: list[_Variant],
+    variants: list[Variant],
     snr_db: float,
     occupant: Occupant,
 ) -> np.ndarray:
@@ -209,7 +212,6 @@ def _decisions_one_trial(
     ensemble = draw_channel(rng, cfg)
     batch = measure(rng, ensemble, occupant, noise)
     h_ref = ensemble.stacked(Occupant.ALICE)
-    scale = variants[0].detector.scale
     out = np.zeros(len(variants), dtype=bool)
 
     if scenario.scheme in (Scheme.FC_RAW, Scheme.FC_RAW_CS):
@@ -217,34 +219,25 @@ def _decisions_one_trial(
         if scenario.scheme is Scheme.FC_RAW_CS:
             codec = scenario_codec(scenario)
             z = sparse.reconstruct_raw(sparse.compress(z, codec), codec)
-        stat = detect.fc_raw_statistic(z, h_ref, noise.apply_inverse, scale)
+        stat = detect.fc_raw_statistic(z, h_ref, noise.apply_inverse)
         for i, v in enumerate(variants):
             out[i] = stat > v.detector.delta
         return out
 
     # Local schemes: per-node statistics once, then per-variant thresholds.
-    z_nodes = batch.z_star.reshape(cfg.n_nodes, cfg.n_taps)
-    h_nodes = h_ref.reshape(cfg.n_nodes, cfg.n_taps)
-    diffs = z_nodes - h_nodes
-    whitened = noise.apply_inverse(batch.z_star - h_ref).reshape(diffs.shape)
-    quad = np.real((diffs.conj() * whitened).sum(axis=1))
-    stats_n = scale.multiplier * np.maximum(quad, 0.0)
+    shape = (cfg.n_nodes, cfg.n_taps)
+    stats_n = detect.quadratic_statistic(
+        batch.z_star.reshape(shape),
+        h_ref.reshape(shape),
+        lambda d: noise.apply_inverse(d.reshape(-1)).reshape(shape),
+    )
     codec = scenario_codec(scenario) if scenario.scheme is Scheme.LOCAL_FUSION_CS else None
     for i, v in enumerate(variants):
         u = (stats_n > v.detector.delta_n_vector(cfg.n_nodes)).astype(np.int64)
         if codec is not None:
             u = sparse.reconstruct_decisions(sparse.compress(u.astype(np.float64), codec), codec)
-        if v.single_node:
-            out[i] = bool(u[0])
-        else:
-            out[i] = detect.fuse(u, v.rule)
+        out[i] = detect.fuse(u, v.rule)
     return out
-
-
-def run_trial(rng: Rng, scenario: Scenario, snr_db: float, occupant: Occupant) -> bool:
-    """One end-to-end trial; True means the fusion center declared H1."""
-    variants = _resolved_variants(scenario, None)
-    return bool(_decisions_one_trial(rng, scenario, variants, snr_db, Occupant(occupant))[0])
 
 
 def _count_chunk(args) -> np.ndarray:
@@ -264,7 +257,7 @@ def _chunks(trials: int, workers: int) -> list[tuple[int, int]]:
 
 def estimate_curves(
     scenario: Scenario,
-    variants: list[_Variant] | None = None,
+    variants: list[Variant] | None = None,
     workers: int = 1,
 ) -> list[DetectionCurve]:
     """Detection curves for every variant, from one pass over shared draws.
@@ -310,7 +303,6 @@ def estimate_curves(
                 p_fa=tuple(p_fa.tolist()),
                 p_fa_stderr=tuple(np.sqrt(p_fa * (1 - p_fa) / t).tolist()),
                 trials=t,
-                config_digest=scenario_digest(scenario, variant.label),
             )
         )
     return curves
@@ -319,12 +311,6 @@ def estimate_curves(
 def estimate_curve(scenario: Scenario, workers: int = 1) -> DetectionCurve:
     """Single-detector convenience wrapper around :func:`estimate_curves`."""
     return estimate_curves(scenario, None, workers=workers)[0]
-
-
-def scenario_digest(scenario: Scenario, label: str = "") -> str:
-    """Stable short hash of the fully-resolved scenario (and curve label)."""
-    text = repr((scenario, label))
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def snr_margin(curve_a: DetectionCurve, curve_b: DetectionCurve, target_pd: float) -> float:

@@ -37,7 +37,6 @@ class RecoveryError(RuntimeError):
 class Basis(str, enum.Enum):
     DCT = "dct"
     IDENTITY = "identity"
-    DFT = "dft"
 
 
 def gaussian_phi(rng: Rng, m: int, n: int) -> np.ndarray:
@@ -72,17 +71,9 @@ def identity_basis(n: int) -> np.ndarray:
     return np.eye(n)
 
 
-def dft_basis(n: int) -> np.ndarray:
-    """Unitary DFT matrix (complex; orthonormal in the Psi Psi^H sense)."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    return np.fft.fft(np.eye(n)) / math.sqrt(n)
-
-
 _BASIS_BUILDERS = {
     Basis.DCT: dct_basis,
     Basis.IDENTITY: identity_basis,
-    Basis.DFT: dft_basis,
 }
 
 
@@ -117,8 +108,8 @@ class CsCodec:
             max_atoms = math.ceil(m / 8)
         if max_atoms < 1:
             raise ValueError(f"max_atoms must be positive, got {max_atoms}")
-        if residual_tol < 0:
-            raise ValueError(f"residual_tol must be nonnegative, got {residual_tol}")
+        if not 0.0 <= residual_tol < math.inf:
+            raise ValueError(f"residual_tol must be finite and nonnegative, got {residual_tol}")
         self.phi = phi
         self.psi = psi
         self.max_atoms = int(max_atoms)

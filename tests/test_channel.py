@@ -9,7 +9,6 @@ from cirauth.channel import (
     exp_correlation_matrix,
     measure,
     stack_columns,
-    unstack_columns,
 )
 from cirauth.numerics import Rng, sample_complex_gaussian
 
@@ -50,6 +49,9 @@ class TestChannelConfig:
             ChannelConfig(n_nodes=0, n_taps=6)
         with pytest.raises(ValueError):
             ChannelConfig(n_nodes=4, n_taps=6, rho=2.0)
+        for bad in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                ChannelConfig(n_nodes=4, n_taps=2, pdp=(1.0, bad))
 
 
 class TestDrawChannel:
@@ -116,15 +118,11 @@ class TestDrawChannel:
 class TestStacking:
     def test_roundtrip_exact(self):
         h = sample_complex_gaussian(Rng(27, 0), 12, 1.0).reshape(3, 4)
-        assert np.array_equal(unstack_columns(stack_columns(h), 3), h)
+        assert np.array_equal(stack_columns(h).reshape(4, 3).T, h)
 
     def test_node_major_order(self):
         h = np.arange(6.0).reshape(2, 3)  # 2 taps, 3 nodes
         assert np.array_equal(stack_columns(h), [0.0, 3.0, 1.0, 4.0, 2.0, 5.0])
-
-    def test_bad_length(self):
-        with pytest.raises(ValueError):
-            unstack_columns(np.zeros(7), 2)
 
 
 class TestNoiseModel:
@@ -154,19 +152,10 @@ class TestNoiseModel:
         emp = draws.conj().T @ draws / draws.shape[0]
         assert np.allclose(emp, 2.0 * cov, atol=0.1)
 
-    def test_node_applier_consistent_with_stacked(self):
-        cov = np.array([[1.5, 0.6], [0.6, 1.0]])
-        nm = NoiseModel(sigma2=(0.7, 1.3), n_taps=2, base_cov=cov)
-        d = sample_complex_gaussian(Rng(36, 0), 4, 1.0)
-        stacked = nm.apply_inverse(d)
-        per_node = np.concatenate(
-            [nm.node_inverse_applier(0)(d[:2]), nm.node_inverse_applier(1)(d[2:])]
-        )
-        assert np.allclose(stacked, per_node, atol=1e-12)
-
     def test_invalid_sigma(self):
-        with pytest.raises(ValueError):
-            NoiseModel(sigma2=(0.0,), n_taps=2)
+        for bad in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                NoiseModel(sigma2=(bad,), n_taps=2)
 
 
 class TestMeasure:
@@ -181,7 +170,6 @@ class TestMeasure:
         nm = NoiseModel(sigma2=(1e-30,) * 4, n_taps=3)
         batch = measure(Rng(31, 0), ens, Occupant.ALICE, nm)
         assert np.abs(batch.z_star - stack_columns(ens.h_ab)).max() < 1e-12
-        assert batch.truth_label is Occupant.ALICE
 
     def test_noise_energy_accounting(self):
         _, ens, nm = self._setup(sigma2=1.0)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cirauth import cli
+from cirauth.detect import FusionKind
 from cirauth.cli import (
     ConfigError,
     PRESET_NAMES,
@@ -81,7 +82,7 @@ class TestBuildRun:
         )
         run = build_run(parse_config(text))
         assert len(run.variants) == 4
-        assert run.variants[1].single_node
+        assert run.variants[1].rule.kind is FusionKind.SINGLE
 
     def test_cs_scheme_requires_m(self):
         text = SMALL_CONFIG.replace("fc_raw", "fc_raw_cs")
@@ -126,6 +127,16 @@ class TestRunCommand:
         assert len([l for l in lines if not l.startswith("#")]) == 1 + 4
         assert not [p for p in os.listdir(tmp_path) if p.endswith(".tmp")]
 
+    def test_digest_stable_and_config_sensitive(self, tmp_path):
+        cfg = tmp_path / "small.cfg"
+        cfg.write_text(SMALL_CONFIG)
+        digests = []
+        for name, extra in (("a", []), ("b", []), ("c", ["--set", "detector.delta=100,130"])):
+            out = tmp_path / f"{name}.csv"
+            assert main(["run", "--config", str(cfg), "--out", str(out), *extra]) == 0
+            digests.append(out.read_text().splitlines()[1])
+        assert digests[0] == digests[1] != digests[2]
+
     def test_deterministic_across_workers(self, tmp_path):
         cfg = tmp_path / "small.cfg"
         cfg.write_text(SMALL_CONFIG)
@@ -163,6 +174,25 @@ class TestRunCommand:
         cfg.write_text(SMALL_CONFIG)
         assert main(["run", "--config", str(cfg), "--out", "/proc/nope/out.csv"]) == 1
         assert "runtime error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "preset, override",
+        [
+            ("fig2", "detector.delta=nan"),
+            ("fig3", "detector.delta_n=nan"),
+            ("fig3", "detector.delta_n=-5"),
+            ("fig2", "channel.pdp=1,1,1,1,1,nan"),
+            ("fig5", "cs.residual_tol=nan"),
+            ("fig5", "cs.max_atoms=0"),
+            ("fig2", "scenario.snr_db=inf"),
+            ("fig2", "detector.scale=raw_quadratic"),
+        ],
+    )
+    def test_invalid_values_exit_2_without_csv(self, tmp_path, capsys, preset, override):
+        out = tmp_path / "o.csv"
+        assert main(["run", "--config", preset, "--out", str(out), "--set", override]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
     def test_preset_resolves_by_name(self, tmp_path):
         out = tmp_path / "fig2.csv"
@@ -212,7 +242,7 @@ class TestSelfcheck:
         assert main(["selfcheck"]) == 0
         out = capsys.readouterr().out
         assert "FAIL" not in out
-        assert "8/8 checks passed" in out
+        assert "7/7 checks passed" in out
 
     def test_repeat_invocations_identical(self, capsys):
         main(["selfcheck"])

@@ -2,18 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from cirauth.detect import (
     DetectorConfig,
     FusionKind,
     FusionRule,
-    StatisticScale,
-    fc_raw_decide,
     fc_raw_statistic,
     fuse,
     fused_pfa_analytic,
     local_decide,
+    quadratic_statistic,
     solve_threshold,
 )
 from cirauth.numerics import Rng, sample_complex_gaussian
@@ -41,9 +42,19 @@ class TestSolveThreshold:
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
     def test_alpha_bounds(self):
-        for bad in (0.0, 1.0, 1.5, -0.2):
+        for bad in (0.0, 1.0, 1.5, -0.2, float("nan")):
             with pytest.raises(ValueError):
                 solve_threshold(bad, 12)
+
+    def test_far_tail(self):
+        # below ~1e-16 the target is no longer representable as 1 - alpha
+        assert solve_threshold(1e-15, 12) == pytest.approx(stats.chi2.isf(1e-15, 12), rel=1e-12)
+        assert solve_threshold(1e-17, 12) > solve_threshold(1e-15, 12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(alpha=st.floats(min_value=1e-300, max_value=0.5), dof=st.integers(1, 1200))
+    def test_matches_scipy_isf(self, alpha, dof):
+        assert solve_threshold(alpha, dof) == pytest.approx(stats.chi2.isf(alpha, dof), rel=1e-10)
 
 
 class TestFcStatistic:
@@ -55,8 +66,7 @@ class TestFcStatistic:
         z = np.zeros(4, dtype=complex)
         z[0] = 1.0
         h = np.zeros(4, dtype=complex)
-        assert fc_raw_statistic(z, h, _identity_applier, StatisticScale.CHI2) == 2.0
-        assert fc_raw_statistic(z, h, _identity_applier, StatisticScale.RAW_QUADRATIC) == 1.0
+        assert fc_raw_statistic(z, h, _identity_applier) == 2.0
 
     @pytest.mark.parametrize("n_nodes", [1, 10])
     def test_null_mean_matches_dof(self, n_nodes):
@@ -74,17 +84,13 @@ class TestFcStatistic:
         with pytest.raises(ValueError):
             fc_raw_statistic(np.zeros(4), np.zeros(5), _identity_applier)
 
+    def test_non_hermitian_applier_rejected(self):
+        z = np.ones(2, dtype=complex)
+        with pytest.raises(ValueError):
+            quadratic_statistic(z, np.zeros(2), lambda d: 1j * d)
+
 
 class TestDecisions:
-    def test_fc_decide_rules(self):
-        assert fc_raw_decide(0.0, 26.2) is False
-        assert fc_raw_decide(27.0, 26.2) is True
-        assert fc_raw_decide(26.2, 26.2) is False  # tie -> accept
-
-    def test_fc_decide_requires_positive_delta(self):
-        with pytest.raises(ValueError):
-            fc_raw_decide(1.0, 0.0)
-
     def test_local_decide_zero(self):
         h = sample_complex_gaussian(Rng(42, 0), 6, 1.0)
         assert local_decide(h, h, _identity_applier, 26.2) == 0
@@ -160,15 +166,48 @@ class TestFusion:
         got = fuse(u, FusionRule(kind=FusionKind.OR))
         assert np.array_equal(got, [True, False])
 
+    def test_single_reports_node_zero(self):
+        rule = FusionRule(kind=FusionKind.SINGLE)
+        assert fuse([1, 0, 0], rule) is True
+        assert fuse([0, 1, 1], rule) is False
+        assert np.array_equal(fuse(np.array([[1, 0], [0, 1]]), rule), [True, False])
+
 
 class TestFusedPfaAnalytic:
     def test_or_closed_form(self):
         assert fused_pfa_analytic(0.01, 10, FusionKind.OR) == pytest.approx(
             1 - 0.99**10, rel=1e-12
         )
+        # at small rates 1 - (1 - a)^N cancels; the series N*a - C(N,2)*a^2 does not
+        assert fused_pfa_analytic(1e-12, 10, FusionKind.OR) == pytest.approx(
+            10e-12 - 45e-24, rel=1e-14, abs=0.0
+        )
 
     def test_and_closed_form(self):
         assert fused_pfa_analytic(0.01, 10, FusionKind.AND) == pytest.approx(1e-20, rel=1e-9)
+
+    def test_single_is_alpha(self):
+        assert fused_pfa_analytic(0.01, 10, FusionKind.SINGLE) == 0.01
+
+    @settings(max_examples=300, deadline=None)
+    @given(alpha=st.floats(min_value=0.0, max_value=1.0), n=st.integers(1, 200))
+    def test_or_matches_binomial_sum(self, alpha, n):
+        # P(at least one alarm) as a sum of nonnegative terms: no cancellation
+        want = math.fsum(
+            math.comb(n, k) * alpha**k * (1.0 - alpha) ** (n - k) for k in range(1, n + 1)
+        )
+        assert fused_pfa_analytic(alpha, n, FusionKind.OR) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(alpha=st.floats(min_value=0.0, max_value=1.0), n=st.integers(1, 60))
+    def test_dominance(self, alpha, n):
+        p = {kind: fused_pfa_analytic(alpha, n, kind) for kind in
+             (FusionKind.AND, FusionKind.MAJORITY, FusionKind.SINGLE, FusionKind.OR)}
+        slack = 1 + 1e-12  # n = 1, 2 make some rules coincide exactly
+        assert 0.0 <= p[FusionKind.AND] <= p[FusionKind.MAJORITY] * slack
+        assert p[FusionKind.MAJORITY] <= p[FusionKind.OR] * slack <= slack
+        assert p[FusionKind.AND] <= p[FusionKind.SINGLE] * slack
+        assert p[FusionKind.SINGLE] <= p[FusionKind.OR] * slack
 
     def test_majority_exact_binomial_sum(self):
         # independent oracle: explicit binomial tail via math.comb
@@ -209,6 +248,24 @@ class TestDetectorConfig:
     def test_exclusive_fields(self):
         with pytest.raises(ValueError):
             DetectorConfig(delta=5.0, target_pfa=0.1)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"delta": float("nan")},
+            {"delta": float("inf")},
+            {"delta": 0.0},
+            {"delta_n": float("nan")},
+            {"delta_n": -5.0},
+            {"delta_n": (26.2, float("nan"))},
+            {"target_pfa": float("nan")},
+            {"target_pfa": 1.0},
+            {"target_pfa_n": (0.01, 0.0)},
+        ],
+    )
+    def test_nonfinite_or_out_of_range_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            DetectorConfig(**kwargs)
 
     def test_delta_n_vector_broadcast(self):
         cfg = DetectorConfig(delta_n=26.2)

@@ -11,7 +11,6 @@ from cirauth.numerics import (
     chi2_quantile,
     cholesky,
     sample_complex_gaussian,
-    solve_hpd,
 )
 
 
@@ -117,8 +116,7 @@ class TestChi2:
                 assert abs(chi2_cdf(chi2_quantile(p, dof), dof) - p) < 1e-8
 
     def test_quantile_matches_scipy(self):
-        # independent route: scipy inverts the incomplete gamma directly,
-        # ours bisects the cdf
+        # scipy's own chi2 distribution against the incomplete-gamma inverse
         for dof in (2, 12, 120):
             for p in (0.1, 0.5, 0.9, 0.99, 0.9999):
                 assert chi2_quantile(p, dof) == pytest.approx(stats.chi2.ppf(p, dof), rel=1e-9)
@@ -173,24 +171,3 @@ class TestCholesky:
         with pytest.raises(DecompositionError):
             cholesky(np.array([[1.0, 0.0], [0.0, -1.0]]))
 
-
-class TestSolveHpd:
-    def test_identity(self):
-        b = np.arange(4.0) + 1j
-        assert np.allclose(solve_hpd(np.eye(4), b), b)
-
-    def test_scaled_identity(self):
-        b = np.arange(4.0) + 0.5
-        assert np.allclose(solve_hpd(2.0 * np.eye(4), b), b / 2.0)
-
-    def test_random_hpd_residual(self):
-        rng = Rng(13, 0)
-        b = sample_complex_gaussian(rng, 144, 1.0).reshape(12, 12)
-        a = b @ b.conj().T + 12 * np.eye(12)
-        rhs = sample_complex_gaussian(rng, 12, 1.0)
-        x = solve_hpd(a, rhs)
-        assert np.linalg.norm(a @ x - rhs) / np.linalg.norm(rhs) < 1e-9
-
-    def test_singular_rejected(self):
-        with pytest.raises(DecompositionError):
-            solve_hpd(np.zeros((3, 3)), np.ones(3))

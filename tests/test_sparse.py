@@ -9,7 +9,6 @@ from cirauth.sparse import (
     RecoveryError,
     compress,
     dct_basis,
-    dft_basis,
     gaussian_phi,
     identity_basis,
     omp,
@@ -59,14 +58,10 @@ class TestBases:
         x = Rng(54, 0).standard_normal(n)
         assert np.allclose(dct_basis(n) @ x, sfft.dct(x, norm="ortho"), atol=1e-12)
 
-    def test_dft_unitary(self):
-        f = dft_basis(8)
-        assert np.abs(f @ f.conj().T - np.eye(8)).max() < 1e-12
-
     def test_identity(self):
         assert np.array_equal(identity_basis(3), np.eye(3))
 
-    @pytest.mark.parametrize("builder", [dct_basis, dft_basis, identity_basis])
+    @pytest.mark.parametrize("builder", [dct_basis, identity_basis])
     def test_energy_conservation(self, builder):
         psi = builder(32)
         x = sample_complex_gaussian(Rng(55, 0), 32, 1.0)
