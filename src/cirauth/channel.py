@@ -21,7 +21,7 @@ import numpy as np
 from scipy import linalg as sla
 
 from . import numerics
-from .numerics import Rng, sample_complex_gaussian
+from .numerics import Rng, complex_from_normals
 
 
 class Occupant(str, enum.Enum):
@@ -81,10 +81,6 @@ class ChannelEnsemble:
     h_ab: np.ndarray
     h_eb: np.ndarray
 
-    def stacked(self, occupant: Occupant) -> np.ndarray:
-        h = self.h_ab if occupant is Occupant.ALICE else self.h_eb
-        return stack_columns(h)
-
 
 @dataclass(frozen=True)
 class NoiseModel:
@@ -92,7 +88,7 @@ class NoiseModel:
 
     ``base_cov`` defaults to the identity (orthogonal unit-energy training,
     so the per-node SNR is exactly 1/sigma2[n]); a full L x L Hermitian
-    positive-definite matrix can be injected instead.
+    positive-definite matrix can be injected instead (a singular one raises).
     """
 
     sigma2: tuple[float, ...]
@@ -112,7 +108,7 @@ class NoiseModel:
             if cov.shape != (self.n_taps, self.n_taps):
                 raise ValueError(f"base_cov must be {self.n_taps}x{self.n_taps}, got {cov.shape}")
             object.__setattr__(self, "base_cov", cov)
-            object.__setattr__(self, "_base_chol", numerics.cholesky(cov))
+            object.__setattr__(self, "_base_chol", numerics.cholesky(cov, semidefinite=False))
 
     @classmethod
     def from_snr_db(cls, snr_db: float, n_nodes: int, n_taps: int) -> "NoiseModel":
@@ -124,18 +120,18 @@ class NoiseModel:
     def n_nodes(self) -> int:
         return len(self.sigma2)
 
-    @property
-    def sigma2_array(self) -> np.ndarray:
-        return np.asarray(self.sigma2, dtype=np.float64)
-
     def sample_stacked(self, rng: Rng) -> np.ndarray:
         """One stacked noise vector v of length N*L, ~ CN(0, blkdiag(Sigma_n))."""
+        return self.from_normals(rng.standard_normal((1, 2 * self.n_nodes * self.n_taps)))[0]
+
+    def from_normals(self, normals: np.ndarray) -> np.ndarray:
+        """Stacked noise vectors, shape (T, N*L), from (T, 2*N*L) standard normals."""
         n, L = self.n_nodes, self.n_taps
-        unit = sample_complex_gaussian(rng, n * L, 1.0).reshape(n, L)
+        unit = complex_from_normals(normals).reshape(-1, L)
         if self.base_cov is not None:
             unit = unit @ self._base_chol.conj().T
-        scaled = unit * np.sqrt(self.sigma2_array)[:, None]
-        return scaled.reshape(-1)
+        scaled = unit.reshape(-1, n, L) * np.sqrt(self.sigma2)[:, None]
+        return scaled.reshape(-1, n * L)
 
     def apply_inverse(self, d: np.ndarray) -> np.ndarray:
         """Apply blkdiag(Sigma_1..Sigma_N)^-1 to stacked vectors.
@@ -148,10 +144,8 @@ class NoiseModel:
             raise ValueError(f"expected trailing dimension {n * L}, got {d.shape[-1]}")
         blocks = d.reshape(d.shape[:-1] + (n, L))
         if self.base_cov is not None:
-            flat = blocks.reshape(-1, L)
-            solved = sla.cho_solve((self._base_chol, True), flat.T).T
-            blocks = solved.reshape(blocks.shape)
-        out = blocks / self.sigma2_array[..., :, None]
+            blocks = sla.cho_solve((self._base_chol, True), blocks.reshape(-1, L).T).T.reshape(blocks.shape)
+        out = blocks / np.asarray(self.sigma2)[:, None]
         return out.reshape(d.shape)
 
 @dataclass(frozen=True)
@@ -162,8 +156,9 @@ class MeasurementBatch:
 
 
 def stack_columns(h: np.ndarray) -> np.ndarray:
-    """Stack an L x N matrix node-major: node 1's L taps first."""
-    return np.asarray(h).T.reshape(-1)
+    """Stack (..., L, N) matrices node-major to (..., N*L): node 1's L taps first."""
+    h = np.asarray(h)
+    return np.swapaxes(h, -1, -2).reshape(h.shape[:-2] + (-1,))
 
 
 def exp_correlation_matrix(n: int, rho: float) -> np.ndarray:
@@ -186,27 +181,41 @@ def _correlation_factor(n: int, rho: float) -> np.ndarray:
     return factor
 
 
-def draw_channel(rng: Rng, cfg: ChannelConfig) -> ChannelEnsemble:
-    """Draw one correlated channel ensemble for both transmitters.
+def channel_block(normals: np.ndarray, cfg: ChannelConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Alice's and eve's channel matrices, each (T, L, N), from (T, 4*L*N) normals.
 
-    For each sender: an iid L x N matrix with tap-k entries CN(0, pdp[k])
-    is right-multiplied by the transposed Cholesky factor of R (any factor
+    Each row holds one draw: alice's 2LN normals, then eve's.  For each
+    sender an iid L x N matrix with tap-k entries CN(0, pdp[k]) is
+    right-multiplied by the transposed Cholesky factor of R (any factor
     F with F^H F = R gives the same output distribution), then scaled by
-    1/sqrt(tr R) = 1/sqrt(N) when ``normalize_kronecker`` is on.  Alice's
-    matrix is drawn first, then eve's, from the same stream.
+    1/sqrt(tr R) = 1/sqrt(N) when ``normalize_kronecker`` is on.
     """
     L, n = cfg.n_taps, cfg.n_nodes
-    factor = _correlation_factor(n, cfg.rho)
-    tap_scale = np.sqrt(cfg.pdp_array)[:, None]
+    iid = complex_from_normals(normals.reshape(-1, 2 * L * n)).reshape(-1, L, n)
+    h = (iid * np.sqrt(cfg.pdp_array)[:, None]).reshape(-1, n) @ _correlation_factor(n, cfg.rho).T
+    if cfg.normalize_kronecker:
+        h = h / math.sqrt(n)
+    h = h.reshape(-1, 2, L, n)
+    return h[:, 0], h[:, 1]
 
-    def one() -> np.ndarray:
-        h_iid = sample_complex_gaussian(rng, L * n, 1.0).reshape(L, n) * tap_scale
-        h = h_iid @ factor.T
-        if cfg.normalize_kronecker:
-            h = h / math.sqrt(n)
-        return h
 
-    return ChannelEnsemble(h_ab=one(), h_eb=one())
+def measure_block(normals: np.ndarray, cfg: ChannelConfig, occupant: Occupant, noise: NoiseModel):
+    """Stacked alice channels and occupant measurements ``(h_ab, z)``, each (T, N*L).
+
+    Row i of ``normals`` (T, 6LN) is trial i's stream in the order :func:`draw_channel`
+    then :func:`measure` read it: alice 2LN | eve 2LN | noise 2LN.
+    """
+    k = 4 * cfg.n_taps * cfg.n_nodes
+    h_ab, h_eb = channel_block(normals[:, :k], cfg)
+    h_ab = stack_columns(h_ab)
+    h = h_ab if Occupant(occupant) is Occupant.ALICE else stack_columns(h_eb)
+    return h_ab, h + noise.from_normals(normals[:, k:])
+
+
+def draw_channel(rng: Rng, cfg: ChannelConfig) -> ChannelEnsemble:
+    """One correlated channel ensemble (see :func:`channel_block`): alice's, then eve's."""
+    h_ab, h_eb = channel_block(rng.standard_normal((1, 4 * cfg.n_taps * cfg.n_nodes)), cfg)
+    return ChannelEnsemble(h_ab=h_ab[0], h_eb=h_eb[0])
 
 
 def measure(
@@ -216,7 +225,7 @@ def measure(
     noise: NoiseModel,
 ) -> MeasurementBatch:
     """Stacked noisy measurement of the occupant's channel: z = h + v."""
-    h = ensemble.stacked(Occupant(occupant))
+    h = stack_columns(ensemble.h_ab if Occupant(occupant) is Occupant.ALICE else ensemble.h_eb)
     if noise.n_nodes * noise.n_taps != h.size:
         raise ValueError(
             f"noise model is {noise.n_nodes} nodes x {noise.n_taps} taps "

@@ -62,6 +62,9 @@ _REQUIRED = ("scenario.scheme", "scenario.snr_db", "scenario.trials", "scenario.
 
 _RULE_NAMES = {kind.value: kind for kind in FusionKind}
 
+# Dataclass field -> config key, for naming the key in validation errors.
+_FIELD_KEYS = {key.partition(".")[2]: key for key in _SCHEMA} | {"snr_grid_db": "scenario.snr_db"}
+
 
 class ConfigError(Exception):
     """Config problem, anchored to ``path:line`` when known."""
@@ -195,8 +198,9 @@ def build_run(values: dict) -> ResolvedRun:
         )
     except ConfigError:
         raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    except ValueError as exc:  # messages open with the offending field
+        field, _, rest = str(exc).partition(" ")
+        raise ConfigError(f"{_FIELD_KEYS.get(field, field)} {rest}".rstrip()) from None
     compare = bool(values.get("cs.compare_uncompressed", False))
     if compare and scheme not in (Scheme.FC_RAW_CS, Scheme.LOCAL_FUSION_CS):
         raise ConfigError("cs.compare_uncompressed only applies to CS schemes")
@@ -318,16 +322,9 @@ def cmd_run(args) -> int:
         values["scenario.seed"] = args.seed
     values = apply_overrides(values, args.set or [])
     run = build_run(values)
-    curves = simkit.estimate_curves(run.scenario, run.variants, workers=args.workers)
-    if run.compare_uncompressed:
-        plain_scheme = (
-            Scheme.FC_RAW if run.scenario.scheme is Scheme.FC_RAW_CS else Scheme.LOCAL_FUSION
-        )
-        from dataclasses import replace
-
-        plain = replace(run.scenario, scheme=plain_scheme, codec=None)
-        twin_variants = [replace(v, label=v.label + " no_cs") for v in run.variants]
-        curves += simkit.estimate_curves(plain, twin_variants, workers=args.workers)
+    curves = simkit.estimate_curves(
+        run.scenario, run.variants, workers=args.workers, uncompressed_twin=run.compare_uncompressed
+    )
     write_csv(args.out, curves, run.config_text, run.scenario.seed)
     print(f"wrote {len(curves)} curve(s) x {len(run.scenario.snr_grid_db)} SNR points to {args.out}")
     return 0

@@ -3,8 +3,8 @@
 Counter-based random streams, circularly-symmetric complex Gaussian
 sampling, chi-squared distribution functions, and the PSD Cholesky
 factorization the simulator needs.  Everything here is a pure function
-of its inputs; ``Rng`` is the only stateful object and is cheap to fork
-per Monte Carlo trial.
+of its inputs; ``Rng`` is the only stateful object, and
+:func:`standard_normal_rows` draws a block of per-trial streams at once.
 """
 
 from __future__ import annotations
@@ -35,10 +35,8 @@ class Rng:
     __slots__ = ("seed", "stream_id", "_gen")
 
     def __init__(self, seed: int, stream_id: int = 0):
-        if not 0 <= seed < _U64:
-            raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
-        if not 0 <= stream_id < _U64:
-            raise ValueError(f"stream_id must be an unsigned 64-bit integer, got {stream_id}")
+        _check_u64("seed", seed)
+        _check_u64("stream_id", stream_id)
         self.seed = seed
         self.stream_id = stream_id
         self._gen = np.random.Generator(np.random.Philox(key=(stream_id << 64) | seed))
@@ -59,6 +57,35 @@ class Rng:
         return f"Rng(seed={self.seed}, stream_id={self.stream_id})"
 
 
+def _check_u64(name: str, value: int) -> int:
+    if not 0 <= value < _U64:
+        raise ValueError(f"{name} must be an unsigned 64-bit integer, got {value}")
+    return value
+
+
+def standard_normal_rows(seed: int, stream_ids, width: int) -> np.ndarray:
+    """(T, width) block; row i is ``Rng(seed, stream_ids[i]).standard_normal(width)``.
+
+    One Philox is re-keyed per row through its ``state`` setter (key and
+    counter are its whole state), which is cheaper than a fresh ``Rng``.
+    """
+    bitgen = np.random.Philox(key=_check_u64("seed", seed))
+    gen, state = np.random.Generator(bitgen), bitgen.state  # a fresh stream's state
+    out = np.empty((len(stream_ids), width))
+    for row, stream_id in zip(out, stream_ids):
+        state["state"]["key"][1] = _check_u64("stream_id", stream_id)  # key = (seed, stream_id)
+        bitgen.state = state
+        gen.standard_normal(out=row)
+    return out
+
+
+def complex_from_normals(parts: np.ndarray, variance: float = 1.0) -> np.ndarray:
+    """CN(0, variance) entries: the last axis' first half is real, its second half imaginary."""
+    half = parts.shape[-1] // 2
+    parts = parts * math.sqrt(variance / 2.0)
+    return parts[..., :half] + 1j * parts[..., half:]
+
+
 def sample_complex_gaussian(rng: Rng, n: int, variance: float) -> np.ndarray:
     """Draw ``n`` iid CN(0, variance) entries.
 
@@ -69,10 +96,7 @@ def sample_complex_gaussian(rng: Rng, n: int, variance: float) -> np.ndarray:
         raise ValueError(f"variance must be positive, got {variance}")
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    if n == 0:
-        return np.zeros(0, dtype=np.complex128)
-    parts = rng.standard_normal(2 * n) * math.sqrt(variance / 2.0)
-    return parts[:n] + 1j * parts[n:]
+    return complex_from_normals(rng.standard_normal(2 * n), variance)
 
 
 def chi2_cdf(x: float, dof: int) -> float:
@@ -103,20 +127,22 @@ def _require_hermitian(a: np.ndarray, rtol: float = 1e-12) -> np.ndarray:
     return a
 
 
-def cholesky(a: np.ndarray, psd_tol: float = 1e-10) -> np.ndarray:
+def cholesky(a: np.ndarray, psd_tol: float = 1e-10, semidefinite: bool = True) -> np.ndarray:
     """Lower-triangular L with ``L @ L.conj().T == a`` for Hermitian PSD ``a``.
 
     Strictly positive-definite inputs go through LAPACK.  Semidefinite
     inputs (pivots within ``psd_tol * max|a|`` of zero) fall back to a
     clamped factorization: non-positive pivots are set to zero together
     with the rest of their column, which reproduces PSD inputs exactly up
-    to roundoff.  Pivots below ``-psd_tol * max|a|`` raise.
+    to roundoff.  Pivots below ``-psd_tol * max|a|`` raise, and so does
+    every input LAPACK cannot factor when ``semidefinite`` is False.
     """
     a = _require_hermitian(a)
     try:
         return np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
-        pass
+        if not semidefinite:
+            raise DecompositionError("matrix is not positive definite") from None
     n = a.shape[0]
     scale = max(np.abs(a).max(), 1.0)
     tol = psd_tol * scale

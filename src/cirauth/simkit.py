@@ -9,10 +9,11 @@ binomial standard errors.
 Every trial owns a counter-based RNG substream addressed by
 (seed, snr index, hypothesis, trial index), so results are bit-identical
 across runs and worker counts; fan-out over a process pool only ever
-reduces integer decision counts.  Several detector variants (threshold
-sweeps, fusion rules) can be evaluated against the same draws in one
-pass, which is also how the paired "with CS / without CS" comparisons are
-produced.
+reduces integer decision counts.  Trials run in blocks sized by a fixed
+memory cap, never by the worker count: a block's substreams fill one
+(T, 6NL) array of normals, and every later stage runs once per block over
+a leading trial axis.  All detector variants (threshold sweeps, fusion
+rules) and the paired "without CS" twin curves read the same block.
 """
 
 from __future__ import annotations
@@ -26,9 +27,9 @@ from functools import lru_cache
 import numpy as np
 
 from . import detect, sparse
-from .channel import ChannelConfig, NoiseModel, Occupant, draw_channel, measure
+from .channel import ChannelConfig, NoiseModel, Occupant, measure_block
 from .detect import DetectorConfig, FusionRule
-from .numerics import Rng
+from .numerics import Rng, standard_normal_rows
 from .sparse import Basis, CsCodec
 
 
@@ -51,6 +52,9 @@ _LOCAL_SCHEMES = (Scheme.LOCAL_FUSION, Scheme.LOCAL_FUSION_CS)
 _PHI_STREAM = 1 << 62
 _MAX_TRIALS = 1 << 31
 _MAX_SNR_POINTS = 1 << 20
+# Cap on a trial block's standard normals (1 MiB; the block's working set
+# is a few times that).  Counts do not depend on it.
+_BLOCK_NORMALS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -98,6 +102,8 @@ class Scenario:
             raise ValueError(f"trials must be positive, got {self.trials}")
         if self.trials > _MAX_TRIALS:
             raise ValueError("trials too large for the substream packing")
+        if not 0 <= self.seed < 1 << 64:
+            raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
         if self.scheme in _LOCAL_SCHEMES:
             if self.fusion is None:
                 raise ValueError(f"scheme {self.scheme.value} requires a fusion rule")
@@ -166,10 +172,8 @@ def _trial_stream(snr_index: int, occupant: Occupant, trial_index: int) -> int:
 
 @lru_cache(maxsize=8)
 def _build_codec(seed: int, n: int, cfg: CsCodecConfig) -> CsCodec:
-    rng = Rng(seed, _PHI_STREAM)
-    return CsCodec.gaussian(
-        rng, cfg.m, n, basis=cfg.basis, max_atoms=cfg.max_atoms, residual_tol=cfg.residual_tol
-    )
+    phi = sparse.gaussian_phi(Rng(seed, _PHI_STREAM), cfg.m, n)
+    return CsCodec(phi, basis=cfg.basis, max_atoms=cfg.max_atoms, residual_tol=cfg.residual_tol)
 
 
 def scenario_codec(scenario: Scenario) -> CsCodec:
@@ -182,13 +186,7 @@ def scenario_codec(scenario: Scenario) -> CsCodec:
 def _resolved_variants(scenario: Scenario, variants: list[Variant] | None) -> list[Variant]:
     n, L = scenario.channel.n_nodes, scenario.channel.n_taps
     if variants is None:
-        variants = [
-            Variant(
-                label=scenario.scheme.value,
-                detector=scenario.detector,
-                rule=scenario.fusion,
-            )
-        ]
+        variants = [Variant(scenario.scheme.value, scenario.detector, scenario.fusion)]
     resolved = [replace(v, detector=v.detector.resolve(n, L)) for v in variants]
     local = scenario.scheme in _LOCAL_SCHEMES
     for v in resolved:
@@ -199,54 +197,51 @@ def _resolved_variants(scenario: Scenario, variants: list[Variant] | None) -> li
     return resolved
 
 
-def _decisions_one_trial(
-    rng: Rng,
-    scenario: Scenario,
-    variants: list[Variant],
-    snr_db: float,
-    occupant: Occupant,
-) -> np.ndarray:
-    """Hard H1-decisions of every variant on one shared channel/noise draw."""
-    cfg = scenario.channel
-    noise = NoiseModel.from_snr_db(snr_db, cfg.n_nodes, cfg.n_taps)
-    ensemble = draw_channel(rng, cfg)
-    batch = measure(rng, ensemble, occupant, noise)
-    h_ref = ensemble.stacked(Occupant.ALICE)
-    out = np.zeros(len(variants), dtype=bool)
-
+def _block_decisions(scenario, variants, thresholds, twin, noise, h_ref, z) -> np.ndarray:
+    """(T, V) H1-decisions of every variant on a block's stacked ``h_ref``/``z``, then the twin's."""
+    codec = scenario_codec(scenario) if scenario.scheme in _CS_SCHEMES else None
     if scenario.scheme in (Scheme.FC_RAW, Scheme.FC_RAW_CS):
-        z = batch.z_star
-        if scenario.scheme is Scheme.FC_RAW_CS:
-            codec = scenario_codec(scenario)
-            z = sparse.reconstruct_raw(sparse.compress(z, codec), codec)
-        stat = detect.fc_raw_statistic(z, h_ref, noise.apply_inverse)
-        for i, v in enumerate(variants):
-            out[i] = stat > v.detector.delta
-        return out
+        reports = [z] if codec is None else [sparse.reconstruct_raw(sparse.compress(z, codec), codec)]
+        if twin:
+            reports.append(z)
+        return np.hstack([
+            detect.fc_raw_statistic(r, h_ref, noise.apply_inverse)[:, None] > thresholds for r in reports
+        ])
 
-    # Local schemes: per-node statistics once, then per-variant thresholds.
-    shape = (cfg.n_nodes, cfg.n_taps)
+    # Local schemes: per-node statistics, all variants' decisions, one fuse per rule.
+    t, n = len(z), scenario.channel.n_nodes
+    shape = (t, n, scenario.channel.n_taps)
     stats_n = detect.quadratic_statistic(
-        batch.z_star.reshape(shape),
+        z.reshape(shape),
         h_ref.reshape(shape),
-        lambda d: noise.apply_inverse(d.reshape(-1)).reshape(shape),
+        lambda d: noise.apply_inverse(d.reshape(t, -1)).reshape(shape),
     )
-    codec = scenario_codec(scenario) if scenario.scheme is Scheme.LOCAL_FUSION_CS else None
-    for i, v in enumerate(variants):
-        u = (stats_n > v.detector.delta_n_vector(cfg.n_nodes)).astype(np.int64)
-        if codec is not None:
-            u = sparse.reconstruct_decisions(sparse.compress(u.astype(np.float64), codec), codec)
-        out[i] = detect.fuse(u, v.rule)
-    return out
+    u = (stats_n[:, None, :] > thresholds).astype(np.int64)  # (T, V, N)
+    planes = [u]
+    if codec is not None:
+        u_cs = sparse.reconstruct_decisions(sparse.compress(u.reshape(-1, n).astype(float), codec), codec)
+        planes = [u_cs.reshape(u.shape)] + ([u] if twin else [])
+    by_rule: dict[FusionRule, list[int]] = {}
+    for vi, v in enumerate(variants):
+        by_rule.setdefault(v.rule, []).append(vi)
+    out = np.empty((t, len(planes), len(variants)), dtype=bool)
+    for p, plane in enumerate(planes):
+        for rule, idx in by_rule.items():
+            out[:, p, idx] = detect.fuse(plane[:, idx], rule)
+    return out.reshape(t, -1)
 
 
 def _count_chunk(args) -> np.ndarray:
-    scenario, variants, snr_index, occupant, lo, hi = args
-    snr_db = scenario.snr_grid_db[snr_index]
-    counts = np.zeros(len(variants), dtype=np.int64)
-    for trial in range(lo, hi):
-        rng = Rng(scenario.seed, _trial_stream(snr_index, occupant, trial))
-        counts += _decisions_one_trial(rng, scenario, variants, snr_db, occupant)
+    scenario, variants, thresholds, twin, snr_index, occupant, lo, hi = args
+    cfg = scenario.channel
+    noise = NoiseModel.from_snr_db(scenario.snr_grid_db[snr_index], cfg.n_nodes, cfg.n_taps)
+    width = 6 * cfg.n_nodes * cfg.n_taps  # alice, eve, noise: 2NL normals each
+    block = max(1, _BLOCK_NORMALS // width)
+    counts = np.zeros(len(variants) * (1 + twin), dtype=np.int64)
+    for start in range(lo, hi, block):
+        streams = [_trial_stream(snr_index, occupant, t) for t in range(start, min(start + block, hi))]
+        h_ref, z = measure_block(standard_normal_rows(scenario.seed, streams, width), cfg, occupant, noise)
+        counts += _block_decisions(scenario, variants, thresholds, twin, noise, h_ref, z).sum(0)
     return counts
 
 
@@ -259,6 +254,7 @@ def estimate_curves(
     scenario: Scenario,
     variants: list[Variant] | None = None,
     workers: int = 1,
+    uncompressed_twin: bool = False,
 ) -> list[DetectionCurve]:
     """Detection curves for every variant, from one pass over shared draws.
 
@@ -267,15 +263,27 @@ def estimate_curves(
     estimate the empirical false-alarm rate.  Binomial standard errors
     are attached.  Output is bit-identical for fixed scenario regardless
     of ``workers``.
+
+    With ``uncompressed_twin`` (CS schemes only) every variant also gets
+    a ``"<label> no_cs"`` curve of the uncompressed scheme, read from the
+    same draws before compression; these follow the compressed curves.
     """
+    if uncompressed_twin and scenario.scheme not in _CS_SCHEMES:
+        raise ValueError(f"scheme {scenario.scheme.value} has no uncompressed twin")
     resolved = _resolved_variants(scenario, variants)
-    n_pts, n_var = len(scenario.snr_grid_db), len(resolved)
-    h1_counts = np.zeros((n_pts, n_var), dtype=np.int64)
-    h0_counts = np.zeros((n_pts, n_var), dtype=np.int64)
+    columns = [(scenario.scheme, v.label) for v in resolved]
+    if uncompressed_twin:
+        plain = Scheme.FC_RAW if scenario.scheme is Scheme.FC_RAW_CS else Scheme.LOCAL_FUSION
+        columns += [(plain, v.label + " no_cs") for v in resolved]
+    h1_counts = np.zeros((len(scenario.snr_grid_db), len(columns)), dtype=np.int64)
+    h0_counts = np.zeros_like(h1_counts)
+    # Each variant's threshold: (V,) fusion-center or (V, N) per-node ones.
+    local, n = scenario.scheme in _LOCAL_SCHEMES, scenario.channel.n_nodes
+    thresholds = np.array([v.detector.delta_n_vector(n) if local else v.detector.delta for v in resolved])
 
     tasks = [
-        (scenario, resolved, si, occupant, lo, hi)
-        for si in range(n_pts)
+        (scenario, resolved, thresholds, uncompressed_twin, si, occupant, lo, hi)
+        for si in range(len(scenario.snr_grid_db))
         for occupant in (Occupant.EVE, Occupant.ALICE)
         for lo, hi in _chunks(scenario.trials, workers)
     ]
@@ -285,18 +293,18 @@ def estimate_curves(
     else:
         results = [_count_chunk(t) for t in tasks]
     for task, counts in zip(tasks, results):
-        _, _, si, occupant, _, _ = task
+        si, occupant = task[4], task[5]
         (h1_counts if occupant is Occupant.EVE else h0_counts)[si] += counts
 
     curves = []
     t = scenario.trials
-    for vi, variant in enumerate(resolved):
-        p_d = h1_counts[:, vi] / t
-        p_fa = h0_counts[:, vi] / t
+    for ci, (scheme, label) in enumerate(columns):
+        p_d = h1_counts[:, ci] / t
+        p_fa = h0_counts[:, ci] / t
         curves.append(
             DetectionCurve(
-                scheme=scenario.scheme.value,
-                label=variant.label,
+                scheme=scheme.value,
+                label=label,
                 snr_db=scenario.snr_grid_db,
                 p_d=tuple(p_d.tolist()),
                 p_d_stderr=tuple(np.sqrt(p_d * (1 - p_d) / t).tolist()),

@@ -12,6 +12,10 @@ OMP here iterates in the Gram domain (correlations updated from A^H A,
 coefficients from a growing Cholesky factor) so the per-call cost stays
 O(n*K) per iteration once the codec's Gram matrix is cached; the final
 coefficients are re-fit by a dense least squares on the selected columns.
+
+``compress`` and ``reconstruct_*`` also take a block of T reports, for
+which projection and basis synthesis are one real matrix product each;
+OMP runs per report.
 """
 
 from __future__ import annotations
@@ -125,37 +129,35 @@ class CsCodec:
     def n(self) -> int:
         return self.phi.shape[1]
 
-    @classmethod
-    def gaussian(
-        cls,
-        rng: Rng,
-        m: int,
-        n: int,
-        basis: Basis | str = Basis.DCT,
-        max_atoms: int | None = None,
-        residual_tol: float = 1e-6,
-    ) -> "CsCodec":
-        return cls(gaussian_phi(rng, m, n), basis=basis, max_atoms=max_atoms, residual_tol=residual_tol)
-
 
 @dataclass(frozen=True)
 class CompressedReport:
-    """Length-M projection of a report, tied to the codec that produced it."""
+    """Length-M projection of one report (M,) or a block (T, M), tied to its codec."""
 
     y: np.ndarray
     codec: CsCodec
 
     def __post_init__(self):
-        if np.asarray(self.y).shape != (self.codec.m,):
-            raise ValueError(f"y must have length {self.codec.m}, got {np.asarray(self.y).shape}")
+        shape = np.asarray(self.y).shape
+        if len(shape) not in (1, 2) or shape[-1] != self.codec.m:
+            raise ValueError(f"y must have trailing length {self.codec.m}, got {shape}")
+
+
+def _real_matmul(x: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """``x @ a`` for real ``a``: a complex (T, n) ``x`` goes as one real GEMM of stacked parts."""
+    if not np.iscomplexobj(x):
+        return x @ a
+    parts = np.concatenate((x.real, x.imag)) @ a
+    return parts[: len(x)] + 1j * parts[len(x) :]
 
 
 def compress(x: np.ndarray, codec: CsCodec) -> CompressedReport:
-    """Random projection y = Phi x (complex x is projected part-by-part)."""
+    """Random projection y = Phi x of one report (n,) or a block (T, n)."""
     x = np.asarray(x)
-    if x.shape != (codec.n,):
-        raise ValueError(f"x must have length {codec.n}, got {x.shape}")
-    return CompressedReport(y=codec.phi @ x, codec=codec)
+    if x.ndim not in (1, 2) or x.shape[-1] != codec.n:
+        raise ValueError(f"x must have trailing length {codec.n}, got {x.shape}")
+    y = _real_matmul(np.atleast_2d(x), codec.phi.T)
+    return CompressedReport(y=y.reshape(x.shape[:-1] + (codec.m,)), codec=codec)
 
 
 def omp(
@@ -264,56 +266,52 @@ def omp(
     return coeffs
 
 
+def _recover(report: CompressedReport, codec: CsCodec, keep_partial: bool = False) -> np.ndarray:
+    """OMP coefficients, one row per report; ``keep_partial`` keeps a breakdown's partial result."""
+    if report.codec is not codec:
+        raise ValueError("report was produced by a different codec")
+    ys = np.atleast_2d(report.y)
+    coeffs = np.zeros((len(ys), codec.n), dtype=np.result_type(ys, codec.dictionary))
+    for row, y in zip(coeffs, ys):
+        try:
+            row[:] = omp(y, codec.dictionary, codec.max_atoms, codec.residual_tol, gram=codec.gram)
+        except RecoveryError as exc:
+            if not keep_partial:
+                raise
+            row[:] = exc.partial
+    return coeffs.reshape(np.shape(report.y)[:-1] + (codec.n,))
+
+
 def reconstruct_raw(
     report: CompressedReport,
     codec: CsCodec,
     truth: np.ndarray | None = None,
 ) -> np.ndarray | tuple[np.ndarray, float]:
-    """Recover the stacked raw-measurement vector from its projection.
+    """Recover the stacked raw-measurement vector(s) from a projection.
 
     OMP against the codec dictionary, then coefficients mapped back
-    through the basis (z_hat = Psi^H coeffs).  When the transmitted
-    vector is supplied as ``truth`` (test mode) the squared reconstruction
-    error ||z_hat - truth||^2 is returned alongside the estimate.
+    through the basis (z_hat = Psi^H coeffs); a (T, M) report gives (T, n)
+    estimates.  Given the transmitted ``truth`` (test mode), the squared
+    error ||z_hat - truth||^2 of each report is returned as well.
     """
-    if report.codec is not codec:
-        raise ValueError("report was produced by a different codec")
-    coeffs = omp(
-        report.y,
-        codec.dictionary,
-        max_atoms=codec.max_atoms,
-        residual_tol=codec.residual_tol,
-        gram=codec.gram,
-    )
-    z_hat = codec.psi.conj().T @ coeffs
+    coeffs = _recover(report, codec)
+    z_hat = _real_matmul(np.atleast_2d(coeffs), codec.psi).reshape(coeffs.shape)  # Psi is real
     if truth is None:
         return z_hat
-    err = float(np.real(np.vdot(z_hat - truth, z_hat - truth)))
-    return z_hat, err
+    err = np.sum(np.abs(z_hat - truth) ** 2, axis=-1)
+    return z_hat, err[()]
 
 
 def reconstruct_decisions(report: CompressedReport, codec: CsCodec) -> np.ndarray:
-    """Recover a binary decision vector from its projection.
+    """Recover binary decision vector(s) from a projection.
 
     Requires the canonical (identity) basis, where a low-false-alarm
     decision vector is sparse.  Entries are quantized to 1 iff the
-    recovered coefficient exceeds 0.5.  Always returns a length-N binary
-    vector: if OMP breaks down (e.g. the vector was dense and is not
-    recoverable from M < N projections) the partial solution is quantized
-    instead.
+    recovered coefficient exceeds 0.5.  Always returns length-N binary
+    vectors (shape (T, N) for a (T, M) report): if OMP breaks down (e.g.
+    the vector was dense and is not recoverable from M < N projections)
+    the partial solution is quantized instead.
     """
-    if report.codec is not codec:
-        raise ValueError("report was produced by a different codec")
     if codec.basis is not Basis.IDENTITY:
         raise ValueError("decision recovery requires the identity basis")
-    try:
-        coeffs = omp(
-            report.y,
-            codec.dictionary,
-            max_atoms=codec.max_atoms,
-            residual_tol=codec.residual_tol,
-            gram=codec.gram,
-        )
-    except RecoveryError as exc:
-        coeffs = exc.partial
-    return (np.real(coeffs) > 0.5).astype(np.int64)
+    return (np.real(_recover(report, codec, keep_partial=True)) > 0.5).astype(np.int64)

@@ -8,9 +8,10 @@ from cirauth.channel import (
     draw_channel,
     exp_correlation_matrix,
     measure,
+    measure_block,
     stack_columns,
 )
-from cirauth.numerics import Rng, sample_complex_gaussian
+from cirauth.numerics import Rng, sample_complex_gaussian, standard_normal_rows
 
 
 class TestExpCorrelation:
@@ -124,6 +125,10 @@ class TestStacking:
         h = np.arange(6.0).reshape(2, 3)  # 2 taps, 3 nodes
         assert np.array_equal(stack_columns(h), [0.0, 3.0, 1.0, 4.0, 2.0, 5.0])
 
+    def test_batch_axes(self):
+        h = np.arange(24.0).reshape(4, 2, 3)
+        assert np.array_equal(stack_columns(h), np.stack([stack_columns(m) for m in h]))
+
 
 class TestNoiseModel:
     def test_snr_definition(self):
@@ -151,6 +156,12 @@ class TestNoiseModel:
         draws = np.stack([nm.sample_stacked(Rng(29, t)) for t in range(20_000)])
         emp = draws.conj().T @ draws / draws.shape[0]
         assert np.allclose(emp, 2.0 * cov, atol=0.1)
+
+    def test_singular_base_cov_rejected(self):
+        # a singular covariance used to factor with a clamped pivot and
+        # give NaN statistics, which accept every hypothesis
+        with pytest.raises(ValueError, match="not positive definite"):
+            NoiseModel(sigma2=(1.0,), n_taps=2, base_cov=np.ones((2, 2)))
 
     def test_invalid_sigma(self):
         for bad in (0.0, float("nan"), float("inf")):
@@ -199,3 +210,20 @@ class TestMeasure:
         bad = NoiseModel(sigma2=(1.0,) * 5, n_taps=3)
         with pytest.raises(ValueError):
             measure(Rng(35, 0), ens, Occupant.ALICE, bad)
+
+
+class TestMeasureBlock:
+    @pytest.mark.parametrize("occupant", [Occupant.ALICE, Occupant.EVE])
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_rows_equal_per_trial_draws(self, occupant, normalize):
+        # row i must be bit-equal to draw_channel then measure on stream i
+        cfg = ChannelConfig(n_nodes=5, n_taps=3, rho=0.7, normalize_kronecker=normalize)
+        cov = np.array([[1.5, 0.2, 0.0], [0.2, 1.0, 0.1], [0.0, 0.1, 0.8]])
+        nm = NoiseModel(sigma2=(0.5, 1.0, 2.0, 0.7, 1.1), n_taps=3, base_cov=cov)
+        streams = [3, 11, 12, 900]
+        h_ab, z = measure_block(standard_normal_rows(36, streams, 6 * 5 * 3), cfg, occupant, nm)
+        for i, sid in enumerate(streams):
+            rng = Rng(36, sid)
+            ens = draw_channel(rng, cfg)
+            assert np.array_equal(h_ab[i], stack_columns(ens.h_ab))
+            assert np.array_equal(z[i], measure(rng, ens, occupant, nm).z_star)

@@ -185,13 +185,16 @@ class TestRunCommand:
             ("fig5", "cs.residual_tol=nan"),
             ("fig5", "cs.max_atoms=0"),
             ("fig2", "scenario.snr_db=inf"),
+            ("fig5", "scenario.seed=-1"),
             ("fig2", "detector.scale=raw_quadratic"),
         ],
     )
     def test_invalid_values_exit_2_without_csv(self, tmp_path, capsys, preset, override):
         out = tmp_path / "o.csv"
         assert main(["run", "--config", preset, "--out", str(out), "--set", override]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert override.partition("=")[0] in err  # the message names the config key
         assert not out.exists()
 
     def test_preset_resolves_by_name(self, tmp_path):

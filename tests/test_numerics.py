@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from cirauth.numerics import (
@@ -11,7 +13,10 @@ from cirauth.numerics import (
     chi2_quantile,
     cholesky,
     sample_complex_gaussian,
+    standard_normal_rows,
 )
+
+U64 = st.integers(0, (1 << 64) - 1)
 
 
 class TestRng:
@@ -41,6 +46,25 @@ class TestRng:
             Rng(-1)
         with pytest.raises(ValueError):
             Rng(0, 1 << 64)
+
+
+class TestStandardNormalRows:
+    @settings(max_examples=100, deadline=None)
+    @given(seed=U64, stream_ids=st.lists(U64, min_size=1, max_size=6), width=st.integers(0, 40))
+    def test_rows_equal_fresh_streams(self, seed, stream_ids, width):
+        block = standard_normal_rows(seed, stream_ids, width)
+        assert block.shape == (len(stream_ids), width)
+        for row, sid in zip(block, stream_ids):
+            assert np.array_equal(row, Rng(seed, sid).standard_normal(width))
+
+    def test_empty_block(self):
+        assert standard_normal_rows(1, [], 5).shape == (0, 5)
+
+    def test_address_bounds(self):
+        with pytest.raises(ValueError):
+            standard_normal_rows(-1, [0], 3)
+        with pytest.raises(ValueError):
+            standard_normal_rows(0, [0, 1 << 64], 3)
 
 
 class TestComplexGaussian:
@@ -162,6 +186,10 @@ class TestCholesky:
         L = cholesky(a)
         assert np.abs(L @ L.T - a).max() < 1e-12
         assert np.tril(L, -1)[1:, 1:].sum() == 0.0
+
+    def test_strict_mode_rejects_semidefinite(self):
+        with pytest.raises(DecompositionError):
+            cholesky(np.ones((2, 2)), semidefinite=False)
 
     def test_non_hermitian_rejected(self):
         with pytest.raises(DecompositionError):

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from cirauth.channel import ChannelConfig
-from cirauth.detect import DetectorConfig, FusionKind, FusionRule
+from cirauth import simkit
+from cirauth.channel import ChannelConfig, NoiseModel, Occupant, draw_channel, measure, stack_columns
+from cirauth.detect import DetectorConfig, FusionKind, FusionRule, fc_raw_statistic, fuse, quadratic_statistic
+from cirauth.numerics import Rng
 from cirauth.simkit import (
     CsCodecConfig,
     CurveComparisonError,
@@ -14,8 +16,10 @@ from cirauth.simkit import (
     Variant,
     estimate_curve,
     estimate_curves,
+    scenario_codec,
     snr_margin,
 )
+from cirauth.sparse import compress, reconstruct_decisions, reconstruct_raw
 
 CHANNEL = ChannelConfig(n_nodes=10, n_taps=6, rho=0.9, pdp=(1.0,) * 6, normalize_kronecker=False)
 
@@ -187,6 +191,125 @@ class TestEstimateCurve:
     def test_local_variant_needs_rule(self):
         with pytest.raises(ValueError):
             estimate_curves(fusion_scenario(trials=1), [Variant("x", DetectorConfig(delta_n=26.2))])
+
+
+def _oracle_counts(scenario: Scenario, variants: list[Variant]) -> tuple[np.ndarray, np.ndarray]:
+    """(H1, H0) counts, shape (SNR points, 2V), one trial at a time.
+
+    Built from the public per-trial pieces only.  Columns are every
+    variant on the scheme's report, then every variant on the
+    uncompressed report (the ``no_cs`` twin).  Trial t at SNR index s
+    under hypothesis h (1 = eve) owns stream (s << 33) | (h << 32) | t.
+    """
+    cfg = scenario.channel
+    n, L = cfg.n_nodes, cfg.n_taps
+    codec = scenario_codec(scenario) if scenario.codec is not None else None
+    local = scenario.scheme in (Scheme.LOCAL_FUSION, Scheme.LOCAL_FUSION_CS)
+    dets = [v.detector.resolve(n, L) for v in variants]
+    counts = {occ: np.zeros((len(scenario.snr_grid_db), 2 * len(variants)), dtype=np.int64)
+              for occ in Occupant}
+    for si, snr in enumerate(scenario.snr_grid_db):
+        noise = NoiseModel.from_snr_db(snr, n, L)
+        for occ, bit in ((Occupant.EVE, 1), (Occupant.ALICE, 0)):
+            for t in range(scenario.trials):
+                rng = Rng(scenario.seed, (si << 33) | (bit << 32) | t)
+                ens = draw_channel(rng, cfg)
+                z = measure(rng, ens, occ, noise).z_star
+                h = stack_columns(ens.h_ab)
+                if not local:
+                    z_cs = z if codec is None else reconstruct_raw(compress(z, codec), codec)
+                    stats = [fc_raw_statistic(r, h, noise.apply_inverse) for r in (z_cs, z)]
+                    row = [stat > d.delta for stat in stats for d in dets]
+                else:
+                    stats_n = quadratic_statistic(
+                        z.reshape(n, L),
+                        h.reshape(n, L),
+                        lambda d: noise.apply_inverse(d.reshape(-1)).reshape(n, L),
+                    )
+                    us = [(stats_n > d.delta_n_vector(n)).astype(np.int64) for d in dets]
+                    if codec is not None:
+                        us_cs = [reconstruct_decisions(compress(u.astype(float), codec), codec) for u in us]
+                    else:
+                        us_cs = us
+                    row = [fuse(u, v.rule) for u_list in (us_cs, us) for u, v in zip(u_list, variants)]
+                counts[occ][si] += np.asarray(row, dtype=np.int64)
+    return counts[Occupant.EVE], counts[Occupant.ALICE]
+
+
+def _engine_counts(curves: list[DetectionCurve]) -> tuple[np.ndarray, np.ndarray]:
+    h1 = np.array([[round(p * c.trials) for p in c.p_d] for c in curves]).T
+    h0 = np.array([[round(p * c.trials) for p in c.p_fa] for c in curves]).T
+    return h1, h0
+
+
+_SMALL = ChannelConfig(n_nodes=4, n_taps=3, rho=0.8, pdp=(1.0,) * 3, normalize_kronecker=False)
+_SMALL_LOCAL = ChannelConfig(n_nodes=8, n_taps=2, rho=0.8, pdp=(1.0,) * 2, normalize_kronecker=False)
+_BLOCK_CAP = 504  # normals: blocks of 7 trials on _SMALL, 5 on _SMALL_LOCAL
+_FC_VARIANTS = [
+    Variant(label="delta=20", detector=DetectorConfig(delta=20.0)),
+    Variant(label="pfa=0.05", detector=DetectorConfig(target_pfa=0.05)),
+    Variant(label="delta=45", detector=DetectorConfig(delta=45.0)),
+]
+_LOCAL_VARIANTS = [
+    Variant(label=f"{d} {k.value}", detector=DetectorConfig(delta_n=d), rule=FusionRule(kind=k))
+    for d in (3.0, 8.0)
+    for k in FusionKind
+]
+_EQUIVALENCE_CASES = {
+    "fc_raw": (Scenario(
+        scheme=Scheme.FC_RAW, channel=_SMALL, detector=DetectorConfig(delta=20.0),
+        snr_grid_db=(-3.0, 3.0), trials=23, seed=501,
+    ), _FC_VARIANTS),
+    "fc_raw_cs": (Scenario(
+        scheme=Scheme.FC_RAW_CS, channel=_SMALL, detector=DetectorConfig(delta=20.0),
+        snr_grid_db=(-3.0, 3.0), trials=23, seed=502,
+        codec=CsCodecConfig(m=9, basis="dct", max_atoms=5),
+    ), _FC_VARIANTS),
+    "local_fusion": (Scenario(
+        scheme=Scheme.LOCAL_FUSION, channel=_SMALL_LOCAL, detector=DetectorConfig(delta_n=4.0),
+        fusion=FusionRule(kind=FusionKind.MAJORITY), snr_grid_db=(-3.0, 3.0), trials=23, seed=503,
+    ), _LOCAL_VARIANTS),
+    "local_fusion_cs": (Scenario(
+        scheme=Scheme.LOCAL_FUSION_CS, channel=_SMALL_LOCAL, detector=DetectorConfig(delta_n=4.0),
+        fusion=FusionRule(kind=FusionKind.MAJORITY), snr_grid_db=(-3.0, 3.0), trials=23, seed=504,
+        codec=CsCodecConfig(m=6, basis="identity", max_atoms=3),
+    ), _LOCAL_VARIANTS),
+}
+
+
+class TestEngineEquivalence:
+    """The block engine against a per-trial oracle of public pieces."""
+
+    @pytest.mark.parametrize("case", sorted(_EQUIVALENCE_CASES))
+    def test_counts_match_per_trial_oracle(self, case, monkeypatch):
+        scenario, variants = _EQUIVALENCE_CASES[case]
+        monkeypatch.setattr(simkit, "_BLOCK_NORMALS", _BLOCK_CAP)  # 23 trials end on a partial block
+        twin = scenario.codec is not None
+        curves = estimate_curves(scenario, variants, uncompressed_twin=twin)
+        want_h1, want_h0 = _oracle_counts(scenario, variants)
+        cols = slice(None) if twin else slice(len(variants))
+        got_h1, got_h0 = _engine_counts(curves)
+        assert np.array_equal(got_h1, want_h1[:, cols])
+        assert np.array_equal(got_h0, want_h0[:, cols])
+        # neither all-accept nor all-reject: the comparison has teeth
+        assert 0 < want_h1.sum() + want_h0.sum() < want_h1.size * scenario.trials * 2
+        if twin:
+            plain = Scheme.FC_RAW if scenario.scheme is Scheme.FC_RAW_CS else Scheme.LOCAL_FUSION
+            assert [c.label for c in curves[len(variants):]] == [v.label + " no_cs" for v in variants]
+            assert {c.scheme for c in curves[len(variants):]} == {plain.value}
+
+    @pytest.mark.parametrize("case", ["fc_raw_cs", "local_fusion"])
+    def test_workers_and_block_size_do_not_change_counts(self, case, monkeypatch):
+        scenario, variants = _EQUIVALENCE_CASES[case]
+        twin = scenario.codec is not None
+        one = estimate_curves(scenario, variants, workers=1, uncompressed_twin=twin)
+        monkeypatch.setattr(simkit, "_BLOCK_NORMALS", 1)  # one trial per block
+        assert estimate_curves(scenario, variants, workers=1, uncompressed_twin=twin) == one
+        assert estimate_curves(scenario, variants, workers=2, uncompressed_twin=twin) == one
+
+    def test_twin_requires_cs_scheme(self):
+        with pytest.raises(ValueError):
+            estimate_curves(fc_scenario(trials=1), uncompressed_twin=True)
 
 
 class TestSnrMargin:

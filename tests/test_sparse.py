@@ -1,5 +1,9 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import fft as sfft
 
 from cirauth.numerics import Rng, sample_complex_gaussian
@@ -93,6 +97,16 @@ class TestCompress:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             compress(np.zeros(599), self._codec())
+
+    @pytest.mark.parametrize("complex_input", [False, True])
+    def test_block_rows_match_single_reports(self, complex_input):
+        codec = self._codec()
+        block = sample_complex_gaussian(Rng(60, 0), 3 * 600, 1.0).reshape(3, 600)
+        block = block if complex_input else block.real.copy()
+        y = compress(block, codec).y
+        assert y.shape == (3, 480)
+        for row, want in zip(y, block):
+            assert np.abs(row - codec.phi @ want).max() < 1e-12
 
     def test_report_validates_length(self):
         codec = self._codec()
@@ -216,6 +230,16 @@ class TestReconstructRaw:
         z_hat = reconstruct_raw(compress(z, codec), codec)
         assert np.abs(z_hat - z).max() < 1e-10
 
+    def test_block_matches_single_reports(self):
+        codec = self._codec()
+        block = sample_complex_gaussian(Rng(79, 0), 2 * 600, 1.0).reshape(2, 600)
+        z_hat, err = reconstruct_raw(compress(block, codec), codec, truth=block)
+        assert z_hat.shape == (2, 600) and err.shape == (2,)
+        for i, z in enumerate(block):
+            one, one_err = reconstruct_raw(compress(z, codec), codec, truth=z)
+            assert np.abs(z_hat[i] - one).max() < 1e-10
+            assert err[i] == pytest.approx(one_err, rel=1e-9)
+
     def test_codec_mismatch_rejected(self):
         codec = self._codec()
         other = CsCodec(gaussian_phi(Rng(75, 0), 480, 600), basis="dct")
@@ -250,6 +274,16 @@ class TestReconstructDecisions:
         assert got.shape == (100,)
         assert set(np.unique(got)) <= {0, 1}
 
+    def test_block_matches_single_reports(self):
+        codec = self._codec()
+        u = np.zeros((3, 100))
+        u[0, [4, 50]] = 1.0
+        u[2] = 1.0  # dense: OMP breaks down and the partial result is kept
+        got = reconstruct_decisions(compress(u, codec), codec)
+        assert got.shape == (3, 100)
+        for row, want in zip(got, u):
+            assert np.array_equal(row, reconstruct_decisions(compress(want, codec), codec))
+
     def test_requires_identity_basis(self):
         codec = CsCodec(gaussian_phi(Rng(78, 0), 70, 100), basis="dct", max_atoms=35)
         report = compress(np.zeros(100), codec)
@@ -278,3 +312,37 @@ class TestCorrelationHelpsCompression:
                 errs.append(err)
             means.append(np.mean(errs))
         assert means[1] < means[0]
+
+
+@lru_cache(maxsize=None)
+def _exact_codec(basis: str) -> CsCodec:
+    # 120 x 128 Gaussian projection, a 60-atom budget: OMP may pick a few
+    # wrong atoms but then fits them a zero coefficient
+    return CsCodec(gaussian_phi(Rng(3, 0), 120, 128), basis=basis, max_atoms=60, residual_tol=1e-12)
+
+
+class TestOmpExactRecovery:
+    @settings(max_examples=150, deadline=None)
+    @given(basis=st.sampled_from(["identity", "dct"]), data=st.data())
+    def test_k_sparse_recovered(self, basis, data):
+        codec = _exact_codec(basis)
+        k = data.draw(st.integers(1, codec.m // 4), label="k")
+        support = data.draw(
+            st.lists(st.integers(0, codec.n - 1), min_size=k, max_size=k, unique=True), label="support"
+        )
+        magnitudes = data.draw(st.lists(st.floats(0.5, 2.0), min_size=k, max_size=k), label="magnitudes")
+        signs = data.draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=k, max_size=k), label="signs")
+        coeffs = np.zeros(codec.n)
+        coeffs[support] = np.multiply(signs, magnitudes)
+        got = omp(
+            codec.dictionary @ coeffs,
+            codec.dictionary,
+            max_atoms=codec.max_atoms,
+            residual_tol=codec.residual_tol,
+            gram=codec.gram,
+        )
+        assert set(np.flatnonzero(np.abs(got) > 1e-8)) == set(support)
+        assert np.abs(got - coeffs).max() < 1e-8
+        # the same report through the codec's synthesis
+        z = codec.psi.T @ coeffs
+        assert np.abs(reconstruct_raw(compress(z, codec), codec) - z).max() < 1e-8
