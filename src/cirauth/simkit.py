@@ -117,8 +117,7 @@ class Scenario:
                 raise ValueError(f"scheme {self.scheme.value} requires a codec config")
             if self.codec.m >= self.report_length:
                 raise ValueError(
-                    f"codec m={self.codec.m} must be smaller than the "
-                    f"report length {self.report_length}"
+                    f"m must be smaller than the report length {self.report_length}, got {self.codec.m}"
                 )
 
     @property

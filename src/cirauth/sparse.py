@@ -8,14 +8,15 @@ Psi is an orthonormal sparsifying basis (DCT for spatially-correlated raw
 measurements, the canonical basis for decision vectors), then maps the
 recovered coefficients back through Psi^H.
 
-OMP here iterates in the Gram domain (correlations updated from A^H A,
-coefficients from a growing Cholesky factor) so the per-call cost stays
-O(n*K) per iteration once the codec's Gram matrix is cached; the final
-coefficients are re-fit by a dense least squares on the selected columns.
+OMP here is Batch-OMP: one kernel runs every report of a block at once,
+each with its own support and stops.  It iterates in the Gram domain
+(correlations updated from the cached A^T A, least squares from a growing
+inverse Cholesky factor), so an iteration costs O(n*K) per report and
+calls no LAPACK routine.
 
 ``compress`` and ``reconstruct_*`` also take a block of T reports, for
-which projection and basis synthesis are one real matrix product each;
-OMP runs per report.
+which projection and basis synthesis are one real matrix product each
+and OMP is one kernel call.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg as sla
 
 from .numerics import Rng
 
@@ -160,6 +160,114 @@ def compress(x: np.ndarray, codec: CsCodec) -> CompressedReport:
     return CompressedReport(y=y.reshape(x.shape[:-1] + (codec.m,)), codec=codec)
 
 
+@dataclass(frozen=True)
+class _OmpResult:
+    """Per-row output of :func:`_batch_omp` for T reports."""
+
+    coeffs: np.ndarray  # (T, n); a breakdown row holds its partial result
+    errors: list  # (T,) None, or why the row broke down
+    support: np.ndarray  # (T, budget) selected atoms in order; the first count[i] are valid
+    count: np.ndarray  # (T,)
+    res2: np.ndarray  # (T, budget + 1) squared residual norm after each selection
+
+
+def _batch_omp(ys: np.ndarray, a: np.ndarray, gram: np.ndarray, max_atoms: int, residual_tol: float) -> _OmpResult:
+    """Batch-OMP of every row of ``ys`` (T, M) against the real dictionary ``a``.
+
+    Rubinstein, Zibulevsky & Elad, Technion CS-2008-08.  A complex report
+    runs as P = 2 real parts (real, imaginary) sharing one support S.
+    After ``c0 = y @ a`` the loop runs in the Gram domain and calls no
+    LAPACK routine.  With L the Cholesky factor of gram[S, S], each
+    selection appends one row to F = L^-1 [I | gram[S, :]] (the inverse
+    factor, then B = L^-1 gram[S, :]) and one entry to z = L^-1 c0_S.
+    Then w = L^-1 gram[S, j] is column j of B, the correlations with the
+    residual are c = c0 - B^T z, the squared residual is ||y||^2 - |z|^2
+    and the coefficients are L^-T z.
+
+    Rows leave the active set on their own stops or breakdowns, and the
+    active rows are kept as a contiguous prefix.  Every operation acts on
+    one row at a time (elementwise, along the last axis, or one BLAS call
+    per row), so a row's result does not depend on the rows recovered
+    with it.
+    """
+    complex_y = np.iscomplexobj(ys)
+    ys = np.stack((ys.real, ys.imag), axis=1) if complex_y else ys[:, None, :]
+    ys = ys.astype(np.float64)  # (T, P, M)
+    t, p, _ = ys.shape
+    n = gram.shape[0]
+    budget = min(int(max_atoms), n)
+    gdiag = gram.diagonal().copy()
+    ynorm2 = np.sum(np.square(ys).reshape(t, -1), axis=1)
+    coeffs = np.zeros((t, p, n))
+    errors = [None] * t
+    chosen = np.zeros((t, budget), dtype=np.intp)
+    count = np.zeros(t, dtype=np.intp)
+    history = np.zeros((t, budget + 1))
+    history[:, 0] = ynorm2
+
+    tol2 = residual_tol**2 * ynorm2
+    rows = np.flatnonzero(ynorm2 > tol2)  # the active rows, in order
+    c = ys[rows] @ a  # (A, P, n)
+    yn2, tol2 = ynorm2[rows], tol2[rows]
+    slack = 1e-12 * np.maximum(yn2, 1.0)
+    res2, zz = yn2.copy(), np.zeros(len(rows))
+    weight = np.tile(1.0 / gdiag, (len(rows), 1))  # 1 / ||a_j||^2, then 0 once j is selected
+    f = np.zeros((len(rows), budget, budget + n))
+    z = np.zeros((len(rows), p, budget))
+    ar, parts = np.arange(len(rows)), np.arange(p)
+    for k in range(budget):
+        if not len(rows):
+            break
+        sq = np.square(c)
+        score = (sq[:, 0] + sq[:, 1] if p == 2 else sq[:, 0]) * weight
+        j = score.argmax(axis=1)
+        orthogonal = score[ar, j] <= 0.0
+        w = f[ar, :k, budget + j]
+        gjj = gdiag[j]
+        d2 = gjj - (w * w).sum(axis=1)
+        dependent = d2 <= 1e-12 * gjj
+        broken = orthogonal | dependent
+        # a broken row keeps its state up to k; give it a finite dummy step
+        inv_d = 1.0 / np.sqrt(np.where(broken, gjj, d2))
+        fk = f[:, k]
+        fk[:, k] = 1.0
+        fk[:, budget:] = gram[j]
+        fk -= (w[:, None, :] @ f[:, :k])[:, 0]
+        fk *= inv_d[:, None]
+        zk = c[ar, :, j] * inv_d[:, None]
+        c -= zk[:, :, None] * fk[:, None, budget:]
+        z[:, :, k] = zk
+        zz = zz + (zk * zk).sum(axis=1)
+        new_res2 = np.maximum(yn2 - zz, 0.0)
+        no_decrease = new_res2 > res2 + slack
+        res2 = new_res2
+        history[rows, k + 1] = res2
+        chosen[rows, k] = j
+        weight[ar, j] = 0.0
+        stop = broken | no_decrease | (res2 <= tol2) | (k + 1 == budget)
+        if not stop.any():
+            continue
+        for i in np.flatnonzero(broken | no_decrease):
+            errors[rows[i]] = (
+                "residual is orthogonal to every remaining atom" if orthogonal[i]
+                else f"atom {j[i]} is numerically dependent on the selected support" if dependent[i]
+                else "residual norm failed to decrease (numerical breakdown)"
+            )
+        for done, kk in ((stop & broken, k), (stop & ~broken, k + 1)):
+            if done.any():
+                r = rows[done]
+                gamma = z[done][:, :, :kk] @ f[done][:, :kk, :kk]  # (L^-T z)^T per part
+                coeffs[r[:, None, None], parts[None, :, None], chosen[r, None, :kk]] = gamma
+                count[r] = kk
+        keep = ~stop
+        rows, c, yn2, tol2, slack, res2, zz = (x[keep] for x in (rows, c, yn2, tol2, slack, res2, zz))
+        f[: len(rows), : k + 1] = f[keep, : k + 1]  # rows past k are still zero, so only these move
+        weight, f, z = weight[keep], f[: len(rows)], z[keep]
+        ar = np.arange(len(rows))
+    coeffs = coeffs[:, 0] + 1j * coeffs[:, 1] if complex_y else coeffs[:, 0]
+    return _OmpResult(coeffs=coeffs, errors=errors, support=chosen, count=count, res2=history)
+
+
 def omp(
     y: np.ndarray,
     a: np.ndarray,
@@ -168,101 +276,46 @@ def omp(
     gram: np.ndarray | None = None,
     return_diagnostics: bool = False,
 ) -> np.ndarray | tuple[np.ndarray, dict]:
-    """Greedy sparse recovery of x from y ~= a @ x.
+    """Greedy sparse recovery of x from y ~= a @ x, for a real dictionary ``a``.
 
     Repeatedly selects the atom with the largest norm-weighted correlation
     |a_j^H r| / ||a_j|| against the residual, re-solves the least squares
     over the selected support, and stops at ``max_atoms`` atoms or once
-    ||r|| <= residual_tol * ||y||.  The least-squares updates run in the
-    Gram domain through a growing Cholesky factor (pass ``gram = a^H a``
-    to amortize the Gram product across calls).  Complex ``y`` gives
-    complex coefficients; selection uses correlation magnitudes.
+    ||r|| <= residual_tol * ||y||.  This is the one-row call of the block
+    kernel behind ``reconstruct_*`` (pass ``gram = a^T a`` to amortize the
+    Gram product across calls).  Complex ``y`` gives complex coefficients;
+    selection uses correlation magnitudes.
 
     Raises :class:`RecoveryError` (with partial coefficients attached) if
-    the residual stops decreasing before either stop fires.
+    the residual becomes orthogonal to every remaining atom, the next atom
+    is numerically dependent on the support, or the residual stops
+    decreasing, before either stop fires.
     """
     a = np.asarray(a)
     y = np.asarray(y)
     if a.ndim != 2:
         raise ValueError(f"dictionary must be a matrix, got shape {a.shape}")
+    if np.iscomplexobj(a):
+        raise ValueError("dictionary must be real")
     m, n = a.shape
     if y.shape != (m,):
         raise ValueError(f"y must have length {m}, got {y.shape}")
     if max_atoms < 1:
         raise ValueError(f"max_atoms must be positive, got {max_atoms}")
     if gram is None:
-        gram = a.conj().T @ a
-    col_norms = np.sqrt(np.real(np.diag(gram)))
-    if np.any(col_norms == 0):
+        gram = a.T @ a
+    if np.any(np.diagonal(gram) == 0):
         raise ValueError("dictionary contains a zero column")
-
-    out_dtype = np.result_type(a.dtype, y.dtype)
-    coeffs = np.zeros(n, dtype=out_dtype)
-    ynorm2 = float(np.real(np.vdot(y, y)))
-    budget = min(int(max_atoms), n)
-    tol2 = (residual_tol**2) * ynorm2
-
-    c0 = a.conj().T @ y
-    c = c0.copy()
-    support: list[int] = []
-    chol = np.zeros((budget, budget), dtype=out_dtype)
-    gram_cols = np.empty((n, budget), dtype=gram.dtype)  # gram[:, support], built once
-    c0_sel = np.empty(budget, dtype=out_dtype)
-    gamma = np.zeros(0, dtype=out_dtype)
-    res2 = ynorm2
-    res_trace = [math.sqrt(ynorm2)]
-
-    def partial_result() -> np.ndarray:
-        partial = np.zeros(n, dtype=out_dtype)
-        if support:
-            partial[support] = gamma
-        return partial
-
-    while len(support) < budget and res2 > tol2:
-        scores = np.abs(c) / col_norms
-        if support:
-            scores[support] = -1.0
-        j = int(np.argmax(scores))
-        if scores[j] <= 0.0:
-            raise RecoveryError(
-                "residual is orthogonal to every remaining atom", partial_result()
-            )
-        k = len(support)
-        if k:
-            w = sla.solve_triangular(
-                chol[:k, :k], gram_cols[j, :k].conj(), lower=True, check_finite=False
-            )
-            d2 = float(np.real(gram[j, j]) - np.real(np.vdot(w, w)))
-        else:
-            d2 = float(np.real(gram[j, j]))
-        if d2 <= 1e-12 * float(np.real(gram[j, j])):
-            raise RecoveryError(
-                f"atom {j} is numerically dependent on the selected support", partial_result()
-            )
-        if k:
-            chol[k, :k] = w.conj()
-        chol[k, k] = math.sqrt(d2)
-        gram_cols[:, k] = gram[:, j]
-        c0_sel[k] = c0[j]
-        support.append(j)
-        k += 1
-        half = sla.solve_triangular(chol[:k, :k], c0_sel[:k], lower=True, check_finite=False)
-        gamma = sla.solve_triangular(
-            chol[:k, :k].conj().T, half, lower=False, check_finite=False
-        )
-        new_res2 = max(ynorm2 - float(np.real(np.vdot(gamma, c0_sel[:k]))), 0.0)
-        if new_res2 > res2 + 1e-12 * max(ynorm2, 1.0):
-            raise RecoveryError(
-                "residual norm failed to decrease (numerical breakdown)", partial_result()
-            )
-        res2 = new_res2
-        res_trace.append(math.sqrt(res2))
-        c = c0 - gram_cols[:, :k] @ gamma
-
-    if support:
-        coeffs[support] = gamma
+    res = _batch_omp(y[None], a, gram, max_atoms, residual_tol)
+    coeffs = res.coeffs[0].astype(np.result_type(a.dtype, y.dtype), copy=False)
+    if res.errors[0]:
+        raise RecoveryError(res.errors[0], coeffs)
     if return_diagnostics:
-        return coeffs, {"support": list(support), "residual_norms": res_trace}
+        k = int(res.count[0])
+        return coeffs, {
+            "support": res.support[0, :k].tolist(),
+            "residual_norms": np.sqrt(res.res2[0, : k + 1]).tolist(),
+        }
     return coeffs
 
 
@@ -271,15 +324,12 @@ def _recover(report: CompressedReport, codec: CsCodec, keep_partial: bool = Fals
     if report.codec is not codec:
         raise ValueError("report was produced by a different codec")
     ys = np.atleast_2d(report.y)
-    coeffs = np.zeros((len(ys), codec.n), dtype=np.result_type(ys, codec.dictionary))
-    for row, y in zip(coeffs, ys):
-        try:
-            row[:] = omp(y, codec.dictionary, codec.max_atoms, codec.residual_tol, gram=codec.gram)
-        except RecoveryError as exc:
-            if not keep_partial:
-                raise
-            row[:] = exc.partial
-    return coeffs.reshape(np.shape(report.y)[:-1] + (codec.n,))
+    res = _batch_omp(ys, codec.dictionary, codec.gram, codec.max_atoms, codec.residual_tol)
+    if not keep_partial:
+        for error, partial in zip(res.errors, res.coeffs):
+            if error:
+                raise RecoveryError(error, partial)
+    return res.coeffs.reshape(np.shape(report.y)[:-1] + (codec.n,))
 
 
 def reconstruct_raw(

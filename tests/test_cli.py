@@ -186,6 +186,7 @@ class TestRunCommand:
             ("fig5", "cs.max_atoms=0"),
             ("fig2", "scenario.snr_db=inf"),
             ("fig5", "scenario.seed=-1"),
+            ("fig5", "cs.m=700"),
             ("fig2", "detector.scale=raw_quadratic"),
         ],
     )

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import fft as sfft
+from scipy import linalg as sla
 
+from cirauth import sparse
 from cirauth.numerics import Rng, sample_complex_gaussian
 from cirauth.sparse import (
     CompressedReport,
@@ -278,7 +280,7 @@ class TestReconstructDecisions:
         codec = self._codec()
         u = np.zeros((3, 100))
         u[0, [4, 50]] = 1.0
-        u[2] = 1.0  # dense: OMP breaks down and the partial result is kept
+        u[2] = 1.0  # dense: OMP stops at its 35-atom budget, and that fit is quantized
         got = reconstruct_decisions(compress(u, codec), codec)
         assert got.shape == (3, 100)
         for row, want in zip(got, u):
@@ -346,3 +348,199 @@ class TestOmpExactRecovery:
         # the same report through the codec's synthesis
         z = codec.psi.T @ coeffs
         assert np.abs(reconstruct_raw(compress(z, codec), codec) - z).max() < 1e-8
+
+
+def _reference_omp(y, a, max_atoms, residual_tol=1e-6, gram=None):
+    """Scalar OMP: one report, a growing Cholesky factor and three triangular solves per atom.
+
+    The loop ``sparse.omp`` ran per report before the block kernel, kept as
+    the equivalence reference.  Returns ``(coeffs, support)`` or raises
+    :class:`RecoveryError` with the partial coefficients.
+    """
+    m, n = a.shape
+    if gram is None:
+        gram = a.conj().T @ a
+    col_norms = np.sqrt(np.real(np.diag(gram)))
+    out_dtype = np.result_type(a.dtype, y.dtype)
+    ynorm2 = float(np.real(np.vdot(y, y)))
+    budget = min(int(max_atoms), n)
+    tol2 = (residual_tol**2) * ynorm2
+    c0 = a.conj().T @ y
+    c = c0.copy()
+    support = []
+    chol = np.zeros((budget, budget), dtype=out_dtype)
+    gram_cols = np.empty((n, budget), dtype=gram.dtype)
+    c0_sel = np.empty(budget, dtype=out_dtype)
+    gamma = np.zeros(0, dtype=out_dtype)
+    res2 = ynorm2
+
+    def partial_result():
+        partial = np.zeros(n, dtype=out_dtype)
+        if support:
+            partial[support] = gamma
+        return partial
+
+    while len(support) < budget and res2 > tol2:
+        scores = np.abs(c) / col_norms
+        if support:
+            scores[support] = -1.0
+        j = int(np.argmax(scores))
+        if scores[j] <= 0.0:
+            raise RecoveryError("residual is orthogonal to every remaining atom", partial_result())
+        k = len(support)
+        if k:
+            w = sla.solve_triangular(chol[:k, :k], gram_cols[j, :k].conj(), lower=True, check_finite=False)
+            d2 = float(np.real(gram[j, j]) - np.real(np.vdot(w, w)))
+        else:
+            d2 = float(np.real(gram[j, j]))
+        if d2 <= 1e-12 * float(np.real(gram[j, j])):
+            raise RecoveryError(f"atom {j} is numerically dependent on the selected support", partial_result())
+        if k:
+            chol[k, :k] = w.conj()
+        chol[k, k] = np.sqrt(d2)
+        gram_cols[:, k] = gram[:, j]
+        c0_sel[k] = c0[j]
+        support.append(j)
+        k += 1
+        half = sla.solve_triangular(chol[:k, :k], c0_sel[:k], lower=True, check_finite=False)
+        gamma = sla.solve_triangular(chol[:k, :k].conj().T, half, lower=False, check_finite=False)
+        new_res2 = max(ynorm2 - float(np.real(np.vdot(gamma, c0_sel[:k]))), 0.0)
+        if new_res2 > res2 + 1e-12 * max(ynorm2, 1.0):
+            raise RecoveryError("residual norm failed to decrease (numerical breakdown)", partial_result())
+        res2 = new_res2
+        c = c0 - gram_cols[:, :k] @ gamma
+    coeffs = np.zeros(n, dtype=out_dtype)
+    if support:
+        coeffs[support] = gamma
+    return coeffs, support
+
+
+@lru_cache(maxsize=None)
+def _fig4_codec() -> CsCodec:
+    return CsCodec(gaussian_phi(Rng(81, 0), 480, 600), basis="dct", max_atoms=60)
+
+
+@lru_cache(maxsize=None)
+def _fig5_codec() -> CsCodec:
+    return CsCodec(gaussian_phi(Rng(76, 0), 70, 100), basis="identity", max_atoms=35)
+
+
+def _fig4_reports() -> np.ndarray:
+    """Complex (5, 480) block: dense noise (twice), DCT-sparse plus noise, exactly sparse, zero."""
+    codec = _fig4_codec()
+    rng = Rng(83, 0)
+    coeffs = np.zeros(600, dtype=complex)
+    coeffs[rng.generator.choice(600, 12, replace=False)] = sample_complex_gaussian(rng, 12, 4.0)
+    sparse_z = codec.psi.T @ coeffs
+    rows = [sample_complex_gaussian(Rng(82, i), 600, 1.0) for i in range(2)]
+    rows += [sparse_z + sample_complex_gaussian(rng, 600, 0.05**2), sparse_z, np.zeros(600, dtype=complex)]
+    return compress(np.array(rows), codec).y
+
+
+def _fig5_reports() -> np.ndarray:
+    """(8, 70) block of decision vectors with 0 to 100 of the 100 nodes firing."""
+    u = np.zeros((8, 100))
+    for i, ones in enumerate((0, 1, 3, 10, 20, 30, 60, 100)):
+        u[i, Rng(84, i).generator.choice(100, ones, replace=False)] = 1.0
+    return compress(u, _fig5_codec()).y
+
+
+def _span2_dictionary() -> np.ndarray:
+    a = np.zeros((3, 2))
+    a[0, 0] = a[1, 1] = 1.0  # atoms span the first two coordinates only
+    return a
+
+
+def _near_dependent_dictionary() -> np.ndarray:
+    a = np.eye(3)
+    a[:, 2] = np.array([1.0, 1.0, 1e-7]) / np.sqrt(2.0 + 1e-14)  # almost in span(e1, e2)
+    return a
+
+
+class TestBatchOmpEquivalence:
+    """The block kernel against the scalar reference, row by row."""
+
+    def _assert_matches_reference(self, ys, a, gram, max_atoms, residual_tol):
+        res = sparse._batch_omp(ys, a, gram, max_atoms, residual_tol)
+        for i, y in enumerate(ys):
+            try:
+                want, support = _reference_omp(y, a, max_atoms, residual_tol, gram=gram)
+            except RecoveryError as err:
+                assert res.errors[i] == str(err), f"row {i}: reference broke down ({err})"
+                want, support = err.partial, np.flatnonzero(err.partial).tolist()
+                assert sorted(res.support[i, : res.count[i]].tolist()) == sorted(support)
+            else:
+                assert res.errors[i] is None, f"row {i}: kernel broke down ({res.errors[i]}), reference did not"
+                assert res.support[i, : res.count[i]].tolist() == support
+            assert np.abs(res.coeffs[i] - want).max() < 1e-10
+        return res
+
+    def test_fig4_shaped(self):
+        codec = _fig4_codec()
+        res = self._assert_matches_reference(
+            _fig4_reports(), codec.dictionary, codec.gram, codec.max_atoms, codec.residual_tol
+        )
+        assert res.count.tolist() == [60, 60, 60, 12, 0]  # the budget, the budget, the budget, the tolerance, zero
+
+    def test_fig5_shaped(self):
+        codec = _fig5_codec()
+        res = self._assert_matches_reference(
+            _fig5_reports(), codec.dictionary, codec.gram, codec.max_atoms, codec.residual_tol
+        )
+        assert res.count[0] == 0 and res.count[-1] == codec.max_atoms
+
+    @pytest.mark.parametrize(
+        "a, ys, flagged",
+        [
+            # y = e3, then e1 + 2 e3: the residual is orthogonal to every atom left; e1 + 2 e2 is fit exactly
+            (_span2_dictionary(), np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 2.0], [1.0, 2.0, 0.0]]), [True, True, False]),
+            # atoms 1 and 0 are selected, then atom 2, which is almost in their span
+            (_near_dependent_dictionary(), np.array([[1.0, 3.0, 1.0]]), [True]),
+        ],
+        ids=["orthogonal", "dependent"],
+    )
+    def test_breakdown_rows_flagged(self, a, ys, flagged):
+        res = self._assert_matches_reference(ys, a, a.T @ a, max_atoms=3, residual_tol=0.0)
+        assert [error is not None for error in res.errors] == flagged
+
+    def test_breakdown_raised_by_raw_kept_by_decisions(self):
+        # three copies of e1: after one atom the residual e2 is orthogonal to the rest
+        codec = CsCodec(np.array([[1.0, 1.0, 1.0], [0.0, 0.0, 0.0]]), basis="identity", max_atoms=3)
+        report = CompressedReport(y=np.array([[2.0, 0.0], [1.0, 1.0]]), codec=codec)
+        with pytest.raises(RecoveryError, match="orthogonal") as err:
+            reconstruct_raw(report, codec)
+        assert np.array_equal(err.value.partial, [1.0, 0.0, 0.0])
+        assert np.array_equal(reconstruct_decisions(report, codec), [[1, 0, 0], [1, 0, 0]])
+
+
+class TestBlockRowsIndependent:
+    """A row's recovery is bit-identical alone, in a block and in a permuted block."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_bit_identical(self, data):
+        if data.draw(st.booleans(), label="decisions"):
+            codec = _fig5_codec()
+            rows = data.draw(st.lists(st.lists(st.integers(0, 99), unique=True), min_size=1, max_size=6), label="ones")
+            x = np.zeros((len(rows), 100))
+            for i, ones in enumerate(rows):
+                x[i, ones] = 1.0
+        else:
+            codec = _exact_codec("dct")
+            seeds = data.draw(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=6), label="seeds")
+            sparsity = data.draw(st.lists(st.integers(0, 40), min_size=len(seeds), max_size=len(seeds)), label="k")
+            x = np.zeros((len(seeds), codec.n), dtype=complex)
+            for i, (seed, k) in enumerate(zip(seeds, sparsity)):
+                rng = Rng(seed, 0)
+                noise = sample_complex_gaussian(rng, codec.n, 1.0)
+                x[i, rng.generator.choice(codec.n, k, replace=False)] = 10.0  # 0 spikes: pure noise
+                x[i] += noise
+        y = codec.phi @ x.T  # one report per column, computed once and shared by every recovery below
+        block = CompressedReport(y=np.ascontiguousarray(y.T), codec=codec)
+        got = sparse._recover(block, codec, keep_partial=True)
+        perm = data.draw(st.permutations(range(len(x))), label="perm")
+        permuted = sparse._recover(CompressedReport(y=block.y[perm], codec=codec), codec, keep_partial=True)
+        assert np.array_equal(permuted, got[perm])
+        for i, row in enumerate(block.y):
+            alone = sparse._recover(CompressedReport(y=row.copy(), codec=codec), codec, keep_partial=True)
+            assert np.array_equal(alone, got[i])
