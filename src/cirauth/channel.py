@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -84,17 +84,14 @@ class ChannelEnsemble:
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Per-node measurement-noise covariances Sigma_n = sigma2[n] * base_cov.
+    """White per-node measurement noise, Sigma_n = sigma2[n] * I.
 
-    ``base_cov`` defaults to the identity (orthogonal unit-energy training,
-    so the per-node SNR is exactly 1/sigma2[n]); a full L x L Hermitian
-    positive-definite matrix can be injected instead (a singular one raises).
+    Training is orthogonal and unit-energy, so the per-node SNR is
+    exactly 1/sigma2[n].
     """
 
     sigma2: tuple[float, ...]
     n_taps: int
-    base_cov: np.ndarray | None = None
-    _base_chol: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         sigma2 = tuple(float(v) for v in self.sigma2)
@@ -103,12 +100,6 @@ class NoiseModel:
         if not all(0.0 < v < math.inf for v in sigma2):
             raise ValueError("sigma2 entries must be finite and positive")
         object.__setattr__(self, "sigma2", sigma2)
-        if self.base_cov is not None:
-            cov = np.asarray(self.base_cov, dtype=np.complex128)
-            if cov.shape != (self.n_taps, self.n_taps):
-                raise ValueError(f"base_cov must be {self.n_taps}x{self.n_taps}, got {cov.shape}")
-            object.__setattr__(self, "base_cov", cov)
-            object.__setattr__(self, "_base_chol", numerics.cholesky(cov, semidefinite=False))
 
     @classmethod
     def from_snr_db(cls, snr_db: float, n_nodes: int, n_taps: int) -> "NoiseModel":
@@ -127,11 +118,8 @@ class NoiseModel:
     def from_normals(self, normals: np.ndarray) -> np.ndarray:
         """Stacked noise vectors, shape (T, N*L), from (T, 2*N*L) standard normals."""
         n, L = self.n_nodes, self.n_taps
-        unit = complex_from_normals(normals).reshape(-1, L)
-        if self.base_cov is not None:
-            unit = unit @ self._base_chol.conj().T
-        scaled = unit.reshape(-1, n, L) * np.sqrt(self.sigma2)[:, None]
-        return scaled.reshape(-1, n * L)
+        unit = complex_from_normals(normals).reshape(-1, n, L)
+        return (unit * np.sqrt(self.sigma2)[:, None]).reshape(-1, n * L)
 
     def apply_inverse(self, d: np.ndarray) -> np.ndarray:
         """Apply blkdiag(Sigma_1..Sigma_N)^-1 to stacked vectors.
@@ -143,10 +131,7 @@ class NoiseModel:
         if d.shape[-1] != n * L:
             raise ValueError(f"expected trailing dimension {n * L}, got {d.shape[-1]}")
         blocks = d.reshape(d.shape[:-1] + (n, L))
-        if self.base_cov is not None:
-            blocks = sla.cho_solve((self._base_chol, True), blocks.reshape(-1, L).T).T.reshape(blocks.shape)
-        out = blocks / np.asarray(self.sigma2)[:, None]
-        return out.reshape(d.shape)
+        return (blocks / np.asarray(self.sigma2)[:, None]).reshape(d.shape)
 
 @dataclass(frozen=True)
 class MeasurementBatch:

@@ -176,7 +176,7 @@ def build_run(values: dict) -> ResolvedRun:
         if values.get("detector.scale", "chi2") != "chi2":
             raise ConfigError(f"detector.scale must be chi2, got {values['detector.scale']!r}")
         codec = None
-        if scheme in (Scheme.FC_RAW_CS, Scheme.LOCAL_FUSION_CS):
+        if scheme.compressed:
             if "cs.m" not in values:
                 raise ConfigError(f"scheme {scheme.value} requires cs.m")
             codec = CsCodecConfig(
@@ -185,15 +185,15 @@ def build_run(values: dict) -> ResolvedRun:
                 max_atoms=values.get("cs.max_atoms"),
                 residual_tol=values.get("cs.residual_tol", 1e-6),
             )
-        variants, base_detector, fusion = _build_variants(scheme, values)
+        variants = _build_variants(scheme, values)
         scenario = Scenario(
             scheme=scheme,
             channel=channel,
-            detector=base_detector,
+            detector=variants[0].detector,
             snr_grid_db=values["scenario.snr_db"],
             trials=values["scenario.trials"],
             seed=values["scenario.seed"],
-            fusion=fusion,
+            fusion=variants[0].rule,
             codec=codec,
         )
     except ConfigError:
@@ -202,7 +202,7 @@ def build_run(values: dict) -> ResolvedRun:
         field, _, rest = str(exc).partition(" ")
         raise ConfigError(f"{_FIELD_KEYS.get(field, field)} {rest}".rstrip()) from None
     compare = bool(values.get("cs.compare_uncompressed", False))
-    if compare and scheme not in (Scheme.FC_RAW_CS, Scheme.LOCAL_FUSION_CS):
+    if compare and not scheme.compressed:
         raise ConfigError("cs.compare_uncompressed only applies to CS schemes")
     return ResolvedRun(
         scenario=scenario,
@@ -212,39 +212,34 @@ def build_run(values: dict) -> ResolvedRun:
     )
 
 
-def _build_variants(scheme: Scheme, values: dict):
-    """Expand threshold lists / fusion-rule lists into labelled variants."""
-    local = scheme in (Scheme.LOCAL_FUSION, Scheme.LOCAL_FUSION_CS)
-    if local:
-        deltas = values.get("detector.delta_n")
-        alphas = values.get("detector.target_pfa_n")
-        if (deltas is None) == (alphas is None):
-            raise ConfigError("local schemes need exactly one of detector.delta_n / detector.target_pfa_n")
-        rule_names = values.get("detector.rules", ("majority",))
-        avg_threshold = values.get("detector.avg_threshold", 0.5)
+def _build_variants(scheme: Scheme, values: dict) -> list[Variant]:
+    """Expand the threshold list (times the fusion-rule list, for local schemes) into labelled variants."""
+    sfx = "_n" if scheme.local else ""
+    given = [field for field in (f"delta{sfx}", f"target_pfa{sfx}") if f"detector.{field}" in values]
+    if len(given) != 1:
+        raise ConfigError(f"scheme {scheme.value} needs exactly one of detector.delta{sfx} / detector.target_pfa{sfx}")
+    field = given[0]
+    if not values[f"detector.{field}"]:
+        raise ConfigError(f"detector.{field} must list at least one value")
+    rules = [None]
+    if scheme.local:
         rules = []
-        for name in rule_names:
+        for name in values.get("detector.rules", ("majority",)):
             if name not in _RULE_NAMES:
-                raise ConfigError(f"unknown fusion rule {name!r}")
-            rules.append((name, FusionRule(kind=_RULE_NAMES[name], avg_threshold=avg_threshold)))
-        variants = []
-        for value in deltas if deltas is not None else alphas:
-            det = DetectorConfig(delta_n=value) if deltas is not None else DetectorConfig(target_pfa_n=value)
-            tag = f"delta_n={value:g}" if deltas is not None else f"pfa_n={value:g}"
-            for name, rule in rules:
-                variants.append(Variant(label=f"{tag} rule={name}", detector=det, rule=rule))
-        base = variants[0]
-        return variants, base.detector, base.rule
-    deltas = values.get("detector.delta")
-    alphas = values.get("detector.target_pfa")
-    if (deltas is None) == (alphas is None):
-        raise ConfigError("FC schemes need exactly one of detector.delta / detector.target_pfa")
-    variants = []
-    for value in deltas if deltas is not None else alphas:
-        det = DetectorConfig(delta=value) if deltas is not None else DetectorConfig(target_pfa=value)
-        tag = f"delta={value:g}" if deltas is not None else f"pfa={value:g}"
-        variants.append(Variant(label=tag, detector=det))
-    return variants, variants[0].detector, None
+                raise ConfigError(f"detector.rules: unknown fusion rule {name!r}")
+            rules.append(FusionRule(kind=_RULE_NAMES[name], avg_threshold=values.get("detector.avg_threshold", 0.5)))
+        if not rules:
+            raise ConfigError("detector.rules must list at least one rule")
+    tag = field.replace("target_", "")
+    return [
+        Variant(
+            label=f"{tag}={value:g}" + (f" rule={rule.kind.value}" if rule else ""),
+            detector=DetectorConfig(**{field: value}),
+            rule=rule,
+        )
+        for value in values[f"detector.{field}"]
+        for rule in rules
+    ]
 
 
 def canonical_config(values: dict) -> str:
@@ -316,6 +311,8 @@ def write_csv(path: str, curves: list, config_text: str, seed: int) -> None:
 
 
 def cmd_run(args) -> int:
+    if args.workers < 1:
+        raise ConfigError(f"--workers must be a positive integer, got {args.workers}")
     text, display = load_config_file(args.config)
     values = parse_config(text, display)
     if args.seed is not None:

@@ -37,27 +37,18 @@ class FusionKind(str, enum.Enum):
 class FusionRule:
     """Hard-decision combining rule applied by the fusion center.
 
-    ``weights`` (WEIGHTED_AVERAGE only) must sum to 1; they default to
-    uniform.  The weighted average declares H1 iff sum(w*u) exceeds
-    ``avg_threshold`` strictly, so with uniform weights and the default
-    0.5 threshold it coincides with majority voting for odd N.
+    WEIGHTED_AVERAGE declares H1 iff the mean vote exceeds
+    ``avg_threshold`` strictly, so at the default 0.5 it coincides with
+    majority voting for odd N.
     """
 
     kind: FusionKind
-    weights: tuple[float, ...] | None = None
     avg_threshold: float = 0.5
 
     def __post_init__(self):
         object.__setattr__(self, "kind", FusionKind(self.kind))
         if not 0.0 < self.avg_threshold < 1.0:
             raise ValueError(f"avg_threshold must lie in (0, 1), got {self.avg_threshold}")
-        if self.weights is not None:
-            w = tuple(float(v) for v in self.weights)
-            if not all(0.0 <= v < math.inf for v in w):
-                raise ValueError("weights must be finite and nonnegative")
-            if abs(sum(w) - 1.0) > 1e-9:
-                raise ValueError(f"weights must sum to 1, got {sum(w)}")
-            object.__setattr__(self, "weights", w)
 
 
 @dataclass(frozen=True)
@@ -65,16 +56,16 @@ class DetectorConfig:
     """Thresholds (given directly or solved from false-alarm targets).
 
     ``delta`` drives the fusion-center raw-measurement test; ``delta_n``
-    the per-node local tests (a scalar is shared by all nodes).  Exactly
-    one of threshold / target may be set per test; `resolve` fills in the
+    the per-node local tests, shared by all nodes.  Exactly one of
+    threshold / target may be set per test; `resolve` fills in the
     missing thresholds once the problem dimensions are known.  Thresholds
     must be finite and positive; targets must lie in (0, 1).
     """
 
     delta: float | None = None
     target_pfa: float | None = None
-    delta_n: float | tuple[float, ...] | None = None
-    target_pfa_n: float | tuple[float, ...] | None = None
+    delta_n: float | None = None
+    target_pfa_n: float | None = None
 
     def __post_init__(self):
         if self.delta is not None and self.target_pfa is not None:
@@ -84,9 +75,8 @@ class DetectorConfig:
         bounds = {"delta": math.inf, "delta_n": math.inf, "target_pfa": 1.0, "target_pfa_n": 1.0}
         for name, hi in bounds.items():
             value = getattr(self, name)
-            for v in () if value is None else np.atleast_1d(value).tolist():
-                if not 0.0 < v < hi:
-                    raise ValueError(f"{name} entries must lie in (0, {hi:g}), got {v}")
+            if value is not None and not 0.0 < value < hi:
+                raise ValueError(f"{name} must lie in (0, {hi:g}), got {value}")
 
     def resolve(self, n_nodes: int, n_taps: int) -> "DetectorConfig":
         """Solve any target false-alarm rates into concrete thresholds."""
@@ -95,23 +85,8 @@ class DetectorConfig:
             delta = solve_threshold(self.target_pfa, 2 * n_nodes * n_taps)
         delta_n = self.delta_n
         if delta_n is None and self.target_pfa_n is not None:
-            targets = self.target_pfa_n
-            if np.isscalar(targets):
-                delta_n = solve_threshold(float(targets), 2 * n_taps)
-            else:
-                delta_n = tuple(solve_threshold(float(a), 2 * n_taps) for a in targets)
+            delta_n = solve_threshold(self.target_pfa_n, 2 * n_taps)
         return DetectorConfig(delta=delta, delta_n=delta_n)
-
-    def delta_n_vector(self, n_nodes: int) -> np.ndarray:
-        """Per-node thresholds broadcast to length ``n_nodes``."""
-        if self.delta_n is None:
-            raise ValueError("no local thresholds configured")
-        if np.isscalar(self.delta_n):
-            return np.full(n_nodes, float(self.delta_n))
-        vec = np.asarray(self.delta_n, dtype=np.float64)
-        if vec.shape != (n_nodes,):
-            raise ValueError(f"delta_n must be scalar or length {n_nodes}, got {vec.shape}")
-        return vec
 
 
 def solve_threshold(alpha: float, dof: int) -> float:
@@ -186,8 +161,8 @@ def fuse(u_star: Sequence[int] | np.ndarray, rule: FusionRule) -> bool:
     """Combine per-node binary decisions into the fusion-center verdict.
 
     OR: H1 iff any node fired; AND: H1 iff all fired; MAJORITY: H1 iff
-    strictly more than half fired; WEIGHTED_AVERAGE: H1 iff the weighted
-    mean strictly exceeds ``avg_threshold``; SINGLE: node 0's decision.
+    strictly more than half fired; WEIGHTED_AVERAGE: H1 iff the mean
+    vote strictly exceeds ``avg_threshold``; SINGLE: node 0's decision.
     All ties resolve to H0.  A trailing batch axis is supported: shape
     (..., N) returns (...).
     """
@@ -205,11 +180,8 @@ def fuse(u_star: Sequence[int] | np.ndarray, rule: FusionRule) -> bool:
         out = u.sum(axis=-1) > n / 2.0
     elif rule.kind is FusionKind.SINGLE:
         out = u[..., 0] == 1
-    else:
-        w = np.full(n, 1.0 / n) if rule.weights is None else np.asarray(rule.weights)
-        if w.shape != (n,):
-            raise ValueError(f"weights length {w.shape} does not match N={n}")
-        out = u @ w > rule.avg_threshold
+    else:  # a dot with 1/N weights, not u.mean(): the two round differently at ties
+        out = u @ np.full(n, 1.0 / n) > rule.avg_threshold
     return bool(out) if np.ndim(out) == 0 else out
 
 
@@ -233,4 +205,4 @@ def fused_pfa_analytic(alpha_n: float, n: int, rule: FusionKind) -> float:
         return float(stats.binom.sf(n // 2, n, alpha_n))
     if kind is FusionKind.SINGLE:
         return alpha_n
-    raise ValueError("no closed form for weighted averaging with general weights")
+    raise ValueError("no closed form for weighted averaging")

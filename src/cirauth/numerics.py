@@ -127,25 +127,23 @@ def _require_hermitian(a: np.ndarray, rtol: float = 1e-12) -> np.ndarray:
     return a
 
 
-def cholesky(a: np.ndarray, psd_tol: float = 1e-10, semidefinite: bool = True) -> np.ndarray:
+def cholesky(a: np.ndarray) -> np.ndarray:
     """Lower-triangular L with ``L @ L.conj().T == a`` for Hermitian PSD ``a``.
 
     Strictly positive-definite inputs go through LAPACK.  Semidefinite
-    inputs (pivots within ``psd_tol * max|a|`` of zero) fall back to a
-    clamped factorization: non-positive pivots are set to zero together
-    with the rest of their column, which reproduces PSD inputs exactly up
-    to roundoff.  Pivots below ``-psd_tol * max|a|`` raise, and so does
-    every input LAPACK cannot factor when ``semidefinite`` is False.
+    inputs (pivots within ``1e-10 * max|a|`` of zero, such as the
+    rho = 1 node correlation) fall back to a clamped factorization:
+    non-positive pivots are set to zero together with the rest of their
+    column, which reproduces PSD inputs exactly up to roundoff.  Pivots
+    below ``-1e-10 * max|a|`` raise.
     """
     a = _require_hermitian(a)
     try:
         return np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
-        if not semidefinite:
-            raise DecompositionError("matrix is not positive definite") from None
+        pass
     n = a.shape[0]
-    scale = max(np.abs(a).max(), 1.0)
-    tol = psd_tol * scale
+    tol = 1e-10 * max(np.abs(a).max(), 1.0)
     L = np.zeros_like(a, dtype=np.result_type(a.dtype, np.float64))
     for j in range(n):
         col = a[j:, j] - L[j:, :j] @ L[j, :j].conj()

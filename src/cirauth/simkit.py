@@ -21,7 +21,7 @@ from __future__ import annotations
 import enum
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -43,9 +43,16 @@ class Scheme(str, enum.Enum):
     FC_RAW_CS = "fc_raw_cs"
     LOCAL_FUSION_CS = "local_fusion_cs"
 
+    @property
+    def local(self) -> bool:
+        """Nodes test locally and report decision bits, not raw measurements."""
+        return self in (Scheme.LOCAL_FUSION, Scheme.LOCAL_FUSION_CS)
 
-_CS_SCHEMES = (Scheme.FC_RAW_CS, Scheme.LOCAL_FUSION_CS)
-_LOCAL_SCHEMES = (Scheme.LOCAL_FUSION, Scheme.LOCAL_FUSION_CS)
+    @property
+    def compressed(self) -> bool:
+        """Reports cross a compressed-sensing channel."""
+        return self in (Scheme.FC_RAW_CS, Scheme.LOCAL_FUSION_CS)
+
 
 # Reserved stream id for drawing the measurement matrix; trial streams
 # pack (snr index, hypothesis, trial) into the low 64 bits, see below.
@@ -104,7 +111,7 @@ class Scenario:
             raise ValueError("trials too large for the substream packing")
         if not 0 <= self.seed < 1 << 64:
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
-        if self.scheme in _LOCAL_SCHEMES:
+        if self.scheme.local:
             if self.fusion is None:
                 raise ValueError(f"scheme {self.scheme.value} requires a fusion rule")
             if self.detector.delta_n is None and self.detector.target_pfa_n is None:
@@ -112,13 +119,15 @@ class Scenario:
         else:
             if self.detector.delta is None and self.detector.target_pfa is None:
                 raise ValueError(f"scheme {self.scheme.value} requires a fusion-center threshold")
-        if self.scheme in _CS_SCHEMES:
+        if self.scheme.compressed:
             if self.codec is None:
                 raise ValueError(f"scheme {self.scheme.value} requires a codec config")
             if self.codec.m >= self.report_length:
                 raise ValueError(
                     f"m must be smaller than the report length {self.report_length}, got {self.codec.m}"
                 )
+            if self.scheme.local and self.codec.basis is not Basis.IDENTITY:
+                raise ValueError(f"basis must be identity for decision recovery, got {self.codec.basis.value}")
 
     @property
     def report_length(self) -> int:
@@ -182,24 +191,31 @@ def scenario_codec(scenario: Scenario) -> CsCodec:
     return _build_codec(scenario.seed, scenario.report_length, scenario.codec)
 
 
-def _resolved_variants(scenario: Scenario, variants: list[Variant] | None) -> list[Variant]:
+def _resolve(scenario: Scenario, variants: list[Variant]) -> tuple[np.ndarray, tuple]:
+    """Every variant's threshold (V,), and ``(rule, variant indices)`` per distinct fusion rule.
+
+    A threshold is the fusion center's, or the one all nodes share; FC
+    schemes have no rule groups.
+    """
     n, L = scenario.channel.n_nodes, scenario.channel.n_taps
-    if variants is None:
-        variants = [Variant(scenario.scheme.value, scenario.detector, scenario.fusion)]
-    resolved = [replace(v, detector=v.detector.resolve(n, L)) for v in variants]
-    local = scenario.scheme in _LOCAL_SCHEMES
-    for v in resolved:
-        if (v.detector.delta_n if local else v.detector.delta) is None:
+    local = scenario.scheme.local
+    thresholds, groups = [], {}
+    for vi, v in enumerate(variants):
+        detector = v.detector.resolve(n, L)
+        thresholds.append(detector.delta_n if local else detector.delta)
+        if thresholds[-1] is None:
             raise ValueError(f"variant {v.label!r} lacks a threshold for {scenario.scheme.value}")
-        if local and v.rule is None:
-            raise ValueError(f"variant {v.label!r} lacks a fusion rule")
-    return resolved
+        if local:
+            if v.rule is None:
+                raise ValueError(f"variant {v.label!r} lacks a fusion rule")
+            groups.setdefault(v.rule, []).append(vi)
+    return np.array(thresholds, dtype=float), tuple(groups.items())
 
 
-def _block_decisions(scenario, variants, thresholds, twin, noise, h_ref, z) -> np.ndarray:
+def _block_decisions(scenario, thresholds, rule_groups, twin, noise, h_ref, z) -> np.ndarray:
     """(T, V) H1-decisions of every variant on a block's stacked ``h_ref``/``z``, then the twin's."""
-    codec = scenario_codec(scenario) if scenario.scheme in _CS_SCHEMES else None
-    if scenario.scheme in (Scheme.FC_RAW, Scheme.FC_RAW_CS):
+    codec = scenario_codec(scenario) if scenario.scheme.compressed else None
+    if not scenario.scheme.local:
         reports = [z] if codec is None else [sparse.reconstruct_raw(sparse.compress(z, codec), codec)]
         if twin:
             reports.append(z)
@@ -215,37 +231,34 @@ def _block_decisions(scenario, variants, thresholds, twin, noise, h_ref, z) -> n
         h_ref.reshape(shape),
         lambda d: noise.apply_inverse(d.reshape(t, -1)).reshape(shape),
     )
-    u = (stats_n[:, None, :] > thresholds).astype(np.int64)  # (T, V, N)
+    u = (stats_n[:, None, :] > thresholds[:, None]).astype(np.int64)  # (T, V, N)
     planes = [u]
     if codec is not None:
         u_cs = sparse.reconstruct_decisions(sparse.compress(u.reshape(-1, n).astype(float), codec), codec)
         planes = [u_cs.reshape(u.shape)] + ([u] if twin else [])
-    by_rule: dict[FusionRule, list[int]] = {}
-    for vi, v in enumerate(variants):
-        by_rule.setdefault(v.rule, []).append(vi)
-    out = np.empty((t, len(planes), len(variants)), dtype=bool)
+    out = np.empty((t, len(planes), len(thresholds)), dtype=bool)
     for p, plane in enumerate(planes):
-        for rule, idx in by_rule.items():
+        for rule, idx in rule_groups:
             out[:, p, idx] = detect.fuse(plane[:, idx], rule)
     return out.reshape(t, -1)
 
 
 def _count_chunk(args) -> np.ndarray:
-    scenario, variants, thresholds, twin, snr_index, occupant, lo, hi = args
+    scenario, thresholds, rule_groups, twin, snr_index, occupant, lo, hi = args
     cfg = scenario.channel
     noise = NoiseModel.from_snr_db(scenario.snr_grid_db[snr_index], cfg.n_nodes, cfg.n_taps)
     width = 6 * cfg.n_nodes * cfg.n_taps  # alice, eve, noise: 2NL normals each
     block = max(1, _BLOCK_NORMALS // width)
-    counts = np.zeros(len(variants) * (1 + twin), dtype=np.int64)
+    counts = np.zeros(len(thresholds) * (1 + twin), dtype=np.int64)
     for start in range(lo, hi, block):
         streams = [_trial_stream(snr_index, occupant, t) for t in range(start, min(start + block, hi))]
         h_ref, z = measure_block(standard_normal_rows(scenario.seed, streams, width), cfg, occupant, noise)
-        counts += _block_decisions(scenario, variants, thresholds, twin, noise, h_ref, z).sum(0)
+        counts += _block_decisions(scenario, thresholds, rule_groups, twin, noise, h_ref, z).sum(0)
     return counts
 
 
 def _chunks(trials: int, workers: int) -> list[tuple[int, int]]:
-    per = math.ceil(trials / max(workers, 1))
+    per = math.ceil(trials / workers)
     return [(lo, min(lo + per, trials)) for lo in range(0, trials, per)]
 
 
@@ -267,21 +280,22 @@ def estimate_curves(
     a ``"<label> no_cs"`` curve of the uncompressed scheme, read from the
     same draws before compression; these follow the compressed curves.
     """
-    if uncompressed_twin and scenario.scheme not in _CS_SCHEMES:
+    if uncompressed_twin and not scenario.scheme.compressed:
         raise ValueError(f"scheme {scenario.scheme.value} has no uncompressed twin")
-    resolved = _resolved_variants(scenario, variants)
-    columns = [(scenario.scheme, v.label) for v in resolved]
+    if workers < 1:
+        raise ValueError(f"workers must be positive, got {workers}")
+    if variants is None:
+        variants = [Variant(scenario.scheme.value, scenario.detector, scenario.fusion)]
+    thresholds, rule_groups = _resolve(scenario, variants)
+    columns = [(scenario.scheme, v.label) for v in variants]
     if uncompressed_twin:
         plain = Scheme.FC_RAW if scenario.scheme is Scheme.FC_RAW_CS else Scheme.LOCAL_FUSION
-        columns += [(plain, v.label + " no_cs") for v in resolved]
+        columns += [(plain, v.label + " no_cs") for v in variants]
     h1_counts = np.zeros((len(scenario.snr_grid_db), len(columns)), dtype=np.int64)
     h0_counts = np.zeros_like(h1_counts)
-    # Each variant's threshold: (V,) fusion-center or (V, N) per-node ones.
-    local, n = scenario.scheme in _LOCAL_SCHEMES, scenario.channel.n_nodes
-    thresholds = np.array([v.detector.delta_n_vector(n) if local else v.detector.delta for v in resolved])
 
     tasks = [
-        (scenario, resolved, thresholds, uncompressed_twin, si, occupant, lo, hi)
+        (scenario, thresholds, rule_groups, uncompressed_twin, si, occupant, lo, hi)
         for si in range(len(scenario.snr_grid_db))
         for occupant in (Occupant.EVE, Occupant.ALICE)
         for lo, hi in _chunks(scenario.trials, workers)

@@ -358,9 +358,11 @@ def reconstruct_decisions(report: CompressedReport, codec: CsCodec) -> np.ndarra
     Requires the canonical (identity) basis, where a low-false-alarm
     decision vector is sparse.  Entries are quantized to 1 iff the
     recovered coefficient exceeds 0.5.  Always returns length-N binary
-    vectors (shape (T, N) for a (T, M) report): if OMP breaks down (e.g.
-    the vector was dense and is not recoverable from M < N projections)
-    the partial solution is quantized instead.
+    vectors (shape (T, N) for a (T, M) report).  A dense vector is not
+    recoverable from M < N projections, but OMP does not break down on
+    it: it stops at its atom budget and that estimate is quantized.  If
+    OMP does break down (an orthogonal residual or a dependent atom), its
+    partial solution is quantized instead.
     """
     if codec.basis is not Basis.IDENTITY:
         raise ValueError("decision recovery requires the identity basis")

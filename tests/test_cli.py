@@ -188,6 +188,9 @@ class TestRunCommand:
             ("fig5", "scenario.seed=-1"),
             ("fig5", "cs.m=700"),
             ("fig2", "detector.scale=raw_quadratic"),
+            ("fig5", "cs.basis=dct"),
+            ("fig2", "detector.delta=,"),
+            ("fig3", "detector.rules=,"),
         ],
     )
     def test_invalid_values_exit_2_without_csv(self, tmp_path, capsys, preset, override):
@@ -196,6 +199,13 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert override.partition("=")[0] in err  # the message names the config key
+        assert not out.exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-4"])
+    def test_nonpositive_workers_exit_2_without_csv(self, tmp_path, capsys, workers):
+        out = tmp_path / "o.csv"
+        assert main(["run", "--config", "fig2", "--out", str(out), "--workers", workers]) == 2
+        assert "--workers" in capsys.readouterr().err
         assert not out.exists()
 
     def test_preset_resolves_by_name(self, tmp_path):

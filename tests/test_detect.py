@@ -144,14 +144,7 @@ class TestFusion:
                 d_and = fuse(u, FusionRule(kind=FusionKind.AND))
                 assert (not d_and or d_maj) and (not d_maj or d_or)
 
-    def test_custom_weights(self):
-        rule = FusionRule(kind=FusionKind.WEIGHTED_AVERAGE, weights=(0.7, 0.2, 0.1))
-        assert fuse([1, 0, 0], rule) is True
-        assert fuse([0, 1, 1], rule) is False
-
     def test_weight_validation(self):
-        with pytest.raises(ValueError):
-            FusionRule(kind=FusionKind.WEIGHTED_AVERAGE, weights=(0.5, 0.2))
         with pytest.raises(ValueError):
             FusionRule(kind=FusionKind.MAJORITY, avg_threshold=1.5)
 
@@ -234,9 +227,8 @@ class TestDetectorConfig:
         assert cfg.delta == pytest.approx(26.217, abs=0.01)
 
     def test_resolve_local_thresholds(self):
-        cfg = DetectorConfig(target_pfa_n=(0.01, 0.001)).resolve(n_nodes=2, n_taps=6)
-        assert cfg.delta_n[0] == pytest.approx(26.217, abs=0.01)
-        assert cfg.delta_n[1] == pytest.approx(32.909, abs=0.01)
+        cfg = DetectorConfig(target_pfa_n=0.001).resolve(n_nodes=2, n_taps=6)
+        assert cfg.delta_n == pytest.approx(32.909, abs=0.01)
 
     def test_solved_threshold_consistency(self):
         # invariant: cdf(delta, dof) == 1 - alpha after resolution
@@ -257,18 +249,12 @@ class TestDetectorConfig:
             {"delta": 0.0},
             {"delta_n": float("nan")},
             {"delta_n": -5.0},
-            {"delta_n": (26.2, float("nan"))},
+            {"delta_n": float("inf")},
             {"target_pfa": float("nan")},
             {"target_pfa": 1.0},
-            {"target_pfa_n": (0.01, 0.0)},
+            {"target_pfa_n": 0.0},
         ],
     )
     def test_nonfinite_or_out_of_range_rejected(self, kwargs):
         with pytest.raises(ValueError):
             DetectorConfig(**kwargs)
-
-    def test_delta_n_vector_broadcast(self):
-        cfg = DetectorConfig(delta_n=26.2)
-        assert np.array_equal(cfg.delta_n_vector(3), [26.2, 26.2, 26.2])
-        with pytest.raises(ValueError):
-            DetectorConfig(delta_n=(1.0, 2.0)).delta_n_vector(3)

@@ -187,10 +187,6 @@ class TestCholesky:
         assert np.abs(L @ L.T - a).max() < 1e-12
         assert np.tril(L, -1)[1:, 1:].sum() == 0.0
 
-    def test_strict_mode_rejects_semidefinite(self):
-        with pytest.raises(DecompositionError):
-            cholesky(np.ones((2, 2)), semidefinite=False)
-
     def test_non_hermitian_rejected(self):
         with pytest.raises(DecompositionError):
             cholesky(np.array([[1.0, 0.2], [0.0, 1.0]]))

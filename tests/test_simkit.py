@@ -68,6 +68,17 @@ class TestScenarioValidation:
         with pytest.raises(ValueError):
             fc_scenario(scheme=Scheme.FC_RAW_CS, codec=CsCodecConfig(m=60))
 
+    def test_decision_recovery_needs_identity_basis(self):
+        # decision vectors are sparse only in the canonical basis: reject DCT before any trial
+        with pytest.raises(ValueError, match="^basis must be identity"):
+            fusion_scenario(scheme=Scheme.LOCAL_FUSION_CS, codec=CsCodecConfig(m=7, basis="dct"))
+        fusion_scenario(scheme=Scheme.LOCAL_FUSION_CS, codec=CsCodecConfig(m=7, basis="identity"))
+        fc_scenario(scheme=Scheme.FC_RAW_CS, codec=CsCodecConfig(m=48, basis="dct"))
+
+    def test_scheme_families(self):
+        assert [s.value for s in Scheme if s.local] == ["local_fusion", "local_fusion_cs"]
+        assert [s.value for s in Scheme if s.compressed] == ["fc_raw_cs", "local_fusion_cs"]
+
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             fc_scenario(snr_grid_db=())
@@ -127,6 +138,11 @@ class TestEstimateCurve:
         a = estimate_curve(fc_scenario())
         b = estimate_curve(fc_scenario())
         assert a == b
+
+    @pytest.mark.parametrize("workers", [0, -4])
+    def test_nonpositive_workers_rejected(self, workers):
+        with pytest.raises(ValueError, match="workers must be positive"):
+            estimate_curves(fc_scenario(trials=1), workers=workers)
 
     def test_workers_do_not_change_counts(self):
         a = estimate_curves(fc_scenario(trials=90), workers=1)
@@ -226,7 +242,7 @@ def _oracle_counts(scenario: Scenario, variants: list[Variant]) -> tuple[np.ndar
                         h.reshape(n, L),
                         lambda d: noise.apply_inverse(d.reshape(-1)).reshape(n, L),
                     )
-                    us = [(stats_n > d.delta_n_vector(n)).astype(np.int64) for d in dets]
+                    us = [(stats_n > d.delta_n).astype(np.int64) for d in dets]
                     if codec is not None:
                         us_cs = [reconstruct_decisions(compress(u.astype(float), codec), codec) for u in us]
                     else:
