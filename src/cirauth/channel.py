@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import linalg as sla
 
 from . import numerics
 from .numerics import Rng, complex_from_normals
@@ -155,7 +154,8 @@ def exp_correlation_matrix(n: int, rho: float) -> np.ndarray:
         raise ValueError(f"n must be positive, got {n}")
     if not 0.0 <= rho <= 1.0:
         raise ValueError(f"rho must lie in [0, 1], got {rho}")
-    return sla.toeplitz(rho ** np.arange(n, dtype=np.float64))
+    k = np.arange(n, dtype=np.float64)
+    return rho ** np.abs(k[:, None] - k)
 
 
 @lru_cache(maxsize=32)

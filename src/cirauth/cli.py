@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import os
 import sys
 import tempfile
@@ -101,9 +102,14 @@ def _parse_float_list(raw: str) -> tuple[float, ...]:
     raw = raw.strip()
     if raw.count(":") == 2:  # start:step:stop, inclusive of the endpoint
         start, step, stop = (float(p) for p in raw.split(":"))
+        if not all(math.isfinite(v) for v in (start, step, stop)):
+            raise ValueError(f"range {raw!r} needs a finite start, step and stop")
         if step <= 0:
             raise ValueError("range step must be positive")
-        count = int(round((stop - start) / step)) + 1
+        span = (stop - start) / step  # checked before any grid is built
+        if span >= simkit._MAX_SNR_POINTS:
+            raise ValueError(f"range {raw!r} has more than {simkit._MAX_SNR_POINTS} points")
+        count = int(round(span)) + 1
         if count < 1 or abs(start + (count - 1) * step - stop) > 1e-9 * max(1.0, abs(stop)):
             raise ValueError(f"range {raw!r} does not hit its endpoint")
         return tuple(start + i * step for i in range(count))

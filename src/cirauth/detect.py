@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import special, stats
 
 H0 = False
 H1 = True
@@ -99,6 +98,8 @@ def solve_threshold(alpha: float, dof: int) -> float:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     if dof < 1 or int(dof) != dof:
         raise ValueError(f"dof must be a positive integer, got {dof}")
+    from scipy import special  # lazy: a run with given thresholds never loads scipy
+
     return 2.0 * float(special.gammainccinv(dof / 2.0, alpha))
 
 
@@ -190,7 +191,8 @@ def fused_pfa_analytic(alpha_n: float, n: int, rule: FusionKind) -> float:
 
     Used to validate the Monte Carlo engine: OR is 1-(1-a)^N (evaluated
     as -expm1(N log1p(-a)) to keep small rates exact), AND is a^N,
-    MAJORITY is the binomial tail P(Bin(N, a) > N/2), SINGLE is a.
+    MAJORITY is the binomial tail P(Bin(N, a) > N/2) (scipy's ``bdtrc``,
+    which keeps its relative accuracy deep into the tail), SINGLE is a.
     """
     if not 0.0 <= alpha_n <= 1.0:
         raise ValueError(f"alpha_n must lie in [0, 1], got {alpha_n}")
@@ -201,8 +203,10 @@ def fused_pfa_analytic(alpha_n: float, n: int, rule: FusionKind) -> float:
         return -math.expm1(n * math.log1p(-alpha_n)) if 0.0 < alpha_n < 1.0 else alpha_n
     if kind is FusionKind.AND:
         return alpha_n**n
-    if kind is FusionKind.MAJORITY:
-        return float(stats.binom.sf(n // 2, n, alpha_n))
-    if kind is FusionKind.SINGLE:
+    if kind is FusionKind.MAJORITY and n > 1:
+        from scipy import special
+
+        return float(special.bdtrc(n // 2, n, alpha_n))
+    if kind in (FusionKind.SINGLE, FusionKind.MAJORITY):  # bdtrc(0, 1, a) loses subnormal a
         return alpha_n
     raise ValueError("no closed form for weighted averaging")

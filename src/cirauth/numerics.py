@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special
 
 
 class DecompositionError(ValueError):
@@ -105,6 +104,8 @@ def chi2_cdf(x: float, dof: int) -> float:
         raise ValueError(f"dof must be a positive integer, got {dof}")
     if np.any(np.asarray(x) < 0):
         raise ValueError(f"x must be nonnegative, got {x}")
+    from scipy import special  # lazy: the run path needs no scipy
+
     return special.gammainc(dof / 2.0, np.asarray(x) / 2.0)[()]
 
 
@@ -114,6 +115,8 @@ def chi2_quantile(p: float, dof: int) -> float:
         raise ValueError(f"p must lie in [0, 1), got {p}")
     if dof < 1 or int(dof) != dof:
         raise ValueError(f"dof must be a positive integer, got {dof}")
+    from scipy import special
+
     return 2.0 * float(special.gammaincinv(dof / 2.0, p))
 
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import enum
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -301,6 +300,8 @@ def estimate_curves(
         for lo, hi in _chunks(scenario.trials, workers)
     ]
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # lazy: a serial run skips its imports
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_count_chunk, tasks))
     else:

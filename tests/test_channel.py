@@ -20,7 +20,16 @@ class TestExpCorrelation:
 
     def test_three_by_three(self):
         want = np.array([[1, 0.5, 0.25], [0.5, 1, 0.5], [0.25, 0.5, 1]])
-        assert np.allclose(exp_correlation_matrix(3, 0.5), want)
+        assert np.array_equal(exp_correlation_matrix(3, 0.5), want)  # powers of 1/2 are exact
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 100])
+    def test_bits_match_scipy_toeplitz(self, n):
+        from scipy.linalg import toeplitz
+
+        for rho in (0.0, 0.3, 0.5, 0.9, 0.99, 1.0):
+            got = exp_correlation_matrix(n, rho)
+            assert got.dtype == np.float64
+            assert np.array_equal(got, toeplitz(rho ** np.arange(n, dtype=np.float64))), rho
 
     @pytest.mark.parametrize("n", [2, 10, 100])
     def test_psd_over_rho_grid(self, n):

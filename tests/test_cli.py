@@ -1,8 +1,13 @@
 import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cirauth
 from cirauth import cli
 from cirauth.detect import FusionKind
 from cirauth.cli import (
@@ -38,6 +43,10 @@ class TestParsing:
         assert _parse_float_list("-10:1:-8") == (-10.0, -9.0, -8.0)
         with pytest.raises(ValueError):
             _parse_float_list("0:0.3:1")  # endpoint missed
+
+    def test_range_past_the_grid_cap_rejected_before_building(self):
+        with pytest.raises(ValueError, match="more than"):
+            _parse_float_list("0:1:2000000")
 
     def test_unknown_key_line_anchored(self):
         with pytest.raises(ConfigError) as err:
@@ -110,6 +119,10 @@ class TestThresholdsCommand:
     def test_bad_alpha_exit_2(self, capsys):
         assert main(["thresholds", "--alpha", "1.5", "--dof", "12"]) == 2
         assert "alpha" in capsys.readouterr().err
+
+    def test_infinite_alpha_range_exit_2(self, capsys):
+        assert main(["thresholds", "--alpha", "0:1:inf", "--dof", "12"]) == 2
+        assert "--alpha" in capsys.readouterr().err
 
 
 class TestRunCommand:
@@ -191,6 +204,9 @@ class TestRunCommand:
             ("fig5", "cs.basis=dct"),
             ("fig2", "detector.delta=,"),
             ("fig3", "detector.rules=,"),
+            ("fig2", "scenario.snr_db=0:1:inf"),
+            ("fig2", "scenario.snr_db=0:inf:10"),
+            ("fig3", "detector.delta_n=1:1:inf"),
         ],
     )
     def test_invalid_values_exit_2_without_csv(self, tmp_path, capsys, preset, override):
@@ -273,3 +289,51 @@ class TestSelfcheck:
         assert main(["selfcheck"]) == 1
         out = capsys.readouterr().out
         assert "FAIL chi2_roundtrip" in out or "FAIL threshold_table" in out
+
+
+# Runs cli.main in a fresh interpreter, then lists the heavy modules it loaded.
+_FOOTPRINT_SCRIPT = """
+import sys
+from cirauth import cli
+rc = cli.main(sys.argv[1:])
+heavy = [m for m in sys.modules if m.partition(".")[0] == "scipy" or m == "concurrent.futures.process"]
+print("heavy:", *sorted(heavy))
+sys.exit(rc)
+"""
+
+
+def _run_fresh(args):
+    env = dict(os.environ)
+    src = str(Path(cirauth.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", _FOOTPRINT_SCRIPT, *args], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+class TestRunPathImports:
+    """A run with given thresholds loads numpy and the stdlib only; scipy stays lazy."""
+
+    @pytest.mark.parametrize("preset", PRESET_NAMES)
+    def test_serial_preset_run_loads_no_scipy(self, tmp_path, preset):
+        out = tmp_path / "o.csv"
+        proc = _run_fresh([
+            "run", "--config", preset, "--out", str(out), "--workers", "1",
+            "--set", "scenario.trials=1", "--set", "scenario.snr_db=0",
+        ])
+        assert proc.returncode == 0, proc.stderr
+        assert out.exists()
+        assert proc.stdout.splitlines()[-1] == "heavy:"  # no scipy, no process pool
+
+    def test_target_pfa_run_still_solves_its_threshold(self, tmp_path):
+        text, _ = load_config_file("fig2")
+        text, hits = re.subn(r"(?m)^detector\.delta = .*$", "detector.target_pfa = 1e-3", text)
+        assert hits == 1
+        cfg, out = tmp_path / "tpfa.cfg", tmp_path / "o.csv"
+        cfg.write_text(text)
+        proc = _run_fresh([
+            "run", "--config", str(cfg), "--out", str(out), "--workers", "1",
+            "--set", "scenario.trials=1", "--set", "scenario.snr_db=0",
+        ])
+        assert proc.returncode == 0, proc.stderr
+        assert "fc_raw,pfa=0.001,0," in out.read_text()

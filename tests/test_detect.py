@@ -1,8 +1,9 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -190,6 +191,28 @@ class TestFusedPfaAnalytic:
             math.comb(n, k) * alpha**k * (1.0 - alpha) ** (n - k) for k in range(1, n + 1)
         )
         assert fused_pfa_analytic(alpha, n, FusionKind.OR) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(alpha=st.floats(min_value=0.0, max_value=1.0), n=st.integers(1, 200))
+    def test_majority_matches_binomial_sum(self, alpha, n):
+        # P(more than half alarm) as a sum of nonnegative terms
+        want = math.fsum(
+            math.comb(n, k) * alpha**k * (1.0 - alpha) ** (n - k) for k in range(n // 2 + 1, n + 1)
+        )
+        assume(want >= 1e-200)  # below that the float oracle's terms go subnormal
+        assert fused_pfa_analytic(alpha, n, FusionKind.MAJORITY) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("alpha", [5e-324, 1e-310, 0.3])
+    def test_majority_of_one_node_is_alpha(self, alpha):
+        assert fused_pfa_analytic(alpha, 1, FusionKind.MAJORITY) == alpha
+
+    def test_majority_deep_tail_exact(self):
+        # exact rational oracle far below where a float sum of terms would do
+        n, alpha = 38, 5.57e-16
+        a = Fraction(alpha)
+        want = float(sum(math.comb(n, k) * a**k * (1 - a) ** (n - k) for k in range(n // 2 + 1, n + 1)))
+        assert want == pytest.approx(2.7743e-295, rel=1e-4)
+        assert fused_pfa_analytic(alpha, n, FusionKind.MAJORITY) == want
 
     @settings(max_examples=300, deadline=None)
     @given(alpha=st.floats(min_value=0.0, max_value=1.0), n=st.integers(1, 60))
