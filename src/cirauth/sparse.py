@@ -11,12 +11,14 @@ recovered coefficients back through Psi^H.
 OMP here is Batch-OMP: one kernel runs every report of a block at once,
 each with its own support and stops.  It iterates in the Gram domain
 (correlations updated from the cached A^T A, least squares from a growing
-inverse Cholesky factor), so an iteration costs O(n*K) per report and
-calls no LAPACK routine.
+inverse Cholesky factor stored iteration-major, one contiguous slab per
+step), so an iteration costs O(n*K) per report and calls no LAPACK
+routine.
 
-``compress`` and ``reconstruct_*`` also take a block of T reports, for
-which projection and basis synthesis are one real matrix product each
-and OMP is one kernel call.
+``compress`` and ``reconstruct_*`` also take a block of T reports.  OMP
+is one kernel call per block, while projection and basis synthesis run
+one product per report (synthesis from the report's support only), so
+every row equals the one-report call bit for bit at any block height.
 """
 
 from __future__ import annotations
@@ -144,15 +146,18 @@ class CompressedReport:
 
 
 def _real_matmul(x: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """``x @ a`` for real ``a``: a complex (T, n) ``x`` goes as one real GEMM of stacked parts."""
+    """``x @ a`` for real ``a`` and (T, n) ``x``, as one real BLAS call per row (so exact per row).
+
+    A complex row goes as its stacked real and imaginary parts.
+    """
     if not np.iscomplexobj(x):
-        return x @ a
-    parts = np.concatenate((x.real, x.imag)) @ a
-    return parts[: len(x)] + 1j * parts[len(x) :]
+        return (x[:, None, :] @ a)[:, 0]
+    parts = np.stack((x.real, x.imag), 1) @ a
+    return parts[:, 0] + 1j * parts[:, 1]
 
 
 def compress(x: np.ndarray, codec: CsCodec) -> CompressedReport:
-    """Random projection y = Phi x of one report (n,) or a block (T, n)."""
+    """Random projection y = Phi x of one report (n,) or a block (T, n), one product per report."""
     x = np.asarray(x)
     if x.ndim not in (1, 2) or x.shape[-1] != codec.n:
         raise ValueError(f"x must have trailing length {codec.n}, got {x.shape}")
@@ -184,11 +189,14 @@ def _batch_omp(ys: np.ndarray, a: np.ndarray, gram: np.ndarray, max_atoms: int, 
     residual are c = c0 - B^T z, the squared residual is ||y||^2 - |z|^2
     and the coefficients are L^-T z.
 
-    Rows leave the active set on their own stops or breakdowns, and the
-    active rows are kept as a contiguous prefix.  Every operation acts on
-    one row at a time (elementwise, along the last axis, or one BLAS call
-    per row), so a row's result does not depend on the rows recovered
-    with it.
+    State is iteration-major: step k writes one contiguous slab of F, z,
+    the selections and |z|^2, and the residual history is derived from
+    |z|^2 when a row stops.  |z|^2 only grows, so that history never
+    rises and needs no runtime check.  Rows leave the active set on their
+    own stops or breakdowns and stay a contiguous prefix of every slab.
+    Every operation acts on one row at a time (elementwise, a reduction
+    along a contiguous row, or one BLAS call per row), so a row's result
+    does not depend on the rows recovered with it.
     """
     complex_y = np.iscomplexobj(ys)
     ys = np.stack((ys.real, ys.imag), axis=1) if complex_y else ys[:, None, :]
@@ -207,63 +215,84 @@ def _batch_omp(ys: np.ndarray, a: np.ndarray, gram: np.ndarray, max_atoms: int, 
 
     tol2 = residual_tol**2 * ynorm2
     rows = np.flatnonzero(ynorm2 > tol2)  # the active rows, in order
+    width = budget + n
     c = ys[rows] @ a  # (A, P, n)
-    yn2, tol2 = ynorm2[rows], tol2[rows]
-    slack = 1e-12 * np.maximum(yn2, 1.0)
-    res2, zz = yn2.copy(), np.zeros(len(rows))
+    yn2, tol2, zz = ynorm2[rows], tol2[rows], np.zeros(len(rows))
     weight = np.tile(1.0 / gdiag, (len(rows), 1))  # 1 / ||a_j||^2, then 0 once j is selected
-    f = np.zeros((len(rows), budget, budget + n))
-    z = np.zeros((len(rows), p, budget))
-    ar, parts = np.arange(len(rows)), np.arange(p)
+    # F's L^-1 diagonal is preset to 1 before scaling; the update leaves it exact
+    # because column k of every earlier slab is zero.
+    f = np.zeros((budget, len(rows), width))
+    f[np.arange(budget), :, np.arange(budget)] = 1.0
+    f_flat, slabs = f.reshape(-1), np.arange(budget) * len(rows) * width  # flat offsets of the slabs
+    z = np.zeros((budget, len(rows), p))
+    js = np.zeros((budget, len(rows)), dtype=np.intp)
+    zzs = np.zeros((budget, len(rows)))
+    sq, score, tmp = np.empty(c.shape), np.empty(weight.shape), np.empty((len(rows), 1, width))
+    parts, ar = np.arange(p), np.arange(0)
     for k in range(budget):
         if not len(rows):
             break
-        sq = np.square(c)
-        score = (sq[:, 0] + sq[:, 1] if p == 2 else sq[:, 0]) * weight
+        if len(ar) != len(rows):  # flat offsets of each active row, after a stop
+            ar = np.arange(len(rows))
+            row_n, row_c, row_f = ar * n, (ar[:, None] * p + parts) * n, ar * width + budget
+        np.square(c, out=sq)
+        if p == 2:
+            np.add(sq[:, 0], sq[:, 1], out=score)
+            np.multiply(score, weight, out=score)
+        else:
+            np.multiply(sq[:, 0], weight, out=score)
         j = score.argmax(axis=1)
-        orthogonal = score[ar, j] <= 0.0
-        w = f[ar, :k, budget + j]
-        gjj = gdiag[j]
-        d2 = gjj - (w * w).sum(axis=1)
+        jn = row_n + j
+        orthogonal = score.take(jn) <= 0.0
+        w = f_flat.take((row_f + j)[:, None] + slabs[:k])  # (A, k), contiguous rows
+        gjj = gdiag.take(j)
+        d2 = gjj - np.add.reduce(w * w, axis=1)
         dependent = d2 <= 1e-12 * gjj
         broken = orthogonal | dependent
         # a broken row keeps its state up to k; give it a finite dummy step
         inv_d = 1.0 / np.sqrt(np.where(broken, gjj, d2))
-        fk = f[:, k]
-        fk[:, k] = 1.0
-        fk[:, budget:] = gram[j]
-        fk -= (w[:, None, :] @ f[:, :k])[:, 0]
+        fk = f[k]
+        gram.take(j, axis=0, out=fk[:, budget:], mode="clip")  # j is in range; clip skips a buffer
+        np.matmul(w[:, None, :], f[:k].transpose(1, 0, 2), out=tmp)
+        fk -= tmp[:, 0]
         fk *= inv_d[:, None]
-        zk = c[ar, :, j] * inv_d[:, None]
-        c -= zk[:, :, None] * fk[:, None, budget:]
-        z[:, :, k] = zk
-        zz = zz + (zk * zk).sum(axis=1)
-        new_res2 = np.maximum(yn2 - zz, 0.0)
-        no_decrease = new_res2 > res2 + slack
-        res2 = new_res2
-        history[rows, k + 1] = res2
-        chosen[rows, k] = j
-        weight[ar, j] = 0.0
-        stop = broken | no_decrease | (res2 <= tol2) | (k + 1 == budget)
-        if not stop.any():
+        zk = c.take(row_c + j[:, None]) * inv_d[:, None]
+        np.multiply(zk[:, :, None], fk[:, None, budget:], out=sq)
+        c -= sq
+        z[k], js[k] = zk, j
+        zz = zz + np.add.reduce(zk * zk, axis=1)
+        zzs[k] = zz
+        weight.put(jn, 0.0)
+        stop = broken | (np.maximum(yn2 - zz, 0.0) <= tol2) if k + 1 < budget else np.ones(len(rows), bool)
+        if not np.logical_or.reduce(stop):
             continue
-        for i in np.flatnonzero(broken | no_decrease):
-            errors[rows[i]] = (
-                "residual is orthogonal to every remaining atom" if orthogonal[i]
-                else f"atom {j[i]} is numerically dependent on the selected support" if dependent[i]
-                else "residual norm failed to decrease (numerical breakdown)"
-            )
-        for done, kk in ((stop & broken, k), (stop & ~broken, k + 1)):
-            if done.any():
+        ended = np.flatnonzero(stop)
+        r = rows[ended]
+        history[r, 1 : k + 2] = np.maximum(yn2[ended, None] - zzs[: k + 1, ended].T, 0.0)
+        chosen[r, : k + 1] = js[: k + 1, ended].T
+        groups = ((ended, k + 1),)  # (rows, atoms kept): a broken row drops its dummy step k
+        if np.logical_or.reduce(broken):
+            for i in np.flatnonzero(broken):
+                errors[rows[i]] = (
+                    "residual is orthogonal to every remaining atom" if orthogonal[i]
+                    else f"atom {j[i]} is numerically dependent on the selected support"
+                )
+            groups = ((np.flatnonzero(broken), k), (np.flatnonzero(stop & ~broken), k + 1))
+        for done, kk in groups:
+            if len(done):
                 r = rows[done]
-                gamma = z[done][:, :, :kk] @ f[done][:, :kk, :kk]  # (L^-T z)^T per part
-                coeffs[r[:, None, None], parts[None, :, None], chosen[r, None, :kk]] = gamma
+                zd = np.ascontiguousarray(z[:kk, done].transpose(1, 2, 0))  # (D, P, kk)
+                fd = np.ascontiguousarray(f[:kk, done, :kk].transpose(1, 0, 2))  # (D, kk, kk) of L^-1
+                coeffs[r[:, None, None], parts[None, :, None], chosen[r, None, :kk]] = zd @ fd  # (L^-T z)^T
                 count[r] = kk
         keep = ~stop
-        rows, c, yn2, tol2, slack, res2, zz = (x[keep] for x in (rows, c, yn2, tol2, slack, res2, zz))
-        f[: len(rows), : k + 1] = f[keep, : k + 1]  # rows past k are still zero, so only these move
-        weight, f, z = weight[keep], f[: len(rows)], z[keep]
-        ar = np.arange(len(rows))
+        rows, yn2, tol2, zz, c, weight = (x[keep] for x in (rows, yn2, tol2, zz, c, weight))
+        na = len(rows)
+        # slabs past k hold only zeros and the preset diagonal, so only the filled ones move
+        for x in (f, z, js, zzs):
+            x[: k + 1, :na] = x[: k + 1, keep]
+        f, z, js, zzs = (x[:, :na] for x in (f, z, js, zzs))
+        sq, score, tmp = sq[:na], score[:na], tmp[:na]
     coeffs = coeffs[:, 0] + 1j * coeffs[:, 1] if complex_y else coeffs[:, 0]
     return _OmpResult(coeffs=coeffs, errors=errors, support=chosen, count=count, res2=history)
 
@@ -287,9 +316,9 @@ def omp(
     selection uses correlation magnitudes.
 
     Raises :class:`RecoveryError` (with partial coefficients attached) if
-    the residual becomes orthogonal to every remaining atom, the next atom
-    is numerically dependent on the support, or the residual stops
-    decreasing, before either stop fires.
+    the residual becomes orthogonal to every remaining atom or the next
+    atom is numerically dependent on the support, before either stop
+    fires.
     """
     a = np.asarray(a)
     y = np.asarray(y)
@@ -319,8 +348,8 @@ def omp(
     return coeffs
 
 
-def _recover(report: CompressedReport, codec: CsCodec, keep_partial: bool = False) -> np.ndarray:
-    """OMP coefficients, one row per report; ``keep_partial`` keeps a breakdown's partial result."""
+def _recover(report: CompressedReport, codec: CsCodec, keep_partial: bool = False) -> _OmpResult:
+    """OMP of every report, one row each; ``keep_partial`` keeps a breakdown's partial result."""
     if report.codec is not codec:
         raise ValueError("report was produced by a different codec")
     ys = np.atleast_2d(report.y)
@@ -329,7 +358,7 @@ def _recover(report: CompressedReport, codec: CsCodec, keep_partial: bool = Fals
         for error, partial in zip(res.errors, res.coeffs):
             if error:
                 raise RecoveryError(error, partial)
-    return res.coeffs.reshape(np.shape(report.y)[:-1] + (codec.n,))
+    return res
 
 
 def reconstruct_raw(
@@ -341,11 +370,18 @@ def reconstruct_raw(
 
     OMP against the codec dictionary, then coefficients mapped back
     through the basis (z_hat = Psi^H coeffs); a (T, M) report gives (T, n)
-    estimates.  Given the transmitted ``truth`` (test mode), the squared
-    error ||z_hat - truth||^2 of each report is returned as well.
+    estimates.  Each report is synthesized from its support S alone, as
+    ``coeffs[S] @ Psi[S]`` in selection order, one product per report, so
+    a row of a block equals the one-report call bit for bit.  Given the
+    transmitted ``truth`` (test mode), the squared error
+    ||z_hat - truth||^2 of each report is returned as well.
     """
-    coeffs = _recover(report, codec)
-    z_hat = _real_matmul(np.atleast_2d(coeffs), codec.psi).reshape(coeffs.shape)  # Psi is real
+    res = _recover(report, codec)
+    z_hat = np.zeros_like(res.coeffs)
+    for z_i, coeffs, support, count in zip(z_hat, res.coeffs, res.support, res.count):
+        s = support[:count]
+        z_i[:] = _real_matmul(coeffs[None, s], codec.psi[s])[0]  # Psi is real
+    z_hat = z_hat.reshape(np.shape(report.y)[:-1] + (codec.n,))
     if truth is None:
         return z_hat
     err = np.sum(np.abs(z_hat - truth) ** 2, axis=-1)
@@ -366,4 +402,5 @@ def reconstruct_decisions(report: CompressedReport, codec: CsCodec) -> np.ndarra
     """
     if codec.basis is not Basis.IDENTITY:
         raise ValueError("decision recovery requires the identity basis")
-    return (np.real(_recover(report, codec, keep_partial=True)) > 0.5).astype(np.int64)
+    coeffs = _recover(report, codec, keep_partial=True).coeffs.reshape(np.shape(report.y)[:-1] + (codec.n,))
+    return (np.real(coeffs) > 0.5).astype(np.int64)

@@ -1,7 +1,10 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cirauth import simkit
 from cirauth.channel import ChannelConfig, NoiseModel, Occupant, draw_channel, measure, stack_columns
@@ -326,6 +329,45 @@ class TestEngineEquivalence:
     def test_twin_requires_cs_scheme(self):
         with pytest.raises(ValueError):
             estimate_curves(fc_scenario(trials=1), uncompressed_twin=True)
+
+
+_PRESET_CHANNEL = ChannelConfig(n_nodes=100, n_taps=6, rho=0.9, pdp=(1.0,) * 6, normalize_kronecker=False)
+_SPLIT_CASES = {
+    **{case: _EQUIVALENCE_CASES[case] for case in ("fc_raw_cs", "local_fusion_cs")},
+    "fig4-shaped": (Scenario(
+        scheme=Scheme.FC_RAW_CS, channel=_PRESET_CHANNEL, detector=DetectorConfig(delta=2600.0),
+        snr_grid_db=(0.0, 10.0), trials=8, seed=41004,
+        codec=CsCodecConfig(m=480, basis="dct", max_atoms=60),
+    ), [Variant(label=f"delta={d}", detector=DetectorConfig(delta=d)) for d in (2600.0, 4800.0, 5000.0)]),
+    "fig5-shaped": (Scenario(
+        scheme=Scheme.LOCAL_FUSION_CS, channel=_PRESET_CHANNEL, detector=DetectorConfig(delta_n=39.0),
+        fusion=FusionRule(kind=FusionKind.MAJORITY), snr_grid_db=(-4.0, 6.0), trials=12, seed=41005,
+        codec=CsCodecConfig(m=70, basis="identity", max_atoms=35),
+    ), [Variant(label=f"{d} majority", detector=DetectorConfig(delta_n=d), rule=FusionRule(kind=FusionKind.MAJORITY))
+        for d in (39.0, 32.9, 26.2)]),
+}
+
+
+class TestBlockSplitInvariance:
+    """A chunk's counts do not depend on how its trials are split into blocks."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=st.sampled_from(sorted(_SPLIT_CASES)), data=st.data())
+    def test_count_chunk_any_split(self, case, data):
+        scenario, variants = _SPLIT_CASES[case]
+        thresholds, rule_groups = simkit._resolve(scenario, variants)
+        si = data.draw(st.integers(0, len(scenario.snr_grid_db) - 1), label="snr index")
+        occupant = data.draw(st.sampled_from(list(Occupant)), label="occupant")
+        lo = data.draw(st.integers(0, scenario.trials - 1), label="lo")
+        hi = data.draw(st.integers(lo + 1, scenario.trials), label="hi")
+        block = data.draw(st.integers(1, hi - lo), label="trials per block")
+        task = (scenario, thresholds, rule_groups, True, si, occupant, lo, hi)
+        width = 6 * scenario.channel.n_nodes * scenario.channel.n_taps
+        counts = {}
+        for trials in (hi - lo, block):
+            with mock.patch.object(simkit, "_BLOCK_NORMALS", trials * width):
+                counts[trials] = simkit._count_chunk(task)
+        assert np.array_equal(counts[block], counts[hi - lo])
 
 
 class TestSnrMargin:

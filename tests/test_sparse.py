@@ -537,10 +537,76 @@ class TestBlockRowsIndependent:
                 x[i] += noise
         y = codec.phi @ x.T  # one report per column, computed once and shared by every recovery below
         block = CompressedReport(y=np.ascontiguousarray(y.T), codec=codec)
-        got = sparse._recover(block, codec, keep_partial=True)
+        got = sparse._recover(block, codec, keep_partial=True).coeffs
         perm = data.draw(st.permutations(range(len(x))), label="perm")
-        permuted = sparse._recover(CompressedReport(y=block.y[perm], codec=codec), codec, keep_partial=True)
+        permuted = sparse._recover(CompressedReport(y=block.y[perm], codec=codec), codec, keep_partial=True).coeffs
         assert np.array_equal(permuted, got[perm])
         for i, row in enumerate(block.y):
-            alone = sparse._recover(CompressedReport(y=row.copy(), codec=codec), codec, keep_partial=True)
-            assert np.array_equal(alone, got[i])
+            alone = sparse._recover(CompressedReport(y=row.copy(), codec=codec), codec, keep_partial=True).coeffs
+            assert np.array_equal(alone[0], got[i])
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def _report_block(draw, decisions: bool) -> np.ndarray:
+    """A fig5-shaped block of decision vectors, or a fig4-shaped block of complex raw reports."""
+    if decisions:
+        rows = draw(st.lists(st.lists(st.integers(0, 99), unique=True), min_size=1, max_size=8), label="ones")
+        x = np.zeros((len(rows), 100))
+        for i, ones in enumerate(rows):
+            x[i, ones] = 1.0
+        return x
+    seeds = draw(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=6), label="seeds")
+    sparsity = draw(st.lists(st.integers(0, 80), min_size=len(seeds), max_size=len(seeds)), label="k")
+    x = np.zeros((len(seeds), 600), dtype=complex)
+    for i, (seed, k) in enumerate(zip(seeds, sparsity)):
+        rng = Rng(seed, 0)
+        coeffs = np.zeros(600, dtype=complex)
+        coeffs[rng.generator.choice(600, k, replace=False)] = sample_complex_gaussian(rng, k, 25.0)
+        x[i] = _fig4_codec().psi.T @ coeffs + sample_complex_gaussian(rng, 600, 1.0)  # 0 atoms: pure noise
+    return x
+
+
+class TestBlockHeightExact:
+    """Projection and synthesis of a report do not depend on its block: any height, any order."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(decisions=st.booleans(), data=st.data())
+    def test_rows_bit_identical_to_one_report_calls(self, decisions, data):
+        codec = _fig5_codec() if decisions else _fig4_codec()
+        x = data.draw(_report_block(decisions), label="block")
+        perm = data.draw(st.permutations(range(len(x))), label="perm")
+        block = compress(x, codec)
+        assert _same_bits(compress(x[perm], codec).y, block.y[perm])
+        for row, want in zip(x, block.y):
+            assert _same_bits(compress(row, codec).y, want)
+        if decisions:
+            return
+        z_hat = reconstruct_raw(block, codec)
+        permuted = reconstruct_raw(CompressedReport(y=block.y[perm], codec=codec), codec)
+        assert _same_bits(permuted, z_hat[perm])
+        for y, want in zip(block.y, z_hat):
+            assert _same_bits(reconstruct_raw(CompressedReport(y=y.copy(), codec=codec), codec), want)
+
+
+class TestOmpResidualInvariant:
+    """Every row's residual history never increases and its support never repeats an atom.
+
+    The kernel has no runtime no-decrease check: |z|^2 only grows, so the
+    residual max(||y||^2 - |z|^2, 0) cannot rise.  This holds it to that.
+    """
+
+    @settings(max_examples=30, deadline=None)
+    @given(decisions=st.booleans(), data=st.data())
+    def test_history_non_increasing_support_unique(self, decisions, data):
+        codec = _fig5_codec() if decisions else _fig4_codec()
+        ys = compress(data.draw(_report_block(decisions), label="block"), codec).y
+        res = sparse._batch_omp(ys, codec.dictionary, codec.gram, codec.max_atoms, codec.residual_tol)
+        for i, k in enumerate(res.count):
+            history = res.res2[i, : k + 1]
+            assert np.all(history[1:] <= history[:-1]), f"row {i}: {history}"
+            assert len(set(res.support[i, :k].tolist())) == k
