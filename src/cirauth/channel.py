@@ -103,8 +103,7 @@ class NoiseModel:
     @classmethod
     def from_snr_db(cls, snr_db: float, n_nodes: int, n_taps: int) -> "NoiseModel":
         """Homogeneous noise with per-node SNR = 1/sigma2 set from dB."""
-        sigma2 = 10.0 ** (-snr_db / 10.0)
-        return cls(sigma2=(sigma2,) * n_nodes, n_taps=n_taps)
+        return cls(sigma2=(noise_variance(snr_db),) * n_nodes, n_taps=n_taps)
 
     @property
     def n_nodes(self) -> int:
@@ -112,13 +111,8 @@ class NoiseModel:
 
     def sample_stacked(self, rng: Rng) -> np.ndarray:
         """One stacked noise vector v of length N*L, ~ CN(0, blkdiag(Sigma_n))."""
-        return self.from_normals(rng.standard_normal((1, 2 * self.n_nodes * self.n_taps)))[0]
-
-    def from_normals(self, normals: np.ndarray) -> np.ndarray:
-        """Stacked noise vectors, shape (T, N*L), from (T, 2*N*L) standard normals."""
-        n, L = self.n_nodes, self.n_taps
-        unit = complex_from_normals(normals).reshape(-1, n, L)
-        return (unit * np.sqrt(self.sigma2)[:, None]).reshape(-1, n * L)
+        normals = rng.standard_normal((1, 2 * self.n_nodes * self.n_taps))
+        return _noise_rows(normals, np.asarray(self.sigma2), self.n_taps)[0]
 
     def apply_inverse(self, d: np.ndarray) -> np.ndarray:
         """Apply blkdiag(Sigma_1..Sigma_N)^-1 to stacked vectors.
@@ -166,8 +160,8 @@ def _correlation_factor(n: int, rho: float) -> np.ndarray:
     return factor
 
 
-def channel_block(normals: np.ndarray, cfg: ChannelConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Alice's and eve's channel matrices, each (T, L, N), from (T, 4*L*N) normals.
+def channel_block(normals: np.ndarray, cfg: ChannelConfig) -> np.ndarray:
+    """Alice's and eve's channel matrices, (T, 2, L, N), from (T, 4*L*N) normals.
 
     Each row holds one draw: alice's 2LN normals, then eve's.  For each
     sender an iid L x N matrix with tap-k entries CN(0, pdp[k]) is
@@ -180,27 +174,40 @@ def channel_block(normals: np.ndarray, cfg: ChannelConfig) -> tuple[np.ndarray, 
     h = (iid * np.sqrt(cfg.pdp_array)[:, None]).reshape(-1, n) @ _correlation_factor(n, cfg.rho).T
     if cfg.normalize_kronecker:
         h = h / math.sqrt(n)
-    h = h.reshape(-1, 2, L, n)
-    return h[:, 0], h[:, 1]
+    return h.reshape(-1, 2, L, n)
 
 
-def measure_block(normals: np.ndarray, cfg: ChannelConfig, occupant: Occupant, noise: NoiseModel):
+def noise_variance(snr_db: float) -> float:
+    """Per-node noise variance 1/SNR from dB, in Python floats (numpy's pow differs in the last bit)."""
+    return 10.0 ** (-snr_db / 10.0)
+
+
+def _noise_rows(normals: np.ndarray, sigma2: np.ndarray, n_taps: int) -> np.ndarray:
+    """Stacked noise rows (T, N*L) from (T, 2*N*L) normals; ``sigma2`` broadcasts to (T, N)."""
+    unit = complex_from_normals(normals).reshape(len(normals), -1, n_taps)
+    return (unit * np.sqrt(sigma2)[..., None]).reshape(len(normals), -1)
+
+
+def measure_block(normals: np.ndarray, cfg: ChannelConfig, eve: np.ndarray, sigma2: np.ndarray):
     """Stacked alice channels and occupant measurements ``(h_ab, z)``, each (T, N*L).
 
     Row i of ``normals`` (T, 6LN) is trial i's stream in the order :func:`draw_channel`
-    then :func:`measure` read it: alice 2LN | eve 2LN | noise 2LN.
+    then :func:`measure` read it: alice 2LN | eve 2LN | noise 2LN.  Row i measures
+    eve's channel where ``eve[i]``, else alice's, under noise variance ``sigma2[i]``.
     """
     k = 4 * cfg.n_taps * cfg.n_nodes
-    h_ab, h_eb = channel_block(normals[:, :k], cfg)
-    h_ab = stack_columns(h_ab)
-    h = h_ab if Occupant(occupant) is Occupant.ALICE else stack_columns(h_eb)
-    return h_ab, h + noise.from_normals(normals[:, k:])
+    h = stack_columns(channel_block(normals[:, :k], cfg))  # (T, 2, N*L): alice, eve
+    z = _noise_rows(normals[:, k:], np.asarray(sigma2)[:, None], cfg.n_taps)
+    eve = np.asarray(eve, dtype=bool)[:, None]
+    np.add(z, h[:, 0], out=z, where=~eve)
+    np.add(z, h[:, 1], out=z, where=eve)
+    return h[:, 0], z
 
 
 def draw_channel(rng: Rng, cfg: ChannelConfig) -> ChannelEnsemble:
     """One correlated channel ensemble (see :func:`channel_block`): alice's, then eve's."""
-    h_ab, h_eb = channel_block(rng.standard_normal((1, 4 * cfg.n_taps * cfg.n_nodes)), cfg)
-    return ChannelEnsemble(h_ab=h_ab[0], h_eb=h_eb[0])
+    h = channel_block(rng.standard_normal((1, 4 * cfg.n_taps * cfg.n_nodes)), cfg)[0]
+    return ChannelEnsemble(h_ab=h[0], h_eb=h[1])
 
 
 def measure(

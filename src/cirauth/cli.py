@@ -440,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help=f"config file path, or a bundled preset name {PRESET_NAMES}")
     run.add_argument("--out", required=True, help="output CSV path (written atomically)")
     run.add_argument("--seed", type=int, default=None, help="override scenario.seed")
-    run.add_argument("--workers", type=int, default=1, help="worker processes for trials")
+    run.add_argument("--workers", type=int, default=1, help="worker processes, at most one per CPU and per trial")
     run.add_argument("--set", action="append", metavar="KEY=VALUE",
                      help="override a config key (repeatable)")
     run.set_defaults(func=cmd_run)

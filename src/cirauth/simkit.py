@@ -9,24 +9,30 @@ binomial standard errors.
 Every trial owns a counter-based RNG substream addressed by
 (seed, snr index, hypothesis, trial index), so results are bit-identical
 across runs and worker counts; fan-out over a process pool only ever
-reduces integer decision counts.  Trials run in blocks sized by a fixed
-memory cap, never by the worker count: a block's substreams fill one
-(T, 6NL) array of normals, and every later stage runs once per block over
-a leading trial axis.  All detector variants (threshold sweeps, fusion
-rules) and the paired "without CS" twin curves read the same block.
+reduces integer decision counts.  The trials of the whole grid form one
+flat range, SNR point by SNR point and H1 before H0.  Workers split it
+into contiguous ranges, and each range runs in blocks of near-equal
+height under a fixed memory cap, so a block may span hypotheses and SNR
+points.  A block's substreams fill one (T, 6NL) array of normals, every
+later stage runs once per block over a leading trial axis with each
+row's own occupant and noise variance, and every stage is exact per row,
+so counts depend neither on the blocks nor on the worker count.  All
+detector variants (threshold sweeps, fusion rules) and the paired
+"without CS" twin curves read the same block.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from . import detect, sparse
-from .channel import ChannelConfig, NoiseModel, Occupant, measure_block
+from .channel import ChannelConfig, measure_block, noise_variance
 from .detect import DetectorConfig, FusionRule
 from .numerics import Rng, standard_normal_rows
 from .sparse import Basis, CsCodec
@@ -58,8 +64,9 @@ class Scheme(str, enum.Enum):
 _PHI_STREAM = 1 << 62
 _MAX_TRIALS = 1 << 31
 _MAX_SNR_POINTS = 1 << 20
-# Cap on a trial block's standard normals (1 MiB; the block's working set
-# is a few times that).  Counts do not depend on it.
+# Cap on a trial block's standard normals (1 MiB).  Later stages hold
+# more: at a 36-trial fig4 block the Batch-OMP factor alone is 60 x 36 x
+# 660 doubles = 11.4 MB.  Counts do not depend on it.
 _BLOCK_NORMALS = 1 << 17
 
 
@@ -172,11 +179,6 @@ class Variant:
     rule: FusionRule | None = None
 
 
-def _trial_stream(snr_index: int, occupant: Occupant, trial_index: int) -> int:
-    bit = 1 if occupant is Occupant.EVE else 0
-    return (snr_index << 33) | (bit << 32) | trial_index
-
-
 @lru_cache(maxsize=8)
 def _build_codec(seed: int, n: int, cfg: CsCodecConfig) -> CsCodec:
     phi = sparse.gaussian_phi(Rng(seed, _PHI_STREAM), cfg.m, n)
@@ -211,25 +213,24 @@ def _resolve(scenario: Scenario, variants: list[Variant]) -> tuple[np.ndarray, t
     return np.array(thresholds, dtype=float), tuple(groups.items())
 
 
-def _block_decisions(scenario, thresholds, rule_groups, twin, noise, h_ref, z) -> np.ndarray:
-    """(T, V) H1-decisions of every variant on a block's stacked ``h_ref``/``z``, then the twin's."""
+def _block_decisions(scenario, thresholds, rule_groups, twin, sigma2, h_ref, z) -> np.ndarray:
+    """(T, V) H1-decisions of every variant on a block's stacked ``h_ref``/``z``, then the twin's.
+
+    ``sigma2`` (T, 1) is each row's noise variance.
+    """
     codec = scenario_codec(scenario) if scenario.scheme.compressed else None
     if not scenario.scheme.local:
         reports = [z] if codec is None else [sparse.reconstruct_raw(sparse.compress(z, codec), codec)]
         if twin:
             reports.append(z)
         return np.hstack([
-            detect.fc_raw_statistic(r, h_ref, noise.apply_inverse)[:, None] > thresholds for r in reports
+            detect.fc_raw_statistic(r, h_ref, lambda d: d / sigma2)[:, None] > thresholds for r in reports
         ])
 
     # Local schemes: per-node statistics, all variants' decisions, one fuse per rule.
     t, n = len(z), scenario.channel.n_nodes
     shape = (t, n, scenario.channel.n_taps)
-    stats_n = detect.quadratic_statistic(
-        z.reshape(shape),
-        h_ref.reshape(shape),
-        lambda d: noise.apply_inverse(d.reshape(t, -1)).reshape(shape),
-    )
+    stats_n = detect.quadratic_statistic(z.reshape(shape), h_ref.reshape(shape), lambda d: d / sigma2[..., None])
     u = (stats_n[:, None, :] > thresholds[:, None]).astype(np.int64)  # (T, V, N)
     planes = [u]
     if codec is not None:
@@ -242,23 +243,30 @@ def _block_decisions(scenario, thresholds, rule_groups, twin, noise, h_ref, z) -
     return out.reshape(t, -1)
 
 
-def _count_chunk(args) -> np.ndarray:
-    scenario, thresholds, rule_groups, twin, snr_index, occupant, lo, hi = args
+def _count_range(args) -> np.ndarray:
+    """Decision counts, shape (2 * SNR points, columns), of the flat trials ``[lo, hi)``.
+
+    Flat trial g = (2 s + h) * trials + t is trial t of hypothesis h (0:
+    eve, 1: alice) at SNR index s; it owns stream (s << 33) | (eve << 32)
+    | t and is counted in row 2 s + h.  The range runs in blocks of
+    near-equal height under the ``_BLOCK_NORMALS`` cap, and a block may
+    span hypotheses and SNR points: every row carries its own occupant
+    and noise variance.
+    """
+    scenario, thresholds, rule_groups, twin, lo, hi = args
     cfg = scenario.channel
-    noise = NoiseModel.from_snr_db(scenario.snr_grid_db[snr_index], cfg.n_nodes, cfg.n_taps)
+    sigma2 = np.array([noise_variance(snr) for snr in scenario.snr_grid_db])
     width = 6 * cfg.n_nodes * cfg.n_taps  # alice, eve, noise: 2NL normals each
-    block = max(1, _BLOCK_NORMALS // width)
-    counts = np.zeros(len(thresholds) * (1 + twin), dtype=np.int64)
-    for start in range(lo, hi, block):
-        streams = [_trial_stream(snr_index, occupant, t) for t in range(start, min(start + block, hi))]
-        h_ref, z = measure_block(standard_normal_rows(scenario.seed, streams, width), cfg, occupant, noise)
-        counts += _block_decisions(scenario, thresholds, rule_groups, twin, noise, h_ref, z).sum(0)
+    n = hi - lo
+    blocks = -(-n // max(1, _BLOCK_NORMALS // width))
+    counts = np.zeros((2 * len(sigma2), len(thresholds) * (1 + twin)), dtype=np.int64)
+    for b in range(blocks):
+        row, t = np.divmod(np.arange(lo + b * n // blocks, lo + (b + 1) * n // blocks), scenario.trials)
+        s, eve = row >> 1, row % 2 == 0
+        streams = ((s << 33) | (eve.astype(np.int64) << 32) | t).tolist()
+        h_ref, z = measure_block(standard_normal_rows(scenario.seed, streams, width), cfg, eve, sigma2[s])
+        np.add.at(counts, row, _block_decisions(scenario, thresholds, rule_groups, twin, sigma2[s, None], h_ref, z))
     return counts
-
-
-def _chunks(trials: int, workers: int) -> list[tuple[int, int]]:
-    per = math.ceil(trials / workers)
-    return [(lo, min(lo + per, trials)) for lo in range(0, trials, per)]
 
 
 def estimate_curves(
@@ -290,25 +298,18 @@ def estimate_curves(
     if uncompressed_twin:
         plain = Scheme.FC_RAW if scenario.scheme is Scheme.FC_RAW_CS else Scheme.LOCAL_FUSION
         columns += [(plain, v.label + " no_cs") for v in variants]
-    h1_counts = np.zeros((len(scenario.snr_grid_db), len(columns)), dtype=np.int64)
-    h0_counts = np.zeros_like(h1_counts)
-
-    tasks = [
-        (scenario, thresholds, rule_groups, uncompressed_twin, si, occupant, lo, hi)
-        for si in range(len(scenario.snr_grid_db))
-        for occupant in (Occupant.EVE, Occupant.ALICE)
-        for lo, hi in _chunks(scenario.trials, workers)
-    ]
-    if workers > 1:
+    total = 2 * len(scenario.snr_grid_db) * scenario.trials
+    procs = min(workers, total, len(os.sched_getaffinity(0)))  # a pool forks all its workers at once
+    bounds = [total * i // procs for i in range(procs + 1)]
+    tasks = [(scenario, thresholds, rule_groups, uncompressed_twin, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    if procs > 1:
         from concurrent.futures import ProcessPoolExecutor  # lazy: a serial run skips its imports
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_count_chunk, tasks))
+        with ProcessPoolExecutor(max_workers=procs) as pool:
+            counts = sum(pool.map(_count_range, tasks))
     else:
-        results = [_count_chunk(t) for t in tasks]
-    for task, counts in zip(tasks, results):
-        si, occupant = task[4], task[5]
-        (h1_counts if occupant is Occupant.EVE else h0_counts)[si] += counts
+        counts = _count_range(tasks[0])
+    h1_counts, h0_counts = counts[0::2], counts[1::2]
 
     curves = []
     t = scenario.trials

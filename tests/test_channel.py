@@ -9,6 +9,7 @@ from cirauth.channel import (
     exp_correlation_matrix,
     measure,
     measure_block,
+    noise_variance,
     stack_columns,
 )
 from cirauth.numerics import Rng, sample_complex_gaussian, standard_normal_rows
@@ -202,13 +203,19 @@ class TestMeasureBlock:
     @pytest.mark.parametrize("occupant", [Occupant.ALICE, Occupant.EVE])
     @pytest.mark.parametrize("normalize", [False, True])
     def test_rows_equal_per_trial_draws(self, occupant, normalize):
-        # row i must be bit-equal to draw_channel then measure on stream i
+        # row i must be bit-equal to draw_channel then measure on stream i, at its own
+        # occupant and SNR; ``occupant`` is row 0's, and the block holds both.
+        # numpy's vectorized 10 ** (-g / 10) differs from Python's at 22.0 and -25.0 dB
         cfg = ChannelConfig(n_nodes=5, n_taps=3, rho=0.7, normalize_kronecker=normalize)
-        nm = NoiseModel(sigma2=(0.5, 1.0, 2.0, 0.7, 1.1), n_taps=3)
-        streams = [3, 11, 12, 900]
-        h_ab, z = measure_block(standard_normal_rows(36, streams, 6 * 5 * 3), cfg, occupant, nm)
+        streams = [3, 11, 12, 900, 901, 7]
+        snrs = [22.0, 22.0, -25.0, 0.3, -25.0, 13.7]
+        eve = np.array([0, 1, 1, 0, 1, 0], dtype=bool) ^ (occupant is Occupant.EVE)
+        sigma2 = np.array([noise_variance(s) for s in snrs])
+        assert not np.array_equal(10.0 ** (-np.array(snrs) / 10.0), sigma2)
+        h_ab, z = measure_block(standard_normal_rows(36, streams, 6 * 5 * 3), cfg, eve, sigma2)
         for i, sid in enumerate(streams):
             rng = Rng(36, sid)
             ens = draw_channel(rng, cfg)
+            occ = Occupant.EVE if eve[i] else Occupant.ALICE
             assert np.array_equal(h_ab[i], stack_columns(ens.h_ab))
-            assert np.array_equal(z[i], measure(rng, ens, occupant, nm).z_star)
+            assert np.array_equal(z[i], measure(rng, ens, occ, NoiseModel.from_snr_db(snrs[i], 5, 3)).z_star)

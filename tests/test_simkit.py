@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cirauth import simkit
@@ -151,6 +151,35 @@ class TestEstimateCurve:
         a = estimate_curves(fc_scenario(trials=90), workers=1)
         b = estimate_curves(fc_scenario(trials=90), workers=3)
         assert a == b
+
+    def test_pool_no_larger_than_tasks_or_cpus(self, monkeypatch):
+        # a fork pool starts every worker at its first submit, so --workers 64 on
+        # 2 trials must ask for 2 processes, and a single CPU for none
+        import concurrent.futures
+
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        sc = fc_scenario(trials=1, snr_grid_db=(5.0,))
+        one = estimate_curves(sc, workers=1)
+        for cpus, want in ((64, [2]), (1, [])):
+            sizes.clear()
+            monkeypatch.setattr(simkit.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            assert estimate_curves(sc, workers=64) == one
+            assert sizes == want
 
     def test_h0_calibration_tracks_alpha(self):
         # solved threshold at alpha: empirical false-alarm within 5 sigma,
@@ -349,25 +378,41 @@ _SPLIT_CASES = {
 
 
 class TestBlockSplitInvariance:
-    """A chunk's counts do not depend on how its trials are split into blocks."""
+    """A flat trial range's counts do not depend on how it is split into blocks."""
 
     @settings(max_examples=30, deadline=None)
     @given(case=st.sampled_from(sorted(_SPLIT_CASES)), data=st.data())
-    def test_count_chunk_any_split(self, case, data):
+    def test_count_range_any_split(self, case, data):
         scenario, variants = _SPLIT_CASES[case]
         thresholds, rule_groups = simkit._resolve(scenario, variants)
-        si = data.draw(st.integers(0, len(scenario.snr_grid_db) - 1), label="snr index")
-        occupant = data.draw(st.sampled_from(list(Occupant)), label="occupant")
-        lo = data.draw(st.integers(0, scenario.trials - 1), label="lo")
-        hi = data.draw(st.integers(lo + 1, scenario.trials), label="hi")
-        block = data.draw(st.integers(1, hi - lo), label="trials per block")
-        task = (scenario, thresholds, rule_groups, True, si, occupant, lo, hi)
+        # flat trial g = (2 s + h) * trials + t; the range holds point 1's first trial
+        # 2 * trials, and the drawn split puts it inside a block, not at an edge
+        total, boundary = 4 * scenario.trials, 2 * scenario.trials
+        lo = data.draw(st.integers(0, boundary - 1), label="lo")
+        hi = data.draw(st.integers(boundary + 1, total), label="hi")
+        height = data.draw(st.integers(2, hi - lo), label="trials per block")
+        blocks = -(-(hi - lo) // height)
+        assume(all(lo + b * (hi - lo) // blocks != boundary for b in range(blocks)))
+        task = (scenario, thresholds, rule_groups, True, lo, hi)
         width = 6 * scenario.channel.n_nodes * scenario.channel.n_taps
-        counts = {}
-        for trials in (hi - lo, block):
-            with mock.patch.object(simkit, "_BLOCK_NORMALS", trials * width):
-                counts[trials] = simkit._count_chunk(task)
-        assert np.array_equal(counts[block], counts[hi - lo])
+        with mock.patch.object(simkit, "_BLOCK_NORMALS", height * width), \
+                mock.patch.object(simkit, "measure_block", wraps=simkit.measure_block) as spy:
+            got = simkit._count_range(task)
+        # some block mixes eve and alice rows and both SNR points (the grids' values differ)
+        assert any(c.args[2].any() and not c.args[2].all() and len(set(c.args[3])) == 2 for c in spy.call_args_list)
+        with mock.patch.object(simkit, "_BLOCK_NORMALS", 1):  # one trial per block
+            assert np.array_equal(got, simkit._count_range(task))
+
+    def test_rows_carry_occupant_and_variance(self):
+        # flat order is point-major, eve first; each row's sigma2 has NoiseModel.from_snr_db's
+        # bits, which a vectorized numpy power misses at 22.0 and -25.0 dB
+        scenario = fc_scenario(trials=2, snr_grid_db=(22.0, -25.0, 0.3))
+        with mock.patch.object(simkit, "measure_block", wraps=simkit.measure_block) as spy:
+            estimate_curves(scenario)
+        (call,) = spy.call_args_list
+        want = [NoiseModel.from_snr_db(snr, 10, 6).sigma2[0] for snr in scenario.snr_grid_db for _ in range(4)]
+        assert call.args[3].tolist() == want
+        assert call.args[2].tolist() == [True, True, False, False] * 3
 
 
 class TestSnrMargin:
