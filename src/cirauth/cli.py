@@ -34,28 +34,29 @@ from .simkit import CsCodecConfig, Scenario, Scheme, Variant
 
 PRESET_NAMES = ("fig2", "fig3", "fig4", "fig5")
 
+# key -> (value kind, the scheme family it applies to: fusion-center, local or CS; None for all)
 _SCHEMA = {
-    "scenario.scheme": str,
-    "scenario.snr_db": "floats",
-    "scenario.trials": int,
-    "scenario.seed": int,
-    "channel.n_nodes": int,
-    "channel.n_taps": int,
-    "channel.rho": float,
-    "channel.pdp": "floats",
-    "channel.normalize_kronecker": "bool",
-    "detector.scale": str,
-    "detector.delta": "floats",
-    "detector.target_pfa": "floats",
-    "detector.delta_n": "floats",
-    "detector.target_pfa_n": "floats",
-    "detector.rules": "strs",
-    "detector.avg_threshold": float,
-    "cs.m": int,
-    "cs.basis": str,
-    "cs.max_atoms": int,
-    "cs.residual_tol": float,
-    "cs.compare_uncompressed": "bool",
+    "scenario.scheme": (str, None),
+    "scenario.snr_db": ("floats", None),
+    "scenario.trials": (int, None),
+    "scenario.seed": (int, None),
+    "channel.n_nodes": (int, None),
+    "channel.n_taps": (int, None),
+    "channel.rho": (float, None),
+    "channel.pdp": ("floats", None),
+    "channel.normalize_kronecker": ("bool", None),
+    "detector.scale": (str, None),
+    "detector.delta": ("floats", "fc"),
+    "detector.target_pfa": ("floats", "fc"),
+    "detector.delta_n": ("floats", "local"),
+    "detector.target_pfa_n": ("floats", "local"),
+    "detector.rules": ("strs", "local"),
+    "detector.avg_threshold": (float, "local"),
+    "cs.m": (int, "cs"),
+    "cs.basis": (str, "cs"),
+    "cs.max_atoms": (int, "cs"),
+    "cs.residual_tol": (float, "cs"),
+    "cs.compare_uncompressed": ("bool", "cs"),
 }
 
 _REQUIRED = ("scenario.scheme", "scenario.snr_db", "scenario.trials", "scenario.seed",
@@ -133,7 +134,7 @@ def parse_config(text: str, path: str = "<config>") -> dict:
             raise ConfigError(f"duplicate config key {key!r}", path, lineno)
         if not raw:
             raise ConfigError(f"empty value for {key!r}", path, lineno)
-        values[key] = _parse_scalar(raw, _SCHEMA[key], key, path, lineno)
+        values[key] = _parse_scalar(raw, _SCHEMA[key][0], key, path, lineno)
     return values
 
 
@@ -146,7 +147,7 @@ def apply_overrides(values: dict, pairs: list[str]) -> dict:
         key, raw = key.strip(), raw.strip()
         if key not in _SCHEMA:
             raise ConfigError(f"unknown config key {key!r} in --set")
-        out[key] = _parse_scalar(raw, _SCHEMA[key], key, "--set", 1)
+        out[key] = _parse_scalar(raw, _SCHEMA[key][0], key, "--set", 1)
     return out
 
 
@@ -171,6 +172,10 @@ def build_run(values: dict) -> ResolvedRun:
             f"scenario.scheme must be one of {[s.value for s in Scheme]}, "
             f"got {values['scenario.scheme']!r}"
         ) from None
+    family = {None: True, "fc": not scheme.local, "local": scheme.local, "cs": scheme.compressed}
+    unused = [key for key in values if not family[_SCHEMA[key][1]]]
+    if unused:
+        raise ConfigError(f"scheme {scheme.value} does not use {', '.join(unused)}")
     try:
         channel = ChannelConfig(
             n_nodes=values["channel.n_nodes"],
@@ -207,13 +212,10 @@ def build_run(values: dict) -> ResolvedRun:
     except ValueError as exc:  # messages open with the offending field
         field, _, rest = str(exc).partition(" ")
         raise ConfigError(f"{_FIELD_KEYS.get(field, field)} {rest}".rstrip()) from None
-    compare = bool(values.get("cs.compare_uncompressed", False))
-    if compare and not scheme.compressed:
-        raise ConfigError("cs.compare_uncompressed only applies to CS schemes")
     return ResolvedRun(
         scenario=scenario,
         variants=variants,
-        compare_uncompressed=compare,
+        compare_uncompressed=bool(values.get("cs.compare_uncompressed", False)),
         config_text=canonical_config(values),
     )
 

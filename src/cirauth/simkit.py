@@ -14,11 +14,13 @@ flat range, SNR point by SNR point and H1 before H0.  Workers split it
 into contiguous ranges, and each range runs in blocks of near-equal
 height under a fixed memory cap, so a block may span hypotheses and SNR
 points.  A block's substreams fill one (T, 6NL) array of normals, every
-later stage runs once per block over a leading trial axis with each
-row's own occupant and noise variance, and every stage is exact per row,
-so counts depend neither on the blocks nor on the worker count.  All
-detector variants (threshold sweeps, fusion rules) and the paired
-"without CS" twin curves read the same block.
+later stage runs over a leading trial axis with each row's own occupant
+and noise variance (a CS scheme stacks consecutive blocks so that one
+Batch-OMP call recovers them all, under a cap on its factor), and every
+stage is exact per row, so counts depend neither on the blocks, nor on
+the batches, nor on the worker count.  All detector variants (threshold
+sweeps, fusion rules) and the paired "without CS" twin curves read the
+same block.
 """
 
 from __future__ import annotations
@@ -64,10 +66,14 @@ class Scheme(str, enum.Enum):
 _PHI_STREAM = 1 << 62
 _MAX_TRIALS = 1 << 31
 _MAX_SNR_POINTS = 1 << 20
-# Cap on a trial block's standard normals (1 MiB).  Later stages hold
-# more: at a 36-trial fig4 block the Batch-OMP factor alone is 60 x 36 x
-# 660 doubles = 11.4 MB.  Counts do not depend on it.
+# Cap on a trial block's standard normals (1 MiB).  Counts depend on
+# neither cap.
 _BLOCK_NORMALS = 1 << 17
+# Cap on the Batch-OMP factor (reports x budget x (budget + n) doubles,
+# 11 MiB) of consecutive blocks recovered in one call.  A full 36-trial
+# fig4 block (36 x 60 x 660 doubles) fits alone and two never merge; a
+# fig5 trial needs 3 x 35 x 135, so two full fig5 blocks share one call.
+_BATCH_FACTOR = 11 << 17
 
 
 @dataclass(frozen=True)
@@ -251,7 +257,8 @@ def _count_range(args) -> np.ndarray:
     | t and is counted in row 2 s + h.  The range runs in blocks of
     near-equal height under the ``_BLOCK_NORMALS`` cap, and a block may
     span hypotheses and SNR points: every row carries its own occupant
-    and noise variance.
+    and noise variance.  A CS scheme decides consecutive blocks together,
+    as many as fit under ``_BATCH_FACTOR`` at the tallest block's factor.
     """
     scenario, thresholds, rule_groups, twin, lo, hi = args
     cfg = scenario.channel
@@ -259,12 +266,22 @@ def _count_range(args) -> np.ndarray:
     width = 6 * cfg.n_nodes * cfg.n_taps  # alice, eve, noise: 2NL normals each
     n = hi - lo
     blocks = -(-n // max(1, _BLOCK_NORMALS // width))
+    per_batch = 1  # consecutive blocks per _block_decisions call
+    if scenario.scheme.compressed:
+        codec = scenario_codec(scenario)
+        budget = min(codec.max_atoms, codec.n)
+        reports = -(-n // blocks) * (len(thresholds) if scenario.scheme.local else 1)  # of the tallest block
+        per_batch = max(1, _BATCH_FACTOR // (reports * budget * (budget + codec.n)))
     counts = np.zeros((2 * len(sigma2), len(thresholds) * (1 + twin)), dtype=np.int64)
-    for b in range(blocks):
-        row, t = np.divmod(np.arange(lo + b * n // blocks, lo + (b + 1) * n // blocks), scenario.trials)
-        s, eve = row >> 1, row % 2 == 0
-        streams = ((s << 33) | (eve.astype(np.int64) << 32) | t).tolist()
-        h_ref, z = measure_block(standard_normal_rows(scenario.seed, streams, width), cfg, eve, sigma2[s])
+    for first in range(0, blocks, per_batch):
+        batch = []
+        for b in range(first, min(first + per_batch, blocks)):
+            row, t = np.divmod(np.arange(lo + b * n // blocks, lo + (b + 1) * n // blocks), scenario.trials)
+            s, eve = row >> 1, row % 2 == 0
+            streams = ((s << 33) | (eve.astype(np.int64) << 32) | t).tolist()
+            h_ref, z = measure_block(standard_normal_rows(scenario.seed, streams, width), cfg, eve, sigma2[s])
+            batch.append((row, s, h_ref, z))
+        row, s, h_ref, z = batch[0] if len(batch) == 1 else (np.concatenate(x) for x in zip(*batch))
         np.add.at(counts, row, _block_decisions(scenario, thresholds, rule_groups, twin, sigma2[s, None], h_ref, z))
     return counts
 

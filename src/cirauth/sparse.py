@@ -16,9 +16,10 @@ step), so an iteration costs O(n*K) per report and calls no LAPACK
 routine.
 
 ``compress`` and ``reconstruct_*`` also take a block of T reports.  OMP
-is one kernel call per block, while projection and basis synthesis run
-one product per report (synthesis from the report's support only), so
-every row equals the one-report call bit for bit at any block height.
+is one kernel call per block on its distinct reports only (a duplicate
+gets a copy of its twin's result), while projection and basis synthesis
+run one product per report (synthesis from the report's support only),
+so every row equals the one-report call bit for bit at any block height.
 """
 
 from __future__ import annotations
@@ -349,11 +350,18 @@ def omp(
 
 
 def _recover(report: CompressedReport, codec: CsCodec, keep_partial: bool = False) -> _OmpResult:
-    """OMP of every report, one row each; ``keep_partial`` keeps a breakdown's partial result."""
+    """OMP of each distinct report (keyed by its bytes) once, copied to its duplicates.
+
+    ``keep_partial`` returns a breakdown's partial result instead of raising.
+    """
     if report.codec is not codec:
         raise ValueError("report was produced by a different codec")
-    ys = np.atleast_2d(report.y)
-    res = _batch_omp(ys, codec.dictionary, codec.gram, codec.max_atoms, codec.residual_tol)
+    ys = np.ascontiguousarray(np.atleast_2d(report.y))
+    keys = ys.view(np.dtype((np.void, ys.shape[1] * ys.itemsize)))[:, 0]
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    res = _batch_omp(ys[first], codec.dictionary, codec.gram, codec.max_atoms, codec.residual_tol)
+    res = _OmpResult(res.coeffs[inverse], [res.errors[i] for i in inverse],
+                     res.support[inverse], res.count[inverse], res.res2[inverse])
     if not keep_partial:
         for error, partial in zip(res.errors, res.coeffs):
             if error:

@@ -217,6 +217,35 @@ class TestRunCommand:
         assert override.partition("=")[0] in err  # the message names the config key
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "preset, overrides",
+        [
+            ("fig2", ["detector.delta_n=5", "detector.rules=bogus", "cs.m=3"]),
+            ("fig2", ["detector.target_pfa_n=0.01"]),
+            ("fig2", ["detector.avg_threshold=0.3"]),
+            ("fig2", ["cs.compare_uncompressed=false"]),
+            ("fig3", ["detector.delta=5"]),
+            ("fig3", ["detector.target_pfa=0.01"]),
+            ("fig3", ["cs.max_atoms=4"]),
+            ("fig4", ["detector.rules=or"]),
+            ("fig5", ["detector.delta=5"]),
+        ],
+    )
+    def test_keys_of_another_scheme_exit_2_without_csv(self, tmp_path, capsys, preset, overrides):
+        out = tmp_path / "o.csv"
+        argv = ["run", "--config", preset, "--out", str(out)] + [a for o in overrides for a in ("--set", o)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: scheme ")
+        assert all(o.partition("=")[0] in err for o in overrides)  # names every key the scheme ignores
+        assert not out.exists()
+
+    @pytest.mark.parametrize("preset", PRESET_NAMES)
+    def test_scale_applies_to_every_scheme(self, tmp_path, preset):
+        argv = ["run", "--config", preset, "--out", str(tmp_path / "o.csv"),
+                "--set", "detector.scale=chi2", "--set", "scenario.trials=1", "--set", "scenario.snr_db=0"]
+        assert main(argv) == 0
+
     @pytest.mark.parametrize("workers", ["0", "-4"])
     def test_nonpositive_workers_exit_2_without_csv(self, tmp_path, capsys, workers):
         out = tmp_path / "o.csv"

@@ -1,9 +1,11 @@
-"""The benchmark's preset CSVs, byte for byte.
+"""Preset CSVs, byte for byte.
 
 fig2-fig5 at the benchmark's reduced trial counts and preset seeds must
 hash to the reference sha256 values listed in ``perfbench/README.md``,
-serially and with two worker processes.  An engine change that renumbers
-a draw, reorders a reduction or perturbs a report's bits shows here.
+serially and with two worker processes.  The same runs at ``--seed 7``,
+and fig5 at 40 trials per point (several Batch-OMP recovery batches per
+worker), are pinned too.  An engine change that renumbers a draw,
+reorders a reduction or perturbs a report's bits shows here.
 """
 
 import hashlib
@@ -19,14 +21,35 @@ GOLDEN = {
     ("fig5", 2): "458a6c4c0cbf7bb1758a6611b79da52f3f7c86d6c031c21c0197e2840abf227a",
 }
 
+# (preset, trials, --seed or None for the preset's own) -> sha256
+GOLDEN_MORE = {
+    ("fig2", 50, 7): "928441befc98702e68b1294cd500de45770ab6512294fe06145dba7a8147e8b6",
+    ("fig3", 10, 7): "ebbb2cebeaf2e5de586cd7563a670c3cc3d4859cebd75130b4f93224d4860e2f",
+    ("fig4", 1, 7): "52aeebae178d73970b2c97989ee98dbdae67fb21e9028637b9e9a1ca63425cfd",
+    ("fig5", 2, 7): "4d464b2d9142da4102965a52f8066e8ca2680a208bc958e101dd945f6260ab72",
+    ("fig5", 40, None): "fe741238ea430664f8949bb3ced3f50cff43fa5e4212239d1cd62d1f5afe9d97",
+}
 
-@pytest.mark.parametrize("preset, trials", sorted(GOLDEN))
-def test_preset_csv_matches_reference(preset, trials, tmp_path, capsys):
+
+def _digests(tmp_path, preset, trials, seed=None) -> list[str]:
+    """sha256 of the run's CSV at --workers 1 and 2."""
     digests = []
     for workers in (1, 2):
         out = tmp_path / f"w{workers}.csv"
         argv = ["run", "--config", preset, "--out", str(out), "--workers", str(workers),
                 "--set", f"scenario.trials={trials}"]
+        if seed is not None:
+            argv += ["--seed", str(seed)]
         assert cli.main(argv) == 0
         digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
-    assert digests == [GOLDEN[preset, trials]] * 2
+    return digests
+
+
+@pytest.mark.parametrize("preset, trials", sorted(GOLDEN))
+def test_preset_csv_matches_reference(preset, trials, tmp_path, capsys):
+    assert _digests(tmp_path, preset, trials) == [GOLDEN[preset, trials]] * 2
+
+
+@pytest.mark.parametrize("preset, trials, seed", sorted(GOLDEN_MORE, key=str))
+def test_more_csvs_match_reference(preset, trials, seed, tmp_path, capsys):
+    assert _digests(tmp_path, preset, trials, seed) == [GOLDEN_MORE[preset, trials, seed]] * 2

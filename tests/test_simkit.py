@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cirauth import simkit
+from cirauth import cli, simkit, sparse
 from cirauth.channel import ChannelConfig, NoiseModel, Occupant, draw_channel, measure, stack_columns
 from cirauth.detect import DetectorConfig, FusionKind, FusionRule, fc_raw_statistic, fuse, quadratic_statistic
 from cirauth.numerics import Rng
@@ -393,15 +393,20 @@ class TestBlockSplitInvariance:
         height = data.draw(st.integers(2, hi - lo), label="trials per block")
         blocks = -(-(hi - lo) // height)
         assume(all(lo + b * (hi - lo) // blocks != boundary for b in range(blocks)))
+        # Batch-OMP factor cap: 0 decides each block alone, 2^60 the whole range in one call
+        batch_cap = data.draw(st.sampled_from([0, 1 << 60]), label="batch cap")
         task = (scenario, thresholds, rule_groups, True, lo, hi)
         width = 6 * scenario.channel.n_nodes * scenario.channel.n_taps
         with mock.patch.object(simkit, "_BLOCK_NORMALS", height * width), \
+                mock.patch.object(simkit, "_BATCH_FACTOR", batch_cap), \
+                mock.patch.object(simkit, "_block_decisions", wraps=simkit._block_decisions) as decide, \
                 mock.patch.object(simkit, "measure_block", wraps=simkit.measure_block) as spy:
             got = simkit._count_range(task)
         # some block mixes eve and alice rows and both SNR points (the grids' values differ)
         assert any(c.args[2].any() and not c.args[2].all() and len(set(c.args[3])) == 2 for c in spy.call_args_list)
-        with mock.patch.object(simkit, "_BLOCK_NORMALS", 1):  # one trial per block
-            assert np.array_equal(got, simkit._count_range(task))
+        assert decide.call_count == (blocks if batch_cap == 0 else 1)
+        with mock.patch.object(simkit, "_BLOCK_NORMALS", 1), mock.patch.object(simkit, "_BATCH_FACTOR", 0):
+            assert np.array_equal(got, simkit._count_range(task))  # one trial per block, each decided alone
 
     def test_rows_carry_occupant_and_variance(self):
         # flat order is point-major, eve first; each row's sigma2 has NoiseModel.from_snr_db's
@@ -413,6 +418,21 @@ class TestBlockSplitInvariance:
         want = [NoiseModel.from_snr_db(snr, 10, 6).sigma2[0] for snr in scenario.snr_grid_db for _ in range(4)]
         assert call.args[3].tolist() == want
         assert call.args[2].tolist() == [True, True, False, False] * 3
+
+
+class TestRecoveryBatches:
+    """Batch-OMP calls of preset runs: consecutive blocks share one under the factor cap, distinct reports only."""
+
+    @pytest.mark.parametrize("preset, overrides, rows_per_call", [
+        ("fig5", ["scenario.trials=2"], [110]),  # 3 blocks of 28 trials, 252 reports, 110 distinct
+        ("fig4", ["scenario.trials=1"], [21, 21]),  # two fig4 blocks never share a call
+        ("fig4", ["scenario.trials=72", "scenario.snr_db=0"], [36] * 4),  # a full fig4 block fits alone
+    ])
+    def test_calls_and_rows(self, preset, overrides, rows_per_call, tmp_path, capsys):
+        argv = ["run", "--config", preset, "--out", str(tmp_path / "o.csv")]
+        with mock.patch.object(sparse, "_batch_omp", wraps=sparse._batch_omp) as spy:
+            assert cli.main(argv + [a for o in overrides for a in ("--set", o)]) == 0
+        assert [len(c.args[0]) for c in spy.call_args_list] == rows_per_call
 
 
 class TestSnrMargin:

@@ -1,4 +1,5 @@
 from functools import lru_cache
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -610,3 +611,44 @@ class TestOmpResidualInvariant:
             history = res.res2[i, : k + 1]
             assert np.all(history[1:] <= history[:-1]), f"row {i}: {history}"
             assert len(set(res.support[i, :k].tolist())) == k
+
+
+class TestDistinctReportsOnce:
+    """A block with duplicated reports recovers each distinct report once, with one-report results."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(decisions=st.booleans(), data=st.data())
+    def test_duplicates_get_one_report_results(self, decisions, data):
+        codec = _fig5_codec() if decisions else _fig4_codec()
+        base = compress(data.draw(_report_block(decisions), label="block"), codec).y
+        extra = data.draw(st.lists(st.integers(0, len(base) - 1), min_size=1, max_size=12), label="duplicates")
+        picks = data.draw(st.permutations(list(range(len(base))) + extra), label="order")
+        with mock.patch.object(sparse, "_batch_omp", wraps=sparse._batch_omp) as spy:
+            res = sparse._recover(CompressedReport(y=base[picks], codec=codec), codec, keep_partial=True)
+        (call,) = spy.call_args_list
+        seen = [row.tobytes() for row in call.args[0]]
+        assert sorted(seen) == sorted({row.tobytes() for row in base})  # every distinct row, once
+        for i, y in enumerate(base[picks]):
+            alone = sparse._batch_omp(y[None], codec.dictionary, codec.gram, codec.max_atoms, codec.residual_tol)
+            assert res.errors[i] == alone.errors[0]
+            for field in ("coeffs", "support", "count", "res2"):
+                assert _same_bits(getattr(res, field)[i], getattr(alone, field)[0]), (i, field)
+
+
+class TestDecisionRecoveryAtomCap:
+    """A recovered decision vector has at most ``max_atoms`` ones, however many nodes fired.
+
+    So with fig5's 35-atom budget, majority over 100 nodes (51 votes) never fires.
+    """
+
+    @settings(max_examples=30, deadline=None)
+    @given(max_atoms=st.integers(1, 69), data=st.data())
+    def test_at_most_max_atoms_ones(self, max_atoms, data):
+        codec = CsCodec(_fig5_codec().phi, basis="identity", max_atoms=max_atoms)
+        rows = data.draw(st.lists(st.tuples(st.integers(0, 100), st.integers(0, 2**32 - 1)), min_size=1, max_size=6),
+                         label="(ones, seed) per row")
+        x = np.zeros((len(rows), 100))
+        for i, (ones, seed) in enumerate(rows):
+            x[i, Rng(seed, 0).generator.choice(100, ones, replace=False)] = 1.0
+        u = reconstruct_decisions(compress(x, codec), codec)
+        assert np.all(u.sum(axis=1) <= max_atoms)
