@@ -23,6 +23,7 @@ import sys
 import tempfile
 from dataclasses import dataclass
 from importlib import resources
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -34,39 +35,6 @@ from .simkit import CsCodecConfig, Scenario, Scheme, Variant
 
 PRESET_NAMES = ("fig2", "fig3", "fig4", "fig5")
 
-# key -> (value kind, the scheme family it applies to: fusion-center, local or CS; None for all)
-_SCHEMA = {
-    "scenario.scheme": (str, None),
-    "scenario.snr_db": ("floats", None),
-    "scenario.trials": (int, None),
-    "scenario.seed": (int, None),
-    "channel.n_nodes": (int, None),
-    "channel.n_taps": (int, None),
-    "channel.rho": (float, None),
-    "channel.pdp": ("floats", None),
-    "channel.normalize_kronecker": ("bool", None),
-    "detector.scale": (str, None),
-    "detector.delta": ("floats", "fc"),
-    "detector.target_pfa": ("floats", "fc"),
-    "detector.delta_n": ("floats", "local"),
-    "detector.target_pfa_n": ("floats", "local"),
-    "detector.rules": ("strs", "local"),
-    "detector.avg_threshold": (float, "local"),
-    "cs.m": (int, "cs"),
-    "cs.basis": (str, "cs"),
-    "cs.max_atoms": (int, "cs"),
-    "cs.residual_tol": (float, "cs"),
-    "cs.compare_uncompressed": ("bool", "cs"),
-}
-
-_REQUIRED = ("scenario.scheme", "scenario.snr_db", "scenario.trials", "scenario.seed",
-             "channel.n_nodes", "channel.n_taps", "channel.rho")
-
-_RULE_NAMES = {kind.value: kind for kind in FusionKind}
-
-# Dataclass field -> config key, for naming the key in validation errors.
-_FIELD_KEYS = {key.partition(".")[2]: key for key in _SCHEMA} | {"snr_grid_db": "scenario.snr_db"}
-
 
 class ConfigError(Exception):
     """Config problem, anchored to ``path:line`` when known."""
@@ -76,27 +44,22 @@ class ConfigError(Exception):
         super().__init__(prefix + message)
 
 
-def _parse_scalar(raw: str, kind, key: str, path: str, line: int):
-    try:
-        if kind is int:
-            return int(raw)
-        if kind is float:
-            return float(raw)
-        if kind is str:
-            return raw
-        if kind == "bool":
-            if raw.lower() in ("true", "yes", "on", "1"):
-                return True
-            if raw.lower() in ("false", "no", "off", "0"):
-                return False
-            raise ValueError(f"expected a boolean, got {raw!r}")
-        if kind == "floats":
-            return _parse_float_list(raw)
-        if kind == "strs":
-            return tuple(part.strip().lower() for part in raw.split(",") if part.strip())
-    except ValueError as exc:
-        raise ConfigError(f"bad value for {key}: {exc}", path, line) from None
-    raise AssertionError(f"unhandled schema kind {kind}")
+def _bool(raw: str) -> bool:
+    if raw.lower() in ("true", "yes", "on", "1"):
+        return True
+    if raw.lower() in ("false", "no", "off", "0"):
+        return False
+    raise ValueError(f"expected a boolean, got {raw!r}")
+
+
+def _choice(*names: str) -> Callable[[str], str]:
+    """Parser that accepts one of ``names`` and keeps it as a string."""
+
+    def parse(raw: str) -> str:
+        if raw not in names:
+            raise ValueError(f"expected one of {', '.join(names)}, got {raw!r}")
+        return raw
+    return parse
 
 
 def _parse_float_list(raw: str) -> tuple[float, ...]:
@@ -114,7 +77,59 @@ def _parse_float_list(raw: str) -> tuple[float, ...]:
         if count < 1 or abs(start + (count - 1) * step - stop) > 1e-9 * max(1.0, abs(stop)):
             raise ValueError(f"range {raw!r} does not hit its endpoint")
         return tuple(start + i * step for i in range(count))
-    return tuple(float(part) for part in raw.split(",") if part.strip())
+    return tuple(float(part) for part in _split(raw))
+
+
+def _split(raw: str) -> list[str]:
+    parts = [part.strip() for part in raw.split(",") if part.strip()]
+    if not parts:
+        raise ValueError("expected at least one value")
+    return parts
+
+
+class _Key(NamedTuple):
+    parse: Callable[[str], object]
+    field: str | None  # the dataclass field the key sets; None if it sets none
+    family: str | None = None  # the scheme family using the key: "fc", "local", "cs", or None for all
+    required: bool = False  # whether that family requires the key
+
+
+_SCHEMA = {
+    "scenario.scheme": _Key(_choice(*(s.value for s in Scheme)), "scheme", required=True),
+    "scenario.snr_db": _Key(_parse_float_list, "snr_grid_db", required=True),
+    "scenario.trials": _Key(int, "trials", required=True),
+    "scenario.seed": _Key(int, "seed", required=True),
+    "channel.n_nodes": _Key(int, "n_nodes", required=True),
+    "channel.n_taps": _Key(int, "n_taps", required=True),
+    "channel.rho": _Key(float, "rho", required=True),
+    "channel.pdp": _Key(_parse_float_list, "pdp"),
+    "channel.normalize_kronecker": _Key(_bool, "normalize_kronecker"),
+    "detector.scale": _Key(_choice("chi2"), None),
+    "detector.delta": _Key(_parse_float_list, "delta", "fc"),
+    "detector.target_pfa": _Key(_parse_float_list, "target_pfa", "fc"),
+    "detector.delta_n": _Key(_parse_float_list, "delta_n", "local"),
+    "detector.target_pfa_n": _Key(_parse_float_list, "target_pfa_n", "local"),
+    "detector.rules": _Key(lambda raw: tuple(name.lower() for name in _split(raw)), None, "local"),
+    "detector.avg_threshold": _Key(float, "avg_threshold", "local"),
+    "cs.m": _Key(int, "m", "cs", required=True),
+    "cs.basis": _Key(_choice(*(b.value for b in sparse.Basis)), "basis", "cs"),
+    "cs.max_atoms": _Key(int, "max_atoms", "cs"),
+    "cs.residual_tol": _Key(float, "residual_tol", "cs"),
+    "cs.compare_uncompressed": _Key(_bool, None, "cs"),
+}
+
+_RULE_NAMES = {kind.value for kind in FusionKind}
+
+
+def _parse_value(key: str, raw: str, path: str, line: int = 0):
+    if key not in _SCHEMA:
+        raise ConfigError(f"unknown config key {key!r}", path, line)
+    if not raw:
+        raise ConfigError(f"empty value for {key!r}", path, line)
+    try:
+        return _SCHEMA[key].parse(raw)
+    except ValueError as exc:
+        raise ConfigError(f"bad value for {key}: {exc}", path, line) from None
 
 
 def parse_config(text: str, path: str = "<config>") -> dict:
@@ -128,13 +143,9 @@ def parse_config(text: str, path: str = "<config>") -> dict:
             raise ConfigError(f"expected 'key = value', got {raw_line.strip()!r}", path, lineno)
         key, _, raw = line.partition("=")
         key, raw = key.strip(), raw.strip()
-        if key not in _SCHEMA:
-            raise ConfigError(f"unknown config key {key!r}", path, lineno)
         if key in values:
             raise ConfigError(f"duplicate config key {key!r}", path, lineno)
-        if not raw:
-            raise ConfigError(f"empty value for {key!r}", path, lineno)
-        values[key] = _parse_scalar(raw, _SCHEMA[key][0], key, path, lineno)
+        values[key] = _parse_value(key, raw, path, lineno)
     return values
 
 
@@ -144,10 +155,7 @@ def apply_overrides(values: dict, pairs: list[str]) -> dict:
         if "=" not in pair:
             raise ConfigError(f"--set expects key=value, got {pair!r}")
         key, _, raw = pair.partition("=")
-        key, raw = key.strip(), raw.strip()
-        if key not in _SCHEMA:
-            raise ConfigError(f"unknown config key {key!r} in --set")
-        out[key] = _parse_scalar(raw, _SCHEMA[key][0], key, "--set", 1)
+        out[key.strip()] = _parse_value(key.strip(), raw.strip(), "--set")
     return out
 
 
@@ -161,103 +169,72 @@ class ResolvedRun:
     config_text: str
 
 
-def build_run(values: dict) -> ResolvedRun:
-    for key in _REQUIRED:
-        if key not in values:
+def _require(values: dict, families: set) -> None:
+    for key, spec in _SCHEMA.items():
+        if spec.required and spec.family in families and key not in values:
             raise ConfigError(f"missing required config key {key!r}")
-    try:
-        scheme = Scheme(values["scenario.scheme"])
-    except ValueError:
-        raise ConfigError(
-            f"scenario.scheme must be one of {[s.value for s in Scheme]}, "
-            f"got {values['scenario.scheme']!r}"
-        ) from None
-    family = {None: True, "fc": not scheme.local, "local": scheme.local, "cs": scheme.compressed}
-    unused = [key for key in values if not family[_SCHEMA[key][1]]]
+
+
+def _fields(cls, values: dict) -> dict:
+    """Keyword arguments for dataclass ``cls`` from the given keys that set its fields."""
+    return {_SCHEMA[k].field: v for k, v in values.items() if _SCHEMA[k].field in cls.__dataclass_fields__}
+
+
+def build_run(values: dict) -> ResolvedRun:
+    _require(values, {None})
+    scheme = Scheme(values["scenario.scheme"])
+    families = {None, "local" if scheme.local else "fc", "cs" if scheme.compressed else None}
+    unused = [key for key in values if _SCHEMA[key].family not in families]
     if unused:
         raise ConfigError(f"scheme {scheme.value} does not use {', '.join(unused)}")
+    _require(values, families)
     try:
-        channel = ChannelConfig(
-            n_nodes=values["channel.n_nodes"],
-            n_taps=values["channel.n_taps"],
-            rho=values["channel.rho"],
-            pdp=values.get("channel.pdp"),
-            normalize_kronecker=values.get("channel.normalize_kronecker", True),
-        )
-        if values.get("detector.scale", "chi2") != "chi2":
-            raise ConfigError(f"detector.scale must be chi2, got {values['detector.scale']!r}")
-        codec = None
-        if scheme.compressed:
-            if "cs.m" not in values:
-                raise ConfigError(f"scheme {scheme.value} requires cs.m")
-            codec = CsCodecConfig(
-                m=values["cs.m"],
-                basis=values.get("cs.basis", "dct"),
-                max_atoms=values.get("cs.max_atoms"),
-                residual_tol=values.get("cs.residual_tol", 1e-6),
-            )
-        variants = _build_variants(scheme, values)
+        variants = _build_variants(scheme, families, values)
         scenario = Scenario(
-            scheme=scheme,
-            channel=channel,
+            channel=ChannelConfig(**_fields(ChannelConfig, values)),
             detector=variants[0].detector,
-            snr_grid_db=values["scenario.snr_db"],
-            trials=values["scenario.trials"],
-            seed=values["scenario.seed"],
             fusion=variants[0].rule,
-            codec=codec,
+            codec=CsCodecConfig(**_fields(CsCodecConfig, values)) if scheme.compressed else None,
+            **_fields(Scenario, values),
         )
-    except ConfigError:
-        raise
     except ValueError as exc:  # messages open with the offending field
         field, _, rest = str(exc).partition(" ")
-        raise ConfigError(f"{_FIELD_KEYS.get(field, field)} {rest}".rstrip()) from None
-    return ResolvedRun(
-        scenario=scenario,
-        variants=variants,
-        compare_uncompressed=bool(values.get("cs.compare_uncompressed", False)),
-        config_text=canonical_config(values),
-    )
+        key = next((key for key, spec in _SCHEMA.items() if spec.field == field), field)
+        raise ConfigError(f"{key} {rest}".rstrip()) from None
+    return ResolvedRun(scenario, variants, values.get("cs.compare_uncompressed", False), canonical_config(values))
 
 
-def _build_variants(scheme: Scheme, values: dict) -> list[Variant]:
+def _build_variants(scheme: Scheme, families: set, values: dict) -> list[Variant]:
     """Expand the threshold list (times the fusion-rule list, for local schemes) into labelled variants."""
-    sfx = "_n" if scheme.local else ""
-    given = [field for field in (f"delta{sfx}", f"target_pfa{sfx}") if f"detector.{field}" in values]
+    options = [key for key, spec in _SCHEMA.items()
+               if spec.family in families and spec.field in DetectorConfig.__dataclass_fields__]
+    given = [key for key in options if key in values]
     if len(given) != 1:
-        raise ConfigError(f"scheme {scheme.value} needs exactly one of detector.delta{sfx} / detector.target_pfa{sfx}")
-    field = given[0]
-    if not values[f"detector.{field}"]:
-        raise ConfigError(f"detector.{field} must list at least one value")
-    rules = [None]
-    if scheme.local:
-        rules = []
-        for name in values.get("detector.rules", ("majority",)):
-            if name not in _RULE_NAMES:
-                raise ConfigError(f"detector.rules: unknown fusion rule {name!r}")
-            rules.append(FusionRule(kind=_RULE_NAMES[name], avg_threshold=values.get("detector.avg_threshold", 0.5)))
-        if not rules:
-            raise ConfigError("detector.rules must list at least one rule")
-    tag = field.replace("target_", "")
+        raise ConfigError(f"scheme {scheme.value} needs exactly one of {' / '.join(options)}")
+    key = given[0]
+    field, levels = _SCHEMA[key].field, values[key]
+    names = values.get("detector.rules", ("majority",)) if scheme.local else (None,)
+    unknown = [name for name in names if name and name not in _RULE_NAMES]
+    if unknown:
+        raise ConfigError(f"detector.rules: unknown fusion rule {unknown[0]!r}")
+    for listing, labels in ((key, [_format_float(v) for v in levels]), ("detector.rules", names)):
+        if len(set(labels)) < len(labels):
+            raise ConfigError(f"{listing} lists values that print alike, so two curves would share a label")
     return [
         Variant(
-            label=f"{tag}={value:g}" + (f" rule={rule.kind.value}" if rule else ""),
-            detector=DetectorConfig(**{field: value}),
-            rule=rule,
+            label=f"{field.replace('target_', '')}={_format_float(level)}" + (f" rule={name}" if name else ""),
+            detector=DetectorConfig(**{field: level}),
+            rule=FusionRule(kind=name, **_fields(FusionRule, values)) if name else None,
         )
-        for value in values[f"detector.{field}"]
-        for rule in rules
+        for level in levels
+        for name in names
     ]
 
 
 def canonical_config(values: dict) -> str:
-    parts = []
-    for key in sorted(values):
-        v = values[key]
-        if isinstance(v, tuple):
-            v = ",".join(str(x) for x in v)
-        parts.append(f"{key}={v}")
-    return ";".join(parts)
+    """``key=value`` pairs in key order, lists comma-joined: the CSV's ``# config:`` line."""
+    pairs = sorted(values.items())
+    return ";".join(f"{key}={','.join(map(str, v)) if isinstance(v, tuple) else v}" for key, v in pairs)
 
 
 def load_config_file(spec: str) -> tuple[str, str]:

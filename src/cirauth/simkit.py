@@ -66,6 +66,8 @@ class Scheme(str, enum.Enum):
 _PHI_STREAM = 1 << 62
 _MAX_TRIALS = 1 << 31
 _MAX_SNR_POINTS = 1 << 20
+# Bound on |SNR| in dB, inside which the noise variance and every stage after it stay finite.
+_MAX_ABS_SNR_DB = 1000.0
 # Cap on a trial block's standard normals (1 MiB).  Counts depend on
 # neither cap.
 _BLOCK_NORMALS = 1 << 17
@@ -113,10 +115,11 @@ class Scenario:
         object.__setattr__(self, "snr_grid_db", tuple(float(s) for s in self.snr_grid_db))
         if not self.snr_grid_db:
             raise ValueError("snr_grid_db must be nonempty")
-        if not all(math.isfinite(s) for s in self.snr_grid_db):
-            raise ValueError(f"snr_grid_db entries must be finite, got {self.snr_grid_db}")
+        bad = [s for s in self.snr_grid_db if not abs(s) <= _MAX_ABS_SNR_DB]
+        if bad:
+            raise ValueError(f"snr_grid_db entries must be finite and within +-{_MAX_ABS_SNR_DB:g} dB, got {bad[0]}")
         if len(self.snr_grid_db) > _MAX_SNR_POINTS:
-            raise ValueError("snr grid too large for the substream packing")
+            raise ValueError(f"snr_grid_db has more than {_MAX_SNR_POINTS} points, the substream packing's limit")
         if self.trials < 1:
             raise ValueError(f"trials must be positive, got {self.trials}")
         if self.trials > _MAX_TRIALS:

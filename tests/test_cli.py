@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 import cirauth
-from cirauth import cli
-from cirauth.detect import FusionKind
+from cirauth import cli, simkit
+from cirauth.detect import DetectorConfig, FusionKind
 from cirauth.cli import (
     ConfigError,
     PRESET_NAMES,
@@ -34,6 +34,37 @@ channel.pdp = 1,1,1
 channel.normalize_kronecker = false
 detector.delta = 100,120
 """
+
+
+def _preset_values(preset: str, overrides: dict) -> dict:
+    """A preset's parsed values with overrides applied; an override of None drops the key."""
+    text, display = load_config_file(preset)
+    values = apply_overrides(parse_config(text, display), [f"{k}={v}" for k, v in overrides.items() if v])
+    return {k: v for k, v in values.items() if overrides.get(k, "") is not None}
+
+
+# Config key that sets a dataclass field -> (preset of its family, a valid value
+# other than the field's default, further overrides that value needs).
+_NON_DEFAULT = {
+    "scenario.scheme": ("fig2", "fc_raw_cs", {"cs.m": "30"}),
+    "scenario.snr_db": ("fig2", "1,2.5", {}),
+    "scenario.trials": ("fig2", "7", {}),
+    "scenario.seed": ("fig2", "123", {}),
+    "channel.n_nodes": ("fig2", "4", {}),
+    "channel.n_taps": ("fig2", "3", {"channel.pdp": "1,1,1"}),
+    "channel.rho": ("fig2", "0.5", {}),
+    "channel.pdp": ("fig2", "1,2,3,4,5,6", {}),
+    "channel.normalize_kronecker": ("fig2", "false", {}),
+    "detector.delta": ("fig2", "111,222", {}),
+    "detector.target_pfa": ("fig2", "0.01,0.001", {"detector.delta": None}),
+    "detector.delta_n": ("fig3", "20,30", {}),
+    "detector.target_pfa_n": ("fig3", "0.01,0.001", {"detector.delta_n": None}),
+    "detector.avg_threshold": ("fig3", "0.3", {}),
+    "cs.m": ("fig5", "60", {}),
+    "cs.basis": ("fig4", "identity", {}),
+    "cs.max_atoms": ("fig5", "20", {}),
+    "cs.residual_tol": ("fig5", "0.001", {}),
+}
 
 
 class TestParsing:
@@ -104,6 +135,50 @@ class TestBuildRun:
             text, display = load_config_file(name)
             run = build_run(parse_config(text, display))
             assert run.scenario.trials >= 1000
+
+    def test_labels_keep_ten_significant_digits(self):
+        run = build_run(_preset_values("fig2", {"detector.delta": "300.0001,300.0002"}))
+        assert [v.label for v in run.variants] == ["delta=300.0001", "delta=300.0002"]
+
+    def test_labels_that_still_collide_name_their_key(self):
+        with pytest.raises(ConfigError, match="detector.delta "):
+            build_run(_preset_values("fig2", {"detector.delta": "300.00000000001,300.00000000002"}))
+
+    def test_grid_past_the_substream_packing_names_its_key(self):
+        values = _preset_values("fig2", {})
+        values["scenario.snr_db"] = tuple(float(i % 10) for i in range(simkit._MAX_SNR_POINTS + 1))
+        with pytest.raises(ConfigError) as err:
+            build_run(values)
+        assert str(err.value).startswith("scenario.snr_db ")
+
+    @pytest.mark.parametrize("key", [key for key, spec in cli._SCHEMA.items() if spec.field])
+    def test_every_field_key_reaches_its_field(self, key):
+        preset, raw, extra = _NON_DEFAULT[key]
+        run = build_run(_preset_values(preset, {key: raw, **extra}))
+        field, want = cli._SCHEMA[key].field, cli._SCHEMA[key].parse(raw)
+        holders = [run.scenario, run.scenario.channel, run.scenario.codec]
+        holders += [part for v in run.variants for part in (v.detector, v.rule)]
+        landed = [getattr(h, field) for h in holders if hasattr(h, field)]
+        if field in DetectorConfig.__dataclass_fields__:  # one threshold per variant
+            landed = [tuple(dict.fromkeys(landed))]
+        assert landed and all(got == want for got in landed), (landed, want)
+
+    def test_keys_without_a_field(self):
+        assert [key for key, spec in cli._SCHEMA.items() if not spec.field] == [
+            "detector.scale", "detector.rules", "cs.compare_uncompressed"
+        ]
+
+    @pytest.mark.parametrize("key", [key for key, spec in cli._SCHEMA.items() if spec.required])
+    def test_missing_required_key_exit_2(self, tmp_path, capsys, key):
+        preset = "fig5" if cli._SCHEMA[key].family == "cs" else "fig2"
+        text, hits = re.subn(rf"(?m)^{re.escape(key)} = .*$", "", load_config_file(preset)[0])
+        assert hits == 1
+        cfg, out = tmp_path / "c.cfg", tmp_path / "o.csv"
+        cfg.write_text(text)
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "missing required config key" in err and key in err
+        assert not out.exists()
 
 
 class TestThresholdsCommand:
@@ -207,6 +282,11 @@ class TestRunCommand:
             ("fig2", "scenario.snr_db=0:1:inf"),
             ("fig2", "scenario.snr_db=0:inf:10"),
             ("fig3", "detector.delta_n=1:1:inf"),
+            ("fig2", "scenario.snr_db=-4000"),
+            ("fig2", "scenario.snr_db=4000"),
+            ("fig4", "cs.basis=foo"),
+            ("fig3", "detector.delta_n=5,5"),
+            ("fig3", "detector.rules=or,OR"),
         ],
     )
     def test_invalid_values_exit_2_without_csv(self, tmp_path, capsys, preset, override):
