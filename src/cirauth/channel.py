@@ -170,10 +170,12 @@ def channel_block(normals: np.ndarray, cfg: ChannelConfig) -> np.ndarray:
     1/sqrt(tr R) = 1/sqrt(N) when ``normalize_kronecker`` is on.
     """
     L, n = cfg.n_taps, cfg.n_nodes
-    iid = complex_from_normals(normals.reshape(-1, 2 * L * n)).reshape(-1, L, n)
-    h = (iid * np.sqrt(cfg.pdp_array)[:, None]).reshape(-1, n) @ _correlation_factor(n, cfg.rho).T
+    # splitting the last axis is a view, even of the engine's strided slice of its normals
+    iid = complex_from_normals(normals.reshape(len(normals), 2, 2 * L * n)).reshape(-1, L, n)
+    iid *= np.sqrt(cfg.pdp_array)[:, None]
+    h = iid.reshape(-1, n) @ _correlation_factor(n, cfg.rho).T
     if cfg.normalize_kronecker:
-        h = h / math.sqrt(n)
+        h /= math.sqrt(n)
     return h.reshape(-1, 2, L, n)
 
 
@@ -184,8 +186,9 @@ def noise_variance(snr_db: float) -> float:
 
 def _noise_rows(normals: np.ndarray, sigma2: np.ndarray, n_taps: int) -> np.ndarray:
     """Stacked noise rows (T, N*L) from (T, 2*N*L) normals; ``sigma2`` broadcasts to (T, N)."""
-    unit = complex_from_normals(normals).reshape(len(normals), -1, n_taps)
-    return (unit * np.sqrt(sigma2)[..., None]).reshape(len(normals), -1)
+    noise = complex_from_normals(normals).reshape(len(normals), -1, n_taps)
+    noise *= np.sqrt(sigma2)[..., None]
+    return noise.reshape(len(normals), -1)
 
 
 def measure_block(normals: np.ndarray, cfg: ChannelConfig, eve: np.ndarray, sigma2: np.ndarray):
@@ -198,9 +201,7 @@ def measure_block(normals: np.ndarray, cfg: ChannelConfig, eve: np.ndarray, sigm
     k = 4 * cfg.n_taps * cfg.n_nodes
     h = stack_columns(channel_block(normals[:, :k], cfg))  # (T, 2, N*L): alice, eve
     z = _noise_rows(normals[:, k:], np.asarray(sigma2)[:, None], cfg.n_taps)
-    eve = np.asarray(eve, dtype=bool)[:, None]
-    np.add(z, h[:, 0], out=z, where=~eve)
-    np.add(z, h[:, 1], out=z, where=eve)
+    z += np.where(np.asarray(eve, dtype=bool)[:, None], h[:, 1], h[:, 0])
     return h[:, 0], z
 
 

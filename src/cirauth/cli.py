@@ -217,6 +217,9 @@ def _build_variants(scheme: Scheme, families: set, values: dict) -> list[Variant
     unknown = [name for name in names if name and name not in _RULE_NAMES]
     if unknown:
         raise ConfigError(f"detector.rules: unknown fusion rule {unknown[0]!r}")
+    if "detector.avg_threshold" in values and FusionKind.WEIGHTED_AVERAGE.value not in names:
+        raise ConfigError("detector.avg_threshold is read only by the weighted_average rule, "
+                          "which detector.rules does not list")
     for listing, labels in ((key, [_format_float(v) for v in levels]), ("detector.rules", names)):
         if len(set(labels)) < len(labels):
             raise ConfigError(f"{listing} lists values that print alike, so two curves would share a label")

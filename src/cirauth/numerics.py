@@ -3,8 +3,11 @@
 Counter-based random streams, circularly-symmetric complex Gaussian
 sampling, chi-squared distribution functions, and the PSD Cholesky
 factorization the simulator needs.  Everything here is a pure function
-of its inputs; ``Rng`` is the only stateful object, and
-:func:`standard_normal_rows` draws a block of per-trial streams at once.
+of its inputs; ``Rng`` is the only stateful object.
+:func:`standard_normal_rows` draws a block of per-trial streams at once
+from one Philox, re-keyed per row through a state dict of plain Python
+ints, and :func:`complex_from_normals` scales the normals straight into
+the real and imaginary parts of one complex array.
 """
 
 from __future__ import annotations
@@ -56,10 +59,9 @@ class Rng:
         return f"Rng(seed={self.seed}, stream_id={self.stream_id})"
 
 
-def _check_u64(name: str, value: int) -> int:
+def _check_u64(name: str, value: int) -> None:
     if not 0 <= value < _U64:
         raise ValueError(f"{name} must be an unsigned 64-bit integer, got {value}")
-    return value
 
 
 def standard_normal_rows(seed: int, stream_ids, width: int) -> np.ndarray:
@@ -67,12 +69,22 @@ def standard_normal_rows(seed: int, stream_ids, width: int) -> np.ndarray:
 
     One Philox is re-keyed per row through its ``state`` setter (key and
     counter are its whole state), which is cheaper than a fresh ``Rng``.
+    The state is one dict of plain Python ints, built once per block;
+    each row only sets ``key[1] = stream_id``.  The ids' range is checked
+    once, by their minimum and maximum, before any row is drawn.
     """
-    bitgen = np.random.Philox(key=_check_u64("seed", seed))
+    _check_u64("seed", seed)
+    if len(stream_ids):
+        _check_u64("stream_id", min(stream_ids))
+        _check_u64("stream_id", max(stream_ids))
+    bitgen = np.random.Philox(key=seed)
     gen, state = np.random.Generator(bitgen), bitgen.state  # a fresh stream's state
+    state["state"] = {name: part.tolist() for name, part in state["state"].items()}
+    state["buffer"] = state["buffer"].tolist()
+    key = state["state"]["key"]  # (seed, stream_id)
     out = np.empty((len(stream_ids), width))
     for row, stream_id in zip(out, stream_ids):
-        state["state"]["key"][1] = _check_u64("stream_id", stream_id)  # key = (seed, stream_id)
+        key[1] = stream_id
         bitgen.state = state
         gen.standard_normal(out=row)
     return out
@@ -81,8 +93,11 @@ def standard_normal_rows(seed: int, stream_ids, width: int) -> np.ndarray:
 def complex_from_normals(parts: np.ndarray, variance: float = 1.0) -> np.ndarray:
     """CN(0, variance) entries: the last axis' first half is real, its second half imaginary."""
     half = parts.shape[-1] // 2
-    parts = parts * math.sqrt(variance / 2.0)
-    return parts[..., :half] + 1j * parts[..., half:]
+    scale = math.sqrt(variance / 2.0)
+    out = np.empty(parts.shape[:-1] + (half,), dtype=np.complex128)
+    np.multiply(parts[..., :half], scale, out=out.real)
+    np.multiply(parts[..., half:], scale, out=out.imag)
+    return out
 
 
 def sample_complex_gaussian(rng: Rng, n: int, variance: float) -> np.ndarray:

@@ -26,7 +26,6 @@ same block.
 from __future__ import annotations
 
 import enum
-import math
 import os
 from dataclasses import dataclass
 from functools import lru_cache
@@ -93,8 +92,8 @@ class CsCodecConfig:
             raise ValueError(f"m must be positive, got {self.m}")
         if self.max_atoms is not None and self.max_atoms < 1:
             raise ValueError(f"max_atoms must be positive, got {self.max_atoms}")
-        if not 0.0 <= self.residual_tol < math.inf:
-            raise ValueError(f"residual_tol must be finite and nonnegative, got {self.residual_tol}")
+        if not 0.0 <= self.residual_tol < 1.0:
+            raise ValueError(f"residual_tol must lie in [0, 1), got {self.residual_tol}")
 
 
 @dataclass(frozen=True)
@@ -285,7 +284,12 @@ def _count_range(args) -> np.ndarray:
             h_ref, z = measure_block(standard_normal_rows(scenario.seed, streams, width), cfg, eve, sigma2[s])
             batch.append((row, s, h_ref, z))
         row, s, h_ref, z = batch[0] if len(batch) == 1 else (np.concatenate(x) for x in zip(*batch))
-        np.add.at(counts, row, _block_decisions(scenario, thresholds, rule_groups, twin, sigma2[s, None], h_ref, z))
+        decisions = _block_decisions(scenario, thresholds, rule_groups, twin, sigma2[s, None], h_ref, z)
+        # a batch's flat trials are consecutive, so ``row`` never decreases and runs through
+        # every counts row from its first to its last: sum each run of it
+        first, last = row[0], row[-1]
+        runs = np.searchsorted(row, np.arange(first, last + 1))
+        counts[first : last + 1] += np.add.reduceat(decisions, runs, dtype=np.int64)
     return counts
 
 

@@ -115,8 +115,8 @@ class CsCodec:
             max_atoms = math.ceil(m / 8)
         if max_atoms < 1:
             raise ValueError(f"max_atoms must be positive, got {max_atoms}")
-        if not 0.0 <= residual_tol < math.inf:
-            raise ValueError(f"residual_tol must be finite and nonnegative, got {residual_tol}")
+        if not 0.0 <= residual_tol < 1.0:
+            raise ValueError(f"residual_tol must lie in [0, 1), got {residual_tol}")
         self.phi = phi
         self.psi = psi
         self.max_atoms = int(max_atoms)
@@ -332,6 +332,8 @@ def omp(
         raise ValueError(f"y must have length {m}, got {y.shape}")
     if max_atoms < 1:
         raise ValueError(f"max_atoms must be positive, got {max_atoms}")
+    if not 0.0 <= residual_tol < 1.0:
+        raise ValueError(f"residual_tol must lie in [0, 1), got {residual_tol}")
     if gram is None:
         gram = a.T @ a
     if np.any(np.diagonal(gram) == 0):

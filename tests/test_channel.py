@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cirauth.channel import (
     ChannelConfig,
@@ -12,7 +16,8 @@ from cirauth.channel import (
     noise_variance,
     stack_columns,
 )
-from cirauth.numerics import Rng, sample_complex_gaussian, standard_normal_rows
+from cirauth.channel import _correlation_factor
+from cirauth.numerics import Rng, complex_from_normals, sample_complex_gaussian, standard_normal_rows
 
 
 class TestExpCorrelation:
@@ -219,3 +224,90 @@ class TestMeasureBlock:
             occ = Occupant.EVE if eve[i] else Occupant.ALICE
             assert np.array_equal(h_ab[i], stack_columns(ens.h_ab))
             assert np.array_equal(z[i], measure(rng, ens, occ, NoiseModel.from_snr_db(snrs[i], 5, 3)).z_star)
+
+
+# The measurement front end as first written (scaled copies, ``1j * x`` sums and masked
+# adds), frozen here as the bit-level reference for the in-place version in ``src``.
+def _ref_complex_from_normals(parts, variance=1.0):
+    half = parts.shape[-1] // 2
+    parts = parts * math.sqrt(variance / 2.0)
+    return parts[..., :half] + 1j * parts[..., half:]
+
+
+def _ref_channel_block(normals, cfg):
+    L, n = cfg.n_taps, cfg.n_nodes
+    iid = _ref_complex_from_normals(normals.reshape(-1, 2 * L * n)).reshape(-1, L, n)
+    h = (iid * np.sqrt(cfg.pdp_array)[:, None]).reshape(-1, n) @ _correlation_factor(n, cfg.rho).T
+    if cfg.normalize_kronecker:
+        h = h / math.sqrt(n)
+    return h.reshape(-1, 2, L, n)
+
+
+def _ref_noise_rows(normals, sigma2, n_taps):
+    unit = _ref_complex_from_normals(normals).reshape(len(normals), -1, n_taps)
+    return (unit * np.sqrt(sigma2)[..., None]).reshape(len(normals), -1)
+
+
+def _ref_measure_block(normals, cfg, eve, sigma2):
+    k = 4 * cfg.n_taps * cfg.n_nodes
+    h = stack_columns(_ref_channel_block(normals[:, :k], cfg))
+    z = _ref_noise_rows(normals[:, k:], np.asarray(sigma2)[:, None], cfg.n_taps)
+    eve = np.asarray(eve, dtype=bool)[:, None]
+    np.add(z, h[:, 0], out=z, where=~eve)
+    np.add(z, h[:, 1], out=z, where=eve)
+    return h[:, 0], z
+
+
+_POSITIVE = st.floats(1e-3, 1e3)
+
+
+@st.composite
+def _front_end_cases(draw):
+    n, L = draw(st.integers(1, 6), label="nodes"), draw(st.integers(1, 4), label="taps")
+    cfg = ChannelConfig(
+        n_nodes=n,
+        n_taps=L,
+        rho=draw(st.sampled_from([0.0, 0.5, 1.0]), label="rho"),
+        pdp=draw(st.lists(st.floats(0.0, 4.0), min_size=L, max_size=L), label="pdp"),
+        normalize_kronecker=draw(st.booleans(), label="normalize"),
+    )
+    t = draw(st.integers(1, 5), label="trials")
+    eve = np.array(draw(st.lists(st.booleans(), min_size=t, max_size=t), label="eve"), dtype=bool)
+    sigma2 = np.array(draw(st.lists(_POSITIVE, min_size=t, max_size=t), label="sigma2"))
+    node_sigma2 = tuple(draw(st.lists(_POSITIVE, min_size=n, max_size=n), label="node sigma2"))
+    return cfg, eve, sigma2, node_sigma2, draw(st.integers(0, (1 << 64) - 1), label="seed")
+
+
+class TestFrontEndReference:
+    """Every stage from normals to measurements is bit-equal to the frozen reference."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(parts=st.integers(0, 6), variance=_POSITIVE, seed=st.integers(0, 1 << 32))
+    def test_complex_from_normals(self, parts, variance, seed):
+        normals = np.random.default_rng(seed).standard_normal((3, 2 * parts))
+        for args in ((normals,), (normals, variance)):
+            got = complex_from_normals(*args)
+            assert got.shape == (3, parts) and got.dtype == np.complex128
+            assert np.array_equal(got, _ref_complex_from_normals(*args))
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_front_end_cases())
+    def test_measure_block_and_per_trial_api(self, case):
+        cfg, eve, sigma2, node_sigma2, seed = case
+        t, width = len(eve), 2 * cfg.n_nodes * cfg.n_taps
+        normals = np.random.default_rng(seed).standard_normal((t, 3 * width))
+        h_ab, z = measure_block(normals, cfg, eve, sigma2)
+        want_h_ab, want_z = _ref_measure_block(normals, cfg, eve, sigma2)
+        assert h_ab.shape == z.shape == (t, width // 2)
+        assert np.array_equal(h_ab, want_h_ab) and np.array_equal(z, want_z)
+
+        noise = NoiseModel(sigma2=node_sigma2, n_taps=cfg.n_taps)
+        for occupant in Occupant:
+            rng, ref = Rng(seed, 5), Rng(seed, 5)
+            ens = draw_channel(rng, cfg)
+            want = _ref_channel_block(ref.standard_normal((1, 2 * width)), cfg)[0]
+            assert np.array_equal(ens.h_ab, want[0]) and np.array_equal(ens.h_eb, want[1])
+            got = measure(rng, ens, occupant, noise).z_star
+            h = stack_columns(want[0] if occupant is Occupant.ALICE else want[1])
+            v = _ref_noise_rows(ref.standard_normal((1, width)), np.asarray(node_sigma2), cfg.n_taps)[0]
+            assert np.array_equal(got, h + v)

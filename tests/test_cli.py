@@ -271,6 +271,9 @@ class TestRunCommand:
             ("fig3", "detector.delta_n=-5"),
             ("fig2", "channel.pdp=1,1,1,1,1,nan"),
             ("fig5", "cs.residual_tol=nan"),
+            ("fig4", "cs.residual_tol=1e300"),
+            ("fig4", "cs.residual_tol=2"),
+            ("fig5", "cs.residual_tol=1"),
             ("fig5", "cs.max_atoms=0"),
             ("fig2", "scenario.snr_db=inf"),
             ("fig5", "scenario.seed=-1"),
@@ -319,6 +322,28 @@ class TestRunCommand:
         assert err.startswith("error: scheme ")
         assert all(o.partition("=")[0] in err for o in overrides)  # names every key the scheme ignores
         assert not out.exists()
+
+    @pytest.mark.parametrize("rules", ["or", "majority,single", None])  # None: the default majority
+    def test_avg_threshold_without_weighted_average_exits_2(self, tmp_path, capsys, rules):
+        out = tmp_path / "o.csv"
+        sets = ["detector.avg_threshold=0.3"] + ([f"detector.rules={rules}"] if rules else [])
+        text = load_config_file("fig3")[0].replace("detector.rules =", "# detector.rules =")
+        cfg = tmp_path / "fig3.cfg"
+        cfg.write_text(text)
+        argv = ["run", "--config", str(cfg), "--out", str(out)] + [a for o in sets for a in ("--set", o)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "detector.avg_threshold" in err and "weighted_average" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rules", ["weighted_average", "or,weighted_average"])
+    def test_avg_threshold_with_weighted_average_runs(self, tmp_path, rules):
+        out = tmp_path / "o.csv"
+        argv = ["run", "--config", "fig3", "--out", str(out), "--set", "scenario.trials=2",
+                "--set", "scenario.snr_db=0", "--set", f"detector.rules={rules}",
+                "--set", "detector.avg_threshold=0.3"]
+        assert main(argv) == 0
+        assert "detector.avg_threshold=0.3" in out.read_text()
 
     @pytest.mark.parametrize("preset", PRESET_NAMES)
     def test_scale_applies_to_every_scheme(self, tmp_path, preset):

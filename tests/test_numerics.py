@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -65,6 +66,16 @@ class TestStandardNormalRows:
             standard_normal_rows(-1, [0], 3)
         with pytest.raises(ValueError):
             standard_normal_rows(0, [0, 1 << 64], 3)
+
+    @pytest.mark.parametrize("position", [0, 2, 4])  # first, middle, last
+    @pytest.mark.parametrize("bad", [-1, 1 << 64])
+    def test_out_of_range_id_raises_before_drawing(self, position, bad):
+        ids = [3, 1 << 63, 4, 0, (1 << 64) - 1]
+        ids[position] = bad
+        with mock.patch.object(np.random, "Generator", wraps=np.random.Generator) as gen:
+            with pytest.raises(ValueError, match=f"stream_id .* got {bad}"):
+                standard_normal_rows(7, ids, 3)
+        gen.assert_not_called()
 
 
 class TestComplexGaussian:

@@ -420,6 +420,39 @@ class TestBlockSplitInvariance:
         assert call.args[2].tolist() == [True, True, False, False] * 3
 
 
+class TestCountRange:
+    """``_count_range`` sums each row's decisions exactly as ``np.add.at`` over the flat trials would."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=st.sampled_from(sorted(_EQUIVALENCE_CASES)), data=st.data())
+    def test_counts_equal_add_at_over_block_decisions(self, case, data):
+        scenario, variants = _EQUIVALENCE_CASES[case]
+        thresholds, rule_groups = simkit._resolve(scenario, variants)
+        trials, twin = scenario.trials, scenario.codec is not None
+        # [lo, hi) starts in point 0's eve trials and ends in point 1's
+        lo = data.draw(st.integers(0, trials - 1), label="lo")
+        hi = data.draw(st.integers(2 * trials + 1, 4 * trials), label="hi")
+        height = data.draw(st.integers(1, hi - lo), label="trials per block")
+        batch_cap = data.draw(st.sampled_from([0, 1 << 60]), label="batch cap")
+        width = 6 * scenario.channel.n_nodes * scenario.channel.n_taps
+        decisions, decide = [], simkit._block_decisions
+
+        def spy(*args):
+            decisions.append(decide(*args))
+            return decisions[-1]
+
+        with mock.patch.object(simkit, "_BLOCK_NORMALS", height * width), \
+                mock.patch.object(simkit, "_BATCH_FACTOR", batch_cap), \
+                mock.patch.object(simkit, "_block_decisions", spy):
+            got = simkit._count_range((scenario, thresholds, rule_groups, twin, lo, hi))
+        decided = np.concatenate(decisions)  # the flat trials in order, one row each
+        assert decided.shape == (hi - lo, len(thresholds) * (1 + twin))
+        want = np.zeros_like(got)
+        np.add.at(want, np.arange(lo, hi) // trials, decided)
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+        assert 0 < want.sum() < decided.size  # the comparison has teeth
+
+
 class TestRecoveryBatches:
     """Batch-OMP calls of preset runs: consecutive blocks share one under the factor cap, distinct reports only."""
 

@@ -132,8 +132,11 @@ class TestCsCodec:
         phi = gaussian_phi(Rng(61, 0), 30, 40)
         with pytest.raises(ValueError):
             CsCodec(phi, max_atoms=0)
-        with pytest.raises(ValueError):
-            CsCodec(phi, residual_tol=-1.0)
+        for tol in (-1.0, 1.0, 2.0, 1e300, float("nan")):  # OMP's tolerance is a fraction of ||y||
+            with pytest.raises(ValueError, match="residual_tol"):
+                CsCodec(phi, residual_tol=tol)
+            with pytest.raises(ValueError, match="residual_tol"):
+                omp(phi[:, 0], phi, max_atoms=2, residual_tol=tol)
 
 
 class TestOmp:
