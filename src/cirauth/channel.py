@@ -136,7 +136,7 @@ class MeasurementBatch:
 def stack_columns(h: np.ndarray) -> np.ndarray:
     """Stack (..., L, N) matrices node-major to (..., N*L): node 1's L taps first."""
     h = np.asarray(h)
-    return np.swapaxes(h, -1, -2).reshape(h.shape[:-2] + (-1,))
+    return np.swapaxes(h, -1, -2).reshape(h.shape[:-2] + (h.shape[-2] * h.shape[-1],))
 
 
 def exp_correlation_matrix(n: int, rho: float) -> np.ndarray:
@@ -169,14 +169,14 @@ def channel_block(normals: np.ndarray, cfg: ChannelConfig) -> np.ndarray:
     F with F^H F = R gives the same output distribution), then scaled by
     1/sqrt(tr R) = 1/sqrt(N) when ``normalize_kronecker`` is on.
     """
-    L, n = cfg.n_taps, cfg.n_nodes
+    T, L, n = len(normals), cfg.n_taps, cfg.n_nodes
     # splitting the last axis is a view, even of the engine's strided slice of its normals
-    iid = complex_from_normals(normals.reshape(len(normals), 2, 2 * L * n)).reshape(-1, L, n)
+    iid = complex_from_normals(normals.reshape(T, 2, 2 * L * n)).reshape(2 * T, L, n)
     iid *= np.sqrt(cfg.pdp_array)[:, None]
-    h = iid.reshape(-1, n) @ _correlation_factor(n, cfg.rho).T
+    h = iid.reshape(2 * T * L, n) @ _correlation_factor(n, cfg.rho).T
     if cfg.normalize_kronecker:
         h /= math.sqrt(n)
-    return h.reshape(-1, 2, L, n)
+    return h.reshape(T, 2, L, n)
 
 
 def noise_variance(snr_db: float) -> float:
@@ -186,9 +186,10 @@ def noise_variance(snr_db: float) -> float:
 
 def _noise_rows(normals: np.ndarray, sigma2: np.ndarray, n_taps: int) -> np.ndarray:
     """Stacked noise rows (T, N*L) from (T, 2*N*L) normals; ``sigma2`` broadcasts to (T, N)."""
-    noise = complex_from_normals(normals).reshape(len(normals), -1, n_taps)
+    T, width = normals.shape
+    noise = complex_from_normals(normals).reshape(T, width // (2 * n_taps), n_taps)
     noise *= np.sqrt(sigma2)[..., None]
-    return noise.reshape(len(normals), -1)
+    return noise.reshape(T, width // 2)
 
 
 def measure_block(normals: np.ndarray, cfg: ChannelConfig, eve: np.ndarray, sigma2: np.ndarray):

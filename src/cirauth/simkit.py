@@ -92,8 +92,7 @@ class CsCodecConfig:
             raise ValueError(f"m must be positive, got {self.m}")
         if self.max_atoms is not None and self.max_atoms < 1:
             raise ValueError(f"max_atoms must be positive, got {self.max_atoms}")
-        if not 0.0 <= self.residual_tol < 1.0:
-            raise ValueError(f"residual_tol must lie in [0, 1), got {self.residual_tol}")
+        sparse.check_residual_tol(self.residual_tol)
 
 
 @dataclass(frozen=True)
@@ -287,9 +286,9 @@ def _count_range(args) -> np.ndarray:
         decisions = _block_decisions(scenario, thresholds, rule_groups, twin, sigma2[s, None], h_ref, z)
         # a batch's flat trials are consecutive, so ``row`` never decreases and runs through
         # every counts row from its first to its last: sum each run of it
-        first, last = row[0], row[-1]
-        runs = np.searchsorted(row, np.arange(first, last + 1))
-        counts[first : last + 1] += np.add.reduceat(decisions, runs, dtype=np.int64)
+        lo_row, hi_row = row[0], row[-1]
+        runs = np.searchsorted(row, np.arange(lo_row, hi_row + 1))
+        counts[lo_row : hi_row + 1] += np.add.reduceat(decisions, runs, dtype=np.int64)
     return counts
 
 

@@ -46,6 +46,16 @@ class Basis(str, enum.Enum):
     IDENTITY = "identity"
 
 
+def check_residual_tol(residual_tol: float) -> None:
+    """Raise unless OMP's relative stop ``residual_tol`` lies in [0, 1).
+
+    At 1 or more OMP would stop before its first atom, and far above 1 the
+    kernel's squared tolerance overflows.
+    """
+    if not 0.0 <= residual_tol < 1.0:
+        raise ValueError(f"residual_tol must lie in [0, 1), got {residual_tol}")
+
+
 def gaussian_phi(rng: Rng, m: int, n: int) -> np.ndarray:
     """M x n measurement matrix with iid N(0, 1/M) entries.
 
@@ -115,8 +125,7 @@ class CsCodec:
             max_atoms = math.ceil(m / 8)
         if max_atoms < 1:
             raise ValueError(f"max_atoms must be positive, got {max_atoms}")
-        if not 0.0 <= residual_tol < 1.0:
-            raise ValueError(f"residual_tol must lie in [0, 1), got {residual_tol}")
+        check_residual_tol(residual_tol)
         self.phi = phi
         self.psi = psi
         self.max_atoms = int(max_atoms)
@@ -332,8 +341,7 @@ def omp(
         raise ValueError(f"y must have length {m}, got {y.shape}")
     if max_atoms < 1:
         raise ValueError(f"max_atoms must be positive, got {max_atoms}")
-    if not 0.0 <= residual_tol < 1.0:
-        raise ValueError(f"residual_tol must lie in [0, 1), got {residual_tol}")
+    check_residual_tol(residual_tol)
     if gram is None:
         gram = a.T @ a
     if np.any(np.diagonal(gram) == 0):

@@ -9,6 +9,7 @@ from cirauth.channel import (
     ChannelConfig,
     NoiseModel,
     Occupant,
+    channel_block,
     draw_channel,
     exp_correlation_matrix,
     measure,
@@ -300,6 +301,10 @@ class TestFrontEndReference:
         want_h_ab, want_z = _ref_measure_block(normals, cfg, eve, sigma2)
         assert h_ab.shape == z.shape == (t, width // 2)
         assert np.array_equal(h_ab, want_h_ab) and np.array_equal(z, want_z)
+        # an empty block keeps its shapes (the reference reshapes cannot infer them)
+        h_ab, z = measure_block(normals[:0], cfg, eve[:0], sigma2[:0])
+        assert h_ab.shape == z.shape == (0, width // 2) and z.dtype == np.complex128
+        assert channel_block(normals[:0, : 2 * width], cfg).shape == (0, 2, cfg.n_taps, cfg.n_nodes)
 
         noise = NoiseModel(sigma2=node_sigma2, n_taps=cfg.n_taps)
         for occupant in Occupant:

@@ -54,7 +54,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--preset", choices=cli.PRESET_NAMES, default="fig2")
     parser.add_argument("--trials", type=int, default=50, help="scenario.trials of one run")
     parser.add_argument("--repeats", type=int, default=20)
-    parser.add_argument("--seed", type=int, default=None, help="default: the preset's seed")
     args = parser.parse_args(argv)
 
     spent = dict.fromkeys(STAGES + ("estimate_curves",), 0.0)
@@ -66,8 +65,6 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory() as work:
         argv_run = ["run", "--config", args.preset, "--out", str(Path(work) / "o.csv"), "--workers", "1",
                     "--set", f"scenario.trials={args.trials}"]
-        if args.seed is not None:
-            argv_run += ["--seed", str(args.seed)]
         for repeat in range(args.repeats + 1):
             spent.update(dict.fromkeys(spent, 0.0))
             with redirect_stdout(io.StringIO()):
