@@ -655,3 +655,156 @@ class TestDecisionRecoveryAtomCap:
             x[i, Rng(seed, 0).generator.choice(100, ones, replace=False)] = 1.0
         u = reconstruct_decisions(compress(x, codec), codec)
         assert np.all(u.sum(axis=1) <= max_atoms)
+
+
+# The Batch-OMP kernel as it stood before stopped rows were retired by swap-remove
+# (every stop re-copied the filled slabs of every live row, keeping the rows in order),
+# frozen here as the bit-level reference for the kernel in ``src``.
+def _ref_batch_omp(ys, a, gram, max_atoms, residual_tol):
+    complex_y = np.iscomplexobj(ys)
+    ys = np.stack((ys.real, ys.imag), axis=1) if complex_y else ys[:, None, :]
+    ys = ys.astype(np.float64)
+    t, p, _ = ys.shape
+    n = gram.shape[0]
+    budget = min(int(max_atoms), n)
+    gdiag = gram.diagonal().copy()
+    ynorm2 = np.sum(np.square(ys).reshape(t, -1), axis=1)
+    coeffs = np.zeros((t, p, n))
+    errors = [None] * t
+    chosen = np.zeros((t, budget), dtype=np.intp)
+    count = np.zeros(t, dtype=np.intp)
+    history = np.zeros((t, budget + 1))
+    history[:, 0] = ynorm2
+
+    tol2 = residual_tol**2 * ynorm2
+    rows = np.flatnonzero(ynorm2 > tol2)
+    width = budget + n
+    c = ys[rows] @ a
+    yn2, tol2, zz = ynorm2[rows], tol2[rows], np.zeros(len(rows))
+    weight = np.tile(1.0 / gdiag, (len(rows), 1))
+    f = np.zeros((budget, len(rows), width))
+    f[np.arange(budget), :, np.arange(budget)] = 1.0
+    f_flat, slabs = f.reshape(-1), np.arange(budget) * len(rows) * width
+    z = np.zeros((budget, len(rows), p))
+    js = np.zeros((budget, len(rows)), dtype=np.intp)
+    zzs = np.zeros((budget, len(rows)))
+    sq, score, tmp = np.empty(c.shape), np.empty(weight.shape), np.empty((len(rows), 1, width))
+    parts, ar = np.arange(p), np.arange(0)
+    for k in range(budget):
+        if not len(rows):
+            break
+        if len(ar) != len(rows):
+            ar = np.arange(len(rows))
+            row_n, row_c, row_f = ar * n, (ar[:, None] * p + parts) * n, ar * width + budget
+        np.square(c, out=sq)
+        if p == 2:
+            np.add(sq[:, 0], sq[:, 1], out=score)
+            np.multiply(score, weight, out=score)
+        else:
+            np.multiply(sq[:, 0], weight, out=score)
+        j = score.argmax(axis=1)
+        jn = row_n + j
+        orthogonal = score.take(jn) <= 0.0
+        w = f_flat.take((row_f + j)[:, None] + slabs[:k])
+        gjj = gdiag.take(j)
+        d2 = gjj - np.add.reduce(w * w, axis=1)
+        dependent = d2 <= 1e-12 * gjj
+        broken = orthogonal | dependent
+        inv_d = 1.0 / np.sqrt(np.where(broken, gjj, d2))
+        fk = f[k]
+        gram.take(j, axis=0, out=fk[:, budget:], mode="clip")
+        np.matmul(w[:, None, :], f[:k].transpose(1, 0, 2), out=tmp)
+        fk -= tmp[:, 0]
+        fk *= inv_d[:, None]
+        zk = c.take(row_c + j[:, None]) * inv_d[:, None]
+        np.multiply(zk[:, :, None], fk[:, None, budget:], out=sq)
+        c -= sq
+        z[k], js[k] = zk, j
+        zz = zz + np.add.reduce(zk * zk, axis=1)
+        zzs[k] = zz
+        weight.put(jn, 0.0)
+        stop = broken | (np.maximum(yn2 - zz, 0.0) <= tol2) if k + 1 < budget else np.ones(len(rows), bool)
+        if not np.logical_or.reduce(stop):
+            continue
+        ended = np.flatnonzero(stop)
+        r = rows[ended]
+        history[r, 1 : k + 2] = np.maximum(yn2[ended, None] - zzs[: k + 1, ended].T, 0.0)
+        chosen[r, : k + 1] = js[: k + 1, ended].T
+        groups = ((ended, k + 1),)
+        if np.logical_or.reduce(broken):
+            for i in np.flatnonzero(broken):
+                errors[rows[i]] = (
+                    "residual is orthogonal to every remaining atom" if orthogonal[i]
+                    else f"atom {j[i]} is numerically dependent on the selected support"
+                )
+            groups = ((np.flatnonzero(broken), k), (np.flatnonzero(stop & ~broken), k + 1))
+        for done, kk in groups:
+            if len(done):
+                r = rows[done]
+                zd = np.ascontiguousarray(z[:kk, done].transpose(1, 2, 0))
+                fd = np.ascontiguousarray(f[:kk, done, :kk].transpose(1, 0, 2))
+                coeffs[r[:, None, None], parts[None, :, None], chosen[r, None, :kk]] = zd @ fd
+                count[r] = kk
+        keep = ~stop
+        rows, yn2, tol2, zz, c, weight = (x[keep] for x in (rows, yn2, tol2, zz, c, weight))
+        na = len(rows)
+        for x in (f, z, js, zzs):
+            x[: k + 1, :na] = x[: k + 1, keep]
+        f, z, js, zzs = (x[:, :na] for x in (f, z, js, zzs))
+        sq, score, tmp = sq[:na], score[:na], tmp[:na]
+    coeffs = coeffs[:, 0] + 1j * coeffs[:, 1] if complex_y else coeffs[:, 0]
+    return sparse._OmpResult(coeffs=coeffs, errors=errors, support=chosen, count=count, res2=history)
+
+
+def _padded_dependent_dictionary() -> np.ndarray:
+    a = np.eye(4)
+    a[:3, :3] = _near_dependent_dictionary()  # plus atom e4, so rows can go on past the dependent atom
+    return a
+
+
+@st.composite
+def _kernel_case(draw):
+    """(ys, a, gram, max_atoms, residual_tol) of a block whose rows stop at many different iterations."""
+    kind = draw(st.sampled_from(["decisions", "raw", "breakdown"]), label="kind")
+    if kind == "decisions":  # fig5-shaped: all-zero, one-hot, sparse and dense rows
+        codec = _fig5_codec()
+        ones = draw(st.lists(st.one_of(st.just(0), st.just(1), st.integers(2, 12), st.integers(13, 100)),
+                             min_size=1, max_size=10), label="ones per row")
+        seed = draw(st.integers(0, 2**32 - 1), label="seed")
+        x = np.zeros((len(ones), 100))
+        for i, k in enumerate(ones):
+            x[i, Rng(seed, i).generator.choice(100, k, replace=False)] = 1.0
+        ys, a, gram = compress(x, codec).y, codec.dictionary, codec.gram
+        max_atoms = draw(st.sampled_from([codec.max_atoms, 1, 12, codec.m]), label="max_atoms")
+    elif kind == "raw":  # fig4-shaped complex reports
+        codec = _fig4_codec()
+        ys, a, gram = compress(draw(_report_block(False), label="block"), codec).y, codec.dictionary, codec.gram
+        max_atoms = draw(st.sampled_from([codec.max_atoms, 7]), label="max_atoms")
+    else:  # the breakdown rows of test_breakdown_rows_flagged among random rows that go on
+        a, broken = draw(st.sampled_from([
+            (_span2_dictionary(), [[0.0, 0.0, 1.0], [1.0, 0.0, 2.0]]),
+            (_near_dependent_dictionary(), [[1.0, 3.0, 1.0]]),
+            (_padded_dependent_dictionary(), [[1.0, 3.0, 1.0, 0.0]]),
+        ]), label="dictionary")
+        others = draw(st.lists(st.lists(st.integers(-4, 4), min_size=a.shape[0], max_size=a.shape[0]),
+                               max_size=6), label="other rows")
+        ys = np.array(broken + others, dtype=float)
+        ys = ys[draw(st.permutations(range(len(ys))), label="order")]
+        gram = a.T @ a
+        max_atoms = draw(st.integers(1, a.shape[1] + 1), label="max_atoms")
+    if draw(st.booleans(), label="duplicate"):
+        ys = ys[draw(st.lists(st.integers(0, len(ys) - 1), min_size=1, max_size=2 * len(ys)), label="picks")]
+    residual_tol = draw(st.sampled_from([0.0, 1e-6, 0.1, 0.5]), label="residual_tol")
+    return np.ascontiguousarray(ys), a, gram, max_atoms, residual_tol
+
+
+class TestBatchOmpReference:
+    """The kernel is bit-identical to the frozen reference in every result field."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=_kernel_case())
+    def test_bit_identical(self, case):
+        got, want = sparse._batch_omp(*case), _ref_batch_omp(*case)
+        assert got.errors == want.errors
+        for field in ("coeffs", "support", "count", "res2"):
+            assert _same_bits(getattr(got, field), getattr(want, field)), field
