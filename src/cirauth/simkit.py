@@ -90,8 +90,9 @@ class CsCodecConfig:
         object.__setattr__(self, "basis", Basis(self.basis))
         if self.m < 1:
             raise ValueError(f"m must be positive, got {self.m}")
-        if self.max_atoms is not None and self.max_atoms < 1:
-            raise ValueError(f"max_atoms must be positive, got {self.max_atoms}")
+        if self.max_atoms is not None and not 1 <= self.max_atoms <= self.m:
+            # OMP places at most m independent atoms; past that it breaks down mid-run
+            raise ValueError(f"max_atoms must lie in [1, m={self.m}], got {self.max_atoms}")
         sparse.check_residual_tol(self.residual_tol)
 
 

@@ -203,7 +203,10 @@ def _batch_omp(ys: np.ndarray, a: np.ndarray, gram: np.ndarray, max_atoms: int, 
     the selections and |z|^2, and the residual history is derived from
     |z|^2 when a row stops.  |z|^2 only grows, so that history never
     rises and needs no runtime check.  Rows leave the active set on their
-    own stops or breakdowns and stay a contiguous prefix of every slab.
+    own stops or breakdowns.  A stopped row's slot is refilled from the
+    tail (swap-remove), so a stop copies only the filled slabs of the rows
+    that move; the live rows stay a contiguous prefix of every slab, but
+    not in their original order.
     Every operation acts on one row at a time (elementwise, a reduction
     along a contiguous row, or one BLAS call per row), so a row's result
     does not depend on the rows recovered with it.
@@ -224,27 +227,25 @@ def _batch_omp(ys: np.ndarray, a: np.ndarray, gram: np.ndarray, max_atoms: int, 
     history[:, 0] = ynorm2
 
     tol2 = residual_tol**2 * ynorm2
-    rows = np.flatnonzero(ynorm2 > tol2)  # the active rows, in order
+    rows = np.flatnonzero(ynorm2 > tol2)  # the active rows
     width = budget + n
     c = ys[rows] @ a  # (A, P, n)
     yn2, tol2, zz = ynorm2[rows], tol2[rows], np.zeros(len(rows))
     weight = np.tile(1.0 / gdiag, (len(rows), 1))  # 1 / ||a_j||^2, then 0 once j is selected
-    # F's L^-1 diagonal is preset to 1 before scaling; the update leaves it exact
-    # because column k of every earlier slab is zero.
-    f = np.zeros((budget, len(rows), width))
-    f[np.arange(budget), :, np.arange(budget)] = 1.0
+    # Slab k of F is set up at step k, for the live rows only: its L^-1 part is zero
+    # but for the diagonal, preset to 1 before scaling (the update leaves it exact
+    # because column k of every earlier slab is zero), and its B part is a gram row.
+    f = np.empty((budget, len(rows), width))
     f_flat, slabs = f.reshape(-1), np.arange(budget) * len(rows) * width  # flat offsets of the slabs
     z = np.zeros((budget, len(rows), p))
     js = np.zeros((budget, len(rows)), dtype=np.intp)
     zzs = np.zeros((budget, len(rows)))
     sq, score, tmp = np.empty(c.shape), np.empty(weight.shape), np.empty((len(rows), 1, width))
-    parts, ar = np.arange(p), np.arange(0)
+    parts, ar = np.arange(p), np.arange(len(rows))
+    row_n, row_c, row_f = ar * n, (ar[:, None] * p + parts) * n, ar * width + budget  # flat offsets of each slot
     for k in range(budget):
         if not len(rows):
             break
-        if len(ar) != len(rows):  # flat offsets of each active row, after a stop
-            ar = np.arange(len(rows))
-            row_n, row_c, row_f = ar * n, (ar[:, None] * p + parts) * n, ar * width + budget
         np.square(c, out=sq)
         if p == 2:
             np.add(sq[:, 0], sq[:, 1], out=score)
@@ -262,6 +263,8 @@ def _batch_omp(ys: np.ndarray, a: np.ndarray, gram: np.ndarray, max_atoms: int, 
         # a broken row keeps its state up to k; give it a finite dummy step
         inv_d = 1.0 / np.sqrt(np.where(broken, gjj, d2))
         fk = f[k]
+        fk[:, :budget] = 0.0
+        fk[:, k] = 1.0
         gram.take(j, axis=0, out=fk[:, budget:], mode="clip")  # j is in range; clip skips a buffer
         np.matmul(w[:, None, :], f[:k].transpose(1, 0, 2), out=tmp)
         fk -= tmp[:, 0]
@@ -273,7 +276,7 @@ def _batch_omp(ys: np.ndarray, a: np.ndarray, gram: np.ndarray, max_atoms: int, 
         zz = zz + np.add.reduce(zk * zk, axis=1)
         zzs[k] = zz
         weight.put(jn, 0.0)
-        stop = broken | (np.maximum(yn2 - zz, 0.0) <= tol2) if k + 1 < budget else np.ones(len(rows), bool)
+        stop = broken | (yn2 - zz <= tol2) if k + 1 < budget else np.ones(len(rows), bool)
         if not np.logical_or.reduce(stop):
             continue
         ended = np.flatnonzero(stop)
@@ -295,14 +298,18 @@ def _batch_omp(ys: np.ndarray, a: np.ndarray, gram: np.ndarray, max_atoms: int, 
                 fd = np.ascontiguousarray(f[:kk, done, :kk].transpose(1, 0, 2))  # (D, kk, kk) of L^-1
                 coeffs[r[:, None, None], parts[None, :, None], chosen[r, None, :kk]] = zd @ fd  # (L^-T z)^T
                 count[r] = kk
-        keep = ~stop
-        rows, yn2, tol2, zz, c, weight = (x[keep] for x in (rows, yn2, tol2, zz, c, weight))
-        na = len(rows)
-        # slabs past k hold only zeros and the preset diagonal, so only the filled ones move
-        for x in (f, z, js, zzs):
-            x[: k + 1, :na] = x[: k + 1, keep]
+        # swap-remove: the live rows past the new end refill the stopped rows' slots
+        na = len(rows) - len(ended)
+        holes, movers = ended[ended < na], na + np.flatnonzero(~stop[na:])
+        if len(holes):
+            for x in (rows, yn2, tol2, zz, c, weight):
+                x[holes] = x[movers]
+            # slabs past k are set up at their own step, so only the filled ones move
+            for x in (f, z, js, zzs):
+                x[: k + 1, holes] = x[: k + 1, movers]
+        rows, yn2, tol2, zz, c, weight = (x[:na] for x in (rows, yn2, tol2, zz, c, weight))
         f, z, js, zzs = (x[:, :na] for x in (f, z, js, zzs))
-        sq, score, tmp = sq[:na], score[:na], tmp[:na]
+        sq, score, tmp, row_n, row_c, row_f = (x[:na] for x in (sq, score, tmp, row_n, row_c, row_f))
     coeffs = coeffs[:, 0] + 1j * coeffs[:, 1] if complex_y else coeffs[:, 0]
     return _OmpResult(coeffs=coeffs, errors=errors, support=chosen, count=count, res2=history)
 

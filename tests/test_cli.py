@@ -275,6 +275,7 @@ class TestRunCommand:
             ("fig4", "cs.residual_tol=2"),
             ("fig5", "cs.residual_tol=1"),
             ("fig5", "cs.max_atoms=0"),
+            ("fig5", "cs.max_atoms=71"),
             ("fig2", "scenario.snr_db=inf"),
             ("fig5", "scenario.seed=-1"),
             ("fig5", "cs.m=700"),

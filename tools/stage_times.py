@@ -14,7 +14,10 @@ names in ``simkit``'s namespace are wrapped with timers:
 * ``measure_block``: channels, noise and the occupant's measurement;
 * ``_block_decisions``: reports, statistics and decisions.
 
-``rest`` is the remainder of ``estimate_curves``: indices, stream ids and
+``sparse._batch_omp``, the OMP kernel that ``_block_decisions`` calls on a
+compressed scheme, is timed as well and reported as ``_batch_omp``; it is
+part of ``_block_decisions``, not a stage beside it.  ``rest`` is the
+remainder of ``estimate_curves``: indices, stream ids and
 counts in ``_count_range``, and the curves.  The first repeat warms up
 and is dropped.  The last line of output is one JSON object with the
 median over the repeats of each stage's microseconds per trial.
@@ -34,9 +37,10 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from cirauth import cli, simkit  # noqa: E402
+from cirauth import cli, simkit, sparse  # noqa: E402
 
 STAGES = ("standard_normal_rows", "measure_block", "_block_decisions")
+TIMED = {simkit: STAGES + ("estimate_curves",), sparse: ("_batch_omp",)}
 
 
 def _timed(fn, spent: dict, name: str):
@@ -56,12 +60,14 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--repeats", type=int, default=20)
     args = parser.parse_args(argv)
 
-    spent = dict.fromkeys(STAGES + ("estimate_curves",), 0.0)
-    for name in spent:
-        setattr(simkit, name, _timed(getattr(simkit, name), spent, name))
+    spent = {}
+    for module, names in TIMED.items():
+        for name in names:
+            spent[name] = 0.0
+            setattr(module, name, _timed(getattr(module, name), spent, name))
     grid = cli.parse_config(*cli.load_config_file(args.preset))["scenario.snr_db"]
     trials = 2 * len(grid) * args.trials
-    per_trial = {name: [] for name in STAGES + ("rest", "estimate_curves")}
+    per_trial = {name: [] for name in STAGES + ("rest", "estimate_curves", "_batch_omp")}
     with tempfile.TemporaryDirectory() as work:
         argv_run = ["run", "--config", args.preset, "--out", str(Path(work) / "o.csv"), "--workers", "1",
                     "--set", f"scenario.trials={args.trials}"]
@@ -72,7 +78,7 @@ def main(argv: list[str] | None = None) -> int:
                     return 1
             if repeat == 0:
                 continue  # warm-up
-            for name in STAGES + ("estimate_curves",):
+            for name in spent:
                 per_trial[name].append(spent[name] / trials * 1e6)
             per_trial["rest"].append(per_trial["estimate_curves"][-1] - sum(per_trial[s][-1] for s in STAGES))
     print(json.dumps({
