@@ -298,10 +298,12 @@ def _batch_omp(ys: np.ndarray, a: np.ndarray, gram: np.ndarray, max_atoms: int, 
                 fd = np.ascontiguousarray(f[:kk, done, :kk].transpose(1, 0, 2))  # (D, kk, kk) of L^-1
                 coeffs[r[:, None, None], parts[None, :, None], chosen[r, None, :kk]] = zd @ fd  # (L^-T z)^T
                 count[r] = kk
-        # swap-remove: the live rows past the new end refill the stopped rows' slots
+        # swap-remove: the live rows past the new end refill the stopped rows' slots,
+        # which are the first of the (sorted) ended rows, one per mover
         na = len(rows) - len(ended)
-        holes, movers = ended[ended < na], na + np.flatnonzero(~stop[na:])
-        if len(holes):
+        movers = na + np.flatnonzero(~stop[na:])
+        holes = ended[: len(movers)]
+        if len(movers):
             for x in (rows, yn2, tol2, zz, c, weight):
                 x[holes] = x[movers]
             # slabs past k are set up at their own step, so only the filled ones move

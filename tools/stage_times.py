@@ -67,7 +67,7 @@ def main(argv: list[str] | None = None) -> int:
             setattr(module, name, _timed(getattr(module, name), spent, name))
     grid = cli.parse_config(*cli.load_config_file(args.preset))["scenario.snr_db"]
     trials = 2 * len(grid) * args.trials
-    per_trial = {name: [] for name in STAGES + ("rest", "estimate_curves", "_batch_omp")}
+    per_trial = {name: [] for name in (*spent, "rest")}
     with tempfile.TemporaryDirectory() as work:
         argv_run = ["run", "--config", args.preset, "--out", str(Path(work) / "o.csv"), "--workers", "1",
                     "--set", f"scenario.trials={args.trials}"]
