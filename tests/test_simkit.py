@@ -7,9 +7,18 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cirauth import cli, simkit, sparse
-from cirauth.channel import ChannelConfig, NoiseModel, Occupant, draw_channel, measure, stack_columns
+from cirauth.channel import (
+    ChannelConfig,
+    NoiseModel,
+    Occupant,
+    draw_channel,
+    measure,
+    measure_block,
+    noise_variance,
+    stack_columns,
+)
 from cirauth.detect import DetectorConfig, FusionKind, FusionRule, fc_raw_statistic, fuse, quadratic_statistic
-from cirauth.numerics import Rng
+from cirauth.numerics import Rng, standard_normal_rows
 from cirauth.simkit import (
     CsCodecConfig,
     CurveComparisonError,
@@ -517,3 +526,151 @@ class TestCurveStructure:
                 p_fa_stderr=(0.0,),
                 trials=10,
             )
+
+
+# Frozen reference: the engine's threshold resolution, block decisions and
+# curve arithmetic as they were when every variant compared and fused its
+# own copy of the node decisions.  The engine must match it bit for bit.
+def _ref_resolve(scenario, variants):
+    n, L = scenario.channel.n_nodes, scenario.channel.n_taps
+    local = scenario.scheme.local
+    thresholds, groups = [], {}
+    for vi, v in enumerate(variants):
+        detector = v.detector.resolve(n, L)
+        thresholds.append(detector.delta_n if local else detector.delta)
+        if local:
+            groups.setdefault(v.rule, []).append(vi)
+    return np.array(thresholds, dtype=float), tuple(groups.items())
+
+
+def _ref_block_decisions(scenario, thresholds, rule_groups, twin, sigma2, h_ref, z):
+    codec = scenario_codec(scenario) if scenario.scheme.compressed else None
+    if not scenario.scheme.local:
+        reports = [z] if codec is None else [reconstruct_raw(compress(z, codec), codec)]
+        if twin:
+            reports.append(z)
+        return np.hstack([
+            fc_raw_statistic(r, h_ref, lambda d: d / sigma2)[:, None] > thresholds for r in reports
+        ])
+    t, n = len(z), scenario.channel.n_nodes
+    shape = (t, n, scenario.channel.n_taps)
+    stats_n = quadratic_statistic(z.reshape(shape), h_ref.reshape(shape), lambda d: d / sigma2[..., None])
+    u = (stats_n[:, None, :] > thresholds[:, None]).astype(np.int64)  # (T, V, N)
+    planes = [u]
+    if codec is not None:
+        u_cs = reconstruct_decisions(compress(u.reshape(-1, n).astype(float), codec), codec)
+        planes = [u_cs.reshape(u.shape)] + ([u] if twin else [])
+    out = np.empty((t, len(planes), len(thresholds)), dtype=bool)
+    for p, plane in enumerate(planes):
+        for rule, idx in rule_groups:
+            out[:, p, idx] = fuse(plane[:, idx], rule)
+    return out.reshape(t, -1)
+
+
+def _ref_curves(scenario, columns, counts):
+    h1_counts, h0_counts = counts[0::2], counts[1::2]
+    curves, t = [], scenario.trials
+    for ci, (scheme, label) in enumerate(columns):
+        p_d = h1_counts[:, ci] / t
+        p_fa = h0_counts[:, ci] / t
+        curves.append(DetectionCurve(
+            scheme=scheme.value, label=label, snr_db=scenario.snr_grid_db,
+            p_d=tuple(p_d.tolist()), p_d_stderr=tuple(np.sqrt(p_d * (1 - p_d) / t).tolist()),
+            p_fa=tuple(p_fa.tolist()), p_fa_stderr=tuple(np.sqrt(p_fa * (1 - p_fa) / t).tolist()),
+            trials=t,
+        ))
+    return curves
+
+
+def _bits(values) -> list:
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
+# Ten nodes, as in fig3: a mean vote of k/10 is inexact, so the weighted average's
+# dot product rounds differently at different plane heights
+_REF_LOCAL = ChannelConfig(n_nodes=10, n_taps=2, rho=0.8, pdp=(1.0,) * 2, normalize_kronecker=False)
+_REF_CASES = {
+    **{case: _EQUIVALENCE_CASES[case][0] for case in ("fc_raw", "fc_raw_cs")},
+    "local_fusion": Scenario(
+        scheme=Scheme.LOCAL_FUSION, channel=_REF_LOCAL, detector=DetectorConfig(delta_n=4.0),
+        fusion=FusionRule(kind=FusionKind.MAJORITY), snr_grid_db=(0.0,), trials=1, seed=505,
+    ),
+    "local_fusion_cs": Scenario(
+        scheme=Scheme.LOCAL_FUSION_CS, channel=_REF_LOCAL, detector=DetectorConfig(delta_n=4.0),
+        fusion=FusionRule(kind=FusionKind.MAJORITY), snr_grid_db=(0.0,), trials=1, seed=506,
+        codec=CsCodecConfig(m=7, basis="identity", max_atoms=4),
+    ),
+}
+# Local thresholds on the dof-4 node statistic: fig3's descending order, and values that variants share
+_REF_LEVELS = (13.28, 9.49, 5.0, 3.0, 8.0)
+_REF_SNR_DB = st.one_of(st.sampled_from([-1000.0, 1000.0, -30.0, 0.0, 22.0]), st.floats(-40.0, 40.0))
+
+
+@st.composite
+def _ref_variants(draw, local):
+    """API-built variant sets: rule groups of different heights, shared thresholds; or a CLI-built cross."""
+    if not local:
+        deltas = draw(st.lists(st.sampled_from([12.0, 20.0, 45.0, 3.5]), min_size=1, max_size=5))
+        return [Variant(f"v{i}", DetectorConfig(delta=d)) for i, d in enumerate(deltas)]
+    rules = [FusionRule(kind=k) for k in FusionKind] + [
+        FusionRule(kind=FusionKind.WEIGHTED_AVERAGE, avg_threshold=a) for a in (0.3, 0.6, 0.7)
+    ]
+    if draw(st.booleans()):  # as cli._build_variants lays them out: level-major, every rule per level
+        levels = draw(st.sampled_from([_REF_LEVELS[:3], _REF_LEVELS[2:], (8.0,)]))
+        chosen = draw(st.lists(st.sampled_from(rules), min_size=1, max_size=5, unique=True))
+        pairs = [(d, r) for d in levels for r in chosen]
+    else:
+        pairs = draw(st.lists(st.tuples(st.sampled_from(_REF_LEVELS), st.sampled_from(rules)),
+                              min_size=1, max_size=12))
+    return [Variant(f"v{i}", DetectorConfig(delta_n=d), rule=r) for i, (d, r) in enumerate(pairs)]
+
+
+class TestDecisionReference:
+    """Block decisions and curves equal the frozen per-variant reference bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=st.sampled_from(sorted(_REF_CASES)), data=st.data())
+    def test_block_decisions_bit_identical(self, case, data):
+        scenario = _REF_CASES[case]
+        variants = data.draw(_ref_variants(scenario.scheme.local), label="variants")
+        twin = scenario.scheme.compressed and data.draw(st.booleans(), label="twin")
+        t = data.draw(st.integers(1, 40), label="rows")
+        snr = data.draw(st.lists(_REF_SNR_DB, min_size=t, max_size=t), label="snr_db")
+        eve = np.array(data.draw(st.lists(st.booleans(), min_size=t, max_size=t), label="eve"))
+        streams = data.draw(st.lists(st.integers(0, 1 << 40), min_size=t, max_size=t), label="streams")
+        cfg = scenario.channel
+        sigma2 = np.array([noise_variance(s) for s in snr])
+        h_ref, z = measure_block(standard_normal_rows(scenario.seed, streams, 6 * cfg.n_nodes * cfg.n_taps), cfg, eve, sigma2)
+        want = _ref_block_decisions(scenario, *_ref_resolve(scenario, variants), twin, sigma2[:, None], h_ref, z)
+        got = simkit._block_decisions(scenario, *simkit._resolve(scenario, variants), twin, sigma2[:, None], h_ref, z)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        trials=st.sampled_from([1, 3, 7, 200, 1 << 31]),
+        snr=st.lists(_REF_SNR_DB, min_size=1, max_size=4),
+        n_variants=st.integers(1, 4),
+        twin=st.booleans(),
+        data=st.data(),
+    )
+    def test_curves_bit_identical(self, trials, snr, n_variants, twin, data):
+        scheme = Scheme.LOCAL_FUSION_CS if twin else Scheme.LOCAL_FUSION
+        codec = CsCodecConfig(m=6, basis="identity", max_atoms=3) if twin else None
+        scenario = fusion_scenario(scheme=scheme, channel=_SMALL_LOCAL, snr_grid_db=snr, trials=trials, codec=codec)
+        variants = [Variant(f"v{i}", DetectorConfig(delta_n=3.0 + i), FusionRule(kind=FusionKind.OR))
+                    for i in range(n_variants)]
+        columns = [(scheme, v.label) for v in variants]
+        columns += [(Scheme.LOCAL_FUSION, v.label + " no_cs") for v in variants] if twin else []
+        counts = np.array(data.draw(st.lists(
+            st.lists(st.sampled_from([0, 1, trials // 3, trials // 2, trials - 1, trials]),
+                     min_size=len(columns), max_size=len(columns)),
+            min_size=2 * len(snr), max_size=2 * len(snr))), dtype=np.int64)
+        with mock.patch.object(simkit, "_count_range", return_value=counts):
+            got = estimate_curves(scenario, variants, uncompressed_twin=twin)
+        want = _ref_curves(scenario, columns, counts)
+        assert [(c.scheme, c.label, c.snr_db, c.trials) for c in got] == \
+            [(c.scheme, c.label, c.snr_db, c.trials) for c in want]
+        for g, w in zip(got, want):
+            for field in ("snr_db", "p_d", "p_d_stderr", "p_fa", "p_fa_stderr"):
+                assert _bits(getattr(g, field)) == _bits(getattr(w, field)), field
