@@ -256,6 +256,16 @@ def _format_float(x: float) -> str:
     return format(float(x), ".10g")
 
 
+# "%.10g" % x is format(x, ".10g"), the _format_float of each field, in one call per row
+_CSV_ROW = "%s,%s,%.10g,%.10g,%.10g,%.10g,%.10g,%d"
+
+
+def _csv_rows(curve) -> list[str]:
+    """A curve's CSV rows, one per SNR point."""
+    points = zip(curve.snr_db, curve.p_d, curve.p_d_stderr, curve.p_fa, curve.p_fa_stderr)
+    return [_CSV_ROW % (curve.scheme, curve.label, *point, curve.trials) for point in points]
+
+
 def write_csv(path: str, curves: list, config_text: str, seed: int) -> None:
     """Write curve rows atomically (temp file in the target dir + rename)."""
     digest = hashlib.sha256(config_text.encode()).hexdigest()[:16]
@@ -269,21 +279,7 @@ def write_csv(path: str, curves: list, config_text: str, seed: int) -> None:
     for curve in curves:
         if "," in curve.scheme or "," in curve.label:
             raise ValueError(f"curve identifiers must be comma-free, got {curve.label!r}")
-        for i, snr in enumerate(curve.snr_db):
-            lines.append(
-                ",".join(
-                    (
-                        curve.scheme,
-                        curve.label,
-                        _format_float(snr),
-                        _format_float(curve.p_d[i]),
-                        _format_float(curve.p_d_stderr[i]),
-                        _format_float(curve.p_fa[i]),
-                        _format_float(curve.p_fa_stderr[i]),
-                        str(curve.trials),
-                    )
-                )
-            )
+        lines += _csv_rows(curve)
     payload = "\n".join(lines) + "\n"
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)

@@ -164,7 +164,7 @@ def fuse(u_star: Sequence[int] | np.ndarray, rule: FusionRule) -> bool:
     OR: H1 iff any node fired; AND: H1 iff all fired; MAJORITY: H1 iff
     strictly more than half fired; WEIGHTED_AVERAGE: H1 iff the mean
     vote strictly exceeds ``avg_threshold``; SINGLE: node 0's decision.
-    All ties resolve to H0.  A trailing batch axis is supported: shape
+    All ties resolve to H0.  Leading batch axes are supported: shape
     (..., N) returns (...).
     """
     u = np.asarray(u_star)

@@ -20,7 +20,7 @@ Batch-OMP call recovers them all, under a cap on its factor), and every
 stage is exact per row, so counts depend neither on the blocks, nor on
 the batches, nor on the worker count.  All detector variants (threshold
 sweeps, fusion rules) and the paired "without CS" twin curves read the
-same block.
+same block, and variants that share a threshold share its decisions.
 """
 
 from __future__ import annotations
@@ -201,54 +201,60 @@ def scenario_codec(scenario: Scenario) -> CsCodec:
 
 
 def _resolve(scenario: Scenario, variants: list[Variant]) -> tuple[np.ndarray, tuple]:
-    """Every variant's threshold (V,), and ``(rule, variant indices)`` per distinct fusion rule.
+    """The distinct thresholds (D,) in first-occurrence order, and ``(rule, variant indices, level indices)`` groups.
 
-    A threshold is the fusion center's, or the one all nodes share; FC
-    schemes have no rule groups.
+    A threshold is the fusion center's, or the one all nodes share.  Local
+    schemes group by fusion rule; FC schemes have one group, of rule None.
+    Level indices 0..D-1, as in every CLI-built run, are ``slice(None)``.
     """
     n, L = scenario.channel.n_nodes, scenario.channel.n_taps
     local = scenario.scheme.local
-    thresholds, groups = [], {}
+    levels, groups = {}, {}
     for vi, v in enumerate(variants):
         detector = v.detector.resolve(n, L)
-        thresholds.append(detector.delta_n if local else detector.delta)
-        if thresholds[-1] is None:
+        threshold = detector.delta_n if local else detector.delta
+        if threshold is None:
             raise ValueError(f"variant {v.label!r} lacks a threshold for {scenario.scheme.value}")
-        if local:
-            if v.rule is None:
-                raise ValueError(f"variant {v.label!r} lacks a fusion rule")
-            groups.setdefault(v.rule, []).append(vi)
-    return np.array(thresholds, dtype=float), tuple(groups.items())
+        if local and v.rule is None:
+            raise ValueError(f"variant {v.label!r} lacks a fusion rule")
+        group = groups.setdefault(v.rule if local else None, ([], []))
+        group[0].append(vi)
+        group[1].append(levels.setdefault(threshold, len(levels)))
+    every = list(range(len(levels)))
+    return np.array(list(levels), dtype=float), tuple(
+        (rule, np.array(vis), slice(None) if lis == every else np.array(lis)) for rule, (vis, lis) in groups.items()
+    )
 
 
-def _block_decisions(scenario, thresholds, rule_groups, twin, sigma2, h_ref, z) -> np.ndarray:
+def _block_decisions(scenario, levels, groups, twin, sigma2, h_ref, z) -> np.ndarray:
     """(T, V) H1-decisions of every variant on a block's stacked ``h_ref``/``z``, then the twin's.
 
-    ``sigma2`` (T, 1) is each row's noise variance.
+    ``sigma2`` (T, 1) is each row's noise variance.  Each report is compared
+    with the D distinct ``levels`` once; a local scheme then fuses, per rule,
+    the plane of its group's levels.  That plane has the group's height, not
+    D: the weighted average's dot product rounds differently at other heights.
     """
     codec = scenario_codec(scenario) if scenario.scheme.compressed else None
+    scale = 1.0 / sigma2  # d / sigma2 divides complex by complex; d * scale differs only in signs of zero
     if not scenario.scheme.local:
         reports = [z] if codec is None else [sparse.reconstruct_raw(sparse.compress(z, codec), codec)]
         if twin:
             reports.append(z)
-        return np.hstack([
-            detect.fc_raw_statistic(r, h_ref, lambda d: d / sigma2)[:, None] > thresholds for r in reports
-        ])
-
-    # Local schemes: per-node statistics, all variants' decisions, one fuse per rule.
-    t, n = len(z), scenario.channel.n_nodes
-    shape = (t, n, scenario.channel.n_taps)
-    stats_n = detect.quadratic_statistic(z.reshape(shape), h_ref.reshape(shape), lambda d: d / sigma2[..., None])
-    u = (stats_n[:, None, :] > thresholds[:, None]).astype(np.int64)  # (T, V, N)
-    planes = [u]
-    if codec is not None:
-        u_cs = sparse.reconstruct_decisions(sparse.compress(u.reshape(-1, n).astype(float), codec), codec)
-        planes = [u_cs.reshape(u.shape)] + ([u] if twin else [])
-    out = np.empty((t, len(planes), len(thresholds)), dtype=bool)
+        planes = [detect.fc_raw_statistic(r, h_ref, lambda d: d * scale)[:, None] > levels for r in reports]
+    else:
+        t, n = len(z), scenario.channel.n_nodes
+        shape = (t, n, scenario.channel.n_taps)
+        stats_n = detect.quadratic_statistic(z.reshape(shape), h_ref.reshape(shape), lambda d: d * scale[..., None])
+        u = (stats_n[:, None, :] > levels[:, None]).astype(np.int64)  # (T, D, N)
+        planes = [u]
+        if codec is not None:
+            u_cs = sparse.reconstruct_decisions(sparse.compress(u.reshape(-1, n).astype(float), codec), codec)
+            planes = [u_cs.reshape(u.shape)] + ([u] if twin else [])
+    out = np.empty((len(z), len(planes), sum(len(vi) for _, vi, _ in groups)), dtype=bool)
     for p, plane in enumerate(planes):
-        for rule, idx in rule_groups:
-            out[:, p, idx] = detect.fuse(plane[:, idx], rule)
-    return out.reshape(t, -1)
+        for rule, vi, li in groups:
+            out[:, p, vi] = plane[:, li] if rule is None else detect.fuse(plane[:, li], rule)
+    return out.reshape(len(z), -1)
 
 
 def _count_range(args) -> np.ndarray:
@@ -262,7 +268,7 @@ def _count_range(args) -> np.ndarray:
     and noise variance.  A CS scheme decides consecutive blocks together,
     as many as fit under ``_BATCH_FACTOR`` at the tallest block's factor.
     """
-    scenario, thresholds, rule_groups, twin, lo, hi = args
+    scenario, levels, groups, twin, lo, hi = args
     cfg = scenario.channel
     sigma2 = np.array([noise_variance(snr) for snr in scenario.snr_grid_db])
     width = 6 * cfg.n_nodes * cfg.n_taps  # alice, eve, noise: 2NL normals each
@@ -272,9 +278,10 @@ def _count_range(args) -> np.ndarray:
     if scenario.scheme.compressed:
         codec = scenario_codec(scenario)
         budget = min(codec.max_atoms, codec.n)
-        reports = -(-n // blocks) * (len(thresholds) if scenario.scheme.local else 1)  # of the tallest block
+        reports = -(-n // blocks) * (len(levels) if scenario.scheme.local else 1)  # of the tallest block
         per_batch = max(1, _BATCH_FACTOR // (reports * budget * (budget + codec.n)))
-    counts = np.zeros((2 * len(sigma2), len(thresholds) * (1 + twin)), dtype=np.int64)
+    columns = sum(len(vi) for _, vi, _ in groups) * (1 + twin)
+    counts = np.zeros((2 * len(sigma2), columns), dtype=np.int64)
     for first in range(0, blocks, per_batch):
         batch = []
         for b in range(first, min(first + per_batch, blocks)):
@@ -284,7 +291,7 @@ def _count_range(args) -> np.ndarray:
             h_ref, z = measure_block(standard_normal_rows(scenario.seed, streams, width), cfg, eve, sigma2[s])
             batch.append((row, s, h_ref, z))
         row, s, h_ref, z = batch[0] if len(batch) == 1 else (np.concatenate(x) for x in zip(*batch))
-        decisions = _block_decisions(scenario, thresholds, rule_groups, twin, sigma2[s, None], h_ref, z)
+        decisions = _block_decisions(scenario, levels, groups, twin, sigma2[s, None], h_ref, z)
         # a batch's flat trials are consecutive, so ``row`` never decreases and runs through
         # every counts row from its first to its last: sum each run of it
         lo_row, hi_row = row[0], row[-1]
@@ -317,7 +324,7 @@ def estimate_curves(
         raise ValueError(f"workers must be positive, got {workers}")
     if variants is None:
         variants = [Variant(scenario.scheme.value, scenario.detector, scenario.fusion)]
-    thresholds, rule_groups = _resolve(scenario, variants)
+    levels, groups = _resolve(scenario, variants)
     columns = [(scenario.scheme, v.label) for v in variants]
     if uncompressed_twin:
         plain = Scheme.FC_RAW if scenario.scheme is Scheme.FC_RAW_CS else Scheme.LOCAL_FUSION
@@ -325,7 +332,7 @@ def estimate_curves(
     total = 2 * len(scenario.snr_grid_db) * scenario.trials
     procs = min(workers, total, len(os.sched_getaffinity(0)))  # a pool forks all its workers at once
     bounds = [total * i // procs for i in range(procs + 1)]
-    tasks = [(scenario, thresholds, rule_groups, uncompressed_twin, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    tasks = [(scenario, levels, groups, uncompressed_twin, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
     if procs > 1:
         from concurrent.futures import ProcessPoolExecutor  # lazy: a serial run skips its imports
 
@@ -333,26 +340,23 @@ def estimate_curves(
             counts = sum(pool.map(_count_range, tasks))
     else:
         counts = _count_range(tasks[0])
-    h1_counts, h0_counts = counts[0::2], counts[1::2]
-
-    curves = []
+    # row 2 s of counts is point s's H1 count, row 2 s + 1 its H0 count
     t = scenario.trials
-    for ci, (scheme, label) in enumerate(columns):
-        p_d = h1_counts[:, ci] / t
-        p_fa = h0_counts[:, ci] / t
-        curves.append(
-            DetectionCurve(
-                scheme=scheme.value,
-                label=label,
-                snr_db=scenario.snr_grid_db,
-                p_d=tuple(p_d.tolist()),
-                p_d_stderr=tuple(np.sqrt(p_d * (1 - p_d) / t).tolist()),
-                p_fa=tuple(p_fa.tolist()),
-                p_fa_stderr=tuple(np.sqrt(p_fa * (1 - p_fa) / t).tolist()),
-                trials=t,
-            )
+    p = counts.T / t
+    p, stderr = p.tolist(), np.sqrt(p * (1 - p) / t).tolist()
+    return [
+        DetectionCurve(
+            scheme=scheme.value,
+            label=label,
+            snr_db=scenario.snr_grid_db,
+            p_d=tuple(p_c[0::2]),
+            p_d_stderr=tuple(se_c[0::2]),
+            p_fa=tuple(p_c[1::2]),
+            p_fa_stderr=tuple(se_c[1::2]),
+            trials=t,
         )
-    return curves
+        for (scheme, label), p_c, se_c in zip(columns, p, stderr)
+    ]
 
 
 def estimate_curve(scenario: Scenario, workers: int = 1) -> DetectionCurve:

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cirauth
 from cirauth import cli, simkit
@@ -400,6 +402,29 @@ class TestRunCommand:
             }
             assert None not in row.values()
             float(row["p_d"])  # numeric columns parse cleanly
+
+
+_PROBS = st.one_of(st.sampled_from([-0.0, 0.0, 5e-324, 1e-300, 0.1, 1 / 3, 1.0, 0, 1]), st.floats(0.0, 1.0))
+_SNRS = st.one_of(
+    st.sampled_from([-1000.0, 1000.0, -0.0, 5e-324, 1e-300, 0.1, 1 / 3, -10.0]),
+    st.integers(-1000, 1000),
+    st.floats(-1000.0, 1000.0),
+)
+
+
+class TestCsvRows:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        points=st.lists(st.tuples(_SNRS, _PROBS, _PROBS, _PROBS, _PROBS), min_size=1, max_size=6),
+        trials=st.integers(1, 1 << 31),
+    )
+    def test_rows_equal_per_field_join(self, points, trials):
+        curve = simkit.DetectionCurve("fc_raw", "delta=1e+300 no_cs", *map(tuple, zip(*points)), trials=trials)
+        want = [
+            ",".join((curve.scheme, curve.label, *(cli._format_float(x) for x in point), str(curve.trials)))
+            for point in points
+        ]
+        assert cli._csv_rows(curve) == want
 
 
 class TestSelfcheck:

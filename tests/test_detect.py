@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from cirauth.channel import noise_variance
 from cirauth.detect import (
     DetectorConfig,
     FusionKind,
@@ -89,6 +90,42 @@ class TestFcStatistic:
         z = np.ones(2, dtype=complex)
         with pytest.raises(ValueError):
             quadratic_statistic(z, np.zeros(2), lambda d: 1j * d)
+
+
+# Parts of a measurement deviation: signed zeros, subnormals, huge values and anything finite
+_PARTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, -1e300, 1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+class TestNoiseScaling:
+    """The engine scales a deviation by a real 1/sigma2 instead of dividing it by sigma2."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(st.floats(-1000.0, 1000.0), st.lists(st.tuples(_PARTS, _PARTS), min_size=3, max_size=3)),
+            min_size=1, max_size=6,
+        ),
+        delta=st.sampled_from([1e-300, 0.5, 26.2, 1e300]),
+    )
+    def test_reciprocal_product_matches_division(self, rows, delta):
+        s2 = np.array([[noise_variance(snr)] for snr, _ in rows])  # (T, 1), as the engine holds it
+        d = np.array([[complex(re, im) for re, im in parts] for _, parts in rows])
+        with np.errstate(over="ignore"):
+            want, got = (d / s2).view(np.float64), (d * (1.0 / s2)).view(np.float64)
+        # equal bits, or both an exact zero: division rounds a + b*0, the product a*c - b*0
+        assert ((want.view(np.uint64) == got.view(np.uint64)) | ((want == 0) & (got == 0))).all()
+
+        def decisions(applier):
+            with np.errstate(all="ignore"):
+                try:
+                    return (quadratic_statistic(d, np.zeros_like(d), applier) > delta).tolist()
+                except ValueError as exc:
+                    return str(exc)
+
+        assert decisions(lambda x: x * (1.0 / s2)) == decisions(lambda x: x / s2)
 
 
 class TestDecisions:

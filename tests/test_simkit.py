@@ -393,7 +393,7 @@ class TestBlockSplitInvariance:
     @given(case=st.sampled_from(sorted(_SPLIT_CASES)), data=st.data())
     def test_count_range_any_split(self, case, data):
         scenario, variants = _SPLIT_CASES[case]
-        thresholds, rule_groups = simkit._resolve(scenario, variants)
+        levels, groups = simkit._resolve(scenario, variants)
         # flat trial g = (2 s + h) * trials + t; the range holds point 1's first trial
         # 2 * trials, and the drawn split puts it inside a block, not at an edge
         total, boundary = 4 * scenario.trials, 2 * scenario.trials
@@ -404,7 +404,7 @@ class TestBlockSplitInvariance:
         assume(all(lo + b * (hi - lo) // blocks != boundary for b in range(blocks)))
         # Batch-OMP factor cap: 0 decides each block alone, 2^60 the whole range in one call
         batch_cap = data.draw(st.sampled_from([0, 1 << 60]), label="batch cap")
-        task = (scenario, thresholds, rule_groups, True, lo, hi)
+        task = (scenario, levels, groups, True, lo, hi)
         width = 6 * scenario.channel.n_nodes * scenario.channel.n_taps
         with mock.patch.object(simkit, "_BLOCK_NORMALS", height * width), \
                 mock.patch.object(simkit, "_BATCH_FACTOR", batch_cap), \
@@ -436,7 +436,7 @@ class TestCountRange:
     @given(case=st.sampled_from(sorted(_EQUIVALENCE_CASES)), data=st.data())
     def test_counts_equal_add_at_over_block_decisions(self, case, data):
         scenario, variants = _EQUIVALENCE_CASES[case]
-        thresholds, rule_groups = simkit._resolve(scenario, variants)
+        levels, groups = simkit._resolve(scenario, variants)
         trials, twin = scenario.trials, scenario.codec is not None
         # [lo, hi) starts in point 0's eve trials and ends in point 1's
         lo = data.draw(st.integers(0, trials - 1), label="lo")
@@ -453,9 +453,9 @@ class TestCountRange:
         with mock.patch.object(simkit, "_BLOCK_NORMALS", height * width), \
                 mock.patch.object(simkit, "_BATCH_FACTOR", batch_cap), \
                 mock.patch.object(simkit, "_block_decisions", spy):
-            got = simkit._count_range((scenario, thresholds, rule_groups, twin, lo, hi))
+            got = simkit._count_range((scenario, levels, groups, twin, lo, hi))
         decided = np.concatenate(decisions)  # the flat trials in order, one row each
-        assert decided.shape == (hi - lo, len(thresholds) * (1 + twin))
+        assert decided.shape == (hi - lo, len(variants) * (1 + twin))
         want = np.zeros_like(got)
         np.add.at(want, np.arange(lo, hi) // trials, decided)
         assert got.dtype == np.int64 and np.array_equal(got, want)
@@ -644,6 +644,22 @@ class TestDecisionReference:
         want = _ref_block_decisions(scenario, *_ref_resolve(scenario, variants), twin, sigma2[:, None], h_ref, z)
         got = simkit._block_decisions(scenario, *simkit._resolve(scenario, variants), twin, sigma2[:, None], h_ref, z)
         assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+
+    def test_weighted_average_groups_below_plane_height(self):
+        # five levels; weighted-average groups one, two and three levels high, at the
+        # vote thresholds where a mean of k/10 rounds differently at other heights
+        scenario = _REF_CASES["local_fusion"]
+        wa = {a: FusionRule(kind=FusionKind.WEIGHTED_AVERAGE, avg_threshold=a) for a in (0.6, 0.7, 0.9)}
+        pairs = [(d, FusionRule(kind=FusionKind.MAJORITY)) for d in _REF_LEVELS]
+        pairs += [(3.0, wa[0.6]), (5.0, wa[0.7]), (3.0, wa[0.7]), (3.0, wa[0.9]), (5.0, wa[0.9]), (8.0, wa[0.9])]
+        variants = [Variant(f"v{i}", DetectorConfig(delta_n=d), rule=r) for i, (d, r) in enumerate(pairs)]
+        t, cfg = 2000, scenario.channel
+        sigma2 = np.full(t, noise_variance(0.0))
+        normals = standard_normal_rows(scenario.seed, range(t), 6 * cfg.n_nodes * cfg.n_taps)
+        h_ref, z = measure_block(normals, cfg, np.zeros(t, dtype=bool), sigma2)
+        want = _ref_block_decisions(scenario, *_ref_resolve(scenario, variants), False, sigma2[:, None], h_ref, z)
+        got = simkit._block_decisions(scenario, *simkit._resolve(scenario, variants), False, sigma2[:, None], h_ref, z)
         assert np.array_equal(got, want)
 
     @settings(max_examples=40, deadline=None)

@@ -1,0 +1,29 @@
+"""Smoke test of ``tools/stage_times.py``: every timer it wraps is still called by the engine."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from cirauth import cli
+from cirauth.simkit import Scheme
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("preset", cli.PRESET_NAMES)
+def test_every_stage_the_preset_runs_records_calls(preset):
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "stage_times.py"), "--preset", preset, "--trials", "1", "--repeats", "1"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr  # a wrapped name the program lacks fails here
+    out = json.loads(proc.stdout.splitlines()[-1])
+    scheme = Scheme(cli.parse_config(*cli.load_config_file(preset))["scenario.scheme"])
+    idle = {"fuse"} if not scheme.local else set()
+    idle |= {"_batch_omp"} if not scheme.compressed else set()
+    calls = out["calls_per_run"]
+    assert set(out["us_per_trial_median"]) == {*calls, "rest"}
+    assert {name for name, n in calls.items() if n == 0} == idle

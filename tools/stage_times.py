@@ -14,13 +14,19 @@ names in ``simkit``'s namespace are wrapped with timers:
 * ``measure_block``: channels, noise and the occupant's measurement;
 * ``_block_decisions``: reports, statistics and decisions.
 
-``sparse._batch_omp``, the OMP kernel that ``_block_decisions`` calls on a
-compressed scheme, is timed as well and reported as ``_batch_omp``; it is
-part of ``_block_decisions``, not a stage beside it.  ``rest`` is the
-remainder of ``estimate_curves``: indices, stream ids and
+Parts of a stage are timed as well, each under its bare name:
+
+* ``detect.quadratic_statistic``, ``detect.fuse`` (local schemes) and
+  ``sparse._batch_omp`` (compressed schemes), which ``_block_decisions``
+  calls;
+* ``cli.write_csv``, which runs after ``estimate_curves``.
+
+``rest`` is the remainder of ``estimate_curves``: indices, stream ids and
 counts in ``_count_range``, and the curves.  The first repeat warms up
 and is dropped.  The last line of output is one JSON object with the
-median over the repeats of each stage's microseconds per trial.
+median over the repeats of each timed name's microseconds per trial, and
+its calls per run.  A stage the preset runs and that records no call, or
+a name the engine no longer has, means the timers went stale.
 """
 
 from __future__ import annotations
@@ -37,14 +43,20 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from cirauth import cli, simkit, sparse  # noqa: E402
+from cirauth import cli, detect, simkit, sparse  # noqa: E402
 
 STAGES = ("standard_normal_rows", "measure_block", "_block_decisions")
-TIMED = {simkit: STAGES + ("estimate_curves",), sparse: ("_batch_omp",)}
+TIMED = {
+    simkit: STAGES + ("estimate_curves",),
+    sparse: ("_batch_omp",),
+    detect: ("quadratic_statistic", "fuse"),
+    cli: ("write_csv",),
+}
 
 
-def _timed(fn, spent: dict, name: str):
+def _timed(fn, spent: dict, calls: dict, name: str):
     def wrapper(*args, **kwargs):
+        calls[name] += 1
         start = time.perf_counter()
         try:
             return fn(*args, **kwargs)
@@ -60,11 +72,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--repeats", type=int, default=20)
     args = parser.parse_args(argv)
 
-    spent = {}
+    spent, calls = {}, {}
     for module, names in TIMED.items():
         for name in names:
-            spent[name] = 0.0
-            setattr(module, name, _timed(getattr(module, name), spent, name))
+            spent[name], calls[name] = 0.0, 0
+            setattr(module, name, _timed(getattr(module, name), spent, calls, name))
     grid = cli.parse_config(*cli.load_config_file(args.preset))["scenario.snr_db"]
     trials = 2 * len(grid) * args.trials
     per_trial = {name: [] for name in (*spent, "rest")}
@@ -73,6 +85,7 @@ def main(argv: list[str] | None = None) -> int:
                     "--set", f"scenario.trials={args.trials}"]
         for repeat in range(args.repeats + 1):
             spent.update(dict.fromkeys(spent, 0.0))
+            calls.update(dict.fromkeys(calls, 0))
             with redirect_stdout(io.StringIO()):
                 if cli.main(argv_run) != 0:
                     return 1
@@ -84,6 +97,7 @@ def main(argv: list[str] | None = None) -> int:
     print(json.dumps({
         "preset": args.preset, "trials_per_run": trials, "repeats": args.repeats,
         "us_per_trial_median": {name: round(statistics.median(v), 3) for name, v in per_trial.items()},
+        "calls_per_run": calls,
     }))
     return 0
 
