@@ -530,7 +530,8 @@ class TestCurveStructure:
 
 # Frozen reference: the engine's threshold resolution, block decisions and
 # curve arithmetic as they were when every variant compared and fused its
-# own copy of the node decisions.  The engine must match it bit for bit.
+# own copy of the node decisions, with the statistic in its first form (a
+# callable applier of the inverse covariance, dividing by sigma2).  The engine must match it bit for bit.
 def _ref_resolve(scenario, variants):
     n, L = scenario.channel.n_nodes, scenario.channel.n_taps
     local = scenario.scheme.local
@@ -543,6 +544,22 @@ def _ref_resolve(scenario, variants):
     return np.array(thresholds, dtype=float), tuple(groups.items())
 
 
+def _ref_quadratic_statistic(z, h_ref, inv_applier):
+    d = np.asarray(z) - np.asarray(h_ref)
+    q = (d.conj() * inv_applier(d)).sum(axis=-1)
+    q_im = np.abs(np.imag(q)) if np.iscomplexobj(q) else 0.0
+    if np.any(q_im > 1e-10 * np.maximum(1.0, np.abs(q))):
+        raise ValueError("quadratic form has a non-negligible imaginary part")
+    stat = 2.0 * np.maximum(np.real(q), 0.0)
+    return stat[()] if np.ndim(stat) == 0 else stat
+
+
+def _ref_fc_raw_statistic(z_star, h_ab_star, sigma_star_inv_applier):
+    if np.asarray(z_star).shape[-1] != np.asarray(h_ab_star).shape[-1]:
+        raise ValueError("z_star and h_ab_star lengths differ")
+    return _ref_quadratic_statistic(z_star, h_ab_star, sigma_star_inv_applier)
+
+
 def _ref_block_decisions(scenario, thresholds, rule_groups, twin, sigma2, h_ref, z):
     codec = scenario_codec(scenario) if scenario.scheme.compressed else None
     if not scenario.scheme.local:
@@ -550,11 +567,11 @@ def _ref_block_decisions(scenario, thresholds, rule_groups, twin, sigma2, h_ref,
         if twin:
             reports.append(z)
         return np.hstack([
-            fc_raw_statistic(r, h_ref, lambda d: d / sigma2)[:, None] > thresholds for r in reports
+            _ref_fc_raw_statistic(r, h_ref, lambda d: d / sigma2)[:, None] > thresholds for r in reports
         ])
     t, n = len(z), scenario.channel.n_nodes
     shape = (t, n, scenario.channel.n_taps)
-    stats_n = quadratic_statistic(z.reshape(shape), h_ref.reshape(shape), lambda d: d / sigma2[..., None])
+    stats_n = _ref_quadratic_statistic(z.reshape(shape), h_ref.reshape(shape), lambda d: d / sigma2[..., None])
     u = (stats_n[:, None, :] > thresholds[:, None]).astype(np.int64)  # (T, V, N)
     planes = [u]
     if codec is not None:
