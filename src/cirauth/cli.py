@@ -277,8 +277,8 @@ def write_csv(path: str, curves: list, config_text: str, seed: int) -> None:
         "scheme,label,snr_db,p_d,p_d_stderr,p_fa,p_fa_stderr,trials",
     ]
     for curve in curves:
-        if "," in curve.scheme or "," in curve.label:
-            raise ValueError(f"curve identifiers must be comma-free, got {curve.label!r}")
+        if any(c in curve.scheme + curve.label for c in ",\n\r"):  # each would split a field or a row
+            raise ValueError(f"curve identifiers must hold no comma or line break, got {curve.label!r}")
         lines += _csv_rows(curve)
     payload = "\n".join(lines) + "\n"
     directory = os.path.dirname(os.path.abspath(path))

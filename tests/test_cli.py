@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import cirauth
 from cirauth import cli, simkit
+from cirauth.channel import ChannelConfig
 from cirauth.detect import DetectorConfig, FusionKind
 from cirauth.cli import (
     ConfigError,
@@ -425,6 +426,19 @@ class TestCsvRows:
             for point in points
         ]
         assert cli._csv_rows(curve) == want
+
+
+class TestWriteCsv:
+    @pytest.mark.parametrize("sep", [",", "\n", "\r"], ids=["comma", "lf", "cr"])
+    def test_identifier_that_would_split_a_row_rejected(self, tmp_path, sep):
+        scenario = simkit.Scenario(
+            scheme="fc_raw", channel=ChannelConfig(n_nodes=2, n_taps=1), detector=DetectorConfig(delta=5.0),
+            snr_grid_db=(0.0,), trials=3, seed=1,
+        )
+        curves = simkit.estimate_curves(scenario, [simkit.Variant(f"x{sep}y", DetectorConfig(delta=5.0))])
+        with pytest.raises(ValueError, match="comma or line break"):
+            cli.write_csv(str(tmp_path / "o.csv"), curves, "text", 1)
+        assert list(tmp_path.iterdir()) == []  # no CSV and no temp file
 
 
 class TestSelfcheck:
