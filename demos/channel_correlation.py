@@ -11,7 +11,9 @@ the reporting channel later exploits.
 
 import numpy as np
 
-from cirauth import ChannelConfig, Rng, dct_basis, draw_channel, stack_columns
+from cirauth import ChannelConfig, dct_basis, stack_columns
+from cirauth.channel import channel_block
+from cirauth.numerics import standard_normal_rows
 
 N, L = 100, 6
 DRAWS = 300
@@ -21,12 +23,12 @@ print(f"{'rho':>5} | {'neighbor corr':>13} | {'top-60 DCT energy':>17}")
 print("-" * 45)
 
 psi = dct_basis(N * L)
+normals = standard_normal_rows(1000, range(DRAWS), 4 * N * L)  # one stream per draw: alice's, then eve's
 for rho in (0.0, 0.3, 0.6, 0.9, 0.99):
     cfg = ChannelConfig(n_nodes=N, n_taps=L, rho=rho, pdp=(1.0,) * L, normalize_kronecker=False)
     num = den = 0.0
     captured = 0.0
-    for t in range(DRAWS):
-        h = draw_channel(Rng(1000, t), cfg).h_ab
+    for h in channel_block(normals, cfg)[:, 0]:  # alice's channel matrices
         num += np.real(np.sum(h[:, :-1].conj() * h[:, 1:]))
         den += np.sum(np.abs(h) ** 2)
         coeffs = psi @ stack_columns(h)

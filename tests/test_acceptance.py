@@ -13,7 +13,7 @@ import pytest
 from scipy import stats
 
 from cirauth import cli, simkit
-from cirauth.channel import ChannelConfig, NoiseModel, Occupant, draw_channel, measure
+from cirauth.channel import ChannelConfig, NoiseModel, Occupant, draw_channel, measure, measure_block, noise_variance
 from cirauth.detect import (
     DetectorConfig,
     FusionKind,
@@ -22,9 +22,10 @@ from cirauth.detect import (
     fuse,
     fused_pfa_analytic,
     local_decide,
+    quadratic_statistic,
     solve_threshold,
 )
-from cirauth.numerics import Rng, chi2_cdf, sample_complex_gaussian
+from cirauth.numerics import Rng, chi2_cdf, sample_complex_gaussian, standard_normal_rows
 from cirauth.simkit import Scheme, snr_margin
 from cirauth.sparse import CsCodec, compress, gaussian_phi, omp, reconstruct_raw
 
@@ -68,10 +69,10 @@ def test_02_local_false_alarm_calibration(capsys):
         alarms = 0
         for c in range(trials // chunk):
             noise = sample_complex_gaussian(Rng(8100 + s, c), chunk * n_taps, sigma2)
-            u = local_decide(
-                noise.reshape(chunk, n_taps), np.zeros(n_taps), lambda d: d / sigma2, delta
-            )
-            alarms += int(u.sum())
+            u = quadratic_statistic(noise.reshape(chunk, n_taps), np.zeros(n_taps), lambda d: d * (1.0 / sigma2)) > delta
+            old = local_decide(noise.reshape(chunk, n_taps), np.zeros(n_taps), lambda d: d / sigma2, delta)
+            assert np.array_equal(u, old)
+            alarms += int(np.count_nonzero(u))
         emp = alarms / trials
         sig = math.sqrt(alpha * (1 - alpha) / trials)
         results[alpha] = (emp, abs(emp - alpha) < 5 * sig)
@@ -90,7 +91,9 @@ def test_03_fc_statistic_distribution(capsys):
     chunk = 10_000
     for c in range(trials // chunk):
         v = sample_complex_gaussian(Rng(8200, c), chunk * dim, sigma2).reshape(chunk, dim)
-        stats_all.append(fc_raw_statistic(v, np.zeros(dim), noise_model.apply_inverse))
+        stats_all.append(quadratic_statistic(v, np.zeros(dim), lambda d: d * (1.0 / sigma2)))
+        old = fc_raw_statistic(v, np.zeros(dim), noise_model.apply_inverse)
+        assert np.array_equal(stats_all[-1].view(np.uint64), old.view(np.uint64))
     sample = np.concatenate(stats_all)
     result = stats.kstest(sample, lambda x: chi2_cdf(x, 2 * dim))
     ok = result.pvalue > 0.001
@@ -205,16 +208,18 @@ def test_07_cs_snr_margin(capsys):
 def test_08_correlation_error_monotonicity(capsys):
     codec = CsCodec(gaussian_phi(Rng(8500, 0), 480, 600), basis="dct", max_atoms=60)
     noise = NoiseModel.from_snr_db(20.0, 100, 6)
+    normals = standard_normal_rows(8501, range(500), 6 * 100 * 6)  # identical substreams across rho: paired draws
+    alice, sigma2 = np.zeros(500, dtype=bool), np.full(500, noise_variance(20.0))
     means = []
     for rho in (0.1, 0.5, 0.9):
         cfg = ChannelConfig(
             n_nodes=100, n_taps=6, rho=rho, pdp=(1.0,) * 6, normalize_kronecker=False
         )
         total = 0.0
-        for t in range(500):
-            rng = Rng(8501, t)  # identical substreams across rho: paired draws
+        for t, z in enumerate(measure_block(normals, cfg, alice, sigma2)[1]):
+            rng = Rng(8501, t)
             ens = draw_channel(rng, cfg)
-            z = measure(rng, ens, Occupant.ALICE, noise).z_star
+            assert np.array_equal(z, measure(rng, ens, Occupant.ALICE, noise).z_star)
             _, err = reconstruct_raw(compress(z, codec), codec, truth=z)
             total += err
         means.append(total / 500)

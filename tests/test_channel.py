@@ -71,31 +71,39 @@ class TestChannelConfig:
                 ChannelConfig(n_nodes=4, n_taps=2, pdp=(1.0, bad))
 
 
+def _draws(seed, trials, cfg):
+    """``channel_block`` on streams 0..trials-1, checked against one-trial ``draw_channel`` calls."""
+    h = channel_block(standard_normal_rows(seed, range(trials), 4 * cfg.n_taps * cfg.n_nodes), cfg)
+    for t in range(trials):
+        ens = draw_channel(Rng(seed, t), cfg)
+        assert np.array_equal(h[t, 0], ens.h_ab) and np.array_equal(h[t, 1], ens.h_eb)
+    return h
+
+
 class TestDrawChannel:
     def test_rho_zero_unnormalized_equals_iid_draw(self):
         cfg = ChannelConfig(n_nodes=5, n_taps=3, rho=0.0, normalize_kronecker=False)
-        ens = draw_channel(Rng(21, 0), cfg)
+        h_ab, h_eb = _draws(21, 1, cfg)[0]
         # replay the draw stream by hand: alice's matrix comes first
         rng = Rng(21, 0)
         scale = np.sqrt(cfg.pdp_array)[:, None]
         h_alice = sample_complex_gaussian(rng, 15, 1.0).reshape(3, 5) * scale
         h_eve = sample_complex_gaussian(rng, 15, 1.0).reshape(3, 5) * scale
-        assert np.allclose(ens.h_ab, h_alice, atol=1e-14)
-        assert np.allclose(ens.h_eb, h_eve, atol=1e-14)
+        assert np.allclose(h_ab, h_alice, atol=1e-14)
+        assert np.allclose(h_eb, h_eve, atol=1e-14)
 
     def test_rho_zero_normalized_scales_by_sqrt_n(self):
         base = ChannelConfig(n_nodes=5, n_taps=3, rho=0.0, normalize_kronecker=False)
         norm = ChannelConfig(n_nodes=5, n_taps=3, rho=0.0, normalize_kronecker=True)
-        a = draw_channel(Rng(22, 0), base)
-        b = draw_channel(Rng(22, 0), norm)
-        assert np.allclose(b.h_ab, a.h_ab / np.sqrt(5), atol=1e-14)
+        a = _draws(22, 1, base)[0, 0]
+        b = _draws(22, 1, norm)[0, 0]
+        assert np.allclose(b, a / np.sqrt(5), atol=1e-14)
 
     def test_adjacent_column_correlation(self):
         cfg = ChannelConfig(n_nodes=100, n_taps=6, rho=0.9, normalize_kronecker=False)
         num = 0.0
         den = 0.0
-        for t in range(2000):
-            h = draw_channel(Rng(23, t), cfg).h_ab
+        for h in _draws(23, 2000, cfg)[:, 0]:
             num += np.real(np.sum(h[:, :-1].conj() * h[:, 1:]))
             den += np.sum(np.abs(h) ** 2)
         corr = num / (den * 99 / 100)
@@ -106,9 +114,7 @@ class TestDrawChannel:
         # the pdp total independently of rho
         for rho in (0.0, 0.9):
             cfg = ChannelConfig(n_nodes=10, n_taps=6, rho=rho, normalize_kronecker=True)
-            power = np.mean(
-                [np.sum(np.abs(draw_channel(Rng(24, t), cfg).h_ab) ** 2) for t in range(3000)]
-            )
+            power = np.mean([np.sum(np.abs(h) ** 2) for h in _draws(24, 3000, cfg)[:, 0]])
             assert power == pytest.approx(sum(cfg.pdp), rel=0.03)
 
     def test_alice_eve_independent(self):
@@ -116,18 +122,17 @@ class TestDrawChannel:
         acc = 0.0
         power_a = 0.0
         power_e = 0.0
-        for t in range(10_000):
-            ens = draw_channel(Rng(25, t), cfg)
-            acc += np.real(np.vdot(stack_columns(ens.h_ab), stack_columns(ens.h_eb)))
-            power_a += np.sum(np.abs(ens.h_ab) ** 2)
-            power_e += np.sum(np.abs(ens.h_eb) ** 2)
+        for h_ab, h_eb in _draws(25, 10_000, cfg):
+            acc += np.real(np.vdot(stack_columns(h_ab), stack_columns(h_eb)))
+            power_a += np.sum(np.abs(h_ab) ** 2)
+            power_e += np.sum(np.abs(h_eb) ** 2)
         assert abs(acc) / np.sqrt(power_a * power_e) < 0.05
 
     def test_tap_variances_follow_pdp(self):
         cfg = ChannelConfig(
             n_nodes=3, n_taps=4, rho=0.0, pdp=(0.4, 0.3, 0.2, 0.1), normalize_kronecker=False
         )
-        draws = np.stack([draw_channel(Rng(26, t), cfg).h_ab for t in range(4000)])
+        draws = _draws(26, 4000, cfg)[:, 0]
         tap_power = np.mean(np.abs(draws) ** 2, axis=(0, 2))
         assert np.allclose(tap_power, cfg.pdp, rtol=0.08)
 
@@ -162,64 +167,74 @@ class TestNoiseModel:
                 NoiseModel(sigma2=(bad,), n_taps=2)
 
 
+_MEASURE_CFG = ChannelConfig(n_nodes=4, n_taps=3, rho=0.5, normalize_kronecker=False)
+
+
 class TestMeasure:
-    def _setup(self, sigma2=1.0):
-        cfg = ChannelConfig(n_nodes=4, n_taps=3, rho=0.5, normalize_kronecker=False)
-        ens = draw_channel(Rng(30, 0), cfg)
-        nm = NoiseModel(sigma2=(sigma2,) * 4, n_taps=3)
-        return cfg, ens, nm
+    """``measure_block`` rows that share stream 30's channel draw, each with noise from its own stream."""
+
+    def _measure(self, noise_normals, eve, sigma2):
+        channel = np.tile(Rng(30, 0).standard_normal(4 * 4 * 3), (len(noise_normals), 1))
+        normals = np.hstack([channel, noise_normals])
+        h_ab, h_eb = stack_columns(channel_block(channel[:1], _MEASURE_CFG)[0])
+        z = measure_block(normals, _MEASURE_CFG, np.full(len(normals), eve), np.full(len(normals), sigma2))[1]
+        ens = draw_channel(Rng(30, 0), _MEASURE_CFG)
+        assert np.array_equal(h_ab, stack_columns(ens.h_ab)) and np.array_equal(h_eb, stack_columns(ens.h_eb))
+        return ens, h_ab, h_eb, z
 
     def test_noiseless_limit(self):
-        _, ens, _ = self._setup()
+        ens, h_ab, _, z = self._measure(Rng(31, 0).standard_normal((1, 24)), False, 1e-30)
         nm = NoiseModel(sigma2=(1e-30,) * 4, n_taps=3)
-        batch = measure(Rng(31, 0), ens, Occupant.ALICE, nm)
-        assert np.abs(batch.z_star - stack_columns(ens.h_ab)).max() < 1e-12
+        assert np.array_equal(z[0], measure(Rng(31, 0), ens, Occupant.ALICE, nm).z_star)
+        assert np.abs(z[0] - h_ab).max() < 1e-12
 
     def test_noise_energy_accounting(self):
-        _, ens, nm = self._setup(sigma2=1.0)
-        h = stack_columns(ens.h_ab)
-        acc = 0.0
         trials = 10_000
+        ens, h, _, z = self._measure(standard_normal_rows(32, range(trials), 24), False, 1.0)
+        nm = NoiseModel(sigma2=(1.0,) * 4, n_taps=3)
+        acc = 0.0
         for t in range(trials):
-            z = measure(Rng(32, t), ens, Occupant.ALICE, nm).z_star
-            acc += np.sum(np.abs(z - h) ** 2)
+            assert np.array_equal(z[t], measure(Rng(32, t), ens, Occupant.ALICE, nm).z_star)
+            acc += np.sum(np.abs(z[t] - h) ** 2)
         assert acc / trials == pytest.approx(4 * 3, rel=0.03)
 
     def test_occupant_selects_channel(self):
-        _, ens, _ = self._setup()
+        ens, _, h_eb, z = self._measure(Rng(33, 0).standard_normal((1, 24)), True, 1e-30)
         nm = NoiseModel(sigma2=(1e-30,) * 4, n_taps=3)
-        z_eve = measure(Rng(33, 0), ens, Occupant.EVE, nm).z_star
-        assert np.abs(z_eve - stack_columns(ens.h_eb)).max() < 1e-12
+        assert np.array_equal(z[0], measure(Rng(33, 0), ens, Occupant.EVE, nm).z_star)
+        assert np.abs(z[0] - h_eb).max() < 1e-12
 
     def test_stream_advances_between_calls(self):
-        _, ens, nm = self._setup()
+        # one stream's first and second 24 noise normals, as two rows
+        ens, _, _, z = self._measure(Rng(34, 0).standard_normal((2, 24)), False, 1.0)
+        nm = NoiseModel(sigma2=(1.0,) * 4, n_taps=3)
         rng = Rng(34, 0)
-        z1 = measure(rng, ens, Occupant.ALICE, nm).z_star
-        z2 = measure(rng, ens, Occupant.ALICE, nm).z_star
-        assert not np.array_equal(z1, z2)
+        assert np.array_equal(z, [measure(rng, ens, Occupant.ALICE, nm).z_star for _ in range(2)])
+        assert not np.array_equal(z[0], z[1])
 
     def test_dimension_mismatch(self):
-        _, ens, _ = self._setup()
-        bad = NoiseModel(sigma2=(1.0,) * 5, n_taps=3)
+        # noise normals for 5 nodes against a 4-node channel
         with pytest.raises(ValueError):
-            measure(Rng(35, 0), ens, Occupant.ALICE, bad)
+            self._measure(Rng(35, 0).standard_normal((1, 30)), False, 1.0)
 
 
 class TestMeasureBlock:
-    @pytest.mark.parametrize("occupant", [Occupant.ALICE, Occupant.EVE])
+    @pytest.mark.parametrize("occupant", ["alice", "eve"])
     @pytest.mark.parametrize("normalize", [False, True])
     def test_rows_equal_per_trial_draws(self, occupant, normalize):
-        # row i must be bit-equal to draw_channel then measure on stream i, at its own
-        # occupant and SNR; ``occupant`` is row 0's, and the block holds both.
+        # row i must be bit-equal to the frozen reference on stream i's own draw, at its
+        # own occupant and SNR; ``occupant`` is row 0's, and the block holds both.
         # numpy's vectorized 10 ** (-g / 10) differs from Python's at 22.0 and -25.0 dB
         cfg = ChannelConfig(n_nodes=5, n_taps=3, rho=0.7, normalize_kronecker=normalize)
         streams = [3, 11, 12, 900, 901, 7]
         snrs = [22.0, 22.0, -25.0, 0.3, -25.0, 13.7]
-        eve = np.array([0, 1, 1, 0, 1, 0], dtype=bool) ^ (occupant is Occupant.EVE)
+        eve = np.array([0, 1, 1, 0, 1, 0], dtype=bool) ^ (occupant == "eve")
         sigma2 = np.array([noise_variance(s) for s in snrs])
         assert not np.array_equal(10.0 ** (-np.array(snrs) / 10.0), sigma2)
         h_ab, z = measure_block(standard_normal_rows(36, streams, 6 * 5 * 3), cfg, eve, sigma2)
         for i, sid in enumerate(streams):
+            want_h_ab, want_z = _ref_measure_block(Rng(36, sid).standard_normal((1, 6 * 5 * 3)), cfg, eve[i:i + 1], sigma2[i:i + 1])
+            assert np.array_equal(h_ab[i], want_h_ab[0]) and np.array_equal(z[i], want_z[0])
             rng = Rng(36, sid)
             ens = draw_channel(rng, cfg)
             occ = Occupant.EVE if eve[i] else Occupant.ALICE
@@ -306,13 +321,13 @@ class TestFrontEndReference:
         assert h_ab.shape == z.shape == (0, width // 2) and z.dtype == np.complex128
         assert channel_block(normals[:0, : 2 * width], cfg).shape == (0, 2, cfg.n_taps, cfg.n_nodes)
 
-        noise = NoiseModel(sigma2=node_sigma2, n_taps=cfg.n_taps)
-        for occupant in Occupant:
-            rng, ref = Rng(seed, 5), Rng(seed, 5)
+        # one trial's own stream, drawn by ``Rng`` and measured as a one-row block
+        for occupant in (False, True):
+            row = Rng(seed, 5).standard_normal((1, 3 * width))
+            got = measure_block(row, cfg, [occupant], sigma2[:1])
+            want = _ref_measure_block(row, cfg, [occupant], sigma2[:1])
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+            rng = Rng(seed, 5)
             ens = draw_channel(rng, cfg)
-            want = _ref_channel_block(ref.standard_normal((1, 2 * width)), cfg)[0]
-            assert np.array_equal(ens.h_ab, want[0]) and np.array_equal(ens.h_eb, want[1])
-            got = measure(rng, ens, occupant, noise).z_star
-            h = stack_columns(want[0] if occupant is Occupant.ALICE else want[1])
-            v = _ref_noise_rows(ref.standard_normal((1, width)), np.asarray(node_sigma2), cfg.n_taps)[0]
-            assert np.array_equal(got, h + v)
+            noise = NoiseModel(sigma2=(sigma2[0],) * cfg.n_nodes, n_taps=cfg.n_taps)
+            assert np.array_equal(got[1][0], measure(rng, ens, Occupant(("alice", "eve")[occupant]), noise).z_star)

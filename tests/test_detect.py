@@ -62,13 +62,13 @@ class TestSolveThreshold:
 class TestFcStatistic:
     def test_zero_at_reference(self):
         h = sample_complex_gaussian(Rng(40, 0), 6, 1.0)
-        assert fc_raw_statistic(h, h, _identity_applier) == 0.0
+        assert quadratic_statistic(h, h, lambda d: d * 1.0) == 0.0 == fc_raw_statistic(h, h, _identity_applier)
 
     def test_unit_vector_closed_form(self):
         z = np.zeros(4, dtype=complex)
         z[0] = 1.0
         h = np.zeros(4, dtype=complex)
-        assert fc_raw_statistic(z, h, _identity_applier) == 2.0
+        assert quadratic_statistic(z, h, lambda d: d * 1.0) == 2.0 == fc_raw_statistic(z, h, _identity_applier)
 
     @pytest.mark.parametrize("n_nodes", [1, 10])
     def test_null_mean_matches_dof(self, n_nodes):
@@ -77,12 +77,16 @@ class TestFcStatistic:
         sigma2 = 0.37
         draws = sample_complex_gaussian(Rng(41, n_nodes), trials * n_nodes * n_taps, sigma2)
         z = draws.reshape(trials, n_nodes * n_taps)
-        stat = fc_raw_statistic(z, np.zeros(n_nodes * n_taps), lambda d: d / sigma2)
+        stat = quadratic_statistic(z, np.zeros(n_nodes * n_taps), lambda d: d * (1.0 / sigma2))
+        old = fc_raw_statistic(z, np.zeros(n_nodes * n_taps), lambda d: d / sigma2)
+        assert np.array_equal(stat.view(np.uint64), old.view(np.uint64))
         dof = 2 * n_nodes * n_taps
         assert stat.mean() == pytest.approx(dof, rel=0.01)
         assert stats.kstest(stat, lambda x: stats.chi2.cdf(x, dof)).pvalue > 0.001
 
     def test_length_mismatch(self):
+        with pytest.raises(ValueError):
+            quadratic_statistic(np.zeros(4), np.zeros(5), lambda d: d * 1.0)
         with pytest.raises(ValueError):
             fc_raw_statistic(np.zeros(4), np.zeros(5), _identity_applier)
 
@@ -129,17 +133,19 @@ class TestNoiseScaling:
 
 
 class TestDecisions:
-    def test_local_decide_zero(self):
+    def test_zero_deviation_accepts(self):
         h = sample_complex_gaussian(Rng(42, 0), 6, 1.0)
+        assert not quadratic_statistic(h, h, lambda d: d * 1.0) > 26.2
         assert local_decide(h, h, _identity_applier, 26.2) == 0
 
-    def test_local_decide_batch_matches_scalar(self):
+    def test_batch_decisions_match_single_rows(self):
         rng = Rng(43, 0)
         z = sample_complex_gaussian(rng, 30, 1.0).reshape(5, 6)
         h = sample_complex_gaussian(rng, 6, 1.0)
-        batch = local_decide(z, h, _identity_applier, 9.0)
-        singles = [local_decide(z[i], h, _identity_applier, 9.0) for i in range(5)]
+        batch = quadratic_statistic(z, h, lambda d: d * 1.0)
+        singles = [quadratic_statistic(z[i], h, lambda d: d * 1.0) for i in range(5)]
         assert np.array_equal(batch, singles)
+        assert np.array_equal(batch > 9.0, local_decide(z, h, _identity_applier, 9.0))
 
     @pytest.mark.parametrize("alpha", [0.01, 0.001])
     def test_local_false_alarm_calibration(self, alpha):
@@ -147,9 +153,8 @@ class TestDecisions:
         n_taps, trials, sigma2 = 6, 100_000, 1.0
         delta = solve_threshold(alpha, 2 * n_taps)
         noise = sample_complex_gaussian(Rng(44, 0), trials * n_taps, sigma2)
-        u = local_decide(
-            noise.reshape(trials, n_taps), np.zeros(n_taps), lambda d: d / sigma2, delta
-        )
+        u = quadratic_statistic(noise.reshape(trials, n_taps), np.zeros(n_taps), lambda d: d * (1.0 / sigma2)) > delta
+        assert np.array_equal(u, local_decide(noise.reshape(trials, n_taps), np.zeros(n_taps), lambda d: d / sigma2, delta))
         sig = math.sqrt(alpha * (1 - alpha) / trials)
         assert abs(u.mean() - alpha) < 5 * sig
 

@@ -253,44 +253,51 @@ class TestEstimateCurve:
 def _oracle_counts(scenario: Scenario, variants: list[Variant]) -> tuple[np.ndarray, np.ndarray]:
     """(H1, H0) counts, shape (SNR points, 2V), one trial at a time.
 
-    Built from the public per-trial pieces only.  Columns are every
-    variant on the scheme's report, then every variant on the
-    uncompressed report (the ``no_cs`` twin).  Trial t at SNR index s
-    under hypothesis h (1 = eve) owns stream (s << 33) | (h << 32) | t.
+    Each trial is a one-row block of the public pieces: its stream's
+    normals, ``measure_block``, the statistic, and the fusion rule.
+    Columns are every variant on the scheme's report, then every variant
+    on the uncompressed report (the ``no_cs`` twin).  Trial t at SNR
+    index s under hypothesis h (1 = eve) owns stream (s << 33) | (h << 32) | t.
     """
     cfg = scenario.channel
     n, L = cfg.n_nodes, cfg.n_taps
     codec = scenario_codec(scenario) if scenario.codec is not None else None
     local = scenario.scheme in (Scheme.LOCAL_FUSION, Scheme.LOCAL_FUSION_CS)
     dets = [v.detector.resolve(n, L) for v in variants]
-    counts = {occ: np.zeros((len(scenario.snr_grid_db), 2 * len(variants)), dtype=np.int64)
-              for occ in Occupant}
+    counts = np.zeros((2, len(scenario.snr_grid_db), 2 * len(variants)), dtype=np.int64)  # alice, eve
     for si, snr in enumerate(scenario.snr_grid_db):
+        sigma2 = noise_variance(snr)
         noise = NoiseModel.from_snr_db(snr, n, L)
-        for occ, bit in ((Occupant.EVE, 1), (Occupant.ALICE, 0)):
+        for bit in (1, 0):
             for t in range(scenario.trials):
-                rng = Rng(scenario.seed, (si << 33) | (bit << 32) | t)
+                stream = (si << 33) | (bit << 32) | t
+                h, z = (x[0] for x in measure_block(standard_normal_rows(scenario.seed, [stream], 6 * n * L), cfg, [bit], [sigma2]))
+                rng = Rng(scenario.seed, stream)
                 ens = draw_channel(rng, cfg)
-                z = measure(rng, ens, occ, noise).z_star
-                h = stack_columns(ens.h_ab)
+                assert np.array_equal(h, stack_columns(ens.h_ab))
+                assert np.array_equal(z, measure(rng, ens, Occupant(("alice", "eve")[bit]), noise).z_star)
                 if not local:
                     z_cs = z if codec is None else reconstruct_raw(compress(z, codec), codec)
-                    stats = [fc_raw_statistic(r, h, noise.apply_inverse) for r in (z_cs, z)]
+                    stats = [quadratic_statistic(r, h, lambda d: d * (1.0 / sigma2)) for r in (z_cs, z)]
+                    old = [fc_raw_statistic(r, h, noise.apply_inverse) for r in (z_cs, z)]
                     row = [stat > d.delta for stat in stats for d in dets]
+                    assert row == [stat > d.delta for stat in old for d in dets]
                 else:
-                    stats_n = quadratic_statistic(
+                    stats_n = quadratic_statistic(z.reshape(n, L), h.reshape(n, L), lambda d: d * (1.0 / sigma2))
+                    old = quadratic_statistic(
                         z.reshape(n, L),
                         h.reshape(n, L),
                         lambda d: noise.apply_inverse(d.reshape(-1)).reshape(n, L),
                     )
+                    assert np.array_equal(stats_n, old)
                     us = [(stats_n > d.delta_n).astype(np.int64) for d in dets]
                     if codec is not None:
                         us_cs = [reconstruct_decisions(compress(u.astype(float), codec), codec) for u in us]
                     else:
                         us_cs = us
                     row = [fuse(u, v.rule) for u_list in (us_cs, us) for u, v in zip(u_list, variants)]
-                counts[occ][si] += np.asarray(row, dtype=np.int64)
-    return counts[Occupant.EVE], counts[Occupant.ALICE]
+                counts[bit, si] += np.asarray(row, dtype=np.int64)
+    return counts[1], counts[0]
 
 
 def _engine_counts(curves: list[DetectionCurve]) -> tuple[np.ndarray, np.ndarray]:
