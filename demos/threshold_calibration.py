@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from cirauth import Rng, sample_complex_gaussian, solve_threshold
-from cirauth.detect import local_decide
+from cirauth.detect import quadratic_statistic
 
 L = 6
 TRIALS = 400_000
@@ -27,7 +27,7 @@ for alpha in (0.05, 0.01, 0.001):
     alarms = 0
     for c in range(TRIALS // CHUNK):
         noise = sample_complex_gaussian(Rng(2000 + c, int(alpha * 1e6)), CHUNK * L, 1.0)
-        u = local_decide(noise.reshape(CHUNK, L), np.zeros(L), lambda d: d, delta)
+        u = quadratic_statistic(noise.reshape(CHUNK, L), np.zeros(L), 1.0) > delta
         alarms += int(u.sum())
     emp = alarms / TRIALS
     sigma = math.sqrt(alpha * (1 - alpha) / TRIALS)

@@ -17,13 +17,8 @@ from .numerics import (
 )
 from .channel import (
     ChannelConfig,
-    ChannelEnsemble,
-    MeasurementBatch,
     NoiseModel,
-    Occupant,
-    draw_channel,
     exp_correlation_matrix,
-    measure,
     stack_columns,
 )
 from .detect import (
@@ -32,10 +27,8 @@ from .detect import (
     DetectorConfig,
     FusionKind,
     FusionRule,
-    fc_raw_statistic,
     fuse,
     fused_pfa_analytic,
-    local_decide,
     solve_threshold,
 )
 from .sparse import (
@@ -66,7 +59,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ChannelConfig",
-    "ChannelEnsemble",
     "CompressedReport",
     "CsCodec",
     "CsCodecConfig",
@@ -78,9 +70,7 @@ __all__ = [
     "FusionRule",
     "H0",
     "H1",
-    "MeasurementBatch",
     "NoiseModel",
-    "Occupant",
     "RecoveryError",
     "Rng",
     "Scenario",
@@ -91,17 +81,13 @@ __all__ = [
     "cholesky",
     "compress",
     "dct_basis",
-    "draw_channel",
     "estimate_curve",
     "estimate_curves",
     "exp_correlation_matrix",
-    "fc_raw_statistic",
     "fuse",
     "fused_pfa_analytic",
     "gaussian_phi",
     "identity_basis",
-    "local_decide",
-    "measure",
     "omp",
     "reconstruct_decisions",
     "reconstruct_raw",

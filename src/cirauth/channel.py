@@ -12,7 +12,6 @@ and add circularly-symmetric Gaussian estimation noise.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -20,14 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import numerics
-from .numerics import Rng, complex_from_normals
-
-
-class Occupant(str, enum.Enum):
-    """Which transmitter holds the sensing channel in a timeslot."""
-
-    ALICE = "alice"
-    EVE = "eve"
+from .numerics import complex_from_normals
 
 
 @dataclass(frozen=True)
@@ -68,19 +60,9 @@ class ChannelConfig:
         return np.asarray(self.pdp, dtype=np.float64)
 
 
-@dataclass(frozen=True)
-class ChannelEnsemble:
-    """One joint draw of the alice->nodes and eve->nodes channel matrices.
-
-    Both are L x N complex, column n being node n's channel; the two
-    matrices are independent draws (transmit-side correlation between the
-    two senders is neglected).
-    """
-
-    h_ab: np.ndarray
-    h_eb: np.ndarray
-
-
+# Nothing in the engine uses this class: a block's rows carry their own
+# noise variance.  It stays because perfbench's tracer looks it up while it
+# builds its patch list, and crashes without it.
 @dataclass(frozen=True)
 class NoiseModel:
     """White per-node measurement noise, Sigma_n = sigma2[n] * I.
@@ -108,29 +90,6 @@ class NoiseModel:
     @property
     def n_nodes(self) -> int:
         return len(self.sigma2)
-
-    def sample_stacked(self, rng: Rng) -> np.ndarray:
-        """One stacked noise vector v of length N*L, ~ CN(0, blkdiag(Sigma_n))."""
-        normals = rng.standard_normal((1, 2 * self.n_nodes * self.n_taps))
-        return _noise_rows(normals, np.asarray(self.sigma2), self.n_taps)[0]
-
-    def apply_inverse(self, d: np.ndarray) -> np.ndarray:
-        """Apply blkdiag(Sigma_1..Sigma_N)^-1 to stacked vectors.
-
-        Accepts shape (..., N*L); leading axes are batch.
-        """
-        d = np.asarray(d)
-        n, L = self.n_nodes, self.n_taps
-        if d.shape[-1] != n * L:
-            raise ValueError(f"expected trailing dimension {n * L}, got {d.shape[-1]}")
-        blocks = d.reshape(d.shape[:-1] + (n, L))
-        return (blocks / np.asarray(self.sigma2)[:, None]).reshape(d.shape)
-
-@dataclass(frozen=True)
-class MeasurementBatch:
-    """Stacked noisy measurement z of length N*L."""
-
-    z_star: np.ndarray
 
 
 def stack_columns(h: np.ndarray) -> np.ndarray:
@@ -195,34 +154,12 @@ def _noise_rows(normals: np.ndarray, sigma2: np.ndarray, n_taps: int) -> np.ndar
 def measure_block(normals: np.ndarray, cfg: ChannelConfig, eve: np.ndarray, sigma2: np.ndarray):
     """Stacked alice channels and occupant measurements ``(h_ab, z)``, each (T, N*L).
 
-    Row i of ``normals`` (T, 6LN) is trial i's stream in the order :func:`draw_channel`
-    then :func:`measure` read it: alice 2LN | eve 2LN | noise 2LN.  Row i measures
-    eve's channel where ``eve[i]``, else alice's, under noise variance ``sigma2[i]``.
+    Row i of ``normals`` (T, 6LN) is trial i's stream: alice 2LN | eve 2LN | noise 2LN,
+    the channels as :func:`channel_block` reads them.  Row i measures eve's channel
+    where ``eve[i]``, else alice's, under noise variance ``sigma2[i]``.
     """
     k = 4 * cfg.n_taps * cfg.n_nodes
     h = stack_columns(channel_block(normals[:, :k], cfg))  # (T, 2, N*L): alice, eve
     z = _noise_rows(normals[:, k:], np.asarray(sigma2)[:, None], cfg.n_taps)
     z += np.where(np.asarray(eve, dtype=bool)[:, None], h[:, 1], h[:, 0])
     return h[:, 0], z
-
-
-def draw_channel(rng: Rng, cfg: ChannelConfig) -> ChannelEnsemble:
-    """One correlated channel ensemble (see :func:`channel_block`): alice's, then eve's."""
-    h = channel_block(rng.standard_normal((1, 4 * cfg.n_taps * cfg.n_nodes)), cfg)[0]
-    return ChannelEnsemble(h_ab=h[0], h_eb=h[1])
-
-
-def measure(
-    rng: Rng,
-    ensemble: ChannelEnsemble,
-    occupant: Occupant,
-    noise: NoiseModel,
-) -> MeasurementBatch:
-    """Stacked noisy measurement of the occupant's channel: z = h + v."""
-    h = stack_columns(ensemble.h_ab if Occupant(occupant) is Occupant.ALICE else ensemble.h_eb)
-    if noise.n_nodes * noise.n_taps != h.size:
-        raise ValueError(
-            f"noise model is {noise.n_nodes} nodes x {noise.n_taps} taps "
-            f"but the ensemble stacks to length {h.size}"
-        )
-    return MeasurementBatch(z_star=h + noise.sample_stacked(rng))

@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -103,59 +103,21 @@ def solve_threshold(alpha: float, dof: int) -> float:
     return 2.0 * float(special.gammainccinv(dof / 2.0, alpha))
 
 
-def quadratic_statistic(
-    z: np.ndarray,
-    h_ref: np.ndarray,
-    inv_applier: Callable[[np.ndarray], np.ndarray],
-) -> np.ndarray | float:
+def quadratic_statistic(z: np.ndarray, h_ref: np.ndarray, scale: np.ndarray | float) -> np.ndarray | float:
     """Doubled whitened squared deviation 2 (z - h)^H Sigma^-1 (z - h).
 
-    The sum runs over the trailing axis; leading axes are a batch.  Under
-    the null it is chi-squared with 2*(trailing length) degrees of freedom.
+    ``scale`` is the inverse noise variance 1/sigma2, per row or per node,
+    broadcast against ``z - h_ref``.  The sum runs over the trailing axis;
+    leading axes are a batch.  Under the null it is chi-squared with
+    2*(trailing length) degrees of freedom.
     """
     d = np.asarray(z) - np.asarray(h_ref)
-    q = (d.conj() * inv_applier(d)).sum(axis=-1)
+    q = (d.conj() * (d * scale)).sum(axis=-1)
     q_im = np.abs(np.imag(q)) if np.iscomplexobj(q) else 0.0
     if np.any(q_im > 1e-10 * np.maximum(1.0, np.abs(q))):
         raise ValueError("quadratic form has a non-negligible imaginary part")
     stat = 2.0 * np.maximum(np.real(q), 0.0)
     return stat[()] if np.ndim(stat) == 0 else stat
-
-
-def fc_raw_statistic(
-    z_star: np.ndarray,
-    h_ab_star: np.ndarray,
-    sigma_star_inv_applier: Callable[[np.ndarray], np.ndarray],
-) -> float:
-    """Fusion-center test statistic on the stacked raw measurement.
-
-    :func:`quadratic_statistic` of the stacked vector;
-    ``sigma_star_inv_applier`` applies the inverse stacked noise
-    covariance.  Leading axes of ``z_star`` are treated as a batch.
-    """
-    if np.asarray(z_star).shape[-1] != np.asarray(h_ab_star).shape[-1]:
-        raise ValueError("z_star and h_ab_star lengths differ")
-    return quadratic_statistic(z_star, h_ab_star, sigma_star_inv_applier)
-
-
-def local_decide(
-    z_n: np.ndarray,
-    h_abn: np.ndarray,
-    sigma_n_inv: Callable[[np.ndarray], np.ndarray],
-    delta_n: float,
-) -> int:
-    """One node's hard decision on its own L-tap measurement.
-
-    Same statistic and tie conventions as the fusion-center test; returns
-    1 for "declare intruder".  ``sigma_n_inv`` applies the node's inverse
-    noise covariance.
-    """
-    if np.asarray(z_n).shape[-1] != np.asarray(h_abn).shape[-1]:
-        raise ValueError("z_n and h_abn lengths differ")
-    stat = quadratic_statistic(z_n, h_abn, sigma_n_inv)
-    if np.ndim(stat):
-        return (stat > delta_n).astype(np.int64)
-    return int(stat > delta_n)
 
 
 def fuse(u_star: Sequence[int] | np.ndarray, rule: FusionRule) -> bool:

@@ -240,11 +240,11 @@ def _block_decisions(scenario, levels, groups, twin, sigma2, h_ref, z) -> np.nda
         reports = [z] if codec is None else [sparse.reconstruct_raw(sparse.compress(z, codec), codec)]
         if twin:
             reports.append(z)
-        planes = [detect.fc_raw_statistic(r, h_ref, lambda d: d * scale)[:, None] > levels for r in reports]
+        planes = [detect.quadratic_statistic(r, h_ref, scale)[:, None] > levels for r in reports]
     else:
         t, n = len(z), scenario.channel.n_nodes
         shape = (t, n, scenario.channel.n_taps)
-        stats_n = detect.quadratic_statistic(z.reshape(shape), h_ref.reshape(shape), lambda d: d * scale[..., None])
+        stats_n = detect.quadratic_statistic(z.reshape(shape), h_ref.reshape(shape), scale[..., None])
         u = (stats_n[:, None, :] > levels[:, None]).astype(np.int64)  # (T, D, N)
         planes = [u]
         if codec is not None:

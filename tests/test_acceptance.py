@@ -13,15 +13,13 @@ import pytest
 from scipy import stats
 
 from cirauth import cli, simkit
-from cirauth.channel import ChannelConfig, NoiseModel, Occupant, draw_channel, measure, measure_block, noise_variance
+from cirauth.channel import ChannelConfig, measure_block, noise_variance
 from cirauth.detect import (
     DetectorConfig,
     FusionKind,
     FusionRule,
-    fc_raw_statistic,
     fuse,
     fused_pfa_analytic,
-    local_decide,
     quadratic_statistic,
     solve_threshold,
 )
@@ -69,10 +67,8 @@ def test_02_local_false_alarm_calibration(capsys):
         alarms = 0
         for c in range(trials // chunk):
             noise = sample_complex_gaussian(Rng(8100 + s, c), chunk * n_taps, sigma2)
-            u = quadratic_statistic(noise.reshape(chunk, n_taps), np.zeros(n_taps), lambda d: d * (1.0 / sigma2)) > delta
-            old = local_decide(noise.reshape(chunk, n_taps), np.zeros(n_taps), lambda d: d / sigma2, delta)
-            assert np.array_equal(u, old)
-            alarms += int(np.count_nonzero(u))
+            u = quadratic_statistic(noise.reshape(chunk, n_taps), np.zeros(n_taps), 1.0 / sigma2) > delta
+            alarms += int(u.sum())
         emp = alarms / trials
         sig = math.sqrt(alpha * (1 - alpha) / trials)
         results[alpha] = (emp, abs(emp - alpha) < 5 * sig)
@@ -86,14 +82,11 @@ def test_02_local_false_alarm_calibration(capsys):
 def test_03_fc_statistic_distribution(capsys):
     n_nodes, n_taps, trials, sigma2 = 10, 6, 100_000, 0.73
     dim = n_nodes * n_taps
-    noise_model = NoiseModel(sigma2=(sigma2,) * n_nodes, n_taps=n_taps)
     stats_all = []
     chunk = 10_000
     for c in range(trials // chunk):
         v = sample_complex_gaussian(Rng(8200, c), chunk * dim, sigma2).reshape(chunk, dim)
-        stats_all.append(quadratic_statistic(v, np.zeros(dim), lambda d: d * (1.0 / sigma2)))
-        old = fc_raw_statistic(v, np.zeros(dim), noise_model.apply_inverse)
-        assert np.array_equal(stats_all[-1].view(np.uint64), old.view(np.uint64))
+        stats_all.append(quadratic_statistic(v, np.zeros(dim), 1.0 / sigma2))
     sample = np.concatenate(stats_all)
     result = stats.kstest(sample, lambda x: chi2_cdf(x, 2 * dim))
     ok = result.pvalue > 0.001
@@ -207,7 +200,6 @@ def test_07_cs_snr_margin(capsys):
 
 def test_08_correlation_error_monotonicity(capsys):
     codec = CsCodec(gaussian_phi(Rng(8500, 0), 480, 600), basis="dct", max_atoms=60)
-    noise = NoiseModel.from_snr_db(20.0, 100, 6)
     normals = standard_normal_rows(8501, range(500), 6 * 100 * 6)  # identical substreams across rho: paired draws
     alice, sigma2 = np.zeros(500, dtype=bool), np.full(500, noise_variance(20.0))
     means = []
@@ -216,10 +208,7 @@ def test_08_correlation_error_monotonicity(capsys):
             n_nodes=100, n_taps=6, rho=rho, pdp=(1.0,) * 6, normalize_kronecker=False
         )
         total = 0.0
-        for t, z in enumerate(measure_block(normals, cfg, alice, sigma2)[1]):
-            rng = Rng(8501, t)
-            ens = draw_channel(rng, cfg)
-            assert np.array_equal(z, measure(rng, ens, Occupant.ALICE, noise).z_star)
+        for z in measure_block(normals, cfg, alice, sigma2)[1]:
             _, err = reconstruct_raw(compress(z, codec), codec, truth=z)
             total += err
         means.append(total / 500)

@@ -8,11 +8,8 @@ from hypothesis import strategies as st
 from cirauth.channel import (
     ChannelConfig,
     NoiseModel,
-    Occupant,
     channel_block,
-    draw_channel,
     exp_correlation_matrix,
-    measure,
     measure_block,
     noise_variance,
     stack_columns,
@@ -71,19 +68,10 @@ class TestChannelConfig:
                 ChannelConfig(n_nodes=4, n_taps=2, pdp=(1.0, bad))
 
 
-def _draws(seed, trials, cfg):
-    """``channel_block`` on streams 0..trials-1, checked against one-trial ``draw_channel`` calls."""
-    h = channel_block(standard_normal_rows(seed, range(trials), 4 * cfg.n_taps * cfg.n_nodes), cfg)
-    for t in range(trials):
-        ens = draw_channel(Rng(seed, t), cfg)
-        assert np.array_equal(h[t, 0], ens.h_ab) and np.array_equal(h[t, 1], ens.h_eb)
-    return h
-
-
 class TestDrawChannel:
     def test_rho_zero_unnormalized_equals_iid_draw(self):
         cfg = ChannelConfig(n_nodes=5, n_taps=3, rho=0.0, normalize_kronecker=False)
-        h_ab, h_eb = _draws(21, 1, cfg)[0]
+        h_ab, h_eb = channel_block(standard_normal_rows(21, [0], 4 * 3 * 5), cfg)[0]
         # replay the draw stream by hand: alice's matrix comes first
         rng = Rng(21, 0)
         scale = np.sqrt(cfg.pdp_array)[:, None]
@@ -95,15 +83,16 @@ class TestDrawChannel:
     def test_rho_zero_normalized_scales_by_sqrt_n(self):
         base = ChannelConfig(n_nodes=5, n_taps=3, rho=0.0, normalize_kronecker=False)
         norm = ChannelConfig(n_nodes=5, n_taps=3, rho=0.0, normalize_kronecker=True)
-        a = _draws(22, 1, base)[0, 0]
-        b = _draws(22, 1, norm)[0, 0]
+        normals = standard_normal_rows(22, [0], 4 * 3 * 5)
+        a = channel_block(normals, base)[0, 0]
+        b = channel_block(normals, norm)[0, 0]
         assert np.allclose(b, a / np.sqrt(5), atol=1e-14)
 
     def test_adjacent_column_correlation(self):
         cfg = ChannelConfig(n_nodes=100, n_taps=6, rho=0.9, normalize_kronecker=False)
         num = 0.0
         den = 0.0
-        for h in _draws(23, 2000, cfg)[:, 0]:
+        for h in channel_block(standard_normal_rows(23, range(2000), 4 * 6 * 100), cfg)[:, 0]:
             num += np.real(np.sum(h[:, :-1].conj() * h[:, 1:]))
             den += np.sum(np.abs(h) ** 2)
         corr = num / (den * 99 / 100)
@@ -114,7 +103,8 @@ class TestDrawChannel:
         # the pdp total independently of rho
         for rho in (0.0, 0.9):
             cfg = ChannelConfig(n_nodes=10, n_taps=6, rho=rho, normalize_kronecker=True)
-            power = np.mean([np.sum(np.abs(h) ** 2) for h in _draws(24, 3000, cfg)[:, 0]])
+            draws = channel_block(standard_normal_rows(24, range(3000), 4 * 6 * 10), cfg)[:, 0]
+            power = np.mean([np.sum(np.abs(h) ** 2) for h in draws])
             assert power == pytest.approx(sum(cfg.pdp), rel=0.03)
 
     def test_alice_eve_independent(self):
@@ -122,7 +112,7 @@ class TestDrawChannel:
         acc = 0.0
         power_a = 0.0
         power_e = 0.0
-        for h_ab, h_eb in _draws(25, 10_000, cfg):
+        for h_ab, h_eb in channel_block(standard_normal_rows(25, range(10_000), 4 * 3 * 4), cfg):
             acc += np.real(np.vdot(stack_columns(h_ab), stack_columns(h_eb)))
             power_a += np.sum(np.abs(h_ab) ** 2)
             power_e += np.sum(np.abs(h_eb) ** 2)
@@ -132,7 +122,7 @@ class TestDrawChannel:
         cfg = ChannelConfig(
             n_nodes=3, n_taps=4, rho=0.0, pdp=(0.4, 0.3, 0.2, 0.1), normalize_kronecker=False
         )
-        draws = _draws(26, 4000, cfg)[:, 0]
+        draws = channel_block(standard_normal_rows(26, range(4000), 4 * 4 * 3), cfg)[:, 0]
         tap_power = np.mean(np.abs(draws) ** 2, axis=(0, 2))
         assert np.allclose(tap_power, cfg.pdp, rtol=0.08)
 
@@ -156,11 +146,6 @@ class TestNoiseModel:
         nm = NoiseModel.from_snr_db(10.0, n_nodes=3, n_taps=2)
         assert nm.sigma2 == (pytest.approx(0.1),) * 3
 
-    def test_apply_inverse_identity_cov(self):
-        nm = NoiseModel(sigma2=(0.5, 2.0), n_taps=2)
-        d = np.array([1.0, 1.0, 1.0, 1.0])
-        assert np.allclose(nm.apply_inverse(d), [2.0, 2.0, 0.5, 0.5])
-
     def test_invalid_sigma(self):
         for bad in (0.0, float("nan"), float("inf")):
             with pytest.raises(ValueError):
@@ -175,41 +160,30 @@ class TestMeasure:
 
     def _measure(self, noise_normals, eve, sigma2):
         channel = np.tile(Rng(30, 0).standard_normal(4 * 4 * 3), (len(noise_normals), 1))
-        normals = np.hstack([channel, noise_normals])
         h_ab, h_eb = stack_columns(channel_block(channel[:1], _MEASURE_CFG)[0])
-        z = measure_block(normals, _MEASURE_CFG, np.full(len(normals), eve), np.full(len(normals), sigma2))[1]
-        ens = draw_channel(Rng(30, 0), _MEASURE_CFG)
-        assert np.array_equal(h_ab, stack_columns(ens.h_ab)) and np.array_equal(h_eb, stack_columns(ens.h_eb))
-        return ens, h_ab, h_eb, z
+        t = len(noise_normals)
+        z = measure_block(np.hstack([channel, noise_normals]), _MEASURE_CFG, np.full(t, eve), np.full(t, sigma2))[1]
+        return h_ab, h_eb, z
 
     def test_noiseless_limit(self):
-        ens, h_ab, _, z = self._measure(Rng(31, 0).standard_normal((1, 24)), False, 1e-30)
-        nm = NoiseModel(sigma2=(1e-30,) * 4, n_taps=3)
-        assert np.array_equal(z[0], measure(Rng(31, 0), ens, Occupant.ALICE, nm).z_star)
+        h_ab, _, z = self._measure(Rng(31, 0).standard_normal((1, 24)), False, 1e-30)
         assert np.abs(z[0] - h_ab).max() < 1e-12
 
     def test_noise_energy_accounting(self):
         trials = 10_000
-        ens, h, _, z = self._measure(standard_normal_rows(32, range(trials), 24), False, 1.0)
-        nm = NoiseModel(sigma2=(1.0,) * 4, n_taps=3)
+        h, _, z = self._measure(standard_normal_rows(32, range(trials), 24), False, 1.0)
         acc = 0.0
-        for t in range(trials):
-            assert np.array_equal(z[t], measure(Rng(32, t), ens, Occupant.ALICE, nm).z_star)
-            acc += np.sum(np.abs(z[t] - h) ** 2)
+        for z_t in z:
+            acc += np.sum(np.abs(z_t - h) ** 2)
         assert acc / trials == pytest.approx(4 * 3, rel=0.03)
 
     def test_occupant_selects_channel(self):
-        ens, _, h_eb, z = self._measure(Rng(33, 0).standard_normal((1, 24)), True, 1e-30)
-        nm = NoiseModel(sigma2=(1e-30,) * 4, n_taps=3)
-        assert np.array_equal(z[0], measure(Rng(33, 0), ens, Occupant.EVE, nm).z_star)
+        _, h_eb, z = self._measure(Rng(33, 0).standard_normal((1, 24)), True, 1e-30)
         assert np.abs(z[0] - h_eb).max() < 1e-12
 
     def test_stream_advances_between_calls(self):
         # one stream's first and second 24 noise normals, as two rows
-        ens, _, _, z = self._measure(Rng(34, 0).standard_normal((2, 24)), False, 1.0)
-        nm = NoiseModel(sigma2=(1.0,) * 4, n_taps=3)
-        rng = Rng(34, 0)
-        assert np.array_equal(z, [measure(rng, ens, Occupant.ALICE, nm).z_star for _ in range(2)])
+        _, _, z = self._measure(Rng(34, 0).standard_normal((2, 24)), False, 1.0)
         assert not np.array_equal(z[0], z[1])
 
     def test_dimension_mismatch(self):
@@ -233,13 +207,9 @@ class TestMeasureBlock:
         assert not np.array_equal(10.0 ** (-np.array(snrs) / 10.0), sigma2)
         h_ab, z = measure_block(standard_normal_rows(36, streams, 6 * 5 * 3), cfg, eve, sigma2)
         for i, sid in enumerate(streams):
-            want_h_ab, want_z = _ref_measure_block(Rng(36, sid).standard_normal((1, 6 * 5 * 3)), cfg, eve[i:i + 1], sigma2[i:i + 1])
+            row = Rng(36, sid).standard_normal((1, 6 * 5 * 3))
+            want_h_ab, want_z = _ref_measure_block(row, cfg, eve[i : i + 1], sigma2[i : i + 1])
             assert np.array_equal(h_ab[i], want_h_ab[0]) and np.array_equal(z[i], want_z[0])
-            rng = Rng(36, sid)
-            ens = draw_channel(rng, cfg)
-            occ = Occupant.EVE if eve[i] else Occupant.ALICE
-            assert np.array_equal(h_ab[i], stack_columns(ens.h_ab))
-            assert np.array_equal(z[i], measure(rng, ens, occ, NoiseModel.from_snr_db(snrs[i], 5, 3)).z_star)
 
 
 # The measurement front end as first written (scaled copies, ``1j * x`` sums and masked
@@ -290,8 +260,7 @@ def _front_end_cases(draw):
     t = draw(st.integers(1, 5), label="trials")
     eve = np.array(draw(st.lists(st.booleans(), min_size=t, max_size=t), label="eve"), dtype=bool)
     sigma2 = np.array(draw(st.lists(_POSITIVE, min_size=t, max_size=t), label="sigma2"))
-    node_sigma2 = tuple(draw(st.lists(_POSITIVE, min_size=n, max_size=n), label="node sigma2"))
-    return cfg, eve, sigma2, node_sigma2, draw(st.integers(0, (1 << 64) - 1), label="seed")
+    return cfg, eve, sigma2, draw(st.integers(0, (1 << 64) - 1), label="seed")
 
 
 class TestFrontEndReference:
@@ -309,7 +278,7 @@ class TestFrontEndReference:
     @settings(max_examples=60, deadline=None)
     @given(case=_front_end_cases())
     def test_measure_block_and_per_trial_api(self, case):
-        cfg, eve, sigma2, node_sigma2, seed = case
+        cfg, eve, sigma2, seed = case
         t, width = len(eve), 2 * cfg.n_nodes * cfg.n_taps
         normals = np.random.default_rng(seed).standard_normal((t, 3 * width))
         h_ab, z = measure_block(normals, cfg, eve, sigma2)
@@ -327,7 +296,3 @@ class TestFrontEndReference:
             got = measure_block(row, cfg, [occupant], sigma2[:1])
             want = _ref_measure_block(row, cfg, [occupant], sigma2[:1])
             assert all(np.array_equal(g, w) for g, w in zip(got, want))
-            rng = Rng(seed, 5)
-            ens = draw_channel(rng, cfg)
-            noise = NoiseModel(sigma2=(sigma2[0],) * cfg.n_nodes, n_taps=cfg.n_taps)
-            assert np.array_equal(got[1][0], measure(rng, ens, Occupant(("alice", "eve")[occupant]), noise).z_star)

@@ -12,18 +12,12 @@ from cirauth.detect import (
     DetectorConfig,
     FusionKind,
     FusionRule,
-    fc_raw_statistic,
     fuse,
     fused_pfa_analytic,
-    local_decide,
     quadratic_statistic,
     solve_threshold,
 )
 from cirauth.numerics import Rng, sample_complex_gaussian
-
-
-def _identity_applier(d):
-    return d
 
 
 class TestSolveThreshold:
@@ -62,13 +56,13 @@ class TestSolveThreshold:
 class TestFcStatistic:
     def test_zero_at_reference(self):
         h = sample_complex_gaussian(Rng(40, 0), 6, 1.0)
-        assert quadratic_statistic(h, h, lambda d: d * 1.0) == 0.0 == fc_raw_statistic(h, h, _identity_applier)
+        assert quadratic_statistic(h, h, 1.0) == 0.0
 
     def test_unit_vector_closed_form(self):
         z = np.zeros(4, dtype=complex)
         z[0] = 1.0
         h = np.zeros(4, dtype=complex)
-        assert quadratic_statistic(z, h, lambda d: d * 1.0) == 2.0 == fc_raw_statistic(z, h, _identity_applier)
+        assert quadratic_statistic(z, h, 1.0) == 2.0
 
     @pytest.mark.parametrize("n_nodes", [1, 10])
     def test_null_mean_matches_dof(self, n_nodes):
@@ -77,23 +71,24 @@ class TestFcStatistic:
         sigma2 = 0.37
         draws = sample_complex_gaussian(Rng(41, n_nodes), trials * n_nodes * n_taps, sigma2)
         z = draws.reshape(trials, n_nodes * n_taps)
-        stat = quadratic_statistic(z, np.zeros(n_nodes * n_taps), lambda d: d * (1.0 / sigma2))
-        old = fc_raw_statistic(z, np.zeros(n_nodes * n_taps), lambda d: d / sigma2)
-        assert np.array_equal(stat.view(np.uint64), old.view(np.uint64))
+        stat = quadratic_statistic(z, np.zeros(n_nodes * n_taps), 1.0 / sigma2)
         dof = 2 * n_nodes * n_taps
         assert stat.mean() == pytest.approx(dof, rel=0.01)
         assert stats.kstest(stat, lambda x: stats.chi2.cdf(x, dof)).pvalue > 0.001
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            quadratic_statistic(np.zeros(4), np.zeros(5), lambda d: d * 1.0)
-        with pytest.raises(ValueError):
-            fc_raw_statistic(np.zeros(4), np.zeros(5), _identity_applier)
+            quadratic_statistic(np.zeros(4), np.zeros(5), 1.0)
 
     def test_non_hermitian_applier_rejected(self):
         z = np.ones(2, dtype=complex)
         with pytest.raises(ValueError):
-            quadratic_statistic(z, np.zeros(2), lambda d: 1j * d)
+            quadratic_statistic(z, np.zeros(2), 1j)
+
+    def test_per_node_scale(self):
+        # two nodes of two taps, sigma2 = 0.5 and 2: each node's doubled energy is scaled by its own 1/sigma2
+        d = np.ones((2, 2), dtype=complex)
+        assert np.array_equal(quadratic_statistic(d, np.zeros(2), 1.0 / np.array([[0.5], [2.0]])), [8.0, 2.0])
 
 
 # Parts of a measurement deviation: signed zeros, subnormals, huge values and anything finite
@@ -122,30 +117,35 @@ class TestNoiseScaling:
         # equal bits, or both an exact zero: division rounds a + b*0, the product a*c - b*0
         assert ((want.view(np.uint64) == got.view(np.uint64)) | ((want == 0) & (got == 0))).all()
 
-        def decisions(applier):
+        def decisions(statistic):
             with np.errstate(all="ignore"):
                 try:
-                    return (quadratic_statistic(d, np.zeros_like(d), applier) > delta).tolist()
+                    return (statistic() > delta).tolist()
                 except ValueError as exc:
                     return str(exc)
 
-        assert decisions(lambda x: x * (1.0 / s2)) == decisions(lambda x: x / s2)
+        def by_division():  # the statistic as first written: conj(d) * (d / sigma2), with its imaginary-part check
+            q = (d.conj() * (d / s2)).sum(axis=-1)
+            if np.any(np.abs(q.imag) > 1e-10 * np.maximum(1.0, np.abs(q))):
+                raise ValueError("quadratic form has a non-negligible imaginary part")
+            return 2.0 * np.maximum(q.real, 0.0)
+
+        assert decisions(lambda: quadratic_statistic(d, np.zeros_like(d), 1.0 / s2)) == decisions(by_division)
 
 
 class TestDecisions:
     def test_zero_deviation_accepts(self):
         h = sample_complex_gaussian(Rng(42, 0), 6, 1.0)
-        assert not quadratic_statistic(h, h, lambda d: d * 1.0) > 26.2
-        assert local_decide(h, h, _identity_applier, 26.2) == 0
+        assert not quadratic_statistic(h, h, 1.0) > 26.2
 
     def test_batch_decisions_match_single_rows(self):
         rng = Rng(43, 0)
         z = sample_complex_gaussian(rng, 30, 1.0).reshape(5, 6)
         h = sample_complex_gaussian(rng, 6, 1.0)
-        batch = quadratic_statistic(z, h, lambda d: d * 1.0)
-        singles = [quadratic_statistic(z[i], h, lambda d: d * 1.0) for i in range(5)]
+        batch = quadratic_statistic(z, h, 1.0)
+        singles = [quadratic_statistic(z[i], h, 1.0) for i in range(5)]
         assert np.array_equal(batch, singles)
-        assert np.array_equal(batch > 9.0, local_decide(z, h, _identity_applier, 9.0))
+        assert np.array_equal(batch > 9.0, [s > 9.0 for s in singles])
 
     @pytest.mark.parametrize("alpha", [0.01, 0.001])
     def test_local_false_alarm_calibration(self, alpha):
@@ -153,8 +153,7 @@ class TestDecisions:
         n_taps, trials, sigma2 = 6, 100_000, 1.0
         delta = solve_threshold(alpha, 2 * n_taps)
         noise = sample_complex_gaussian(Rng(44, 0), trials * n_taps, sigma2)
-        u = quadratic_statistic(noise.reshape(trials, n_taps), np.zeros(n_taps), lambda d: d * (1.0 / sigma2)) > delta
-        assert np.array_equal(u, local_decide(noise.reshape(trials, n_taps), np.zeros(n_taps), lambda d: d / sigma2, delta))
+        u = quadratic_statistic(noise.reshape(trials, n_taps), np.zeros(n_taps), 1.0 / sigma2) > delta
         sig = math.sqrt(alpha * (1 - alpha) / trials)
         assert abs(u.mean() - alpha) < 5 * sig
 

@@ -7,18 +7,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cirauth import cli, simkit, sparse
-from cirauth.channel import (
-    ChannelConfig,
-    NoiseModel,
-    Occupant,
-    draw_channel,
-    measure,
-    measure_block,
-    noise_variance,
-    stack_columns,
-)
-from cirauth.detect import DetectorConfig, FusionKind, FusionRule, fc_raw_statistic, fuse, quadratic_statistic
-from cirauth.numerics import Rng, standard_normal_rows
+from cirauth.channel import ChannelConfig, measure_block, noise_variance
+from cirauth.detect import DetectorConfig, FusionKind, FusionRule, fuse, quadratic_statistic
+from cirauth.numerics import standard_normal_rows
 from cirauth.simkit import (
     CsCodecConfig,
     CurveComparisonError,
@@ -267,29 +258,16 @@ def _oracle_counts(scenario: Scenario, variants: list[Variant]) -> tuple[np.ndar
     counts = np.zeros((2, len(scenario.snr_grid_db), 2 * len(variants)), dtype=np.int64)  # alice, eve
     for si, snr in enumerate(scenario.snr_grid_db):
         sigma2 = noise_variance(snr)
-        noise = NoiseModel.from_snr_db(snr, n, L)
         for bit in (1, 0):
             for t in range(scenario.trials):
-                stream = (si << 33) | (bit << 32) | t
-                h, z = (x[0] for x in measure_block(standard_normal_rows(scenario.seed, [stream], 6 * n * L), cfg, [bit], [sigma2]))
-                rng = Rng(scenario.seed, stream)
-                ens = draw_channel(rng, cfg)
-                assert np.array_equal(h, stack_columns(ens.h_ab))
-                assert np.array_equal(z, measure(rng, ens, Occupant(("alice", "eve")[bit]), noise).z_star)
+                normals = standard_normal_rows(scenario.seed, [(si << 33) | (bit << 32) | t], 6 * n * L)
+                (h,), (z,) = measure_block(normals, cfg, [bit], [sigma2])
                 if not local:
                     z_cs = z if codec is None else reconstruct_raw(compress(z, codec), codec)
-                    stats = [quadratic_statistic(r, h, lambda d: d * (1.0 / sigma2)) for r in (z_cs, z)]
-                    old = [fc_raw_statistic(r, h, noise.apply_inverse) for r in (z_cs, z)]
+                    stats = [quadratic_statistic(r, h, 1.0 / sigma2) for r in (z_cs, z)]
                     row = [stat > d.delta for stat in stats for d in dets]
-                    assert row == [stat > d.delta for stat in old for d in dets]
                 else:
-                    stats_n = quadratic_statistic(z.reshape(n, L), h.reshape(n, L), lambda d: d * (1.0 / sigma2))
-                    old = quadratic_statistic(
-                        z.reshape(n, L),
-                        h.reshape(n, L),
-                        lambda d: noise.apply_inverse(d.reshape(-1)).reshape(n, L),
-                    )
-                    assert np.array_equal(stats_n, old)
+                    stats_n = quadratic_statistic(z.reshape(n, L), h.reshape(n, L), 1.0 / sigma2)
                     us = [(stats_n > d.delta_n).astype(np.int64) for d in dets]
                     if codec is not None:
                         us_cs = [reconstruct_decisions(compress(u.astype(float), codec), codec) for u in us]
@@ -425,13 +403,13 @@ class TestBlockSplitInvariance:
             assert np.array_equal(got, simkit._count_range(task))  # one trial per block, each decided alone
 
     def test_rows_carry_occupant_and_variance(self):
-        # flat order is point-major, eve first; each row's sigma2 has NoiseModel.from_snr_db's
+        # flat order is point-major, eve first; each row's sigma2 has noise_variance's
         # bits, which a vectorized numpy power misses at 22.0 and -25.0 dB
         scenario = fc_scenario(trials=2, snr_grid_db=(22.0, -25.0, 0.3))
         with mock.patch.object(simkit, "measure_block", wraps=simkit.measure_block) as spy:
             estimate_curves(scenario)
         (call,) = spy.call_args_list
-        want = [NoiseModel.from_snr_db(snr, 10, 6).sigma2[0] for snr in scenario.snr_grid_db for _ in range(4)]
+        want = [noise_variance(snr) for snr in scenario.snr_grid_db for _ in range(4)]
         assert call.args[3].tolist() == want
         assert call.args[2].tolist() == [True, True, False, False] * 3
 
@@ -538,7 +516,8 @@ class TestCurveStructure:
 # Frozen reference: the engine's threshold resolution, block decisions and
 # curve arithmetic as they were when every variant compared and fused its
 # own copy of the node decisions, with the statistic in its first form (a
-# callable applier of the inverse covariance, dividing by sigma2).  The engine must match it bit for bit.
+# callable applier of the inverse covariance, dividing by sigma2).  The
+# engine must match it bit for bit.
 def _ref_resolve(scenario, variants):
     n, L = scenario.channel.n_nodes, scenario.channel.n_taps
     local = scenario.scheme.local

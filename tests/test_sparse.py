@@ -300,10 +300,9 @@ class TestReconstructDecisions:
 class TestCorrelationHelpsCompression:
     def test_reconstruction_error_decreases_with_rho(self):
         # paired draws: only the node-correlation differs between runs
-        from cirauth.channel import ChannelConfig, NoiseModel, Occupant, draw_channel, measure, measure_block, noise_variance
+        from cirauth.channel import ChannelConfig, measure_block, noise_variance
 
         codec = CsCodec(gaussian_phi(Rng(79, 0), 480, 600), basis="dct", max_atoms=60)
-        noise = NoiseModel.from_snr_db(20.0, 100, 6)
         normals = standard_normal_rows(80, range(60), 6 * 100 * 6)
         means = []
         for rho in (0.1, 0.9):
@@ -311,10 +310,7 @@ class TestCorrelationHelpsCompression:
                 n_nodes=100, n_taps=6, rho=rho, pdp=(1.0,) * 6, normalize_kronecker=False
             )
             errs = []
-            for t, z in enumerate(measure_block(normals, cfg, np.zeros(60, dtype=bool), np.full(60, noise_variance(20.0)))[1]):
-                rng = Rng(80, t)
-                ens = draw_channel(rng, cfg)
-                assert np.array_equal(z, measure(rng, ens, Occupant.ALICE, noise).z_star)
+            for z in measure_block(normals, cfg, np.zeros(60, dtype=bool), np.full(60, noise_variance(20.0)))[1]:
                 _, err = reconstruct_raw(compress(z, codec), codec, truth=z)
                 errs.append(err)
             means.append(np.mean(errs))
