@@ -290,9 +290,12 @@ class TestFrontEndReference:
         assert h_ab.shape == z.shape == (0, width // 2) and z.dtype == np.complex128
         assert channel_block(normals[:0, : 2 * width], cfg).shape == (0, 2, cfg.n_taps, cfg.n_nodes)
 
-        # one trial's own stream, drawn by ``Rng`` and measured as a one-row block
+        # one trial drawn as per trial: its stream's channel normals, then its noise normals,
+        # in two calls, against the same stream as a one-row block
         for occupant in (False, True):
-            row = Rng(seed, 5).standard_normal((1, 3 * width))
-            got = measure_block(row, cfg, [occupant], sigma2[:1])
-            want = _ref_measure_block(row, cfg, [occupant], sigma2[:1])
-            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+            ref = Rng(seed, 5)
+            want = _ref_channel_block(ref.standard_normal((1, 2 * width)), cfg)[0]
+            v = _ref_noise_rows(ref.standard_normal((1, width)), sigma2[:1, None], cfg.n_taps)[0]
+            h_ab, z = measure_block(standard_normal_rows(seed, [5], 3 * width), cfg, [occupant], sigma2[:1])
+            assert np.array_equal(h_ab[0], stack_columns(want[0]))
+            assert np.array_equal(z[0], stack_columns(want[int(occupant)]) + v)
