@@ -4,11 +4,13 @@ fig2-fig5 at the benchmark's reduced trial counts and preset seeds must
 hash to the reference sha256 values listed in ``perfbench/README.md``,
 serially and with two worker processes.  The same runs at ``--seed 7``,
 and fig5 at 40 trials per point (several Batch-OMP recovery batches per
-worker), are pinned too.  An engine change that renumbers a draw,
+worker), are pinned too, and so are fig2 and fig3 with their thresholds
+given as target false-alarm rates instead.  An engine change that renumbers a draw,
 reorders a reduction or perturbs a report's bits shows here.
 """
 
 import hashlib
+import re
 
 import pytest
 
@@ -30,13 +32,23 @@ GOLDEN_MORE = {
     ("fig5", 40, None): "fe741238ea430664f8949bb3ced3f50cff43fa5e4212239d1cd62d1f5afe9d97",
 }
 
+# (preset, trials) -> sha256, with the preset's threshold line replaced by the target-rate line
+GOLDEN_TARGET_RATE = {
+    ("fig2", 50): "6ec6e11ef6ed3f67a3d46418dac3ccecad84bd02e9aac1742b3067ae8211fd2d",
+    ("fig3", 10): "64573bc2989e5f9174edb28094818325545e6d2fe59c379a5e85b42826665af6",
+}
+TARGET_RATE_LINES = {
+    "fig2": ("detector.delta", "detector.target_pfa = 1e-2,1e-3"),
+    "fig3": ("detector.delta_n", "detector.target_pfa_n = 1e-2,1e-3"),
+}
 
-def _digests(tmp_path, preset, trials, seed=None) -> list[str]:
+
+def _digests(tmp_path, config, trials, seed=None) -> list[str]:
     """sha256 of the run's CSV at --workers 1 and 2."""
     digests = []
     for workers in (1, 2):
         out = tmp_path / f"w{workers}.csv"
-        argv = ["run", "--config", preset, "--out", str(out), "--workers", str(workers),
+        argv = ["run", "--config", config, "--out", str(out), "--workers", str(workers),
                 "--set", f"scenario.trials={trials}"]
         if seed is not None:
             argv += ["--seed", str(seed)]
@@ -53,3 +65,13 @@ def test_preset_csv_matches_reference(preset, trials, tmp_path, capsys):
 @pytest.mark.parametrize("preset, trials, seed", sorted(GOLDEN_MORE, key=str))
 def test_more_csvs_match_reference(preset, trials, seed, tmp_path, capsys):
     assert _digests(tmp_path, preset, trials, seed) == [GOLDEN_MORE[preset, trials, seed]] * 2
+
+
+@pytest.mark.parametrize("preset, trials", sorted(GOLDEN_TARGET_RATE))
+def test_target_rate_csv_matches_reference(preset, trials, tmp_path, capsys):
+    key, line = TARGET_RATE_LINES[preset]
+    text, hits = re.subn(rf"(?m)^{re.escape(key)} = .*$", line, cli.load_config_file(preset)[0])
+    assert hits == 1
+    cfg = tmp_path / f"{preset}-target-rate.cfg"
+    cfg.write_text(text)
+    assert _digests(tmp_path, str(cfg), trials) == [GOLDEN_TARGET_RATE[preset, trials]] * 2
