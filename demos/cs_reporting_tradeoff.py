@@ -15,10 +15,10 @@ import numpy as np
 from cirauth import (
     ChannelConfig,
     CsCodecConfig,
-    DetectorConfig,
     Scenario,
     Scheme,
-    estimate_curve,
+    Variant,
+    estimate_curves,
     snr_margin,
 )
 
@@ -28,7 +28,6 @@ GRID = tuple(np.arange(0.0, 5.5, 0.5))
 scenario = Scenario(
     scheme=Scheme.FC_RAW_CS,
     channel=ChannelConfig(n_nodes=100, n_taps=6, rho=0.9, pdp=(1.0,) * 6, normalize_kronecker=False),
-    detector=DetectorConfig(delta=5000.0),
     snr_grid_db=GRID,
     trials=TRIALS,
     seed=6000,
@@ -36,8 +35,9 @@ scenario = Scenario(
 )
 
 print(f"N=100, L=6, delta=5000, {TRIALS} trials/point (takes ~1 minute)\n")
-cs = estimate_curve(scenario)
-raw = estimate_curve(replace(scenario, scheme=Scheme.FC_RAW, codec=None))
+variants = [Variant("delta=5000", 5000.0)]
+(cs,) = estimate_curves(scenario, variants)
+(raw,) = estimate_curves(replace(scenario, scheme=Scheme.FC_RAW, codec=None), variants)
 
 print(f"{'SNR dB':>7} | {'P_d raw':>8} | {'P_d compressed':>14}")
 print("-" * 36)

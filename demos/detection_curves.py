@@ -12,7 +12,6 @@ import numpy as np
 
 from cirauth import (
     ChannelConfig,
-    DetectorConfig,
     FusionKind,
     FusionRule,
     Scenario,
@@ -36,30 +35,13 @@ def show(title, curves):
     print()
 
 
-fc = Scenario(
-    scheme=Scheme.FC_RAW,
-    channel=CHANNEL,
-    detector=DetectorConfig(delta=340.0),
-    snr_grid_db=GRID,
-    trials=TRIALS,
-    seed=5000,
-)
-fc_variants = [
-    Variant(label=f"delta={d:g}", detector=DetectorConfig(delta=d)) for d in (260.0, 300.0, 340.0)
-]
+fc = Scenario(scheme=Scheme.FC_RAW, channel=CHANNEL, snr_grid_db=GRID, trials=TRIALS, seed=5000)
+fc_variants = [Variant(label=f"delta={d:g}", threshold=d) for d in (260.0, 300.0, 340.0)]
 show("Fusion center on raw measurements (P_d per threshold)", estimate_curves(fc, fc_variants))
 
-local = Scenario(
-    scheme=Scheme.LOCAL_FUSION,
-    channel=CHANNEL,
-    detector=DetectorConfig(delta_n=26.2),
-    fusion=FusionRule(kind=FusionKind.MAJORITY),
-    snr_grid_db=GRID,
-    trials=TRIALS,
-    seed=5001,
-)
+local = Scenario(scheme=Scheme.LOCAL_FUSION, channel=CHANNEL, snr_grid_db=GRID, trials=TRIALS, seed=5001)
 local_variants = [
-    Variant(label=k.value, detector=DetectorConfig(delta_n=26.2), rule=FusionRule(kind=k))
+    Variant(label=k.value, threshold=26.2, rule=FusionRule(kind=k))
     for k in (FusionKind.OR, FusionKind.MAJORITY, FusionKind.AND, FusionKind.SINGLE)
 ]
 show(

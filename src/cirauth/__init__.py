@@ -24,7 +24,6 @@ from .channel import (
 from .detect import (
     H0,
     H1,
-    DetectorConfig,
     FusionKind,
     FusionRule,
     fuse,
@@ -50,7 +49,6 @@ from .simkit import (
     Scenario,
     Scheme,
     Variant,
-    estimate_curve,
     estimate_curves,
     snr_margin,
 )
@@ -65,7 +63,6 @@ __all__ = [
     "CurveComparisonError",
     "DecompositionError",
     "DetectionCurve",
-    "DetectorConfig",
     "FusionKind",
     "FusionRule",
     "H0",
@@ -81,7 +78,6 @@ __all__ = [
     "cholesky",
     "compress",
     "dct_basis",
-    "estimate_curve",
     "estimate_curves",
     "exp_correlation_matrix",
     "fuse",

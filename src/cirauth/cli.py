@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__, detect, numerics, simkit, sparse
 from .channel import ChannelConfig
-from .detect import DetectorConfig, FusionKind, FusionRule
+from .detect import FusionKind, FusionRule
 from .numerics import Rng
 from .simkit import CsCodecConfig, Scenario, Scheme, Variant
 
@@ -105,10 +105,10 @@ _SCHEMA = {
     "channel.pdp": _Key(_parse_float_list, "pdp"),
     "channel.normalize_kronecker": _Key(_bool, "normalize_kronecker"),
     "detector.scale": _Key(_choice("chi2"), None),
-    "detector.delta": _Key(_parse_float_list, "delta", "fc"),
-    "detector.target_pfa": _Key(_parse_float_list, "target_pfa", "fc"),
-    "detector.delta_n": _Key(_parse_float_list, "delta_n", "local"),
-    "detector.target_pfa_n": _Key(_parse_float_list, "target_pfa_n", "local"),
+    "detector.delta": _Key(_parse_float_list, "threshold", "fc"),
+    "detector.target_pfa": _Key(_parse_float_list, "threshold", "fc"),
+    "detector.delta_n": _Key(_parse_float_list, "threshold", "local"),
+    "detector.target_pfa_n": _Key(_parse_float_list, "threshold", "local"),
     "detector.rules": _Key(lambda raw: tuple(name.lower() for name in _split(raw)), None, "local"),
     "detector.avg_threshold": _Key(float, "avg_threshold", "local"),
     "cs.m": _Key(int, "m", "cs", required=True),
@@ -189,11 +189,10 @@ def build_run(values: dict) -> ResolvedRun:
         raise ConfigError(f"scheme {scheme.value} does not use {', '.join(unused)}")
     _require(values, families)
     try:
-        variants = _build_variants(scheme, families, values)
+        channel = ChannelConfig(**_fields(ChannelConfig, values))
+        variants = _build_variants(scheme, families, values, channel)
         scenario = Scenario(
-            channel=ChannelConfig(**_fields(ChannelConfig, values)),
-            detector=variants[0].detector,
-            fusion=variants[0].rule,
+            channel=channel,
             codec=CsCodecConfig(**_fields(CsCodecConfig, values)) if scheme.compressed else None,
             **_fields(Scenario, values),
         )
@@ -204,15 +203,19 @@ def build_run(values: dict) -> ResolvedRun:
     return ResolvedRun(scenario, variants, values.get("cs.compare_uncompressed", False), canonical_config(values))
 
 
-def _build_variants(scheme: Scheme, families: set, values: dict) -> list[Variant]:
-    """Expand the threshold list (times the fusion-rule list, for local schemes) into labelled variants."""
-    options = [key for key, spec in _SCHEMA.items()
-               if spec.family in families and spec.field in DetectorConfig.__dataclass_fields__]
+def _build_variants(scheme: Scheme, families: set, values: dict, channel: ChannelConfig) -> list[Variant]:
+    """Expand the threshold list (times the fusion-rule list, for local schemes) into labelled variants.
+
+    A target false-alarm rate is solved into the threshold of the
+    scheme's test: chi-squared with 2NL degrees of freedom at the fusion
+    center, 2L at a node.
+    """
+    options = [key for key, spec in _SCHEMA.items() if spec.family in families and spec.field == "threshold"]
     given = [key for key in options if key in values]
     if len(given) != 1:
         raise ConfigError(f"scheme {scheme.value} needs exactly one of {' / '.join(options)}")
     key = given[0]
-    field, levels = _SCHEMA[key].field, values[key]
+    levels = values[key]
     names = values.get("detector.rules", ("majority",)) if scheme.local else (None,)
     unknown = [name for name in names if name and name not in _RULE_NAMES]
     if unknown:
@@ -223,15 +226,18 @@ def _build_variants(scheme: Scheme, families: set, values: dict) -> list[Variant
     for listing, labels in ((key, [_format_float(v) for v in levels]), ("detector.rules", names)):
         if len(set(labels)) < len(labels):
             raise ConfigError(f"{listing} lists values that print alike, so two curves would share a label")
-    return [
-        Variant(
-            label=f"{field.replace('target_', '')}={_format_float(level)}" + (f" rule={name}" if name else ""),
-            detector=DetectorConfig(**{field: level}),
-            rule=FusionRule(kind=name, **_fields(FusionRule, values)) if name else None,
-        )
-        for level in levels
-        for name in names
-    ]
+    rules = [FusionRule(kind=name, **_fields(FusionRule, values)) if name else None for name in names]
+    prefix = key.removeprefix("detector.").replace("target_", "")  # delta, pfa, delta_n or pfa_n
+    dof = 2 * channel.n_taps * (1 if scheme.local else channel.n_nodes)
+    try:
+        thresholds = [detect.solve_threshold(a, dof) for a in levels] if "target_" in key else levels
+        return [
+            Variant(f"{prefix}={_format_float(level)}" + (f" rule={name}" if name else ""), threshold, rule)
+            for level, threshold in zip(levels, thresholds)
+            for name, rule in zip(names, rules)
+        ]
+    except ValueError as exc:  # a threshold or target out of range; the message opens with its parameter
+        raise ConfigError(f"{key} {str(exc).partition(' ')[2]}") from None
 
 
 def canonical_config(values: dict) -> str:
@@ -318,12 +324,13 @@ def cmd_thresholds(args) -> int:
         raise ConfigError(f"bad --alpha: {exc}")
     if args.dof < 1:
         raise ConfigError(f"--dof must be a positive integer, got {args.dof}")
-    for alpha in alphas:
-        if not 0.0 < alpha < 1.0:
-            raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
+    try:
+        thresholds = [detect.solve_threshold(alpha, args.dof) for alpha in alphas]
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     print(f"{'alpha':>12}  {'dof':>5}  {'threshold':>12}")
-    for alpha in alphas:
-        print(f"{alpha:>12g}  {args.dof:>5d}  {detect.solve_threshold(alpha, args.dof):>12.4f}")
+    for alpha, threshold in zip(alphas, thresholds):
+        print(f"{alpha:>12g}  {args.dof:>5d}  {threshold:>12.4f}")
     return 0
 
 

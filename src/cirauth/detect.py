@@ -2,12 +2,13 @@
 
 The fusion center (and each node locally) compares the whitened squared
 deviation of a measurement from the known legitimate fingerprint against
-a threshold solved from a target false-alarm rate.  Under the null the
-doubled quadratic form is exactly chi-squared with 2*(vector length)
-degrees of freedom, which is what the calibration relies on.  Local
-binary decisions are combined with OR / AND / majority / weighted
-averaging, or node 0's decision is reported alone (the single-sensor
-baseline).  Decisions are plain bools: ``H1`` (True) means "reject,
+a threshold, given directly or solved from a target false-alarm rate by
+`solve_threshold`.  Under the null the doubled quadratic form is exactly
+chi-squared with 2*(vector length) degrees of freedom, which is what the
+calibration relies on: 2NL for the fusion center's stacked test, 2L for
+a node's own.  Local binary decisions are combined with OR / AND /
+majority / weighted averaging, or node 0's decision is reported alone
+(the single-sensor baseline).  Decisions are plain bools: ``H1`` (True) means "reject,
 declare intruder"; ties always resolve to ``H0`` (accept).
 """
 
@@ -48,44 +49,6 @@ class FusionRule:
         object.__setattr__(self, "kind", FusionKind(self.kind))
         if not 0.0 < self.avg_threshold < 1.0:
             raise ValueError(f"avg_threshold must lie in (0, 1), got {self.avg_threshold}")
-
-
-@dataclass(frozen=True)
-class DetectorConfig:
-    """Thresholds (given directly or solved from false-alarm targets).
-
-    ``delta`` drives the fusion-center raw-measurement test; ``delta_n``
-    the per-node local tests, shared by all nodes.  Exactly one of
-    threshold / target may be set per test; `resolve` fills in the
-    missing thresholds once the problem dimensions are known.  Thresholds
-    must be finite and positive; targets must lie in (0, 1).
-    """
-
-    delta: float | None = None
-    target_pfa: float | None = None
-    delta_n: float | None = None
-    target_pfa_n: float | None = None
-
-    def __post_init__(self):
-        if self.delta is not None and self.target_pfa is not None:
-            raise ValueError("give either delta or target_pfa, not both")
-        if self.delta_n is not None and self.target_pfa_n is not None:
-            raise ValueError("give either delta_n or target_pfa_n, not both")
-        bounds = {"delta": math.inf, "delta_n": math.inf, "target_pfa": 1.0, "target_pfa_n": 1.0}
-        for name, hi in bounds.items():
-            value = getattr(self, name)
-            if value is not None and not 0.0 < value < hi:
-                raise ValueError(f"{name} must lie in (0, {hi:g}), got {value}")
-
-    def resolve(self, n_nodes: int, n_taps: int) -> "DetectorConfig":
-        """Solve any target false-alarm rates into concrete thresholds."""
-        delta = self.delta
-        if delta is None and self.target_pfa is not None:
-            delta = solve_threshold(self.target_pfa, 2 * n_nodes * n_taps)
-        delta_n = self.delta_n
-        if delta_n is None and self.target_pfa_n is not None:
-            delta_n = solve_threshold(self.target_pfa_n, 2 * n_taps)
-        return DetectorConfig(delta=delta, delta_n=delta_n)
 
 
 def solve_threshold(alpha: float, dof: int) -> float:

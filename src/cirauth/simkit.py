@@ -1,7 +1,8 @@
 """Monte Carlo engine producing detection-probability curves.
 
-A scenario fixes the channel statistics, the detector, and one of four
-reporting schemes; the engine sweeps an SNR grid, running ``trials``
+A scenario fixes the channel statistics and one of four reporting
+schemes, and each variant a detector threshold and, on a local scheme,
+a fusion rule.  The engine sweeps an SNR grid, running ``trials``
 independent intruder (H1) trials and ``trials`` legitimate (H0) trials
 per point, and reports empirical detection and false-alarm rates with
 binomial standard errors.
@@ -34,7 +35,7 @@ import numpy as np
 
 from . import detect, sparse
 from .channel import ChannelConfig, measure_block, noise_variance
-from .detect import DetectorConfig, FusionRule
+from .detect import FusionRule
 from .numerics import Rng, standard_normal_rows
 from .sparse import Basis, CsCodec
 
@@ -98,15 +99,13 @@ class CsCodecConfig:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Everything needed to reproduce one detection experiment."""
+    """Everything but the detector variants needed to reproduce one detection experiment."""
 
     scheme: Scheme
     channel: ChannelConfig
-    detector: DetectorConfig
     snr_grid_db: tuple[float, ...]
     trials: int
     seed: int
-    fusion: FusionRule | None = None
     codec: CsCodecConfig | None = None
 
     def __post_init__(self):
@@ -125,14 +124,6 @@ class Scenario:
             raise ValueError("trials too large for the substream packing")
         if not 0 <= self.seed < 1 << 64:
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
-        if self.scheme.local:
-            if self.fusion is None:
-                raise ValueError(f"scheme {self.scheme.value} requires a fusion rule")
-            if self.detector.delta_n is None and self.detector.target_pfa_n is None:
-                raise ValueError(f"scheme {self.scheme.value} requires local thresholds")
-        else:
-            if self.detector.delta is None and self.detector.target_pfa is None:
-                raise ValueError(f"scheme {self.scheme.value} requires a fusion-center threshold")
         if self.scheme.compressed:
             if self.codec is None:
                 raise ValueError(f"scheme {self.scheme.value} requires a codec config")
@@ -177,14 +168,20 @@ class DetectionCurve:
 class Variant:
     """One detector specialization evaluated against the shared draws.
 
-    Local schemes combine the per-node decisions with ``rule`` (the
-    single-sensor baseline is ``FusionKind.SINGLE``); fusion-center
-    schemes ignore it.
+    ``threshold`` is the fusion center's delta on an FC scheme, and the
+    delta_n all nodes share on a local one (`detect.solve_threshold`
+    turns a target false-alarm rate into either).  Local schemes combine
+    the per-node decisions with ``rule`` (the single-sensor baseline is
+    ``FusionKind.SINGLE``); fusion-center schemes ignore it.
     """
 
     label: str
-    detector: DetectorConfig
+    threshold: float
     rule: FusionRule | None = None
+
+    def __post_init__(self):
+        if not 0.0 < self.threshold < np.inf:
+            raise ValueError(f"threshold must lie in (0, inf), got {self.threshold}")
 
 
 @lru_cache(maxsize=8)
@@ -207,19 +204,14 @@ def _resolve(scenario: Scenario, variants: list[Variant]) -> tuple[np.ndarray, t
     schemes group by fusion rule; FC schemes have one group, of rule None.
     Level indices 0..D-1, as in every CLI-built run, are ``slice(None)``.
     """
-    n, L = scenario.channel.n_nodes, scenario.channel.n_taps
     local = scenario.scheme.local
     levels, groups = {}, {}
     for vi, v in enumerate(variants):
-        detector = v.detector.resolve(n, L)
-        threshold = detector.delta_n if local else detector.delta
-        if threshold is None:
-            raise ValueError(f"variant {v.label!r} lacks a threshold for {scenario.scheme.value}")
         if local and v.rule is None:
             raise ValueError(f"variant {v.label!r} lacks a fusion rule")
         group = groups.setdefault(v.rule if local else None, ([], []))
         group[0].append(vi)
-        group[1].append(levels.setdefault(threshold, len(levels)))
+        group[1].append(levels.setdefault(v.threshold, len(levels)))
     every = list(range(len(levels)))
     return np.array(list(levels), dtype=float), tuple(
         (rule, np.array(vis), slice(None) if lis == every else np.array(lis)) for rule, (vis, lis) in groups.items()
@@ -302,7 +294,7 @@ def _count_range(args) -> np.ndarray:
 
 def estimate_curves(
     scenario: Scenario,
-    variants: list[Variant] | None = None,
+    variants: list[Variant],
     workers: int = 1,
     uncompressed_twin: bool = False,
 ) -> list[DetectionCurve]:
@@ -322,8 +314,6 @@ def estimate_curves(
         raise ValueError(f"scheme {scenario.scheme.value} has no uncompressed twin")
     if workers < 1:
         raise ValueError(f"workers must be positive, got {workers}")
-    if variants is None:
-        variants = [Variant(scenario.scheme.value, scenario.detector, scenario.fusion)]
     levels, groups = _resolve(scenario, variants)
     columns = [(scenario.scheme, v.label) for v in variants]
     if uncompressed_twin:
@@ -357,11 +347,6 @@ def estimate_curves(
         )
         for (scheme, label), p_c, se_c in zip(columns, p, stderr)
     ]
-
-
-def estimate_curve(scenario: Scenario, workers: int = 1) -> DetectionCurve:
-    """Single-detector convenience wrapper around :func:`estimate_curves`."""
-    return estimate_curves(scenario, None, workers=workers)[0]
 
 
 def snr_margin(curve_a: DetectionCurve, curve_b: DetectionCurve, target_pd: float) -> float:

@@ -15,7 +15,6 @@ from scipy import stats
 from cirauth import cli, simkit
 from cirauth.channel import ChannelConfig, measure_block, noise_variance
 from cirauth.detect import (
-    DetectorConfig,
     FusionKind,
     FusionRule,
     fuse,

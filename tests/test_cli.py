@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import cirauth
 from cirauth import cli, simkit
 from cirauth.channel import ChannelConfig
-from cirauth.detect import DetectorConfig, FusionKind
+from cirauth.detect import FusionKind, solve_threshold
 from cirauth.cli import (
     ConfigError,
     PRESET_NAMES,
@@ -154,16 +154,40 @@ class TestBuildRun:
             build_run(values)
         assert str(err.value).startswith("scenario.snr_db ")
 
+    @pytest.mark.parametrize("preset, key, dropped, dof", [
+        ("fig2", "detector.target_pfa", "detector.delta", 2 * 10 * 6),  # the fusion center tests 2NL dof
+        ("fig3", "detector.target_pfa_n", "detector.delta_n", 2 * 6),  # a node tests 2L
+    ])
+    def test_target_rates_solve_each_variants_threshold(self, preset, key, dropped, dof):
+        run = build_run(_preset_values(preset, {key: "1e-2,1e-3", dropped: None}))
+        per_level = len(run.variants) // 2  # fig3 crosses each level with its five rules
+        assert [v.threshold for v in run.variants] == [
+            solve_threshold(alpha, dof) for alpha in (1e-2, 1e-3) for _ in range(per_level)
+        ]
+
+    @pytest.mark.parametrize("preset, overrides", [
+        ("fig2", {"detector.target_pfa": "0.01"}),
+        ("fig2", {"detector.delta": None}),
+        ("fig3", {"detector.target_pfa_n": "0.01"}),
+        ("fig3", {"detector.delta_n": None}),
+    ])
+    def test_scheme_needs_exactly_one_threshold_key(self, preset, overrides):
+        key = "detector.delta / detector.target_pfa" if preset == "fig2" else "detector.delta_n / detector.target_pfa_n"
+        with pytest.raises(ConfigError, match=f"needs exactly one of {key}$"):
+            build_run(_preset_values(preset, overrides))
+
     @pytest.mark.parametrize("key", [key for key, spec in cli._SCHEMA.items() if spec.field])
     def test_every_field_key_reaches_its_field(self, key):
         preset, raw, extra = _NON_DEFAULT[key]
         run = build_run(_preset_values(preset, {key: raw, **extra}))
         field, want = cli._SCHEMA[key].field, cli._SCHEMA[key].parse(raw)
         holders = [run.scenario, run.scenario.channel, run.scenario.codec]
-        holders += [part for v in run.variants for part in (v.detector, v.rule)]
+        holders += [part for v in run.variants for part in (v, v.rule)]
         landed = [getattr(h, field) for h in holders if hasattr(h, field)]
-        if field in DetectorConfig.__dataclass_fields__:  # one threshold per variant
+        if field == "threshold":  # one threshold per variant
             landed = [tuple(dict.fromkeys(landed))]
+            if "target_" in key:  # solved at fig2's 2NL or fig3's 2L degrees of freedom
+                want = tuple(solve_threshold(a, 120 if preset == "fig2" else 12) for a in want)
         assert landed and all(got == want for got in landed), (landed, want)
 
     def test_keys_without_a_field(self):
@@ -305,6 +329,27 @@ class TestRunCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "preset, key, value",
+        [
+            ("fig2", "detector.target_pfa", "0"),
+            ("fig2", "detector.target_pfa", "1"),
+            ("fig2", "detector.target_pfa", "nan"),
+            ("fig3", "detector.target_pfa_n", "0"),
+            ("fig3", "detector.target_pfa_n", "1.5"),
+        ],
+    )
+    def test_target_rate_out_of_range_exit_2_without_csv(self, tmp_path, capsys, preset, key, value):
+        # the target replaces the preset's threshold line, as a config that gives only a target would
+        threshold_key = "detector.delta" if preset == "fig2" else "detector.delta_n"
+        text, hits = re.subn(rf"(?m)^{re.escape(threshold_key)} = .*$", f"{key} = {value}", load_config_file(preset)[0])
+        assert hits == 1
+        cfg, out = tmp_path / "c.cfg", tmp_path / "o.csv"
+        cfg.write_text(text)
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {key} must lie in (0, 1), got ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "preset, overrides",
         [
             ("fig2", ["detector.delta_n=5", "detector.rules=bogus", "cs.m=3"]),
@@ -432,10 +477,9 @@ class TestWriteCsv:
     @pytest.mark.parametrize("sep", [",", "\n", "\r"], ids=["comma", "lf", "cr"])
     def test_identifier_that_would_split_a_row_rejected(self, tmp_path, sep):
         scenario = simkit.Scenario(
-            scheme="fc_raw", channel=ChannelConfig(n_nodes=2, n_taps=1), detector=DetectorConfig(delta=5.0),
-            snr_grid_db=(0.0,), trials=3, seed=1,
+            scheme="fc_raw", channel=ChannelConfig(n_nodes=2, n_taps=1), snr_grid_db=(0.0,), trials=3, seed=1,
         )
-        curves = simkit.estimate_curves(scenario, [simkit.Variant(f"x{sep}y", DetectorConfig(delta=5.0))])
+        curves = simkit.estimate_curves(scenario, [simkit.Variant(f"x{sep}y", 5.0)])
         with pytest.raises(ValueError, match="comma or line break"):
             cli.write_csv(str(tmp_path / "o.csv"), curves, "text", 1)
         assert list(tmp_path.iterdir()) == []  # no CSV and no temp file

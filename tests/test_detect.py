@@ -9,7 +9,6 @@ from scipy import stats
 
 from cirauth.channel import noise_variance
 from cirauth.detect import (
-    DetectorConfig,
     FusionKind,
     FusionRule,
     fuse,
@@ -41,6 +40,12 @@ class TestSolveThreshold:
         for bad in (0.0, 1.0, 1.5, -0.2, float("nan")):
             with pytest.raises(ValueError):
                 solve_threshold(bad, 12)
+
+    def test_cdf_round_trip(self):
+        # invariant: cdf(delta, dof) == 1 - alpha at the solved threshold
+        from cirauth.numerics import chi2_cdf
+
+        assert chi2_cdf(solve_threshold(0.003, 120), 120) == pytest.approx(0.997, abs=1e-8)
 
     def test_far_tail(self):
         # below ~1e-16 the target is no longer representable as 1 - alpha
@@ -282,42 +287,3 @@ class TestFusedPfaAnalytic:
         want = fused_pfa_analytic(alpha, n, kind)
         sig = math.sqrt(want * (1 - want) / trials)
         assert abs(emp - want) < 5 * sig
-
-
-class TestDetectorConfig:
-    def test_resolve_fc_threshold(self):
-        cfg = DetectorConfig(target_pfa=0.01).resolve(n_nodes=1, n_taps=6)
-        assert cfg.delta == pytest.approx(26.217, abs=0.01)
-
-    def test_resolve_local_thresholds(self):
-        cfg = DetectorConfig(target_pfa_n=0.001).resolve(n_nodes=2, n_taps=6)
-        assert cfg.delta_n == pytest.approx(32.909, abs=0.01)
-
-    def test_solved_threshold_consistency(self):
-        # invariant: cdf(delta, dof) == 1 - alpha after resolution
-        from cirauth.numerics import chi2_cdf
-
-        cfg = DetectorConfig(target_pfa=0.003).resolve(n_nodes=10, n_taps=6)
-        assert chi2_cdf(cfg.delta, 120) == pytest.approx(0.997, abs=1e-8)
-
-    def test_exclusive_fields(self):
-        with pytest.raises(ValueError):
-            DetectorConfig(delta=5.0, target_pfa=0.1)
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"delta": float("nan")},
-            {"delta": float("inf")},
-            {"delta": 0.0},
-            {"delta_n": float("nan")},
-            {"delta_n": -5.0},
-            {"delta_n": float("inf")},
-            {"target_pfa": float("nan")},
-            {"target_pfa": 1.0},
-            {"target_pfa_n": 0.0},
-        ],
-    )
-    def test_nonfinite_or_out_of_range_rejected(self, kwargs):
-        with pytest.raises(ValueError):
-            DetectorConfig(**kwargs)

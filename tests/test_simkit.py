@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from cirauth import cli, simkit, sparse
 from cirauth.channel import ChannelConfig, measure_block, noise_variance
-from cirauth.detect import DetectorConfig, FusionKind, FusionRule, fuse, quadratic_statistic
+from cirauth.detect import FusionKind, FusionRule, fuse, quadratic_statistic, solve_threshold
 from cirauth.numerics import standard_normal_rows
 from cirauth.simkit import (
     CsCodecConfig,
@@ -17,7 +17,6 @@ from cirauth.simkit import (
     Scenario,
     Scheme,
     Variant,
-    estimate_curve,
     estimate_curves,
     scenario_codec,
     snr_margin,
@@ -27,11 +26,15 @@ from cirauth.sparse import compress, reconstruct_decisions, reconstruct_raw
 CHANNEL = ChannelConfig(n_nodes=10, n_taps=6, rho=0.9, pdp=(1.0,) * 6, normalize_kronecker=False)
 
 
+# the single detector of fc_scenario and fusion_scenario runs
+FC = [Variant("fc_raw", 340.0)]
+FUSION = [Variant("local_fusion", 26.2, FusionRule(kind=FusionKind.MAJORITY))]
+
+
 def fc_scenario(**kw):
     args = dict(
         scheme=Scheme.FC_RAW,
         channel=CHANNEL,
-        detector=DetectorConfig(delta=340.0),
         snr_grid_db=(0.0, 5.0),
         trials=200,
         seed=90,
@@ -44,8 +47,6 @@ def fusion_scenario(**kw):
     args = dict(
         scheme=Scheme.LOCAL_FUSION,
         channel=CHANNEL,
-        detector=DetectorConfig(delta_n=26.2),
-        fusion=FusionRule(kind=FusionKind.MAJORITY),
         snr_grid_db=(5.0,),
         trials=200,
         seed=91,
@@ -55,14 +56,6 @@ def fusion_scenario(**kw):
 
 
 class TestScenarioValidation:
-    def test_local_scheme_needs_fusion(self):
-        with pytest.raises(ValueError):
-            fusion_scenario(fusion=None)
-
-    def test_fc_scheme_needs_threshold(self):
-        with pytest.raises(ValueError):
-            fc_scenario(detector=DetectorConfig(delta_n=26.2))
-
     def test_cs_scheme_needs_codec(self):
         with pytest.raises(ValueError):
             fc_scenario(scheme=Scheme.FC_RAW_CS)
@@ -92,64 +85,73 @@ class TestScenarioValidation:
             fc_scenario(snr_grid_db=(0.0, snr))
 
 
+class TestVariant:
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), 0.0, -5.0])
+    def test_nonfinite_or_nonpositive_threshold_rejected(self, threshold):
+        with pytest.raises(ValueError, match="^threshold must lie in"):
+            Variant("x", threshold)
+
+    def test_positive_threshold_accepted(self):
+        assert Variant("x", 5e-300).threshold == 5e-300
+
+
 class TestRunTrial:
     """Single-trial behaviour, through ``estimate_curves`` with ``trials=1``."""
 
     def test_deterministic(self):
         sc = fc_scenario(trials=1, snr_grid_db=(5.0,))
-        assert estimate_curves(sc) == estimate_curves(sc)
+        assert estimate_curves(sc, FC) == estimate_curves(sc, FC)
 
     def test_noiseless_alice_accepted(self):
         # at enormous SNR the H0 statistic collapses to ~0
-        (curve,) = estimate_curves(fc_scenario(trials=1, snr_grid_db=(300.0,)))
+        (curve,) = estimate_curves(fc_scenario(trials=1, snr_grid_db=(300.0,)), FC)
         assert curve.p_fa == (0.0,)
 
     def test_noiseless_eve_rejected(self):
         # the H1 statistic scales like ||h_E - h_A||^2 / sigma^2
-        (curve,) = estimate_curves(fc_scenario(trials=1, snr_grid_db=(300.0,)))
+        (curve,) = estimate_curves(fc_scenario(trials=1, snr_grid_db=(300.0,)), FC)
         assert curve.p_d == (1.0,)
 
     def test_all_schemes_execute(self):
         scenarios = [
-            fc_scenario(trials=1, snr_grid_db=(5.0,)),
-            fusion_scenario(trials=1),
-            fc_scenario(
+            (fc_scenario(trials=1, snr_grid_db=(5.0,)), FC),
+            (fusion_scenario(trials=1), FUSION),
+            (fc_scenario(
                 scheme=Scheme.FC_RAW_CS,
                 trials=1,
                 snr_grid_db=(5.0,),
-                detector=DetectorConfig(delta=340.0),
                 codec=CsCodecConfig(m=48, basis="dct", max_atoms=12),
-            ),
-            fusion_scenario(
+            ), FC),
+            (fusion_scenario(
                 scheme=Scheme.LOCAL_FUSION_CS,
                 trials=1,
                 codec=CsCodecConfig(m=7, basis="identity", max_atoms=3),
-            ),
+            ), FUSION),
         ]
-        for sc in scenarios:
-            (curve,) = estimate_curves(sc)
+        for sc, variants in scenarios:
+            (curve,) = estimate_curves(sc, variants)
             assert curve.p_d[0] in (0.0, 1.0) and curve.p_fa[0] in (0.0, 1.0)
 
 
 class TestEstimateCurve:
     def test_single_trial_degenerate(self):
-        curve = estimate_curve(fc_scenario(trials=1))
+        (curve,) = estimate_curves(fc_scenario(trials=1), FC)
         assert all(p in (0.0, 1.0) for p in curve.p_d)
         assert curve.trials == 1
 
     def test_repeat_runs_identical(self):
-        a = estimate_curve(fc_scenario())
-        b = estimate_curve(fc_scenario())
+        a = estimate_curves(fc_scenario(), FC)
+        b = estimate_curves(fc_scenario(), FC)
         assert a == b
 
     @pytest.mark.parametrize("workers", [0, -4])
     def test_nonpositive_workers_rejected(self, workers):
         with pytest.raises(ValueError, match="workers must be positive"):
-            estimate_curves(fc_scenario(trials=1), workers=workers)
+            estimate_curves(fc_scenario(trials=1), FC, workers=workers)
 
     def test_workers_do_not_change_counts(self):
-        a = estimate_curves(fc_scenario(trials=90), workers=1)
-        b = estimate_curves(fc_scenario(trials=90), workers=3)
+        a = estimate_curves(fc_scenario(trials=90), FC, workers=1)
+        b = estimate_curves(fc_scenario(trials=90), FC, workers=3)
         assert a == b
 
     def test_pool_no_larger_than_tasks_or_cpus(self, monkeypatch):
@@ -174,30 +176,26 @@ class TestEstimateCurve:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         sc = fc_scenario(trials=1, snr_grid_db=(5.0,))
-        one = estimate_curves(sc, workers=1)
+        one = estimate_curves(sc, FC, workers=1)
         for cpus, want in ((64, [2]), (1, [])):
             sizes.clear()
             monkeypatch.setattr(simkit.os, "sched_getaffinity", lambda pid: set(range(cpus)))
-            assert estimate_curves(sc, workers=64) == one
+            assert estimate_curves(sc, FC, workers=64) == one
             assert sizes == want
 
     def test_h0_calibration_tracks_alpha(self):
         # solved threshold at alpha: empirical false-alarm within 5 sigma,
         # independent of SNR
         alpha, trials = 0.05, 4000
-        sc = fc_scenario(
-            detector=DetectorConfig(target_pfa=alpha),
-            snr_grid_db=(0.0, 10.0),
-            trials=trials,
-        )
-        curve = estimate_curve(sc)
+        sc = fc_scenario(snr_grid_db=(0.0, 10.0), trials=trials)
+        (curve,) = estimate_curves(sc, [Variant("pfa", solve_threshold(alpha, 2 * 10 * 6))])
         sig = math.sqrt(alpha * (1 - alpha) / trials)
         for p in curve.p_fa:
             assert abs(p - alpha) < 5 * sig
 
     def test_pd_monotone_in_snr_within_noise(self):
         sc = fc_scenario(snr_grid_db=tuple(np.arange(-4.0, 6.0, 2.0)), trials=1500)
-        curve = estimate_curve(sc)
+        (curve,) = estimate_curves(sc, FC)
         for i in range(len(curve.p_d) - 1):
             slack = 3 * (curve.p_d_stderr[i] + curve.p_d_stderr[i + 1])
             assert curve.p_d[i + 1] >= curve.p_d[i] - slack
@@ -205,7 +203,7 @@ class TestEstimateCurve:
     def test_pd_nonincreasing_in_delta_pointwise(self):
         # shared draws make the threshold sweep exactly nested
         variants = [
-            Variant(label=f"delta={d}", detector=DetectorConfig(delta=d))
+            Variant(label=f"delta={d}", threshold=d)
             for d in (260.0, 280.0, 300.0, 320.0, 340.0)
         ]
         curves = estimate_curves(fc_scenario(trials=400, snr_grid_db=(0.0, 3.0)), variants)
@@ -216,7 +214,7 @@ class TestEstimateCurve:
         variants = [
             Variant(
                 label=k.value,
-                detector=DetectorConfig(delta_n=26.2),
+                threshold=26.2,
                 rule=FusionRule(kind=k),
             )
             for k in (FusionKind.OR, FusionKind.MAJORITY, FusionKind.AND)
@@ -228,7 +226,7 @@ class TestEstimateCurve:
     def test_single_baseline_variant(self):
         # node 0 fires whenever AND fires, and OR fires whenever node 0 does
         variants = [
-            Variant(label=k.value, detector=DetectorConfig(delta_n=26.2), rule=FusionRule(kind=k))
+            Variant(label=k.value, threshold=26.2, rule=FusionRule(kind=k))
             for k in (FusionKind.OR, FusionKind.SINGLE, FusionKind.AND)
         ]
         curves = estimate_curves(fusion_scenario(trials=300, snr_grid_db=(0.0, 5.0)), variants)
@@ -238,7 +236,7 @@ class TestEstimateCurve:
 
     def test_local_variant_needs_rule(self):
         with pytest.raises(ValueError):
-            estimate_curves(fusion_scenario(trials=1), [Variant("x", DetectorConfig(delta_n=26.2))])
+            estimate_curves(fusion_scenario(trials=1), [Variant("x", 26.2)])
 
 
 def _oracle_counts(scenario: Scenario, variants: list[Variant]) -> tuple[np.ndarray, np.ndarray]:
@@ -254,7 +252,6 @@ def _oracle_counts(scenario: Scenario, variants: list[Variant]) -> tuple[np.ndar
     n, L = cfg.n_nodes, cfg.n_taps
     codec = scenario_codec(scenario) if scenario.codec is not None else None
     local = scenario.scheme in (Scheme.LOCAL_FUSION, Scheme.LOCAL_FUSION_CS)
-    dets = [v.detector.resolve(n, L) for v in variants]
     counts = np.zeros((2, len(scenario.snr_grid_db), 2 * len(variants)), dtype=np.int64)  # alice, eve
     for si, snr in enumerate(scenario.snr_grid_db):
         sigma2 = noise_variance(snr)
@@ -265,10 +262,10 @@ def _oracle_counts(scenario: Scenario, variants: list[Variant]) -> tuple[np.ndar
                 if not local:
                     z_cs = z if codec is None else reconstruct_raw(compress(z, codec), codec)
                     stats = [quadratic_statistic(r, h, 1.0 / sigma2) for r in (z_cs, z)]
-                    row = [stat > d.delta for stat in stats for d in dets]
+                    row = [stat > v.threshold for stat in stats for v in variants]
                 else:
                     stats_n = quadratic_statistic(z.reshape(n, L), h.reshape(n, L), 1.0 / sigma2)
-                    us = [(stats_n > d.delta_n).astype(np.int64) for d in dets]
+                    us = [(stats_n > v.threshold).astype(np.int64) for v in variants]
                     if codec is not None:
                         us_cs = [reconstruct_decisions(compress(u.astype(float), codec), codec) for u in us]
                     else:
@@ -288,32 +285,28 @@ _SMALL = ChannelConfig(n_nodes=4, n_taps=3, rho=0.8, pdp=(1.0,) * 3, normalize_k
 _SMALL_LOCAL = ChannelConfig(n_nodes=8, n_taps=2, rho=0.8, pdp=(1.0,) * 2, normalize_kronecker=False)
 _BLOCK_CAP = 504  # normals: blocks of 7 trials on _SMALL, 5 on _SMALL_LOCAL
 _FC_VARIANTS = [
-    Variant(label="delta=20", detector=DetectorConfig(delta=20.0)),
-    Variant(label="pfa=0.05", detector=DetectorConfig(target_pfa=0.05)),
-    Variant(label="delta=45", detector=DetectorConfig(delta=45.0)),
+    Variant(label="delta=20", threshold=20.0),
+    Variant(label="pfa=0.05", threshold=solve_threshold(0.05, 2 * 4 * 3)),  # 2NL dof on _SMALL
+    Variant(label="delta=45", threshold=45.0),
 ]
 _LOCAL_VARIANTS = [
-    Variant(label=f"{d} {k.value}", detector=DetectorConfig(delta_n=d), rule=FusionRule(kind=k))
+    Variant(label=f"{d} {k.value}", threshold=d, rule=FusionRule(kind=k))
     for d in (3.0, 8.0)
     for k in FusionKind
 ]
 _EQUIVALENCE_CASES = {
     "fc_raw": (Scenario(
-        scheme=Scheme.FC_RAW, channel=_SMALL, detector=DetectorConfig(delta=20.0),
-        snr_grid_db=(-3.0, 3.0), trials=23, seed=501,
+        scheme=Scheme.FC_RAW, channel=_SMALL, snr_grid_db=(-3.0, 3.0), trials=23, seed=501,
     ), _FC_VARIANTS),
     "fc_raw_cs": (Scenario(
-        scheme=Scheme.FC_RAW_CS, channel=_SMALL, detector=DetectorConfig(delta=20.0),
-        snr_grid_db=(-3.0, 3.0), trials=23, seed=502,
+        scheme=Scheme.FC_RAW_CS, channel=_SMALL, snr_grid_db=(-3.0, 3.0), trials=23, seed=502,
         codec=CsCodecConfig(m=9, basis="dct", max_atoms=5),
     ), _FC_VARIANTS),
     "local_fusion": (Scenario(
-        scheme=Scheme.LOCAL_FUSION, channel=_SMALL_LOCAL, detector=DetectorConfig(delta_n=4.0),
-        fusion=FusionRule(kind=FusionKind.MAJORITY), snr_grid_db=(-3.0, 3.0), trials=23, seed=503,
+        scheme=Scheme.LOCAL_FUSION, channel=_SMALL_LOCAL, snr_grid_db=(-3.0, 3.0), trials=23, seed=503,
     ), _LOCAL_VARIANTS),
     "local_fusion_cs": (Scenario(
-        scheme=Scheme.LOCAL_FUSION_CS, channel=_SMALL_LOCAL, detector=DetectorConfig(delta_n=4.0),
-        fusion=FusionRule(kind=FusionKind.MAJORITY), snr_grid_db=(-3.0, 3.0), trials=23, seed=504,
+        scheme=Scheme.LOCAL_FUSION_CS, channel=_SMALL_LOCAL, snr_grid_db=(-3.0, 3.0), trials=23, seed=504,
         codec=CsCodecConfig(m=6, basis="identity", max_atoms=3),
     ), _LOCAL_VARIANTS),
 }
@@ -351,22 +344,20 @@ class TestEngineEquivalence:
 
     def test_twin_requires_cs_scheme(self):
         with pytest.raises(ValueError):
-            estimate_curves(fc_scenario(trials=1), uncompressed_twin=True)
+            estimate_curves(fc_scenario(trials=1), FC, uncompressed_twin=True)
 
 
 _PRESET_CHANNEL = ChannelConfig(n_nodes=100, n_taps=6, rho=0.9, pdp=(1.0,) * 6, normalize_kronecker=False)
 _SPLIT_CASES = {
     **{case: _EQUIVALENCE_CASES[case] for case in ("fc_raw_cs", "local_fusion_cs")},
     "fig4-shaped": (Scenario(
-        scheme=Scheme.FC_RAW_CS, channel=_PRESET_CHANNEL, detector=DetectorConfig(delta=2600.0),
-        snr_grid_db=(0.0, 10.0), trials=8, seed=41004,
+        scheme=Scheme.FC_RAW_CS, channel=_PRESET_CHANNEL, snr_grid_db=(0.0, 10.0), trials=8, seed=41004,
         codec=CsCodecConfig(m=480, basis="dct", max_atoms=60),
-    ), [Variant(label=f"delta={d}", detector=DetectorConfig(delta=d)) for d in (2600.0, 4800.0, 5000.0)]),
+    ), [Variant(label=f"delta={d}", threshold=d) for d in (2600.0, 4800.0, 5000.0)]),
     "fig5-shaped": (Scenario(
-        scheme=Scheme.LOCAL_FUSION_CS, channel=_PRESET_CHANNEL, detector=DetectorConfig(delta_n=39.0),
-        fusion=FusionRule(kind=FusionKind.MAJORITY), snr_grid_db=(-4.0, 6.0), trials=12, seed=41005,
+        scheme=Scheme.LOCAL_FUSION_CS, channel=_PRESET_CHANNEL, snr_grid_db=(-4.0, 6.0), trials=12, seed=41005,
         codec=CsCodecConfig(m=70, basis="identity", max_atoms=35),
-    ), [Variant(label=f"{d} majority", detector=DetectorConfig(delta_n=d), rule=FusionRule(kind=FusionKind.MAJORITY))
+    ), [Variant(label=f"{d} majority", threshold=d, rule=FusionRule(kind=FusionKind.MAJORITY))
         for d in (39.0, 32.9, 26.2)]),
 }
 
@@ -407,7 +398,7 @@ class TestBlockSplitInvariance:
         # bits, which a vectorized numpy power misses at 22.0 and -25.0 dB
         scenario = fc_scenario(trials=2, snr_grid_db=(22.0, -25.0, 0.3))
         with mock.patch.object(simkit, "measure_block", wraps=simkit.measure_block) as spy:
-            estimate_curves(scenario)
+            estimate_curves(scenario, FC)
         (call,) = spy.call_args_list
         want = [noise_variance(snr) for snr in scenario.snr_grid_db for _ in range(4)]
         assert call.args[3].tolist() == want
@@ -519,12 +510,10 @@ class TestCurveStructure:
 # callable applier of the inverse covariance, dividing by sigma2).  The
 # engine must match it bit for bit.
 def _ref_resolve(scenario, variants):
-    n, L = scenario.channel.n_nodes, scenario.channel.n_taps
     local = scenario.scheme.local
     thresholds, groups = [], {}
     for vi, v in enumerate(variants):
-        detector = v.detector.resolve(n, L)
-        thresholds.append(detector.delta_n if local else detector.delta)
+        thresholds.append(v.threshold)
         if local:
             groups.setdefault(v.rule, []).append(vi)
     return np.array(thresholds, dtype=float), tuple(groups.items())
@@ -595,12 +584,10 @@ _REF_LOCAL = ChannelConfig(n_nodes=10, n_taps=2, rho=0.8, pdp=(1.0,) * 2, normal
 _REF_CASES = {
     **{case: _EQUIVALENCE_CASES[case][0] for case in ("fc_raw", "fc_raw_cs")},
     "local_fusion": Scenario(
-        scheme=Scheme.LOCAL_FUSION, channel=_REF_LOCAL, detector=DetectorConfig(delta_n=4.0),
-        fusion=FusionRule(kind=FusionKind.MAJORITY), snr_grid_db=(0.0,), trials=1, seed=505,
+        scheme=Scheme.LOCAL_FUSION, channel=_REF_LOCAL, snr_grid_db=(0.0,), trials=1, seed=505,
     ),
     "local_fusion_cs": Scenario(
-        scheme=Scheme.LOCAL_FUSION_CS, channel=_REF_LOCAL, detector=DetectorConfig(delta_n=4.0),
-        fusion=FusionRule(kind=FusionKind.MAJORITY), snr_grid_db=(0.0,), trials=1, seed=506,
+        scheme=Scheme.LOCAL_FUSION_CS, channel=_REF_LOCAL, snr_grid_db=(0.0,), trials=1, seed=506,
         codec=CsCodecConfig(m=7, basis="identity", max_atoms=4),
     ),
 }
@@ -614,7 +601,7 @@ def _ref_variants(draw, local):
     """API-built variant sets: rule groups of different heights, shared thresholds; or a CLI-built cross."""
     if not local:
         deltas = draw(st.lists(st.sampled_from([12.0, 20.0, 45.0, 3.5]), min_size=1, max_size=5))
-        return [Variant(f"v{i}", DetectorConfig(delta=d)) for i, d in enumerate(deltas)]
+        return [Variant(f"v{i}", d) for i, d in enumerate(deltas)]
     rules = [FusionRule(kind=k) for k in FusionKind] + [
         FusionRule(kind=FusionKind.WEIGHTED_AVERAGE, avg_threshold=a) for a in (0.3, 0.6, 0.7)
     ]
@@ -625,7 +612,7 @@ def _ref_variants(draw, local):
     else:
         pairs = draw(st.lists(st.tuples(st.sampled_from(_REF_LEVELS), st.sampled_from(rules)),
                               min_size=1, max_size=12))
-    return [Variant(f"v{i}", DetectorConfig(delta_n=d), rule=r) for i, (d, r) in enumerate(pairs)]
+    return [Variant(f"v{i}", d, rule=r) for i, (d, r) in enumerate(pairs)]
 
 
 class TestDecisionReference:
@@ -656,7 +643,7 @@ class TestDecisionReference:
         wa = {a: FusionRule(kind=FusionKind.WEIGHTED_AVERAGE, avg_threshold=a) for a in (0.6, 0.7, 0.9)}
         pairs = [(d, FusionRule(kind=FusionKind.MAJORITY)) for d in _REF_LEVELS]
         pairs += [(3.0, wa[0.6]), (5.0, wa[0.7]), (3.0, wa[0.7]), (3.0, wa[0.9]), (5.0, wa[0.9]), (8.0, wa[0.9])]
-        variants = [Variant(f"v{i}", DetectorConfig(delta_n=d), rule=r) for i, (d, r) in enumerate(pairs)]
+        variants = [Variant(f"v{i}", d, rule=r) for i, (d, r) in enumerate(pairs)]
         t, cfg = 2000, scenario.channel
         sigma2 = np.full(t, noise_variance(0.0))
         normals = standard_normal_rows(scenario.seed, range(t), 6 * cfg.n_nodes * cfg.n_taps)
@@ -677,7 +664,7 @@ class TestDecisionReference:
         scheme = Scheme.LOCAL_FUSION_CS if twin else Scheme.LOCAL_FUSION
         codec = CsCodecConfig(m=6, basis="identity", max_atoms=3) if twin else None
         scenario = fusion_scenario(scheme=scheme, channel=_SMALL_LOCAL, snr_grid_db=snr, trials=trials, codec=codec)
-        variants = [Variant(f"v{i}", DetectorConfig(delta_n=3.0 + i), FusionRule(kind=FusionKind.OR))
+        variants = [Variant(f"v{i}", 3.0 + i, FusionRule(kind=FusionKind.OR))
                     for i in range(n_variants)]
         columns = [(scheme, v.label) for v in variants]
         columns += [(Scheme.LOCAL_FUSION, v.label + " no_cs") for v in variants] if twin else []
