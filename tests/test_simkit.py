@@ -91,9 +91,6 @@ class TestVariant:
         with pytest.raises(ValueError, match="^threshold must lie in"):
             Variant("x", threshold)
 
-    def test_positive_threshold_accepted(self):
-        assert Variant("x", 5e-300).threshold == 5e-300
-
 
 class TestRunTrial:
     """Single-trial behaviour, through ``estimate_curves`` with ``trials=1``."""
