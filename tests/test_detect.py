@@ -287,3 +287,32 @@ class TestFusedPfaAnalytic:
         want = fused_pfa_analytic(alpha, n, kind)
         sig = math.sqrt(want * (1 - want) / trials)
         assert abs(emp - want) < 5 * sig
+
+
+class TestDetectorConfig:
+    """The detector section of a run config: each threshold or target key is range-checked."""
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"delta": float("nan")},
+            {"delta": float("inf")},
+            {"delta": 0.0},
+            {"delta_n": float("nan")},
+            {"delta_n": -5.0},
+            {"delta_n": float("inf")},
+            {"target_pfa": float("nan")},
+            {"target_pfa": 1.0},
+            {"target_pfa_n": 0.0},
+        ],
+    )
+    def test_nonfinite_or_out_of_range_rejected(self, kwargs):
+        from cirauth.cli import ConfigError, build_run, load_config_file, parse_config
+
+        (name, value), = kwargs.items()
+        local = name.endswith("_n")
+        values = parse_config(*load_config_file("fig3" if local else "fig2"))
+        del values["detector.delta_n" if local else "detector.delta"]  # the preset's own threshold
+        values[f"detector.{name}"] = (value,)
+        with pytest.raises(ConfigError, match=rf"^detector\.{name} "):
+            build_run(values)
