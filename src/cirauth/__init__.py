@@ -31,7 +31,6 @@ from .detect import (
     solve_threshold,
 )
 from .sparse import (
-    CompressedReport,
     CsCodec,
     RecoveryError,
     compress,
@@ -57,7 +56,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ChannelConfig",
-    "CompressedReport",
     "CsCodec",
     "CsCodecConfig",
     "CurveComparisonError",

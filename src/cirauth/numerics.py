@@ -43,10 +43,6 @@ class Rng:
         self.stream_id = stream_id
         self._gen = np.random.Generator(np.random.Philox(key=(stream_id << 64) | seed))
 
-    def substream(self, stream_id: int) -> "Rng":
-        """Fresh, statistically independent stream under the same seed."""
-        return Rng(self.seed, stream_id)
-
     def standard_normal(self, size) -> np.ndarray:
         return self._gen.standard_normal(size)
 

@@ -180,6 +180,8 @@ class Variant:
     rule: FusionRule | None = None
 
     def __post_init__(self):
+        if any(c in self.label for c in ",\n\r"):  # each would split a CSV field or row
+            raise ValueError(f"label must hold no comma or line break, got {self.label!r}")
         if not 0.0 < self.threshold < np.inf:
             raise ValueError(f"threshold must lie in (0, inf), got {self.threshold}")
 
@@ -204,6 +206,11 @@ def _resolve(scenario: Scenario, variants: list[Variant]) -> tuple[np.ndarray, t
     schemes group by fusion rule; FC schemes have one group, of rule None.
     Level indices 0..D-1, as in every CLI-built run, are ``slice(None)``.
     """
+    labels = [v.label for v in variants]
+    if not labels:
+        raise ValueError("need at least one variant")
+    if len(set(labels)) < len(labels):
+        raise ValueError(f"variant labels must be distinct, got {labels}")
     local = scenario.scheme.local
     levels, groups = {}, {}
     for vi, v in enumerate(variants):

@@ -15,11 +15,12 @@ inverse Cholesky factor stored iteration-major, one contiguous slab per
 step), so an iteration costs O(n*K) per report and calls no LAPACK
 routine.
 
-``compress`` and ``reconstruct_*`` also take a block of T reports.  OMP
-is one kernel call per block on its distinct reports only (a duplicate
-gets a copy of its twin's result), while projection and basis synthesis
-run one product per report (synthesis from the report's support only),
-so every row equals the one-report call bit for bit at any block height.
+A compressed report is the plain array y, (M,) or a block (T, M) of T
+reports; the receiver already holds the codec.  OMP is one kernel call
+per block on its distinct reports only (a duplicate gets a copy of its
+twin's result), while projection and basis synthesis run one product per
+report (synthesis from the report's support only), so every row equals
+the one-report call bit for bit at any block height.
 """
 
 from __future__ import annotations
@@ -142,19 +143,6 @@ class CsCodec:
         return self.phi.shape[1]
 
 
-@dataclass(frozen=True)
-class CompressedReport:
-    """Length-M projection of one report (M,) or a block (T, M), tied to its codec."""
-
-    y: np.ndarray
-    codec: CsCodec
-
-    def __post_init__(self):
-        shape = np.asarray(self.y).shape
-        if len(shape) not in (1, 2) or shape[-1] != self.codec.m:
-            raise ValueError(f"y must have trailing length {self.codec.m}, got {shape}")
-
-
 def _real_matmul(x: np.ndarray, a: np.ndarray) -> np.ndarray:
     """``x @ a`` for real ``a`` and (T, n) ``x``, as one real BLAS call per row (so exact per row).
 
@@ -166,13 +154,13 @@ def _real_matmul(x: np.ndarray, a: np.ndarray) -> np.ndarray:
     return parts[:, 0] + 1j * parts[:, 1]
 
 
-def compress(x: np.ndarray, codec: CsCodec) -> CompressedReport:
-    """Random projection y = Phi x of one report (n,) or a block (T, n), one product per report."""
+def compress(x: np.ndarray, codec: CsCodec) -> np.ndarray:
+    """Report array y = Phi x, (M,) or (T, M), of one report (n,) or a block (T, n), one product per report."""
     x = np.asarray(x)
     if x.ndim not in (1, 2) or x.shape[-1] != codec.n:
         raise ValueError(f"x must have trailing length {codec.n}, got {x.shape}")
     y = _real_matmul(np.atleast_2d(x), codec.phi.T)
-    return CompressedReport(y=y.reshape(x.shape[:-1] + (codec.m,)), codec=codec)
+    return y.reshape(x.shape[:-1] + (codec.m,))
 
 
 @dataclass(frozen=True)
@@ -322,8 +310,7 @@ def omp(
     max_atoms: int,
     residual_tol: float = 1e-6,
     gram: np.ndarray | None = None,
-    return_diagnostics: bool = False,
-) -> np.ndarray | tuple[np.ndarray, dict]:
+) -> np.ndarray:
     """Greedy sparse recovery of x from y ~= a @ x, for a real dictionary ``a``.
 
     Repeatedly selects the atom with the largest norm-weighted correlation
@@ -359,23 +346,17 @@ def omp(
     coeffs = res.coeffs[0].astype(np.result_type(a.dtype, y.dtype), copy=False)
     if res.errors[0]:
         raise RecoveryError(res.errors[0], coeffs)
-    if return_diagnostics:
-        k = int(res.count[0])
-        return coeffs, {
-            "support": res.support[0, :k].tolist(),
-            "residual_norms": np.sqrt(res.res2[0, : k + 1]).tolist(),
-        }
     return coeffs
 
 
-def _recover(report: CompressedReport, codec: CsCodec, keep_partial: bool = False) -> _OmpResult:
+def _recover(y: np.ndarray, codec: CsCodec, keep_partial: bool = False) -> _OmpResult:
     """OMP of each distinct report (keyed by its bytes) once, copied to its duplicates.
 
     ``keep_partial`` returns a breakdown's partial result instead of raising.
     """
-    if report.codec is not codec:
-        raise ValueError("report was produced by a different codec")
-    ys = np.ascontiguousarray(np.atleast_2d(report.y))
+    if np.ndim(y) not in (1, 2) or np.shape(y)[-1] != codec.m:
+        raise ValueError(f"y must have trailing length {codec.m}, got {np.shape(y)}")
+    ys = np.ascontiguousarray(np.atleast_2d(y))
     keys = ys.view(np.dtype((np.void, ys.shape[1] * ys.itemsize)))[:, 0]
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     res = _batch_omp(ys[first], codec.dictionary, codec.gram, codec.max_atoms, codec.residual_tol)
@@ -388,34 +369,24 @@ def _recover(report: CompressedReport, codec: CsCodec, keep_partial: bool = Fals
     return res
 
 
-def reconstruct_raw(
-    report: CompressedReport,
-    codec: CsCodec,
-    truth: np.ndarray | None = None,
-) -> np.ndarray | tuple[np.ndarray, float]:
+def reconstruct_raw(y: np.ndarray, codec: CsCodec) -> np.ndarray:
     """Recover the stacked raw-measurement vector(s) from a projection.
 
     OMP against the codec dictionary, then coefficients mapped back
     through the basis (z_hat = Psi^H coeffs); a (T, M) report gives (T, n)
     estimates.  Each report is synthesized from its support S alone, as
     ``coeffs[S] @ Psi[S]`` in selection order, one product per report, so
-    a row of a block equals the one-report call bit for bit.  Given the
-    transmitted ``truth`` (test mode), the squared error
-    ||z_hat - truth||^2 of each report is returned as well.
+    a row of a block equals the one-report call bit for bit.
     """
-    res = _recover(report, codec)
+    res = _recover(y, codec)
     z_hat = np.zeros_like(res.coeffs)
     for z_i, coeffs, support, count in zip(z_hat, res.coeffs, res.support, res.count):
         s = support[:count]
         z_i[:] = _real_matmul(coeffs[None, s], codec.psi[s])[0]  # Psi is real
-    z_hat = z_hat.reshape(np.shape(report.y)[:-1] + (codec.n,))
-    if truth is None:
-        return z_hat
-    err = np.sum(np.abs(z_hat - truth) ** 2, axis=-1)
-    return z_hat, err[()]
+    return z_hat.reshape(np.shape(y)[:-1] + (codec.n,))
 
 
-def reconstruct_decisions(report: CompressedReport, codec: CsCodec) -> np.ndarray:
+def reconstruct_decisions(y: np.ndarray, codec: CsCodec) -> np.ndarray:
     """Recover binary decision vector(s) from a projection.
 
     Requires the canonical (identity) basis, where a low-false-alarm
@@ -429,5 +400,5 @@ def reconstruct_decisions(report: CompressedReport, codec: CsCodec) -> np.ndarra
     """
     if codec.basis is not Basis.IDENTITY:
         raise ValueError("decision recovery requires the identity basis")
-    coeffs = _recover(report, codec, keep_partial=True).coeffs.reshape(np.shape(report.y)[:-1] + (codec.n,))
+    coeffs = _recover(y, codec, keep_partial=True).coeffs.reshape(np.shape(y)[:-1] + (codec.n,))
     return (np.real(coeffs) > 0.5).astype(np.int64)

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 import cirauth
 from cirauth import cli, simkit
-from cirauth.channel import ChannelConfig
 from cirauth.detect import FusionKind, solve_threshold
 from cirauth.cli import (
     ConfigError,
@@ -476,10 +475,8 @@ class TestCsvRows:
 class TestWriteCsv:
     @pytest.mark.parametrize("sep", [",", "\n", "\r"], ids=["comma", "lf", "cr"])
     def test_identifier_that_would_split_a_row_rejected(self, tmp_path, sep):
-        scenario = simkit.Scenario(
-            scheme="fc_raw", channel=ChannelConfig(n_nodes=2, n_taps=1), snr_grid_db=(0.0,), trials=3, seed=1,
-        )
-        curves = simkit.estimate_curves(scenario, [simkit.Variant(f"x{sep}y", 5.0)])
+        # built by hand: a Variant already rejects such a label, so estimate_curves cannot make this curve
+        curves = [simkit.DetectionCurve("fc_raw", f"x{sep}y", (0.0,), (1.0,), (0.0,), (0.0,), (0.0,), trials=3)]
         with pytest.raises(ValueError, match="comma or line break"):
             cli.write_csv(str(tmp_path / "o.csv"), curves, "text", 1)
         assert list(tmp_path.iterdir()) == []  # no CSV and no temp file

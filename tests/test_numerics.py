@@ -31,11 +31,6 @@ class TestRng:
         b = Rng(123, 8).standard_normal(64)
         assert not np.array_equal(a, b)
 
-    def test_substream_matches_direct_construction(self):
-        root = Rng(9, 0)
-        forked = root.substream(42)
-        assert np.array_equal(forked.standard_normal(8), Rng(9, 42).standard_normal(8))
-
     def test_substreams_uncorrelated(self):
         x = Rng(5, 1).standard_normal(100_000)
         y = Rng(5, 2).standard_normal(100_000)

@@ -91,6 +91,11 @@ class TestVariant:
         with pytest.raises(ValueError, match="^threshold must lie in"):
             Variant("x", threshold)
 
+    @pytest.mark.parametrize("label", ["a,b", "a\nb", "a\rb"])
+    def test_label_that_splits_a_csv_row_rejected(self, label):
+        with pytest.raises(ValueError, match="^label must hold no comma or line break"):
+            Variant(label, 5.0)
+
 
 class TestRunTrial:
     """Single-trial behaviour, through ``estimate_curves`` with ``trials=1``."""
@@ -234,6 +239,15 @@ class TestEstimateCurve:
     def test_local_variant_needs_rule(self):
         with pytest.raises(ValueError):
             estimate_curves(fusion_scenario(trials=1), [Variant("x", 26.2)])
+
+    @pytest.mark.parametrize("variants, message", [
+        ([], "need at least one variant"),
+        ([Variant("a", 5.0), Variant("a", 6.0)], "variant labels must be distinct"),
+    ], ids=["empty", "repeated-label"])
+    def test_variant_list_checked_before_any_trial(self, variants, message):
+        with mock.patch.object(simkit, "_count_range", side_effect=AssertionError("a trial ran")):
+            with pytest.raises(ValueError, match=message):
+                estimate_curves(fc_scenario(), variants)
 
 
 def _oracle_counts(scenario: Scenario, variants: list[Variant]) -> tuple[np.ndarray, np.ndarray]:

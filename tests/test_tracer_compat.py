@@ -4,12 +4,15 @@ The tracer wraps names in ``cirauth``'s modules from outside ``src/``.  It
 skips a name that is gone, but it dereferences ``channel.NoiseModel`` while
 it builds its patch list, so deleting that class would crash every
 ``perfbench/run.py --trace 1`` run.  This test imports the tracer as it is,
-runs one small fig2 preset under it, and checks that every attribute it
-patched is restored afterwards.
+runs one small preset under it (fig2, and fig5, whose run goes through
+``sparse``), and checks that every attribute it patched is restored
+afterwards.
 """
 
 import importlib.util
 from pathlib import Path
+
+import pytest
 
 from cirauth import channel, cli, detect, simkit, sparse
 
@@ -31,14 +34,15 @@ def _attributes():
             for owner in (*modules, *classes) for name, value in vars(owner).items()}
 
 
-def test_traced_preset_run_exits_0_and_restores_every_patch(tmp_path):
+@pytest.mark.parametrize("preset", ["fig2", "fig5"])
+def test_traced_preset_run_exits_0_and_restores_every_patch(preset, tmp_path):
     tracer_module = _load_tracer()
     before = _attributes()
     tracer = tracer_module.Tracer()
     with tracer_module.instrumented(tracer):
         during = _attributes()
         rc = cli.main([
-            "run", "--config", "fig2", "--out", str(tmp_path / "o.csv"), "--workers", "1",
+            "run", "--config", preset, "--out", str(tmp_path / "o.csv"), "--workers", "1",
             "--set", "scenario.trials=1", "--set", "scenario.snr_db=0",
         ])
     assert rc == 0
@@ -46,6 +50,8 @@ def test_traced_preset_run_exits_0_and_restores_every_patch(tmp_path):
     assert ("cirauth.cli", "main") in patched and ("cirauth.simkit", "estimate_curves") in patched
     calls = dict(zip(tracer.names, tracer.calls))
     assert calls["cli.main"] == 1 and calls["simkit.estimate_curves"] == 1
+    if preset == "fig5":  # the compressed decision vectors went through the traced sparse layer
+        assert calls["sparse.compress"] >= 1 and calls["sparse.reconstruct_decisions"] >= 1
     after = _attributes()
     assert after.keys() == before.keys()
     assert [key for key in before if after[key] is not before[key]] == []
