@@ -2,13 +2,12 @@
 """Hard-decision fusion rules: analytic false-alarm rates vs simulation,
 plus the pointwise ordering between them.
 
-With iid per-node alarms at rate alpha, OR / AND / majority fused rates
-have closed forms; the weighted average with uniform weights coincides
-with majority voting for odd N.  OR fires whenever majority does, and
-majority whenever AND does, on every possible decision vector.
+With iid per-node alarms at rate alpha, every rule is a vote-count
+cutoff, so each fused rate is a binomial tail in closed form; the
+weighted average with uniform weights coincides with majority voting for
+odd N.  OR fires whenever majority does, and majority whenever AND does,
+on every possible decision vector.
 """
-
-import math
 
 import numpy as np
 
@@ -25,13 +24,13 @@ u = (gen.random((TRIALS, N)) < ALPHA).astype(np.int64)
 print(f"N={N} nodes, per-node alarm rate alpha={ALPHA}, {TRIALS:,} trials\n")
 print(f"{'rule':>18} | {'analytic':>12} | {'empirical':>12}")
 print("-" * 50)
-for kind in (FusionKind.OR, FusionKind.MAJORITY, FusionKind.AND):
-    want = fused_pfa_analytic(ALPHA, N, kind)
-    emp = float(np.mean(fuse(u, FusionRule(kind=kind))))
-    print(f"{kind.value:>18} | {want:>12.3e} | {emp:>12.3e}")
-
 avg = FusionRule(kind=FusionKind.WEIGHTED_AVERAGE)
 maj = FusionRule(kind=FusionKind.MAJORITY)
+for rule in (FusionRule(kind=FusionKind.OR), maj, FusionRule(kind=FusionKind.AND), avg):
+    want = fused_pfa_analytic(ALPHA, N, rule)
+    emp = float(np.mean(fuse(u, rule)))
+    print(f"{rule.kind.value:>18} | {want:>12.3e} | {emp:>12.3e}")
+
 agree = sum(
     fuse([(bits >> i) & 1 for i in range(7)], avg) == fuse([(bits >> i) & 1 for i in range(7)], maj)
     for bits in range(2**7)

@@ -8,8 +8,11 @@ chi-squared with 2*(vector length) degrees of freedom, which is what the
 calibration relies on: 2NL for the fusion center's stacked test, 2L for
 a node's own.  Local binary decisions are combined with OR / AND /
 majority / weighted averaging, or node 0's decision is reported alone
-(the single-sensor baseline).  Decisions are plain bools: ``H1`` (True) means "reject,
-declare intruder"; ties always resolve to ``H0`` (accept).
+(the single-sensor baseline).  With uniform weights each of these is a
+vote-count cutoff (`FusionRule.cutoff`): H1 iff more than k of the
+first ``voters`` nodes fired, the mean vote of c votes being ``c / n``.
+Decisions are plain bools: ``H1`` (True) means "reject, declare
+intruder"; ties always resolve to ``H0`` (accept).
 """
 
 from __future__ import annotations
@@ -37,9 +40,10 @@ class FusionKind(str, enum.Enum):
 class FusionRule:
     """Hard-decision combining rule applied by the fusion center.
 
-    WEIGHTED_AVERAGE declares H1 iff the mean vote exceeds
-    ``avg_threshold`` strictly, so at the default 0.5 it coincides with
-    majority voting for odd N.
+    Every rule is a cutoff on the vote count (see `cutoff`).
+    WEIGHTED_AVERAGE declares H1 iff the mean vote ``c / n`` of c votes
+    exceeds ``avg_threshold`` strictly, so at the default 0.5 it
+    coincides with majority voting for odd N.
     """
 
     kind: FusionKind
@@ -49,6 +53,16 @@ class FusionRule:
         object.__setattr__(self, "kind", FusionKind(self.kind))
         if not 0.0 < self.avg_threshold < 1.0:
             raise ValueError(f"avg_threshold must lie in (0, 1), got {self.avg_threshold}")
+
+    def cutoff(self, n: int) -> tuple[int, int]:
+        """``(voters, k)`` over ``n`` nodes: H1 iff more than k of the first ``voters`` nodes fired."""
+        if n < 1:
+            raise ValueError(f"n must be positive, got {n}")
+        if self.kind is FusionKind.SINGLE:
+            return 1, 0
+        if self.kind is FusionKind.WEIGHTED_AVERAGE:  # k counts the c whose mean vote c / n accepts
+            return n, sum(c / n <= self.avg_threshold for c in range(1, n + 1))
+        return n, {FusionKind.OR: 0, FusionKind.AND: n - 1, FusionKind.MAJORITY: n // 2}[self.kind]
 
 
 def solve_threshold(alpha: float, dof: int) -> float:
@@ -86,52 +100,34 @@ def quadratic_statistic(z: np.ndarray, h_ref: np.ndarray, scale: np.ndarray | fl
 def fuse(u_star: Sequence[int] | np.ndarray, rule: FusionRule) -> bool:
     """Combine per-node binary decisions into the fusion-center verdict.
 
-    OR: H1 iff any node fired; AND: H1 iff all fired; MAJORITY: H1 iff
-    strictly more than half fired; WEIGHTED_AVERAGE: H1 iff the mean
-    vote strictly exceeds ``avg_threshold``; SINGLE: node 0's decision.
-    All ties resolve to H0.  Leading batch axes are supported: shape
-    (..., N) returns (...).
+    H1 iff more than k of the first ``voters`` nodes fired, for
+    ``(voters, k) = rule.cutoff(N)``, so all ties resolve to H0.
+    Leading batch axes are supported: shape (..., N) returns (...).
     """
     u = np.asarray(u_star)
     if u.ndim == 0 or u.shape[-1] == 0:
         raise ValueError("u_star must be a nonempty decision vector")
     if not ((u == 0) | (u == 1)).all():
         raise ValueError("u_star entries must be 0 or 1")
-    n = u.shape[-1]
-    if rule.kind is FusionKind.OR:
-        out = u.any(axis=-1)
-    elif rule.kind is FusionKind.AND:
-        out = u.all(axis=-1)
-    elif rule.kind is FusionKind.MAJORITY:
-        out = u.sum(axis=-1) > n / 2.0
-    elif rule.kind is FusionKind.SINGLE:
-        out = u[..., 0] == 1
-    else:  # a dot with 1/N weights, not u.mean(): the two round differently at ties
-        out = u @ np.full(n, 1.0 / n) > rule.avg_threshold
+    voters, k = rule.cutoff(u.shape[-1])
+    out = u[..., :voters].sum(axis=-1) > k
     return bool(out) if np.ndim(out) == 0 else out
 
 
-def fused_pfa_analytic(alpha_n: float, n: int, rule: FusionKind) -> float:
+def fused_pfa_analytic(alpha_n: float, n: int, rule: FusionRule) -> float:
     """Closed-form fused false-alarm rate under iid per-node alarms.
 
-    Used to validate the Monte Carlo engine: OR is 1-(1-a)^N (evaluated
-    as -expm1(N log1p(-a)) to keep small rates exact), AND is a^N,
-    MAJORITY is the binomial tail P(Bin(N, a) > N/2) (scipy's ``bdtrc``,
-    which keeps its relative accuracy deep into the tail), SINGLE is a.
+    Used to validate the Monte Carlo engine: the binomial tail
+    P(Bin(voters, a) > k) of the rule's cutoff.  At k = 0 it is
+    1-(1-a)^voters, evaluated as -expm1(voters log1p(-a)) to keep small
+    rates exact; otherwise scipy's ``bdtrc``, which keeps its relative
+    accuracy deep into the tail.
     """
     if not 0.0 <= alpha_n <= 1.0:
         raise ValueError(f"alpha_n must lie in [0, 1], got {alpha_n}")
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    kind = FusionKind(rule)
-    if kind is FusionKind.OR:
-        return -math.expm1(n * math.log1p(-alpha_n)) if 0.0 < alpha_n < 1.0 else alpha_n
-    if kind is FusionKind.AND:
-        return alpha_n**n
-    if kind is FusionKind.MAJORITY and n > 1:
-        from scipy import special
+    voters, k = rule.cutoff(n)
+    if k == 0:  # bdtrc(0, 1, a) loses subnormal a
+        return -math.expm1(voters * math.log1p(-alpha_n)) if 0.0 < alpha_n < 1.0 else alpha_n
+    from scipy import special
 
-        return float(special.bdtrc(n // 2, n, alpha_n))
-    if kind in (FusionKind.SINGLE, FusionKind.MAJORITY):  # bdtrc(0, 1, a) loses subnormal a
-        return alpha_n
-    raise ValueError("no closed form for weighted averaging")
+    return float(special.bdtrc(k, voters, alpha_n))

@@ -199,39 +199,40 @@ def scenario_codec(scenario: Scenario) -> CsCodec:
     return _build_codec(scenario.seed, scenario.report_length, scenario.codec)
 
 
-def _resolve(scenario: Scenario, variants: list[Variant]) -> tuple[np.ndarray, tuple]:
-    """The distinct thresholds (D,) in first-occurrence order, and ``(rule, variant indices, level indices)`` groups.
+def _resolve(scenario: Scenario, variants: list[Variant]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct thresholds ``levels`` (D,) in first-occurrence order, and each variant's ``columns`` and ``cutoffs`` (V,).
 
-    A threshold is the fusion center's, or the one all nodes share.  Local
-    schemes group by fusion rule; FC schemes have one group, of rule None.
-    Level indices 0..D-1, as in every CLI-built run, are ``slice(None)``.
+    A threshold is the fusion center's, or the one all nodes share.  On an
+    FC scheme a variant's column is its level's index.  On a local scheme
+    it indexes a block's tally, the vote count at each level and then node
+    0's vote at each level, and the variant declares H1 where its column
+    of the tally exceeds its cutoff: ``(voters, k) = rule.cutoff(N)``
+    reads the count, or node 0's vote if ``voters`` is 1.
     """
     labels = [v.label for v in variants]
     if not labels:
         raise ValueError("need at least one variant")
     if len(set(labels)) < len(labels):
         raise ValueError(f"variant labels must be distinct, got {labels}")
-    local = scenario.scheme.local
-    levels, groups = {}, {}
-    for vi, v in enumerate(variants):
+    local, n = scenario.scheme.local, scenario.channel.n_nodes
+    levels = list(dict.fromkeys(v.threshold for v in variants))
+    columns, cutoffs = [], []
+    for v in variants:
         if local and v.rule is None:
             raise ValueError(f"variant {v.label!r} lacks a fusion rule")
-        group = groups.setdefault(v.rule if local else None, ([], []))
-        group[0].append(vi)
-        group[1].append(levels.setdefault(v.threshold, len(levels)))
-    every = list(range(len(levels)))
-    return np.array(list(levels), dtype=float), tuple(
-        (rule, np.array(vis), slice(None) if lis == every else np.array(lis)) for rule, (vis, lis) in groups.items()
-    )
+        voters, k = v.rule.cutoff(n) if local else (n, 0)
+        columns.append(levels.index(v.threshold) + (len(levels) if voters < n else 0))
+        cutoffs.append(k)
+    return np.array(levels, dtype=float), np.array(columns), np.array(cutoffs)
 
 
-def _block_decisions(scenario, levels, groups, twin, sigma2, h_ref, z) -> np.ndarray:
+def _block_decisions(scenario, levels, columns, cutoffs, twin, sigma2, h_ref, z) -> np.ndarray:
     """(T, V) H1-decisions of every variant on a block's stacked ``h_ref``/``z``, then the twin's.
 
     ``sigma2`` (T, 1) is each row's noise variance.  Each report is compared
-    with the D distinct ``levels`` once; a local scheme then fuses, per rule,
-    the plane of its group's levels.  That plane has the group's height, not
-    D: the weighted average's dot product rounds differently at other heights.
+    with the D distinct ``levels`` once.  A local scheme then tallies each
+    (T, D, N) plane of node decisions into (T, 2D) vote counts and node-0
+    votes, and compares each variant's column of it with its cutoff.
     """
     codec = scenario_codec(scenario) if scenario.scheme.compressed else None
     scale = 1.0 / sigma2  # d / sigma2 divides complex by complex; d * scale differs only in signs of zero
@@ -239,21 +240,17 @@ def _block_decisions(scenario, levels, groups, twin, sigma2, h_ref, z) -> np.nda
         reports = [z] if codec is None else [sparse.reconstruct_raw(sparse.compress(z, codec), codec)]
         if twin:
             reports.append(z)
-        planes = [detect.quadratic_statistic(r, h_ref, scale)[:, None] > levels for r in reports]
-    else:
-        t, n = len(z), scenario.channel.n_nodes
-        shape = (t, n, scenario.channel.n_taps)
-        stats_n = detect.quadratic_statistic(z.reshape(shape), h_ref.reshape(shape), scale[..., None])
-        u = (stats_n[:, None, :] > levels[:, None]).astype(np.int64)  # (T, D, N)
-        planes = [u]
-        if codec is not None:
-            u_cs = sparse.reconstruct_decisions(sparse.compress(u.reshape(-1, n).astype(float), codec), codec)
-            planes = [u_cs.reshape(u.shape)] + ([u] if twin else [])
-    out = np.empty((len(z), len(planes), sum(len(vi) for _, vi, _ in groups)), dtype=bool)
-    for p, plane in enumerate(planes):
-        for rule, vi, li in groups:
-            out[:, p, vi] = plane[:, li] if rule is None else detect.fuse(plane[:, li], rule)
-    return out.reshape(len(z), -1)
+        return np.hstack([(detect.quadratic_statistic(r, h_ref, scale)[:, None] > levels)[:, columns] for r in reports])
+    t, n = len(z), scenario.channel.n_nodes
+    shape = (t, n, scenario.channel.n_taps)
+    stats_n = detect.quadratic_statistic(z.reshape(shape), h_ref.reshape(shape), scale[..., None])
+    u = stats_n[:, None, :] > levels[:, None]  # (T, D, N)
+    planes = [u]
+    if codec is not None:
+        u_cs = sparse.reconstruct_decisions(sparse.compress(u.reshape(-1, n).astype(float), codec), codec)
+        planes = [u_cs.reshape(u.shape)] + ([u] if twin else [])
+    tallies = [np.hstack((plane.sum(-1), plane[..., 0])) for plane in planes]  # (T, 2D): counts, then node 0's votes
+    return np.hstack([tally[:, columns] > cutoffs for tally in tallies])
 
 
 def _count_range(args) -> np.ndarray:
@@ -267,7 +264,7 @@ def _count_range(args) -> np.ndarray:
     and noise variance.  A CS scheme decides consecutive blocks together,
     as many as fit under ``_BATCH_FACTOR`` at the tallest block's factor.
     """
-    scenario, levels, groups, twin, lo, hi = args
+    scenario, levels, columns, cutoffs, twin, lo, hi = args
     cfg = scenario.channel
     sigma2 = np.array([noise_variance(snr) for snr in scenario.snr_grid_db])
     width = 6 * cfg.n_nodes * cfg.n_taps  # alice, eve, noise: 2NL normals each
@@ -279,8 +276,7 @@ def _count_range(args) -> np.ndarray:
         budget = min(codec.max_atoms, codec.n)
         reports = -(-n // blocks) * (len(levels) if scenario.scheme.local else 1)  # of the tallest block
         per_batch = max(1, _BATCH_FACTOR // (reports * budget * (budget + codec.n)))
-    columns = sum(len(vi) for _, vi, _ in groups) * (1 + twin)
-    counts = np.zeros((2 * len(sigma2), columns), dtype=np.int64)
+    counts = np.zeros((2 * len(sigma2), len(columns) * (1 + twin)), dtype=np.int64)
     for first in range(0, blocks, per_batch):
         batch = []
         for b in range(first, min(first + per_batch, blocks)):
@@ -290,7 +286,7 @@ def _count_range(args) -> np.ndarray:
             h_ref, z = measure_block(standard_normal_rows(scenario.seed, streams, width), cfg, eve, sigma2[s])
             batch.append((row, s, h_ref, z))
         row, s, h_ref, z = batch[0] if len(batch) == 1 else (np.concatenate(x) for x in zip(*batch))
-        decisions = _block_decisions(scenario, levels, groups, twin, sigma2[s, None], h_ref, z)
+        decisions = _block_decisions(scenario, levels, columns, cutoffs, twin, sigma2[s, None], h_ref, z)
         # a batch's flat trials are consecutive, so ``row`` never decreases and runs through
         # every counts row from its first to its last: sum each run of it
         lo_row, hi_row = row[0], row[-1]
@@ -321,7 +317,7 @@ def estimate_curves(
         raise ValueError(f"scheme {scenario.scheme.value} has no uncompressed twin")
     if workers < 1:
         raise ValueError(f"workers must be positive, got {workers}")
-    levels, groups = _resolve(scenario, variants)
+    resolved = _resolve(scenario, variants)
     columns = [(scenario.scheme, v.label) for v in variants]
     if uncompressed_twin:
         plain = Scheme.FC_RAW if scenario.scheme is Scheme.FC_RAW_CS else Scheme.LOCAL_FUSION
@@ -329,7 +325,7 @@ def estimate_curves(
     total = 2 * len(scenario.snr_grid_db) * scenario.trials
     procs = min(workers, total, len(os.sched_getaffinity(0)))  # a pool forks all its workers at once
     bounds = [total * i // procs for i in range(procs + 1)]
-    tasks = [(scenario, levels, groups, uncompressed_twin, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    tasks = [(scenario, *resolved, uncompressed_twin, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
     if procs > 1:
         from concurrent.futures import ProcessPoolExecutor  # lazy: a serial run skips its imports
 

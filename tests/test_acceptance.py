@@ -106,7 +106,7 @@ def test_04_fusion_identities(capsys):
     agree = {}
     for kind, count in counts.items():
         emp = count / trials
-        want = fused_pfa_analytic(alpha, n, kind)
+        want = fused_pfa_analytic(alpha, n, FusionRule(kind=kind))
         sig = math.sqrt(want * (1 - want) / trials)
         agree[kind.value] = (emp, want, abs(emp - want) < 5 * sig)
 

@@ -205,6 +205,17 @@ class TestFusion:
         got = fuse(u, FusionRule(kind=FusionKind.OR))
         assert np.array_equal(got, [True, False])
 
+    @pytest.mark.parametrize("t", [0.3, 0.5, 0.6, 0.7, 0.9])
+    def test_weighted_average_depends_only_on_count(self, t):
+        # the mean vote of c votes is c / n: every pattern with the same count decides alike,
+        # and a mean vote equal to the threshold (7 of 10 at 0.7) accepts
+        rule = FusionRule(kind=FusionKind.WEIGHTED_AVERAGE, avg_threshold=t)
+        bits = np.arange(2**10)[:, None]
+        u = ((bits >> np.arange(10)) & 1).astype(np.int64)
+        assert np.array_equal(fuse(u, rule), u.sum(-1) / 10 > t)
+        u = (Rng(46, 0).generator.random((4000, 100)) < np.linspace(0.05, 0.95, 4000)[:, None]).astype(np.int64)
+        assert np.array_equal(fuse(u, rule), u.sum(-1) / 100 > t)
+
     def test_single_reports_node_zero(self):
         rule = FusionRule(kind=FusionKind.SINGLE)
         assert fuse([1, 0, 0], rule) is True
@@ -214,19 +225,37 @@ class TestFusion:
 
 class TestFusedPfaAnalytic:
     def test_or_closed_form(self):
-        assert fused_pfa_analytic(0.01, 10, FusionKind.OR) == pytest.approx(
+        assert fused_pfa_analytic(0.01, 10, FusionRule(kind=FusionKind.OR)) == pytest.approx(
             1 - 0.99**10, rel=1e-12
         )
         # at small rates 1 - (1 - a)^N cancels; the series N*a - C(N,2)*a^2 does not
-        assert fused_pfa_analytic(1e-12, 10, FusionKind.OR) == pytest.approx(
+        assert fused_pfa_analytic(1e-12, 10, FusionRule(kind=FusionKind.OR)) == pytest.approx(
             10e-12 - 45e-24, rel=1e-14, abs=0.0
         )
 
     def test_and_closed_form(self):
-        assert fused_pfa_analytic(0.01, 10, FusionKind.AND) == pytest.approx(1e-20, rel=1e-9)
+        assert fused_pfa_analytic(0.01, 10, FusionRule(kind=FusionKind.AND)) == pytest.approx(1e-20, rel=1e-9)
+
+    @settings(max_examples=300, deadline=None)
+    @given(alpha=st.floats(min_value=0.0, max_value=1.0), n=st.integers(1, 200))
+    def test_and_matches_binomial_sum(self, alpha, n):
+        # P(every node alarms): the binomial sum's one term
+        want = math.fsum(math.comb(n, k) * alpha**k * (1.0 - alpha) ** (n - k) for k in range(n, n + 1))
+        assume(want >= 1e-200)  # below that the float oracle's term goes subnormal
+        assert fused_pfa_analytic(alpha, n, FusionRule(kind=FusionKind.AND)) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("n", [10, 100])
+    @pytest.mark.parametrize("t", [0.3, 0.5, 0.7, 0.9])
+    @pytest.mark.parametrize("alpha", [1e-3, 0.05, 0.3])
+    def test_weighted_average_exact_binomial_tail(self, alpha, t, n):
+        # exact rational oracle: c of n votes declare H1 iff c / n exceeds the decimal threshold
+        a, cut = Fraction(alpha), Fraction(str(t))
+        want = float(sum(math.comb(n, c) * a**c * (1 - a) ** (n - c) for c in range(n + 1) if Fraction(c, n) > cut))
+        rule = FusionRule(kind=FusionKind.WEIGHTED_AVERAGE, avg_threshold=t)
+        assert fused_pfa_analytic(alpha, n, rule) == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_single_is_alpha(self):
-        assert fused_pfa_analytic(0.01, 10, FusionKind.SINGLE) == 0.01
+        assert fused_pfa_analytic(0.01, 10, FusionRule(kind=FusionKind.SINGLE)) == 0.01
 
     @settings(max_examples=300, deadline=None)
     @given(alpha=st.floats(min_value=0.0, max_value=1.0), n=st.integers(1, 200))
@@ -235,7 +264,7 @@ class TestFusedPfaAnalytic:
         want = math.fsum(
             math.comb(n, k) * alpha**k * (1.0 - alpha) ** (n - k) for k in range(1, n + 1)
         )
-        assert fused_pfa_analytic(alpha, n, FusionKind.OR) == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert fused_pfa_analytic(alpha, n, FusionRule(kind=FusionKind.OR)) == pytest.approx(want, rel=1e-12, abs=0.0)
 
     @settings(max_examples=300, deadline=None)
     @given(alpha=st.floats(min_value=0.0, max_value=1.0), n=st.integers(1, 200))
@@ -245,11 +274,11 @@ class TestFusedPfaAnalytic:
             math.comb(n, k) * alpha**k * (1.0 - alpha) ** (n - k) for k in range(n // 2 + 1, n + 1)
         )
         assume(want >= 1e-200)  # below that the float oracle's terms go subnormal
-        assert fused_pfa_analytic(alpha, n, FusionKind.MAJORITY) == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert fused_pfa_analytic(alpha, n, FusionRule(kind=FusionKind.MAJORITY)) == pytest.approx(want, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("alpha", [5e-324, 1e-310, 0.3])
     def test_majority_of_one_node_is_alpha(self, alpha):
-        assert fused_pfa_analytic(alpha, 1, FusionKind.MAJORITY) == alpha
+        assert fused_pfa_analytic(alpha, 1, FusionRule(kind=FusionKind.MAJORITY)) == alpha
 
     def test_majority_deep_tail_exact(self):
         # exact rational oracle far below where a float sum of terms would do
@@ -257,12 +286,12 @@ class TestFusedPfaAnalytic:
         a = Fraction(alpha)
         want = float(sum(math.comb(n, k) * a**k * (1 - a) ** (n - k) for k in range(n // 2 + 1, n + 1)))
         assert want == pytest.approx(2.7743e-295, rel=1e-4)
-        assert fused_pfa_analytic(alpha, n, FusionKind.MAJORITY) == want
+        assert fused_pfa_analytic(alpha, n, FusionRule(kind=FusionKind.MAJORITY)) == want
 
     @settings(max_examples=300, deadline=None)
     @given(alpha=st.floats(min_value=0.0, max_value=1.0), n=st.integers(1, 60))
     def test_dominance(self, alpha, n):
-        p = {kind: fused_pfa_analytic(alpha, n, kind) for kind in
+        p = {kind: fused_pfa_analytic(alpha, n, FusionRule(kind=kind)) for kind in
              (FusionKind.AND, FusionKind.MAJORITY, FusionKind.SINGLE, FusionKind.OR)}
         slack = 1 + 1e-12  # n = 1, 2 make some rules coincide exactly
         assert 0.0 <= p[FusionKind.AND] <= p[FusionKind.MAJORITY] * slack
@@ -273,7 +302,7 @@ class TestFusedPfaAnalytic:
     def test_majority_exact_binomial_sum(self):
         # independent oracle: explicit binomial tail via math.comb
         want = sum(math.comb(10, k) * 0.01**k * 0.99 ** (10 - k) for k in range(6, 11))
-        got = fused_pfa_analytic(0.01, 10, FusionKind.MAJORITY)
+        got = fused_pfa_analytic(0.01, 10, FusionRule(kind=FusionKind.MAJORITY))
         assert got == pytest.approx(want, rel=1e-12)
         assert got == pytest.approx(2.0289394126e-10, rel=1e-9)
 
@@ -284,7 +313,7 @@ class TestFusedPfaAnalytic:
         gen = Rng(45, 0).generator
         u = (gen.random((trials, n)) < alpha).astype(np.int64)
         emp = fuse(u, FusionRule(kind=kind)).mean()
-        want = fused_pfa_analytic(alpha, n, kind)
+        want = fused_pfa_analytic(alpha, n, FusionRule(kind=kind))
         sig = math.sqrt(want * (1 - want) / trials)
         assert abs(emp - want) < 5 * sig
 

@@ -380,7 +380,7 @@ class TestBlockSplitInvariance:
     @given(case=st.sampled_from(sorted(_SPLIT_CASES)), data=st.data())
     def test_count_range_any_split(self, case, data):
         scenario, variants = _SPLIT_CASES[case]
-        levels, groups = simkit._resolve(scenario, variants)
+        resolved = simkit._resolve(scenario, variants)
         # flat trial g = (2 s + h) * trials + t; the range holds point 1's first trial
         # 2 * trials, and the drawn split puts it inside a block, not at an edge
         total, boundary = 4 * scenario.trials, 2 * scenario.trials
@@ -391,7 +391,7 @@ class TestBlockSplitInvariance:
         assume(all(lo + b * (hi - lo) // blocks != boundary for b in range(blocks)))
         # Batch-OMP factor cap: 0 decides each block alone, 2^60 the whole range in one call
         batch_cap = data.draw(st.sampled_from([0, 1 << 60]), label="batch cap")
-        task = (scenario, levels, groups, True, lo, hi)
+        task = (scenario, *resolved, True, lo, hi)
         width = 6 * scenario.channel.n_nodes * scenario.channel.n_taps
         with mock.patch.object(simkit, "_BLOCK_NORMALS", height * width), \
                 mock.patch.object(simkit, "_BATCH_FACTOR", batch_cap), \
@@ -423,7 +423,7 @@ class TestCountRange:
     @given(case=st.sampled_from(sorted(_EQUIVALENCE_CASES)), data=st.data())
     def test_counts_equal_add_at_over_block_decisions(self, case, data):
         scenario, variants = _EQUIVALENCE_CASES[case]
-        levels, groups = simkit._resolve(scenario, variants)
+        resolved = simkit._resolve(scenario, variants)
         trials, twin = scenario.trials, scenario.codec is not None
         # [lo, hi) starts in point 0's eve trials and ends in point 1's
         lo = data.draw(st.integers(0, trials - 1), label="lo")
@@ -440,7 +440,7 @@ class TestCountRange:
         with mock.patch.object(simkit, "_BLOCK_NORMALS", height * width), \
                 mock.patch.object(simkit, "_BATCH_FACTOR", batch_cap), \
                 mock.patch.object(simkit, "_block_decisions", spy):
-            got = simkit._count_range((scenario, levels, groups, twin, lo, hi))
+            got = simkit._count_range((scenario, *resolved, twin, lo, hi))
         decided = np.concatenate(decisions)  # the flat trials in order, one row each
         assert decided.shape == (hi - lo, len(variants) * (1 + twin))
         want = np.zeros_like(got)
@@ -691,3 +691,23 @@ class TestDecisionReference:
         for g, w in zip(got, want):
             for field in ("snr_db", "p_d", "p_d_stderr", "p_fa", "p_fa_stderr"):
                 assert _bits(getattr(g, field)) == _bits(getattr(w, field)), field
+
+
+class TestCountRule:
+    """A local variant's decision depends only on how many of the block's own node decisions fired."""
+
+    def test_weighted_average_is_mean_vote_of_count(self):
+        # ten nodes: mean votes of 6, 7 and 9 of 10 equal the thresholds, which accept
+        scenario = _REF_CASES["local_fusion"]
+        pairs = [(d, a) for d in (3.0, 5.0, 8.0) for a in (0.6, 0.7, 0.9)]
+        variants = [Variant(f"v{i}", d, rule=FusionRule(kind=FusionKind.WEIGHTED_AVERAGE, avg_threshold=a))
+                    for i, (d, a) in enumerate(pairs)]
+        t, cfg = 2000, scenario.channel
+        sigma2 = np.full((t, 1), noise_variance(0.0))
+        normals = standard_normal_rows(scenario.seed, range(t), 6 * cfg.n_nodes * cfg.n_taps)
+        h_ref, z = measure_block(normals, cfg, np.zeros(t, dtype=bool), sigma2[:, 0])
+        shape = (t, cfg.n_nodes, cfg.n_taps)
+        stats_n = quadratic_statistic(z.reshape(shape), h_ref.reshape(shape), 1.0 / sigma2[..., None])
+        want = np.stack([(stats_n > d).sum(-1) / cfg.n_nodes > a for d, a in pairs], axis=1)
+        got = simkit._block_decisions(scenario, *simkit._resolve(scenario, variants), False, sigma2, h_ref, z)
+        assert np.array_equal(got, want)

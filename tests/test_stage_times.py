@@ -22,8 +22,7 @@ def test_every_stage_the_preset_runs_records_calls(preset):
     assert proc.returncode == 0, proc.stderr  # a wrapped name the program lacks fails here
     out = json.loads(proc.stdout.splitlines()[-1])
     scheme = Scheme(cli.parse_config(*cli.load_config_file(preset))["scenario.scheme"])
-    idle = {"fuse"} if not scheme.local else set()
-    idle |= {"_batch_omp"} if not scheme.compressed else set()
+    idle = {"_batch_omp"} if not scheme.compressed else set()
     calls = out["calls_per_run"]
     assert set(out["us_per_trial_median"]) == {*calls, "rest"}
     assert {name for name, n in calls.items() if n == 0} == idle

@@ -16,9 +16,8 @@ names in ``simkit``'s namespace are wrapped with timers:
 
 Parts of a stage are timed as well, each under its bare name:
 
-* ``detect.quadratic_statistic``, ``detect.fuse`` (local schemes) and
-  ``sparse._batch_omp`` (compressed schemes), which ``_block_decisions``
-  calls;
+* ``detect.quadratic_statistic`` and ``sparse._batch_omp`` (compressed
+  schemes), which ``_block_decisions`` calls;
 * ``cli.write_csv``, which runs after ``estimate_curves``.
 
 ``rest`` is the remainder of ``estimate_curves``: indices, stream ids and
@@ -49,7 +48,7 @@ STAGES = ("standard_normal_rows", "measure_block", "_block_decisions")
 TIMED = {
     simkit: STAGES + ("estimate_curves",),
     sparse: ("_batch_omp",),
-    detect: ("quadratic_statistic", "fuse"),
+    detect: ("quadratic_statistic",),
     cli: ("write_csv",),
 }
 
