@@ -10,20 +10,15 @@ curves by Monte Carlo.
 from .numerics import (
     DecompositionError,
     Rng,
-    chi2_cdf,
-    chi2_quantile,
     cholesky,
     sample_complex_gaussian,
 )
 from .channel import (
     ChannelConfig,
-    NoiseModel,
     exp_correlation_matrix,
     stack_columns,
 )
 from .detect import (
-    H0,
-    H1,
     FusionKind,
     FusionRule,
     fuse,
@@ -63,16 +58,11 @@ __all__ = [
     "DetectionCurve",
     "FusionKind",
     "FusionRule",
-    "H0",
-    "H1",
-    "NoiseModel",
     "RecoveryError",
     "Rng",
     "Scenario",
     "Scheme",
     "Variant",
-    "chi2_cdf",
-    "chi2_quantile",
     "cholesky",
     "compress",
     "dct_basis",

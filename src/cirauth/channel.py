@@ -60,9 +60,10 @@ class ChannelConfig:
         return np.asarray(self.pdp, dtype=np.float64)
 
 
-# Nothing in the engine uses this class: a block's rows carry their own
-# noise variance.  It stays because perfbench's tracer looks it up while it
-# builds its patch list, and crashes without it.
+# Nothing in the engine uses this class and the package does not export
+# it: a block's rows carry their own noise variance.  It stays because
+# perfbench's tracer looks it up while it builds its patch list, and
+# crashes without it.
 @dataclass(frozen=True)
 class NoiseModel:
     """White per-node measurement noise, Sigma_n = sigma2[n] * I.

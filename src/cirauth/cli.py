@@ -337,11 +337,13 @@ def cmd_thresholds(args) -> int:
 def _selfchecks():
     """(name, callable) pairs; each raises AssertionError on failure."""
 
-    def chi2_roundtrip():
+    def threshold_roundtrip():  # the upper tail keeps its relative accuracy far below 1e-16
+        from scipy import special
+
         for dof in (2, 12, 120, 1200):
-            for p in (0.1, 0.5, 0.9, 0.99, 0.999):
-                x = numerics.chi2_quantile(p, dof)
-                assert abs(numerics.chi2_cdf(x, dof) - p) < 1e-8, f"cdf(quantile({p},{dof}))"
+            for alpha in (1e-2, 1e-6, 1e-12):
+                tail = special.gammaincc(dof / 2.0, detect.solve_threshold(alpha, dof) / 2.0)
+                assert abs(tail - alpha) <= 1e-10 * alpha, f"tail(threshold({alpha},{dof}))={tail}"
 
     def threshold_table():
         expected = {1e-2: 26.217, 1e-3: 32.909, 1e-4: 39.134}
@@ -385,7 +387,7 @@ def _selfchecks():
         assert np.array_equal(a, b), "rng reproducibility"
 
     return [
-        ("chi2_roundtrip", chi2_roundtrip),
+        ("threshold_roundtrip", threshold_roundtrip),
         ("threshold_table", threshold_table),
         ("cholesky_roundtrip", cholesky_roundtrip),
         ("omp_single_atom", omp_single_atom),

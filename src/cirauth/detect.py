@@ -11,8 +11,8 @@ majority / weighted averaging, or node 0's decision is reported alone
 (the single-sensor baseline).  With uniform weights each of these is a
 vote-count cutoff (`FusionRule.cutoff`): H1 iff more than k of the
 first ``voters`` nodes fired, the mean vote of c votes being ``c / n``.
-Decisions are plain bools: ``H1`` (True) means "reject, declare
-intruder"; ties always resolve to ``H0`` (accept).
+Decisions are plain bools: True is H1 ("reject, declare intruder"),
+False is H0 (accept), and ties always resolve to False.
 """
 
 from __future__ import annotations
@@ -23,9 +23,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-
-H0 = False
-H1 = True
 
 
 class FusionKind(str, enum.Enum):

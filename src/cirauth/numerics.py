@@ -1,9 +1,9 @@
 """Numerical kernels shared by every other module.
 
 Counter-based random streams, circularly-symmetric complex Gaussian
-sampling, chi-squared distribution functions, and the PSD Cholesky
-factorization the simulator needs.  Everything here is a pure function
-of its inputs; ``Rng`` is the only stateful object.
+sampling, and the PSD Cholesky factorization the simulator needs.
+Everything here is a pure function of its inputs; ``Rng`` is the only
+stateful object.
 :func:`standard_normal_rows` draws a block of per-trial streams at once
 from one Philox, re-keyed per row through a state dict of plain Python
 ints, and :func:`complex_from_normals` scales the normals straight into
@@ -107,28 +107,6 @@ def sample_complex_gaussian(rng: Rng, n: int, variance: float) -> np.ndarray:
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     return complex_from_normals(rng.standard_normal(2 * n), variance)
-
-
-def chi2_cdf(x: float, dof: int) -> float:
-    """P(chi-squared(dof) <= x), via the regularized lower incomplete gamma."""
-    if dof < 1 or int(dof) != dof:
-        raise ValueError(f"dof must be a positive integer, got {dof}")
-    if np.any(np.asarray(x) < 0):
-        raise ValueError(f"x must be nonnegative, got {x}")
-    from scipy import special  # lazy: the run path needs no scipy
-
-    return special.gammainc(dof / 2.0, np.asarray(x) / 2.0)[()]
-
-
-def chi2_quantile(p: float, dof: int) -> float:
-    """Inverse of :func:`chi2_cdf` in its first argument."""
-    if not 0 <= p < 1:
-        raise ValueError(f"p must lie in [0, 1), got {p}")
-    if dof < 1 or int(dof) != dof:
-        raise ValueError(f"dof must be a positive integer, got {dof}")
-    from scipy import special
-
-    return 2.0 * float(special.gammaincinv(dof / 2.0, p))
 
 
 def _require_hermitian(a: np.ndarray, rtol: float = 1e-12) -> np.ndarray:

@@ -358,7 +358,8 @@ def snr_margin(curve_a: DetectionCurve, curve_b: DetectionCurve, target_pd: floa
     Linear interpolation in dB of each curve's first upward crossing of
     ``target_pd``; positive means curve_a needs more SNR.  Raises
     :class:`CurveComparisonError` when a curve never reaches the target
-    inside its grid.
+    inside its grid, and ``ValueError`` when a curve's grid is not
+    strictly increasing.
     """
     return _crossing(curve_a, target_pd) - _crossing(curve_b, target_pd)
 
@@ -366,6 +367,8 @@ def snr_margin(curve_a: DetectionCurve, curve_b: DetectionCurve, target_pd: floa
 def _crossing(curve: DetectionCurve, target: float) -> float:
     snr = np.asarray(curve.snr_db)
     pd = np.asarray(curve.p_d)
+    if np.any(np.diff(snr) <= 0):
+        raise ValueError(f"curve '{curve.label}' needs a strictly increasing SNR grid, got {curve.snr_db}")
     if pd[0] >= target:
         return float(snr[0])
     above = np.nonzero(pd >= target)[0]

@@ -133,6 +133,8 @@ class CsCodec:
         self.residual_tol = float(residual_tol)
         self.dictionary = phi @ psi.conj().T
         self.gram = self.dictionary.conj().T @ self.dictionary
+        if np.any(np.diagonal(self.gram) == 0):
+            raise ValueError("dictionary contains a zero column")
 
     @property
     def m(self) -> int:

@@ -22,7 +22,7 @@ from cirauth.detect import (
     quadratic_statistic,
     solve_threshold,
 )
-from cirauth.numerics import Rng, chi2_cdf, sample_complex_gaussian, standard_normal_rows
+from cirauth.numerics import Rng, sample_complex_gaussian, standard_normal_rows
 from cirauth.simkit import Scheme, snr_margin
 from cirauth.sparse import CsCodec, compress, gaussian_phi, omp, reconstruct_raw
 
@@ -87,7 +87,7 @@ def test_03_fc_statistic_distribution(capsys):
         v = sample_complex_gaussian(Rng(8200, c), chunk * dim, sigma2).reshape(chunk, dim)
         stats_all.append(quadratic_statistic(v, np.zeros(dim), 1.0 / sigma2))
     sample = np.concatenate(stats_all)
-    result = stats.kstest(sample, lambda x: chi2_cdf(x, 2 * dim))
+    result = stats.kstest(sample, stats.chi2(2 * dim).cdf)
     ok = result.pvalue > 0.001
     with capsys.disabled():
         _verdict(3, "H0 statistic is chi2(2NL)", ok, f"KS p-value {result.pvalue:.4f}")

@@ -31,15 +31,33 @@ def _run_fresh(args: list[str], cwd: Path) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=300)
 
 
-def _cirauth_imports(path: Path) -> list[tuple[str, str]]:
-    """(module, name) for every ``from cirauth[.sub] import name`` in a file."""
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+def _cirauth_imports(source: str) -> list[tuple[str, str]]:
+    """(module, name) for every ``from cirauth[.sub] import name`` in Python source."""
     return [
         (node.module, alias.name)
-        for node in ast.walk(tree)
+        for node in ast.walk(ast.parse(source))
         if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "cirauth"
         for alias in node.names
     ]
+
+
+def _readme_example() -> str:
+    (example,) = re.findall(r"(?ms)^```python\n(.*?)^```", (ROOT / "README.md").read_text(encoding="utf-8"))
+    return example
+
+
+def _src_reads() -> set[str]:
+    """Every name or attribute read in a ``cirauth`` module other than ``__init__.py``."""
+    reads = set()
+    for path in (ROOT / "src" / "cirauth").glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.add(node.attr)
+    return reads
 
 
 def test_demos_found():
@@ -48,7 +66,7 @@ def test_demos_found():
 
 @pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)
 def test_demo_imports_resolve(path):
-    imports = _cirauth_imports(path)
+    imports = _cirauth_imports(path.read_text(encoding="utf-8"))
     assert imports, f"{path.name} imports nothing from cirauth"
     for module, name in imports:
         assert hasattr(importlib.import_module(module), name), f"{module}.{name}"
@@ -61,8 +79,7 @@ def test_demo_runs(path, tmp_path):
 
 
 def test_readme_example_runs(tmp_path):
-    (example,) = re.findall(r"(?ms)^```python\n(.*?)^```", (ROOT / "README.md").read_text(encoding="utf-8"))
-    proc = _run_fresh(["-c", example], tmp_path)
+    proc = _run_fresh(["-c", _readme_example()], tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("{")  # the example prints its curve's P_d per SNR point
 
@@ -71,3 +88,12 @@ def test_all_entries_resolve():
     missing = [name for name in cirauth.__all__ if not hasattr(cirauth, name)]
     assert not missing
     assert len(set(cirauth.__all__)) == len(cirauth.__all__)
+
+
+def test_public_names_have_users():
+    # a name only tests read is not worth exporting
+    used = _src_reads()
+    for source in [p.read_text(encoding="utf-8") for p in DEMOS] + [_readme_example()]:
+        used |= {name for _, name in _cirauth_imports(source)}
+    unused = [name for name in cirauth.__all__ if not name.startswith("__") and name not in used]
+    assert not unused, f"exported but read by no module, demo or README example: {unused}"

@@ -497,13 +497,13 @@ class TestSelfcheck:
         assert first == second
 
     def test_perturbed_quantile_detected(self, capsys, monkeypatch):
-        import cirauth.numerics as numerics
+        import cirauth.detect as detect
 
-        real = numerics.chi2_quantile
-        monkeypatch.setattr(numerics, "chi2_quantile", lambda p, dof: real(p, dof) + 0.5)
+        real = detect.solve_threshold
+        monkeypatch.setattr(detect, "solve_threshold", lambda alpha, dof: real(alpha, dof) + 0.5)
         assert main(["selfcheck"]) == 1
         out = capsys.readouterr().out
-        assert "FAIL chi2_roundtrip" in out or "FAIL threshold_table" in out
+        assert "FAIL threshold_roundtrip" in out or "FAIL threshold_table" in out
 
 
 # Runs cli.main in a fresh interpreter, then lists the heavy modules it loaded.

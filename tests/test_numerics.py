@@ -1,4 +1,3 @@
-import math
 from unittest import mock
 
 import numpy as np
@@ -10,8 +9,6 @@ from scipy import stats
 from cirauth.numerics import (
     DecompositionError,
     Rng,
-    chi2_cdf,
-    chi2_quantile,
     cholesky,
     sample_complex_gaussian,
     standard_normal_rows,
@@ -100,64 +97,13 @@ class TestComplexGaussian:
 
 
 class TestChi2:
-    def test_at_zero(self):
-        for dof in (1, 2, 12, 120):
-            assert chi2_cdf(0.0, dof) == 0.0
-
-    def test_exponential_closed_form(self):
-        # chi-squared with 2 dof is Exp(1/2)
-        assert chi2_cdf(2.0, 2) == pytest.approx(1.0 - math.exp(-1.0), abs=1e-12)
-
-    def test_reference_threshold_point(self):
-        assert chi2_cdf(26.2, 12) == pytest.approx(0.990, abs=5e-4)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            chi2_cdf(-0.1, 4)
-
-    def test_monotone(self):
-        for dof in (2, 12, 1200):
-            xs = np.linspace(0, 3 * dof, 50)
-            vals = [chi2_cdf(x, dof) for x in xs]
-            assert np.all(np.diff(vals) >= 0)
-
-    def test_matches_scipy(self):
-        for dof in (2, 6, 12, 120, 1200):
-            for x in (0.5, dof / 2, dof, 2 * dof):
-                assert chi2_cdf(x, dof) == pytest.approx(stats.chi2.cdf(x, dof), abs=1e-10)
-
-    def test_quantile_reference_values(self):
-        assert chi2_quantile(0.99, 12) == pytest.approx(26.217, abs=0.01)
-        assert chi2_quantile(0.999, 12) == pytest.approx(32.909, abs=0.01)
-
-    def test_quantile_edges(self):
-        assert chi2_quantile(0.0, 7) == 0.0
-        with pytest.raises(ValueError):
-            chi2_quantile(1.0, 7)
-        with pytest.raises(ValueError):
-            chi2_quantile(-0.1, 7)
-
-    def test_quantile_roundtrip(self):
-        for dof in (2, 12, 120, 1200):
-            for x in (0.3 * dof, dof, 1.3 * dof):
-                p = chi2_cdf(x, dof)
-                if p >= 1.0:  # saturated in float, nothing to invert
-                    continue
-                assert abs(chi2_cdf(chi2_quantile(p, dof), dof) - p) < 1e-8
-
-    def test_quantile_matches_scipy(self):
-        # scipy's own chi2 distribution against the incomplete-gamma inverse
-        for dof in (2, 12, 120):
-            for p in (0.1, 0.5, 0.9, 0.99, 0.9999):
-                assert chi2_quantile(p, dof) == pytest.approx(stats.chi2.ppf(p, dof), rel=1e-9)
-
     @pytest.mark.parametrize("k", [1, 6])
     def test_sampled_statistic_ks(self, k):
         # 2 * sum of k squared CN(0,1) magnitudes should be chi-squared(2k)
         rng = Rng(77, k)
         draws = sample_complex_gaussian(rng, 100_000 * k, 1.0).reshape(100_000, k)
         samples = 2.0 * np.sum(np.abs(draws) ** 2, axis=1)
-        result = stats.kstest(samples, lambda x: chi2_cdf(x, 2 * k))
+        result = stats.kstest(samples, stats.chi2(2 * k).cdf)
         assert result.pvalue > 0.001
 
 

@@ -499,6 +499,20 @@ class TestSnrMargin:
         with pytest.raises(ValueError):
             self._curve([0.1, 1.5])
 
+    def test_grid_must_increase(self):
+        # the crossing reads the first point as the lowest SNR, so the same curves listed
+        # 10, 5, 0 would give a 0 dB margin for this 1.65 dB gap
+        pd_a, pd_b = [0.2, 0.6, 0.95], [0.3, 0.8, 0.99]
+        a = self._curve(pd_a, label="a", snr=[0.0, 5.0, 10.0])
+        b = self._curve(pd_b, label="b", snr=[0.0, 5.0, 10.0])
+        assert snr_margin(a, b, 0.9) == pytest.approx(30 / 7 - 50 / 19, abs=1e-12)
+        a_desc = self._curve(pd_a[::-1], label="a_desc", snr=[10.0, 5.0, 0.0])
+        b_desc = self._curve(pd_b[::-1], label="b_desc", snr=[10.0, 5.0, 0.0])
+        with pytest.raises(ValueError, match="a_desc"):
+            snr_margin(a_desc, b_desc, 0.9)
+        with pytest.raises(ValueError, match="b_flat"):
+            snr_margin(a, self._curve(pd_b, label="b_flat", snr=[0.0, 5.0, 5.0]), 0.9)
+
 
 class TestCurveStructure:
     def test_vector_lengths_validated(self):

@@ -141,6 +141,15 @@ class TestCsCodec:
             with pytest.raises(ValueError, match="residual_tol"):
                 omp(phi[:, 0], phi, max_atoms=2, residual_tol=tol)
 
+    def test_zero_column_rejected(self):
+        # decision recovery on this dictionary would silently return all zeros
+        phi = gaussian_phi(Rng(62, 0), 7, 10)
+        phi[:, 3] = 0.0
+        with pytest.raises(ValueError, match="zero column"):
+            omp(phi[:, 0], phi, max_atoms=4)
+        with pytest.raises(ValueError, match="zero column"):
+            CsCodec(phi, basis="identity", max_atoms=4)
+
 
 class TestOmp:
     def test_zero_input(self):
