@@ -13,6 +13,7 @@ and add circularly-symmetric Gaussian estimation noise.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -39,10 +40,11 @@ class ChannelConfig:
     normalize_kronecker: bool = True
 
     def __post_init__(self):
-        if self.n_nodes < 1:
-            raise ValueError(f"n_nodes must be positive, got {self.n_nodes}")
-        if self.n_taps < 1:
-            raise ValueError(f"n_taps must be positive, got {self.n_taps}")
+        for name in ("n_nodes", "n_taps"):
+            value = operator.index(getattr(self, name))  # a float raises TypeError here, not mid-run
+            if value < 1:
+                raise ValueError(f"{name} must be positive, got {value}")
+            object.__setattr__(self, name, value)
         if not 0.0 <= self.rho <= 1.0:
             raise ValueError(f"rho must lie in [0, 1], got {self.rho}")
         if self.pdp is None:

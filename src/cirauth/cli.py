@@ -334,8 +334,13 @@ def cmd_thresholds(args) -> int:
     return 0
 
 
+def _expect(ok: bool, message: str) -> None:
+    if not ok:  # not an assert, which python -O strips
+        raise AssertionError(message)
+
+
 def _selfchecks():
-    """(name, callable) pairs; each raises AssertionError on failure."""
+    """The checks, each named by its function and raising AssertionError on failure."""
 
     def threshold_roundtrip():  # the upper tail keeps its relative accuracy far below 1e-16
         from scipy import special
@@ -343,13 +348,13 @@ def _selfchecks():
         for dof in (2, 12, 120, 1200):
             for alpha in (1e-2, 1e-6, 1e-12):
                 tail = special.gammaincc(dof / 2.0, detect.solve_threshold(alpha, dof) / 2.0)
-                assert abs(tail - alpha) <= 1e-10 * alpha, f"tail(threshold({alpha},{dof}))={tail}"
+                _expect(abs(tail - alpha) <= 1e-10 * alpha, f"tail(threshold({alpha},{dof}))={tail}")
 
     def threshold_table():
         expected = {1e-2: 26.217, 1e-3: 32.909, 1e-4: 39.134}
         for alpha, want in expected.items():
             got = detect.solve_threshold(alpha, 12)
-            assert abs(got - want) < 5e-3, f"threshold({alpha})={got}, want {want}"
+            _expect(abs(got - want) < 5e-3, f"threshold({alpha})={got}, want {want}")
 
     def cholesky_roundtrip():
         rng = Rng(1234, 0)
@@ -358,7 +363,7 @@ def _selfchecks():
             a = b @ b.conj().T
             L = numerics.cholesky(a)
             err = np.abs(L @ L.conj().T - a).max() / np.abs(a).max()
-            assert err < 1e-10, f"round-trip error {err}"
+            _expect(err < 1e-10, f"round-trip error {err}")
 
     def omp_single_atom():
         rng = Rng(7, 0)
@@ -366,11 +371,11 @@ def _selfchecks():
         x = np.zeros(64)
         x[17] = 3.0
         coeffs = sparse.omp(codec.phi @ x, codec.dictionary, max_atoms=4, residual_tol=1e-10)
-        assert np.abs(coeffs - x).max() < 1e-10, "single-atom recovery"
+        _expect(np.abs(coeffs - x).max() < 1e-10, "single-atom recovery")
 
     def dct_orthonormal():
         psi = sparse.dct_basis(32)
-        assert np.abs(psi @ psi.T - np.eye(32)).max() < 1e-12
+        _expect(np.abs(psi @ psi.T - np.eye(32)).max() < 1e-12, "dct orthonormality")
 
     def fusion_identities():
         for n in (3, 5):
@@ -379,27 +384,21 @@ def _selfchecks():
                 u_or = detect.fuse(u, FusionRule(kind=FusionKind.OR))
                 u_maj = detect.fuse(u, FusionRule(kind=FusionKind.MAJORITY))
                 u_and = detect.fuse(u, FusionRule(kind=FusionKind.AND))
-                assert (not u_and or u_maj) and (not u_maj or u_or), "fusion dominance"
+                _expect((not u_and or u_maj) and (not u_maj or u_or), "fusion dominance")
 
     def rng_determinism():
         a = numerics.sample_complex_gaussian(Rng(5, 9), 16, 1.0)
         b = numerics.sample_complex_gaussian(Rng(5, 9), 16, 1.0)
-        assert np.array_equal(a, b), "rng reproducibility"
+        _expect(np.array_equal(a, b), "rng reproducibility")
 
-    return [
-        ("threshold_roundtrip", threshold_roundtrip),
-        ("threshold_table", threshold_table),
-        ("cholesky_roundtrip", cholesky_roundtrip),
-        ("omp_single_atom", omp_single_atom),
-        ("dct_orthonormal", dct_orthonormal),
-        ("fusion_identities", fusion_identities),
-        ("rng_determinism", rng_determinism),
-    ]
+    return [threshold_roundtrip, threshold_table, cholesky_roundtrip, omp_single_atom, dct_orthonormal,
+            fusion_identities, rng_determinism]
 
 
 def cmd_selfcheck(args) -> int:
-    failures = 0
-    for name, check in _selfchecks():
+    checks, failures = _selfchecks(), 0
+    for check in checks:
+        name = check.__name__
         try:
             check()
         except AssertionError as exc:
@@ -410,7 +409,7 @@ def cmd_selfcheck(args) -> int:
             print(f"FAIL {name}: {type(exc).__name__}: {exc}")
         else:
             print(f"ok   {name}")
-    print(f"{len(_selfchecks()) - failures}/{len(_selfchecks())} checks passed")
+    print(f"{len(checks) - failures}/{len(checks)} checks passed")
     return 1 if failures else 0
 
 

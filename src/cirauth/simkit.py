@@ -16,17 +16,18 @@ into contiguous ranges, and each range runs in blocks of near-equal
 height under a fixed memory cap, so a block may span hypotheses and SNR
 points.  A block's substreams fill one (T, 6NL) array of normals, every
 later stage runs over a leading trial axis with each row's own occupant
-and noise variance (a CS scheme stacks consecutive blocks so that one
-Batch-OMP call recovers them all, under a cap on its factor), and every
-stage is exact per row, so counts depend neither on the blocks, nor on
-the batches, nor on the worker count.  All detector variants (threshold
-sweeps, fusion rules) and the paired "without CS" twin curves read the
-same block, and variants that share a threshold share its decisions.
+and noise variance (a CS scheme recovers the block's reports in one
+Batch-OMP call), and every stage is exact per row, so counts depend
+neither on the blocks nor on the worker count.  All detector variants
+(threshold sweeps, fusion rules) read the same block, and the paired
+"without CS" twin curves read its reports as measured; variants that
+share a threshold share its decisions.
 """
 
 from __future__ import annotations
 
 import enum
+import operator
 import os
 from dataclasses import dataclass
 from functools import lru_cache
@@ -68,13 +69,11 @@ _MAX_TRIALS = 1 << 31
 _MAX_SNR_POINTS = 1 << 20
 # Bound on |SNR| in dB, inside which the noise variance and every stage after it stay finite.
 _MAX_ABS_SNR_DB = 1000.0
-# Cap on a trial block's standard normals (1 MiB).  Counts depend on
-# neither cap.
+# A block's height caps its standard normals (1 MiB) on an uncompressed
+# scheme, and on a CS scheme its Batch-OMP factor (reports x budget x
+# (budget + n) doubles, 11 MiB): 36 fig4 trials (60 x 660 each), 101 fig5
+# trials (3 x 35 x 135 each).  Counts depend on neither cap.
 _BLOCK_NORMALS = 1 << 17
-# Cap on the Batch-OMP factor (reports x budget x (budget + n) doubles,
-# 11 MiB) of consecutive blocks recovered in one call.  A full 36-trial
-# fig4 block (36 x 60 x 660 doubles) fits alone and two never merge; a
-# fig5 trial needs 3 x 35 x 135, so two full fig5 blocks share one call.
 _BATCH_FACTOR = 11 << 17
 
 
@@ -89,6 +88,8 @@ class CsCodecConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "basis", Basis(self.basis))
+        object.__setattr__(self, "m", operator.index(self.m))  # a float raises TypeError here, not mid-run
+        object.__setattr__(self, "max_atoms", None if self.max_atoms is None else operator.index(self.max_atoms))
         if self.m < 1:
             raise ValueError(f"m must be positive, got {self.m}")
         if self.max_atoms is not None and not 1 <= self.max_atoms <= self.m:
@@ -111,6 +112,8 @@ class Scenario:
     def __post_init__(self):
         object.__setattr__(self, "scheme", Scheme(self.scheme))
         object.__setattr__(self, "snr_grid_db", tuple(float(s) for s in self.snr_grid_db))
+        object.__setattr__(self, "trials", operator.index(self.trials))  # a float raises TypeError here, not mid-run
+        object.__setattr__(self, "seed", operator.index(self.seed))  # nor runs as its floor's substreams
         if not self.snr_grid_db:
             raise ValueError("snr_grid_db must be nonempty")
         bad = [s for s in self.snr_grid_db if not abs(s) <= _MAX_ABS_SNR_DB]
@@ -226,68 +229,62 @@ def _resolve(scenario: Scenario, variants: list[Variant]) -> tuple[np.ndarray, n
     return np.array(levels, dtype=float), np.array(columns), np.array(cutoffs)
 
 
-def _block_decisions(scenario, levels, columns, cutoffs, twin, sigma2, h_ref, z) -> np.ndarray:
-    """(T, V) H1-decisions of every variant on a block's stacked ``h_ref``/``z``, then the twin's.
+def _block_decisions(scenario, levels, columns, cutoffs, paths, sigma2, h_ref, z) -> np.ndarray:
+    """(T, V * len(paths)) H1-decisions of every variant on a block's stacked ``h_ref``/``z``, path by path.
 
-    ``sigma2`` (T, 1) is each row's noise variance.  Each report is compared
-    with the D distinct ``levels`` once.  A local scheme then tallies each
-    (T, D, N) plane of node decisions into (T, 2D) vote counts and node-0
-    votes, and compares each variant's column of it with its cutoff.
+    A True path sends the block's reports through the scenario's codec, a
+    False one reads them as measured.  ``sigma2`` (T, 1) is each row's
+    noise variance.  Each report is compared with the D distinct
+    ``levels`` once.  A local scheme then tallies each (T, D, N) plane of
+    node decisions into (T, 2D) vote counts and node-0 votes, and
+    compares each variant's column of it with its cutoff.
     """
-    codec = scenario_codec(scenario) if scenario.scheme.compressed else None
+    codec = scenario_codec(scenario) if any(paths) else None
     scale = 1.0 / sigma2  # d / sigma2 divides complex by complex; d * scale differs only in signs of zero
     if not scenario.scheme.local:
-        reports = [z] if codec is None else [sparse.reconstruct_raw(sparse.compress(z, codec), codec)]
-        if twin:
-            reports.append(z)
+        reports = [sparse.reconstruct_raw(sparse.compress(z, codec), codec) if cs else z for cs in paths]
         return np.hstack([(detect.quadratic_statistic(r, h_ref, scale)[:, None] > levels)[:, columns] for r in reports])
     t, n = len(z), scenario.channel.n_nodes
     shape = (t, n, scenario.channel.n_taps)
     stats_n = detect.quadratic_statistic(z.reshape(shape), h_ref.reshape(shape), scale[..., None])
     u = stats_n[:, None, :] > levels[:, None]  # (T, D, N)
-    planes = [u]
     if codec is not None:
         u_cs = sparse.reconstruct_decisions(sparse.compress(u.reshape(-1, n).astype(float), codec), codec)
-        planes = [u_cs.reshape(u.shape)] + ([u] if twin else [])
+    planes = [u_cs.reshape(u.shape) if cs else u for cs in paths]
     tallies = [np.hstack((plane.sum(-1), plane[..., 0])) for plane in planes]  # (T, 2D): counts, then node 0's votes
     return np.hstack([tally[:, columns] > cutoffs for tally in tallies])
 
 
 def _count_range(args) -> np.ndarray:
-    """Decision counts, shape (2 * SNR points, columns), of the flat trials ``[lo, hi)``.
+    """Decision counts, shape (2 * SNR points, columns x paths), of the flat trials ``[lo, hi)``.
 
     Flat trial g = (2 s + h) * trials + t is trial t of hypothesis h (0:
     eve, 1: alice) at SNR index s; it owns stream (s << 33) | (eve << 32)
     | t and is counted in row 2 s + h.  The range runs in blocks of
-    near-equal height under the ``_BLOCK_NORMALS`` cap, and a block may
-    span hypotheses and SNR points: every row carries its own occupant
-    and noise variance.  A CS scheme decides consecutive blocks together,
-    as many as fit under ``_BATCH_FACTOR`` at the tallest block's factor.
+    near-equal height, under the ``_BATCH_FACTOR`` cap on a CS scheme
+    and the ``_BLOCK_NORMALS`` cap otherwise, and a block may span
+    hypotheses and SNR points: every row carries its own occupant and
+    noise variance.
     """
-    scenario, levels, columns, cutoffs, twin, lo, hi = args
+    scenario, levels, columns, cutoffs, paths, lo, hi = args
     cfg = scenario.channel
     sigma2 = np.array([noise_variance(snr) for snr in scenario.snr_grid_db])
     width = 6 * cfg.n_nodes * cfg.n_taps  # alice, eve, noise: 2NL normals each
-    n = hi - lo
-    blocks = -(-n // max(1, _BLOCK_NORMALS // width))
-    per_batch = 1  # consecutive blocks per _block_decisions call
-    if scenario.scheme.compressed:
+    height = _BLOCK_NORMALS // width
+    if scenario.scheme.compressed:  # a trial's factor: reports x budget x (budget + n)
         codec = scenario_codec(scenario)
         budget = min(codec.max_atoms, codec.n)
-        reports = -(-n // blocks) * (len(levels) if scenario.scheme.local else 1)  # of the tallest block
-        per_batch = max(1, _BATCH_FACTOR // (reports * budget * (budget + codec.n)))
-    counts = np.zeros((2 * len(sigma2), len(columns) * (1 + twin)), dtype=np.int64)
-    for first in range(0, blocks, per_batch):
-        batch = []
-        for b in range(first, min(first + per_batch, blocks)):
-            row, t = np.divmod(np.arange(lo + b * n // blocks, lo + (b + 1) * n // blocks), scenario.trials)
-            s, eve = row >> 1, row % 2 == 0
-            streams = ((s << 33) | (eve.astype(np.int64) << 32) | t).tolist()
-            h_ref, z = measure_block(standard_normal_rows(scenario.seed, streams, width), cfg, eve, sigma2[s])
-            batch.append((row, s, h_ref, z))
-        row, s, h_ref, z = batch[0] if len(batch) == 1 else (np.concatenate(x) for x in zip(*batch))
-        decisions = _block_decisions(scenario, levels, columns, cutoffs, twin, sigma2[s, None], h_ref, z)
-        # a batch's flat trials are consecutive, so ``row`` never decreases and runs through
+        height = _BATCH_FACTOR // ((len(levels) if scenario.scheme.local else 1) * budget * (budget + codec.n))
+    n = hi - lo
+    blocks = -(-n // max(1, height))
+    counts = np.zeros((2 * len(sigma2), len(columns) * len(paths)), dtype=np.int64)
+    for b in range(blocks):
+        row, t = np.divmod(np.arange(lo + b * n // blocks, lo + (b + 1) * n // blocks), scenario.trials)
+        s, eve = row >> 1, row % 2 == 0
+        streams = ((s << 33) | (eve.astype(np.int64) << 32) | t).tolist()
+        h_ref, z = measure_block(standard_normal_rows(scenario.seed, streams, width), cfg, eve, sigma2[s])
+        decisions = _block_decisions(scenario, levels, columns, cutoffs, paths, sigma2[s, None], h_ref, z)
+        # a block's flat trials are consecutive, so ``row`` never decreases and runs through
         # every counts row from its first to its last: sum each run of it
         lo_row, hi_row = row[0], row[-1]
         runs = np.searchsorted(row, np.arange(lo_row, hi_row + 1))
@@ -325,7 +322,8 @@ def estimate_curves(
     total = 2 * len(scenario.snr_grid_db) * scenario.trials
     procs = min(workers, total, len(os.sched_getaffinity(0)))  # a pool forks all its workers at once
     bounds = [total * i // procs for i in range(procs + 1)]
-    tasks = [(scenario, *resolved, uncompressed_twin, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    paths = (scenario.scheme.compressed,) + ((False,) if uncompressed_twin else ())
+    tasks = [(scenario, *resolved, paths, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
     if procs > 1:
         from concurrent.futures import ProcessPoolExecutor  # lazy: a serial run skips its imports
 

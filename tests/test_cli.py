@@ -505,6 +505,16 @@ class TestSelfcheck:
         out = capsys.readouterr().out
         assert "FAIL threshold_roundtrip" in out or "FAIL threshold_table" in out
 
+    def test_checks_hold_under_optimize(self):
+        # python -O strips assert statements: the checks must still fail a perturbed quantile
+        # and pass a clean build
+        perturbed = _run_fresh(["selfcheck"], script=_PERTURBED_SELFCHECK, flags=["-O"])
+        assert perturbed.returncode == 1, perturbed.stdout + perturbed.stderr
+        assert "FAIL threshold_roundtrip" in perturbed.stdout
+        clean = _run_fresh(["selfcheck"], flags=["-O"])
+        assert clean.returncode == 0, clean.stdout + clean.stderr
+        assert "7/7 checks passed" in clean.stdout
+
 
 # Runs cli.main in a fresh interpreter, then lists the heavy modules it loaded.
 _FOOTPRINT_SCRIPT = """
@@ -517,12 +527,22 @@ sys.exit(rc)
 """
 
 
-def _run_fresh(args):
+# The same, with ``detect.solve_threshold`` off by 0.5.
+_PERTURBED_SELFCHECK = """
+import sys
+from cirauth import cli, detect
+real = detect.solve_threshold
+detect.solve_threshold = lambda alpha, dof: real(alpha, dof) + 0.5
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def _run_fresh(args, script=_FOOTPRINT_SCRIPT, flags=()):
     env = dict(os.environ)
     src = str(Path(cirauth.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-c", _FOOTPRINT_SCRIPT, *args], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, *flags, "-c", script, *args], env=env, capture_output=True, text=True, timeout=120
     )
 
 

@@ -84,6 +84,26 @@ class TestScenarioValidation:
         with pytest.raises(ValueError):
             fc_scenario(snr_grid_db=(0.0, snr))
 
+    @pytest.mark.parametrize("build, kwargs", [
+        (fc_scenario, dict(seed=1.5)),  # would run as seed 1
+        (fc_scenario, dict(trials=2.5)),  # would crash mid-run
+        (ChannelConfig, dict(n_nodes=2.5, n_taps=6)),
+        (ChannelConfig, dict(n_nodes=10, n_taps=2.0, pdp=(0.5, 0.5))),
+        (CsCodecConfig, dict(m=3.5)),
+        (CsCodecConfig, dict(m=4, max_atoms=2.0)),
+    ], ids=["seed", "trials", "n_nodes", "n_taps", "m", "max_atoms"])
+    def test_non_integral_size_or_seed_rejected(self, build, kwargs):
+        with pytest.raises(TypeError):
+            build(**kwargs)
+
+    def test_numpy_integers_accepted(self):
+        codec = CsCodecConfig(m=np.int64(48), max_atoms=np.int32(12))
+        channel = ChannelConfig(n_nodes=np.int64(10), n_taps=np.int16(6), rho=0.9, pdp=(1.0,) * 6,
+                                normalize_kronecker=False)
+        sc = fc_scenario(scheme=Scheme.FC_RAW_CS, channel=channel, trials=np.int64(3), seed=np.uint64(90), codec=codec)
+        assert sc == fc_scenario(scheme=Scheme.FC_RAW_CS, trials=3, codec=CsCodecConfig(m=48, max_atoms=12))
+        assert type(sc.seed) is type(sc.channel.n_taps) is type(sc.codec.m) is int
+
 
 class TestVariant:
     @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), 0.0, -5.0])
@@ -295,6 +315,7 @@ def _engine_counts(curves: list[DetectionCurve]) -> tuple[np.ndarray, np.ndarray
 _SMALL = ChannelConfig(n_nodes=4, n_taps=3, rho=0.8, pdp=(1.0,) * 3, normalize_kronecker=False)
 _SMALL_LOCAL = ChannelConfig(n_nodes=8, n_taps=2, rho=0.8, pdp=(1.0,) * 2, normalize_kronecker=False)
 _BLOCK_CAP = 504  # normals: blocks of 7 trials on _SMALL, 5 on _SMALL_LOCAL
+_BATCH_CAP = 595  # Batch-OMP factor: blocks of 7 trials on fc_raw_cs, 9 on local_fusion_cs
 _FC_VARIANTS = [
     Variant(label="delta=20", threshold=20.0),
     Variant(label="pfa=0.05", threshold=solve_threshold(0.05, 2 * 4 * 3)),  # 2NL dof on _SMALL
@@ -330,6 +351,7 @@ class TestEngineEquivalence:
     def test_counts_match_per_trial_oracle(self, case, monkeypatch):
         scenario, variants = _EQUIVALENCE_CASES[case]
         monkeypatch.setattr(simkit, "_BLOCK_NORMALS", _BLOCK_CAP)  # 23 trials end on a partial block
+        monkeypatch.setattr(simkit, "_BATCH_FACTOR", _BATCH_CAP)  # so do a CS scheme's
         twin = scenario.codec is not None
         curves = estimate_curves(scenario, variants, uncompressed_twin=twin)
         want_h1, want_h0 = _oracle_counts(scenario, variants)
@@ -350,12 +372,20 @@ class TestEngineEquivalence:
         twin = scenario.codec is not None
         one = estimate_curves(scenario, variants, workers=1, uncompressed_twin=twin)
         monkeypatch.setattr(simkit, "_BLOCK_NORMALS", 1)  # one trial per block
+        monkeypatch.setattr(simkit, "_BATCH_FACTOR", 0)  # on a CS scheme too
         assert estimate_curves(scenario, variants, workers=1, uncompressed_twin=twin) == one
         assert estimate_curves(scenario, variants, workers=2, uncompressed_twin=twin) == one
 
     def test_twin_requires_cs_scheme(self):
         with pytest.raises(ValueError):
             estimate_curves(fc_scenario(trials=1), FC, uncompressed_twin=True)
+
+
+def _trial_factor(scenario, levels):
+    """Batch-OMP factor of one trial's reports on a CS scenario: reports x budget x (budget + n)."""
+    codec = scenario_codec(scenario)
+    budget = min(codec.max_atoms, codec.n)
+    return (len(levels) if scenario.scheme.local else 1) * budget * (budget + codec.n)
 
 
 _PRESET_CHANNEL = ChannelConfig(n_nodes=100, n_taps=6, rho=0.9, pdp=(1.0,) * 6, normalize_kronecker=False)
@@ -389,20 +419,16 @@ class TestBlockSplitInvariance:
         height = data.draw(st.integers(2, hi - lo), label="trials per block")
         blocks = -(-(hi - lo) // height)
         assume(all(lo + b * (hi - lo) // blocks != boundary for b in range(blocks)))
-        # Batch-OMP factor cap: 0 decides each block alone, 2^60 the whole range in one call
-        batch_cap = data.draw(st.sampled_from([0, 1 << 60]), label="batch cap")
-        task = (scenario, *resolved, True, lo, hi)
-        width = 6 * scenario.channel.n_nodes * scenario.channel.n_taps
-        with mock.patch.object(simkit, "_BLOCK_NORMALS", height * width), \
-                mock.patch.object(simkit, "_BATCH_FACTOR", batch_cap), \
+        task = (scenario, *resolved, (True, False), lo, hi)
+        with mock.patch.object(simkit, "_BATCH_FACTOR", height * _trial_factor(scenario, resolved[0])), \
                 mock.patch.object(simkit, "_block_decisions", wraps=simkit._block_decisions) as decide, \
                 mock.patch.object(simkit, "measure_block", wraps=simkit.measure_block) as spy:
             got = simkit._count_range(task)
         # some block mixes eve and alice rows and both SNR points (the grids' values differ)
         assert any(c.args[2].any() and not c.args[2].all() and len(set(c.args[3])) == 2 for c in spy.call_args_list)
-        assert decide.call_count == (blocks if batch_cap == 0 else 1)
-        with mock.patch.object(simkit, "_BLOCK_NORMALS", 1), mock.patch.object(simkit, "_BATCH_FACTOR", 0):
-            assert np.array_equal(got, simkit._count_range(task))  # one trial per block, each decided alone
+        assert decide.call_count == blocks
+        with mock.patch.object(simkit, "_BATCH_FACTOR", 0):
+            assert np.array_equal(got, simkit._count_range(task))  # one trial per block
 
     def test_rows_carry_occupant_and_variance(self):
         # flat order is point-major, eve first; each row's sigma2 has noise_variance's
@@ -424,13 +450,14 @@ class TestCountRange:
     def test_counts_equal_add_at_over_block_decisions(self, case, data):
         scenario, variants = _EQUIVALENCE_CASES[case]
         resolved = simkit._resolve(scenario, variants)
-        trials, twin = scenario.trials, scenario.codec is not None
+        trials, compressed = scenario.trials, scenario.scheme.compressed
+        paths = (True, False) if compressed else (False,)
         # [lo, hi) starts in point 0's eve trials and ends in point 1's
         lo = data.draw(st.integers(0, trials - 1), label="lo")
         hi = data.draw(st.integers(2 * trials + 1, 4 * trials), label="hi")
         height = data.draw(st.integers(1, hi - lo), label="trials per block")
-        batch_cap = data.draw(st.sampled_from([0, 1 << 60]), label="batch cap")
         width = 6 * scenario.channel.n_nodes * scenario.channel.n_taps
+        factor = _trial_factor(scenario, resolved[0]) if compressed else 0
         decisions, decide = [], simkit._block_decisions
 
         def spy(*args):
@@ -438,11 +465,11 @@ class TestCountRange:
             return decisions[-1]
 
         with mock.patch.object(simkit, "_BLOCK_NORMALS", height * width), \
-                mock.patch.object(simkit, "_BATCH_FACTOR", batch_cap), \
+                mock.patch.object(simkit, "_BATCH_FACTOR", height * factor), \
                 mock.patch.object(simkit, "_block_decisions", spy):
-            got = simkit._count_range((scenario, *resolved, twin, lo, hi))
+            got = simkit._count_range((scenario, *resolved, paths, lo, hi))
         decided = np.concatenate(decisions)  # the flat trials in order, one row each
-        assert decided.shape == (hi - lo, len(variants) * (1 + twin))
+        assert decided.shape == (hi - lo, len(variants) * len(paths))
         want = np.zeros_like(got)
         np.add.at(want, np.arange(lo, hi) // trials, decided)
         assert got.dtype == np.int64 and np.array_equal(got, want)
@@ -450,10 +477,10 @@ class TestCountRange:
 
 
 class TestRecoveryBatches:
-    """Batch-OMP calls of preset runs: consecutive blocks share one under the factor cap, distinct reports only."""
+    """Batch-OMP calls of preset runs: one per block under the factor cap, distinct reports only."""
 
     @pytest.mark.parametrize("preset, overrides, rows_per_call", [
-        ("fig5", ["scenario.trials=2"], [110]),  # 3 blocks of 28 trials, 252 reports, 110 distinct
+        ("fig5", ["scenario.trials=2"], [110]),  # one block of 84 trials, 252 reports, 110 distinct
         ("fig4", ["scenario.trials=1"], [21, 21]),  # two fig4 blocks never share a call
         ("fig4", ["scenario.trials=72", "scenario.snr_db=0"], [36] * 4),  # a full fig4 block fits alone
     ])
@@ -462,6 +489,14 @@ class TestRecoveryBatches:
         with mock.patch.object(sparse, "_batch_omp", wraps=sparse._batch_omp) as spy:
             assert cli.main(argv + [a for o in overrides for a in ("--set", o)]) == 0
         assert [len(c.args[0]) for c in spy.call_args_list] == rows_per_call
+
+    def test_cs_block_height_from_factor_cap(self, tmp_path, capsys):
+        # the factor cap fits 101 fig5 trials in a block (the normals cap 36), so 120 flat
+        # trials run as two blocks of 60, each measured and decided once
+        argv = ["run", "--config", "fig5", "--set", "scenario.trials=60", "--set", "scenario.snr_db=0"]
+        with mock.patch.object(simkit, "_block_decisions", wraps=simkit._block_decisions) as spy:
+            assert cli.main(argv + ["--out", str(tmp_path / "o.csv")]) == 0
+        assert [len(c.args[-1]) for c in spy.call_args_list] == [60, 60]
 
 
 class TestSnrMargin:
@@ -657,7 +692,8 @@ class TestDecisionReference:
         sigma2 = np.array([noise_variance(s) for s in snr])
         h_ref, z = measure_block(standard_normal_rows(scenario.seed, streams, 6 * cfg.n_nodes * cfg.n_taps), cfg, eve, sigma2)
         want = _ref_block_decisions(scenario, *_ref_resolve(scenario, variants), twin, sigma2[:, None], h_ref, z)
-        got = simkit._block_decisions(scenario, *simkit._resolve(scenario, variants), twin, sigma2[:, None], h_ref, z)
+        paths = (scenario.scheme.compressed,) + ((False,) if twin else ())
+        got = simkit._block_decisions(scenario, *simkit._resolve(scenario, variants), paths, sigma2[:, None], h_ref, z)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.array_equal(got, want)
 
@@ -674,7 +710,7 @@ class TestDecisionReference:
         normals = standard_normal_rows(scenario.seed, range(t), 6 * cfg.n_nodes * cfg.n_taps)
         h_ref, z = measure_block(normals, cfg, np.zeros(t, dtype=bool), sigma2)
         want = _ref_block_decisions(scenario, *_ref_resolve(scenario, variants), False, sigma2[:, None], h_ref, z)
-        got = simkit._block_decisions(scenario, *simkit._resolve(scenario, variants), False, sigma2[:, None], h_ref, z)
+        got = simkit._block_decisions(scenario, *simkit._resolve(scenario, variants), (False,), sigma2[:, None], h_ref, z)
         assert np.array_equal(got, want)
 
     @settings(max_examples=40, deadline=None)
@@ -723,5 +759,5 @@ class TestCountRule:
         shape = (t, cfg.n_nodes, cfg.n_taps)
         stats_n = quadratic_statistic(z.reshape(shape), h_ref.reshape(shape), 1.0 / sigma2[..., None])
         want = np.stack([(stats_n > d).sum(-1) / cfg.n_nodes > a for d, a in pairs], axis=1)
-        got = simkit._block_decisions(scenario, *simkit._resolve(scenario, variants), False, sigma2, h_ref, z)
+        got = simkit._block_decisions(scenario, *simkit._resolve(scenario, variants), (False,), sigma2, h_ref, z)
         assert np.array_equal(got, want)
