@@ -8,8 +8,6 @@ purely the reconstruction error: the compressed scheme needs a fraction
 of a dB more SNR for the same detection probability.
 """
 
-from dataclasses import replace
-
 import numpy as np
 
 from cirauth import (
@@ -36,8 +34,7 @@ scenario = Scenario(
 
 print(f"N=100, L=6, delta=5000, {TRIALS} trials/point (takes ~1 minute)\n")
 variants = [Variant("delta=5000", 5000.0)]
-(cs,) = estimate_curves(scenario, variants)
-(raw,) = estimate_curves(replace(scenario, scheme=Scheme.FC_RAW, codec=None), variants)
+cs, raw = estimate_curves(scenario, variants, uncompressed_twin=True)
 
 print(f"{'SNR dB':>7} | {'P_d raw':>8} | {'P_d compressed':>14}")
 print("-" * 36)

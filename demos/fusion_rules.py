@@ -12,13 +12,13 @@ on every possible decision vector.
 import numpy as np
 
 from cirauth import FusionKind, FusionRule, fuse, fused_pfa_analytic
-from cirauth.numerics import Rng
+from cirauth.numerics import stream
 
 N = 10
 ALPHA = 0.05
 TRIALS = 300_000
 
-gen = Rng(3000, 0).generator
+gen = stream(3000, 0)
 u = (gen.random((TRIALS, N)) < ALPHA).astype(np.int64)
 
 print(f"N={N} nodes, per-node alarm rate alpha={ALPHA}, {TRIALS:,} trials\n")

@@ -11,33 +11,34 @@ stops being sparse.
 
 import numpy as np
 
-from cirauth import CsCodec, Rng, compress, gaussian_phi, omp, reconstruct_decisions
+from cirauth import CsCodec, compress, gaussian_phi, omp, reconstruct_decisions, stream
 
-codec = CsCodec(gaussian_phi(Rng(4000, 0), 480, 600), basis="dct", max_atoms=120, residual_tol=1e-12)
+phi = gaussian_phi(stream(4000, 0), 480, 600)
 
 print("Noiseless recovery, Gaussian 480x600 dictionary, 40 trials per K\n")
 print(f"{'K':>4} | {'exact recoveries':>16}")
 print("-" * 25)
 for k in (5, 15, 30, 60, 120):
+    codec = CsCodec(phi, basis="dct", max_atoms=k, residual_tol=1e-12)
     exact = 0
     for t in range(40):
-        rng = Rng(4001, 100 * k + t)
+        rng = stream(4001, 100 * k + t)
         x = np.zeros(600)
-        x[rng.generator.choice(600, k, replace=False)] = rng.standard_normal(k)
-        got = omp(codec.dictionary @ x, codec.dictionary, max_atoms=k, residual_tol=1e-12, gram=codec.gram)
+        x[rng.choice(600, k, replace=False)] = rng.standard_normal(k)
+        got = omp(codec.dictionary @ x, codec)
         exact += np.abs(got - x).max() < 1e-8
     print(f"{k:>4} | {exact:>13}/40")
 
-dec_codec = CsCodec(gaussian_phi(Rng(4002, 0), 70, 100), basis="identity", max_atoms=35)
+dec_codec = CsCodec(gaussian_phi(stream(4002, 0), 70, 100), basis="identity", max_atoms=35)
 print("\nBinary decision vectors, M=70 of N=100, 40 trials per density\n")
 print(f"{'ones':>5} | {'exact':>8} | {'mean recovered ones':>19}")
 print("-" * 40)
 for ones in (1, 5, 10, 20, 40, 80):
     exact, rec = 0, 0.0
     for t in range(40):
-        rng = Rng(4003, 100 * ones + t)
+        rng = stream(4003, 100 * ones + t)
         u = np.zeros(100)
-        u[rng.generator.choice(100, ones, replace=False)] = 1.0
+        u[rng.choice(100, ones, replace=False)] = 1.0
         got = reconstruct_decisions(compress(u, dec_codec), dec_codec)
         exact += np.array_equal(got, u.astype(np.int64))
         rec += got.sum()

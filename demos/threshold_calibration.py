@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from cirauth import Rng, sample_complex_gaussian, solve_threshold
+from cirauth import sample_complex_gaussian, solve_threshold, stream
 from cirauth.detect import quadratic_statistic
 
 L = 6
@@ -26,7 +26,7 @@ for alpha in (0.05, 0.01, 0.001):
     delta = solve_threshold(alpha, 2 * L)
     alarms = 0
     for c in range(TRIALS // CHUNK):
-        noise = sample_complex_gaussian(Rng(2000 + c, int(alpha * 1e6)), CHUNK * L, 1.0)
+        noise = sample_complex_gaussian(stream(2000 + c, int(alpha * 1e6)), CHUNK * L, 1.0)
         u = quadratic_statistic(noise.reshape(CHUNK, L), np.zeros(L), 1.0) > delta
         alarms += int(u.sum())
     emp = alarms / TRIALS

@@ -9,9 +9,9 @@ curves by Monte Carlo.
 
 from .numerics import (
     DecompositionError,
-    Rng,
     cholesky,
     sample_complex_gaussian,
+    stream,
 )
 from .channel import (
     ChannelConfig,
@@ -59,7 +59,6 @@ __all__ = [
     "FusionKind",
     "FusionRule",
     "RecoveryError",
-    "Rng",
     "Scenario",
     "Scheme",
     "Variant",
@@ -79,5 +78,6 @@ __all__ = [
     "snr_margin",
     "solve_threshold",
     "stack_columns",
+    "stream",
     "__version__",
 ]

@@ -30,7 +30,6 @@ import numpy as np
 from . import __version__, detect, numerics, simkit, sparse
 from .channel import ChannelConfig
 from .detect import FusionKind, FusionRule
-from .numerics import Rng
 from .simkit import CsCodecConfig, Scenario, Scheme, Variant
 
 PRESET_NAMES = ("fig2", "fig3", "fig4", "fig5")
@@ -357,7 +356,7 @@ def _selfchecks():
             _expect(abs(got - want) < 5e-3, f"threshold({alpha})={got}, want {want}")
 
     def cholesky_roundtrip():
-        rng = Rng(1234, 0)
+        rng = numerics.stream(1234, 0)
         for k in range(5):
             b = numerics.sample_complex_gaussian(rng, 36, 1.0).reshape(6, 6)
             a = b @ b.conj().T
@@ -366,11 +365,11 @@ def _selfchecks():
             _expect(err < 1e-10, f"round-trip error {err}")
 
     def omp_single_atom():
-        rng = Rng(7, 0)
-        codec = sparse.CsCodec(sparse.gaussian_phi(rng, 32, 64), basis="identity", max_atoms=4)
+        phi = sparse.gaussian_phi(numerics.stream(7, 0), 32, 64)
+        codec = sparse.CsCodec(phi, basis="identity", max_atoms=4, residual_tol=1e-10)
         x = np.zeros(64)
         x[17] = 3.0
-        coeffs = sparse.omp(codec.phi @ x, codec.dictionary, max_atoms=4, residual_tol=1e-10)
+        coeffs = sparse.omp(codec.phi @ x, codec)
         _expect(np.abs(coeffs - x).max() < 1e-10, "single-atom recovery")
 
     def dct_orthonormal():
@@ -387,8 +386,8 @@ def _selfchecks():
                 _expect((not u_and or u_maj) and (not u_maj or u_or), "fusion dominance")
 
     def rng_determinism():
-        a = numerics.sample_complex_gaussian(Rng(5, 9), 16, 1.0)
-        b = numerics.sample_complex_gaussian(Rng(5, 9), 16, 1.0)
+        a = numerics.sample_complex_gaussian(numerics.stream(5, 9), 16, 1.0)
+        b = numerics.sample_complex_gaussian(numerics.stream(5, 9), 16, 1.0)
         _expect(np.array_equal(a, b), "rng reproducibility")
 
     return [threshold_roundtrip, threshold_table, cholesky_roundtrip, omp_single_atom, dct_orthonormal,

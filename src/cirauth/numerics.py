@@ -2,8 +2,8 @@
 
 Counter-based random streams, circularly-symmetric complex Gaussian
 sampling, and the PSD Cholesky factorization the simulator needs.
-Everything here is a pure function of its inputs; ``Rng`` is the only
-stateful object.
+Everything here is a pure function of its inputs; a stream is numpy's
+``Generator``, the only stateful object.
 :func:`standard_normal_rows` draws a block of per-trial streams at once
 from one Philox, re-keyed per row through a state dict of plain Python
 ints, and :func:`complex_from_normals` scales the normals straight into
@@ -24,35 +24,18 @@ class DecompositionError(ValueError):
 _U64 = 1 << 64
 
 
-class Rng:
+def stream(seed: int, stream_id: int = 0) -> np.random.Generator:
     """Counter-based random stream addressed by ``(seed, stream_id)``.
 
-    Built on the Philox bit generator, keyed with the 128-bit value
+    A Philox generator keyed with the 128-bit value
     ``stream_id * 2**64 + seed``.  The same address always reproduces the
     same draw sequence, regardless of process, thread count, or what any
     other stream did, so Monte Carlo trials can each own a substream and
     run in any order.
     """
-
-    __slots__ = ("seed", "stream_id", "_gen")
-
-    def __init__(self, seed: int, stream_id: int = 0):
-        _check_u64("seed", seed)
-        _check_u64("stream_id", stream_id)
-        self.seed = seed
-        self.stream_id = stream_id
-        self._gen = np.random.Generator(np.random.Philox(key=(stream_id << 64) | seed))
-
-    def standard_normal(self, size) -> np.ndarray:
-        return self._gen.standard_normal(size)
-
-    @property
-    def generator(self) -> np.random.Generator:
-        """Underlying numpy generator, for draws not wrapped here."""
-        return self._gen
-
-    def __repr__(self) -> str:
-        return f"Rng(seed={self.seed}, stream_id={self.stream_id})"
+    _check_u64("seed", seed)
+    _check_u64("stream_id", stream_id)
+    return np.random.Generator(np.random.Philox(key=(stream_id << 64) | seed))
 
 
 def _check_u64(name: str, value: int) -> None:
@@ -61,10 +44,10 @@ def _check_u64(name: str, value: int) -> None:
 
 
 def standard_normal_rows(seed: int, stream_ids, width: int) -> np.ndarray:
-    """(T, width) block; row i is ``Rng(seed, stream_ids[i]).standard_normal(width)``.
+    """(T, width) block; row i is ``stream(seed, stream_ids[i]).standard_normal(width)``.
 
     One Philox is re-keyed per row through its ``state`` setter (key and
-    counter are its whole state), which is cheaper than a fresh ``Rng``.
+    counter are its whole state), which is cheaper than a fresh ``stream``.
     The state is one dict of plain Python ints, built once per block;
     each row only sets ``key[1] = stream_id``.  The ids' range is checked
     once, by their minimum and maximum, before any row is drawn.
@@ -96,13 +79,13 @@ def complex_from_normals(parts: np.ndarray, variance: float = 1.0) -> np.ndarray
     return out
 
 
-def sample_complex_gaussian(rng: Rng, n: int, variance: float) -> np.ndarray:
+def sample_complex_gaussian(rng: np.random.Generator, n: int, variance: float) -> np.ndarray:
     """Draw ``n`` iid CN(0, variance) entries.
 
     Real and imaginary parts are independent N(0, variance/2), i.e. the
     circularly-symmetric convention where ``variance`` is E|x|^2.
     """
-    if variance <= 0:
+    if not 0 < variance < np.inf:
         raise ValueError(f"variance must be positive, got {variance}")
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")

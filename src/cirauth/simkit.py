@@ -37,7 +37,7 @@ import numpy as np
 from . import detect, sparse
 from .channel import ChannelConfig, measure_block, noise_variance
 from .detect import FusionRule
-from .numerics import Rng, standard_normal_rows
+from .numerics import standard_normal_rows, stream
 from .sparse import Basis, CsCodec
 
 
@@ -191,7 +191,7 @@ class Variant:
 
 @lru_cache(maxsize=8)
 def _build_codec(seed: int, n: int, cfg: CsCodecConfig) -> CsCodec:
-    phi = sparse.gaussian_phi(Rng(seed, _PHI_STREAM), cfg.m, n)
+    phi = sparse.gaussian_phi(stream(seed, _PHI_STREAM), cfg.m, n)
     return CsCodec(phi, basis=cfg.basis, max_atoms=cfg.max_atoms, residual_tol=cfg.residual_tol)
 
 

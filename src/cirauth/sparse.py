@@ -27,11 +27,10 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
-
-from .numerics import Rng
 
 
 class RecoveryError(RuntimeError):
@@ -57,7 +56,7 @@ def check_residual_tol(residual_tol: float) -> None:
         raise ValueError(f"residual_tol must lie in [0, 1), got {residual_tol}")
 
 
-def gaussian_phi(rng: Rng, m: int, n: int) -> np.ndarray:
+def gaussian_phi(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
     """M x n measurement matrix with iid N(0, 1/M) entries.
 
     The 1/M entry variance makes E||Phi x||^2 = ||x||^2 (near-isometry);
@@ -111,7 +110,10 @@ class CsCodec:
         max_atoms: int | None = None,
         residual_tol: float = 1e-6,
     ):
-        phi = np.asarray(phi, dtype=np.float64)
+        phi = np.asarray(phi)
+        if np.iscomplexobj(phi) or not np.all(np.isfinite(phi)):
+            raise ValueError("phi must be real and finite")
+        phi = phi.astype(np.float64)
         if phi.ndim != 2:
             raise ValueError(f"phi must be a matrix, got shape {phi.shape}")
         m, n = phi.shape
@@ -122,14 +124,13 @@ class CsCodec:
         err = np.abs(psi @ psi.conj().T - np.eye(n)).max()
         if err > 1e-10:
             raise ValueError(f"sparsifying basis is not orthonormal (error {err:.3g})")
-        if max_atoms is None:
-            max_atoms = math.ceil(m / 8)
+        max_atoms = math.ceil(m / 8) if max_atoms is None else operator.index(max_atoms)
         if max_atoms < 1:
             raise ValueError(f"max_atoms must be positive, got {max_atoms}")
         check_residual_tol(residual_tol)
         self.phi = phi
         self.psi = psi
-        self.max_atoms = int(max_atoms)
+        self.max_atoms = max_atoms
         self.residual_tol = float(residual_tol)
         self.dictionary = phi @ psi.conj().T
         self.gram = self.dictionary.conj().T @ self.dictionary
@@ -306,49 +307,23 @@ def _batch_omp(ys: np.ndarray, a: np.ndarray, gram: np.ndarray, max_atoms: int, 
     return _OmpResult(coeffs=coeffs, errors=errors, support=chosen, count=count, res2=history)
 
 
-def omp(
-    y: np.ndarray,
-    a: np.ndarray,
-    max_atoms: int,
-    residual_tol: float = 1e-6,
-    gram: np.ndarray | None = None,
-) -> np.ndarray:
-    """Greedy sparse recovery of x from y ~= a @ x, for a real dictionary ``a``.
+def omp(y: np.ndarray, codec: CsCodec) -> np.ndarray:
+    """Greedy sparse recovery of the coefficients x from y ~= codec.dictionary @ x.
 
     Repeatedly selects the atom with the largest norm-weighted correlation
     |a_j^H r| / ||a_j|| against the residual, re-solves the least squares
-    over the selected support, and stops at ``max_atoms`` atoms or once
-    ||r|| <= residual_tol * ||y||.  This is the one-row call of the block
-    kernel behind ``reconstruct_*`` (pass ``gram = a^T a`` to amortize the
-    Gram product across calls).  Complex ``y`` gives complex coefficients;
+    over the selected support, and stops at ``codec.max_atoms`` atoms or
+    once ||r|| <= codec.residual_tol * ||y||.  This is the kernel behind
+    ``reconstruct_*``, without the basis synthesis; a (T, M) block gives
+    (T, n) coefficients.  Complex ``y`` gives complex coefficients;
     selection uses correlation magnitudes.
 
-    Raises :class:`RecoveryError` (with partial coefficients attached) if
-    the residual becomes orthogonal to every remaining atom or the next
-    atom is numerically dependent on the support, before either stop
-    fires.
+    Raises :class:`RecoveryError` (with a report's partial coefficients
+    attached) if the residual becomes orthogonal to every remaining atom
+    or the next atom is numerically dependent on the support, before
+    either stop fires.
     """
-    a = np.asarray(a)
-    y = np.asarray(y)
-    if a.ndim != 2:
-        raise ValueError(f"dictionary must be a matrix, got shape {a.shape}")
-    if np.iscomplexobj(a):
-        raise ValueError("dictionary must be real")
-    m, n = a.shape
-    if y.shape != (m,):
-        raise ValueError(f"y must have length {m}, got {y.shape}")
-    if max_atoms < 1:
-        raise ValueError(f"max_atoms must be positive, got {max_atoms}")
-    check_residual_tol(residual_tol)
-    if gram is None:
-        gram = a.T @ a
-    if np.any(np.diagonal(gram) == 0):
-        raise ValueError("dictionary contains a zero column")
-    res = _batch_omp(y[None], a, gram, max_atoms, residual_tol)
-    coeffs = res.coeffs[0].astype(np.result_type(a.dtype, y.dtype), copy=False)
-    if res.errors[0]:
-        raise RecoveryError(res.errors[0], coeffs)
-    return coeffs
+    return _recover(y, codec).coeffs.reshape(np.shape(y)[:-1] + (codec.n,))
 
 
 def _recover(y: np.ndarray, codec: CsCodec, keep_partial: bool = False) -> _OmpResult:

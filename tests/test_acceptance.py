@@ -22,7 +22,7 @@ from cirauth.detect import (
     quadratic_statistic,
     solve_threshold,
 )
-from cirauth.numerics import Rng, sample_complex_gaussian, standard_normal_rows
+from cirauth.numerics import sample_complex_gaussian, standard_normal_rows, stream
 from cirauth.simkit import Scheme, snr_margin
 from cirauth.sparse import CsCodec, compress, gaussian_phi, omp, reconstruct_raw
 
@@ -65,7 +65,7 @@ def test_02_local_false_alarm_calibration(capsys):
         delta = solve_threshold(alpha, 2 * n_taps)
         alarms = 0
         for c in range(trials // chunk):
-            noise = sample_complex_gaussian(Rng(8100 + s, c), chunk * n_taps, sigma2)
+            noise = sample_complex_gaussian(stream(8100 + s, c), chunk * n_taps, sigma2)
             u = quadratic_statistic(noise.reshape(chunk, n_taps), np.zeros(n_taps), 1.0 / sigma2) > delta
             alarms += int(u.sum())
         emp = alarms / trials
@@ -84,7 +84,7 @@ def test_03_fc_statistic_distribution(capsys):
     stats_all = []
     chunk = 10_000
     for c in range(trials // chunk):
-        v = sample_complex_gaussian(Rng(8200, c), chunk * dim, sigma2).reshape(chunk, dim)
+        v = sample_complex_gaussian(stream(8200, c), chunk * dim, sigma2).reshape(chunk, dim)
         stats_all.append(quadratic_statistic(v, np.zeros(dim), 1.0 / sigma2))
     sample = np.concatenate(stats_all)
     result = stats.kstest(sample, stats.chi2(2 * dim).cdf)
@@ -98,7 +98,7 @@ def test_04_fusion_identities(capsys):
     delta = solve_threshold(alpha, 12)
     counts = {FusionKind.OR: 0, FusionKind.MAJORITY: 0}
     for c in range(trials // chunk):
-        noise = sample_complex_gaussian(Rng(8300, c), chunk * n * 6, 1.0).reshape(chunk, n, 6)
+        noise = sample_complex_gaussian(stream(8300, c), chunk * n * 6, 1.0).reshape(chunk, n, 6)
         stat = 2.0 * np.sum(np.abs(noise) ** 2, axis=2)
         u = (stat > delta).astype(np.int64)
         for kind in counts:
@@ -159,15 +159,15 @@ def test_05_fig2_trend(capsys):
 def test_06_omp_recovery(capsys):
     start = time.perf_counter()
     m, n, k = 480, 600, 30
-    codec = CsCodec(gaussian_phi(Rng(8400, 0), m, n), basis="dct", max_atoms=k, residual_tol=1e-12)
+    codec = CsCodec(gaussian_phi(stream(8400, 0), m, n), basis="dct", max_atoms=k, residual_tol=1e-12)
     failures = 0
     for t in range(100):
-        rng = Rng(8401, t)
+        rng = stream(8401, t)
         coeffs = np.zeros(n)
-        support = rng.generator.choice(n, k, replace=False)
+        support = rng.choice(n, k, replace=False)
         coeffs[support] = rng.standard_normal(k)
         y = codec.dictionary @ coeffs
-        got = omp(y, codec.dictionary, max_atoms=k, residual_tol=1e-12, gram=codec.gram)
+        got = omp(y, codec)
         support_ok = set(np.nonzero(got)[0]) == set(support)
         if not support_ok or np.abs(got - coeffs).max() >= 1e-8:
             failures += 1
@@ -198,7 +198,7 @@ def test_07_cs_snr_margin(capsys):
 
 
 def test_08_correlation_error_monotonicity(capsys):
-    codec = CsCodec(gaussian_phi(Rng(8500, 0), 480, 600), basis="dct", max_atoms=60)
+    codec = CsCodec(gaussian_phi(stream(8500, 0), 480, 600), basis="dct", max_atoms=60)
     normals = standard_normal_rows(8501, range(500), 6 * 100 * 6)  # identical substreams across rho: paired draws
     alice, sigma2 = np.zeros(500, dtype=bool), np.full(500, noise_variance(20.0))
     means = []

@@ -15,7 +15,7 @@ from cirauth.channel import (
     stack_columns,
 )
 from cirauth.channel import _correlation_factor
-from cirauth.numerics import Rng, complex_from_normals, sample_complex_gaussian, standard_normal_rows
+from cirauth.numerics import complex_from_normals, sample_complex_gaussian, standard_normal_rows, stream
 
 
 class TestExpCorrelation:
@@ -73,7 +73,7 @@ class TestDrawChannel:
         cfg = ChannelConfig(n_nodes=5, n_taps=3, rho=0.0, normalize_kronecker=False)
         h_ab, h_eb = channel_block(standard_normal_rows(21, [0], 4 * 3 * 5), cfg)[0]
         # replay the draw stream by hand: alice's matrix comes first
-        rng = Rng(21, 0)
+        rng = stream(21, 0)
         scale = np.sqrt(cfg.pdp_array)[:, None]
         h_alice = sample_complex_gaussian(rng, 15, 1.0).reshape(3, 5) * scale
         h_eve = sample_complex_gaussian(rng, 15, 1.0).reshape(3, 5) * scale
@@ -129,7 +129,7 @@ class TestDrawChannel:
 
 class TestStacking:
     def test_roundtrip_exact(self):
-        h = sample_complex_gaussian(Rng(27, 0), 12, 1.0).reshape(3, 4)
+        h = sample_complex_gaussian(stream(27, 0), 12, 1.0).reshape(3, 4)
         assert np.array_equal(stack_columns(h).reshape(4, 3).T, h)
 
     def test_node_major_order(self):
@@ -159,14 +159,14 @@ class TestMeasure:
     """``measure_block`` rows that share stream 30's channel draw, each with noise from its own stream."""
 
     def _measure(self, noise_normals, eve, sigma2):
-        channel = np.tile(Rng(30, 0).standard_normal(4 * 4 * 3), (len(noise_normals), 1))
+        channel = np.tile(stream(30, 0).standard_normal(4 * 4 * 3), (len(noise_normals), 1))
         h_ab, h_eb = stack_columns(channel_block(channel[:1], _MEASURE_CFG)[0])
         t = len(noise_normals)
         z = measure_block(np.hstack([channel, noise_normals]), _MEASURE_CFG, np.full(t, eve), np.full(t, sigma2))[1]
         return h_ab, h_eb, z
 
     def test_noiseless_limit(self):
-        h_ab, _, z = self._measure(Rng(31, 0).standard_normal((1, 24)), False, 1e-30)
+        h_ab, _, z = self._measure(stream(31, 0).standard_normal((1, 24)), False, 1e-30)
         assert np.abs(z[0] - h_ab).max() < 1e-12
 
     def test_noise_energy_accounting(self):
@@ -178,18 +178,18 @@ class TestMeasure:
         assert acc / trials == pytest.approx(4 * 3, rel=0.03)
 
     def test_occupant_selects_channel(self):
-        _, h_eb, z = self._measure(Rng(33, 0).standard_normal((1, 24)), True, 1e-30)
+        _, h_eb, z = self._measure(stream(33, 0).standard_normal((1, 24)), True, 1e-30)
         assert np.abs(z[0] - h_eb).max() < 1e-12
 
     def test_stream_advances_between_calls(self):
         # one stream's first and second 24 noise normals, as two rows
-        _, _, z = self._measure(Rng(34, 0).standard_normal((2, 24)), False, 1.0)
+        _, _, z = self._measure(stream(34, 0).standard_normal((2, 24)), False, 1.0)
         assert not np.array_equal(z[0], z[1])
 
     def test_dimension_mismatch(self):
         # noise normals for 5 nodes against a 4-node channel
         with pytest.raises(ValueError):
-            self._measure(Rng(35, 0).standard_normal((1, 30)), False, 1.0)
+            self._measure(stream(35, 0).standard_normal((1, 30)), False, 1.0)
 
 
 class TestMeasureBlock:
@@ -207,7 +207,7 @@ class TestMeasureBlock:
         assert not np.array_equal(10.0 ** (-np.array(snrs) / 10.0), sigma2)
         h_ab, z = measure_block(standard_normal_rows(36, streams, 6 * 5 * 3), cfg, eve, sigma2)
         for i, sid in enumerate(streams):
-            row = Rng(36, sid).standard_normal((1, 6 * 5 * 3))
+            row = stream(36, sid).standard_normal((1, 6 * 5 * 3))
             want_h_ab, want_z = _ref_measure_block(row, cfg, eve[i : i + 1], sigma2[i : i + 1])
             assert np.array_equal(h_ab[i], want_h_ab[0]) and np.array_equal(z[i], want_z[0])
 
@@ -293,7 +293,7 @@ class TestFrontEndReference:
         # one trial drawn as per trial: its stream's channel normals, then its noise normals,
         # in two calls, against the same stream as a one-row block
         for occupant in (False, True):
-            ref = Rng(seed, 5)
+            ref = stream(seed, 5)
             want = _ref_channel_block(ref.standard_normal((1, 2 * width)), cfg)[0]
             v = _ref_noise_rows(ref.standard_normal((1, width)), sigma2[:1, None], cfg.n_taps)[0]
             h_ab, z = measure_block(standard_normal_rows(seed, [5], 3 * width), cfg, [occupant], sigma2[:1])

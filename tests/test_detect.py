@@ -16,7 +16,7 @@ from cirauth.detect import (
     quadratic_statistic,
     solve_threshold,
 )
-from cirauth.numerics import Rng, sample_complex_gaussian
+from cirauth.numerics import sample_complex_gaussian, stream
 
 
 class TestSolveThreshold:
@@ -58,7 +58,7 @@ class TestSolveThreshold:
 
 class TestFcStatistic:
     def test_zero_at_reference(self):
-        h = sample_complex_gaussian(Rng(40, 0), 6, 1.0)
+        h = sample_complex_gaussian(stream(40, 0), 6, 1.0)
         assert quadratic_statistic(h, h, 1.0) == 0.0
 
     def test_unit_vector_closed_form(self):
@@ -72,7 +72,7 @@ class TestFcStatistic:
         # H0: z - h is pure noise; doubled whitened energy averages 2NL
         n_taps, trials = 6, 20_000
         sigma2 = 0.37
-        draws = sample_complex_gaussian(Rng(41, n_nodes), trials * n_nodes * n_taps, sigma2)
+        draws = sample_complex_gaussian(stream(41, n_nodes), trials * n_nodes * n_taps, sigma2)
         z = draws.reshape(trials, n_nodes * n_taps)
         stat = quadratic_statistic(z, np.zeros(n_nodes * n_taps), 1.0 / sigma2)
         dof = 2 * n_nodes * n_taps
@@ -138,11 +138,11 @@ class TestNoiseScaling:
 
 class TestDecisions:
     def test_zero_deviation_accepts(self):
-        h = sample_complex_gaussian(Rng(42, 0), 6, 1.0)
+        h = sample_complex_gaussian(stream(42, 0), 6, 1.0)
         assert not quadratic_statistic(h, h, 1.0) > 26.2
 
     def test_batch_decisions_match_single_rows(self):
-        rng = Rng(43, 0)
+        rng = stream(43, 0)
         z = sample_complex_gaussian(rng, 30, 1.0).reshape(5, 6)
         h = sample_complex_gaussian(rng, 6, 1.0)
         batch = quadratic_statistic(z, h, 1.0) > 9.0
@@ -154,7 +154,7 @@ class TestDecisions:
         # smaller-scale twin of the acceptance criterion (10^5 vs 10^6 trials)
         n_taps, trials, sigma2 = 6, 100_000, 1.0
         delta = solve_threshold(alpha, 2 * n_taps)
-        noise = sample_complex_gaussian(Rng(44, 0), trials * n_taps, sigma2)
+        noise = sample_complex_gaussian(stream(44, 0), trials * n_taps, sigma2)
         u = quadratic_statistic(noise.reshape(trials, n_taps), np.zeros(n_taps), 1.0 / sigma2) > delta
         sig = math.sqrt(alpha * (1 - alpha) / trials)
         assert abs(u.mean() - alpha) < 5 * sig
@@ -211,7 +211,7 @@ class TestFusion:
         bits = np.arange(2**10)[:, None]
         u = ((bits >> np.arange(10)) & 1).astype(np.int64)
         assert np.array_equal(fuse(u, rule), u.sum(-1) / 10 > t)
-        u = (Rng(46, 0).generator.random((4000, 100)) < np.linspace(0.05, 0.95, 4000)[:, None]).astype(np.int64)
+        u = (stream(46, 0).random((4000, 100)) < np.linspace(0.05, 0.95, 4000)[:, None]).astype(np.int64)
         assert np.array_equal(fuse(u, rule), u.sum(-1) / 100 > t)
 
     def test_single_reports_node_zero(self):
@@ -308,7 +308,7 @@ class TestFusedPfaAnalytic:
     def test_matches_empirical(self, kind):
         # smaller-scale twin of the acceptance criterion
         alpha, n, trials = 0.05, 7, 200_000
-        gen = Rng(45, 0).generator
+        gen = stream(45, 0)
         u = (gen.random((trials, n)) < alpha).astype(np.int64)
         emp = fuse(u, FusionRule(kind=kind)).mean()
         want = fused_pfa_analytic(alpha, n, FusionRule(kind=kind))

@@ -9,7 +9,7 @@ from scipy import fft as sfft
 from scipy import linalg as sla
 
 from cirauth import sparse
-from cirauth.numerics import Rng, sample_complex_gaussian, standard_normal_rows
+from cirauth.numerics import sample_complex_gaussian, standard_normal_rows, stream
 from cirauth.sparse import (
     CsCodec,
     RecoveryError,
@@ -25,25 +25,25 @@ from cirauth.sparse import (
 
 class TestGaussianPhi:
     def test_deterministic(self):
-        a = gaussian_phi(Rng(50, 0), 20, 40)
-        b = gaussian_phi(Rng(50, 0), 20, 40)
+        a = gaussian_phi(stream(50, 0), 20, 40)
+        b = gaussian_phi(stream(50, 0), 20, 40)
         assert np.array_equal(a, b)
 
     def test_column_norm_concentration(self):
-        phi = gaussian_phi(Rng(51, 0), 480, 600)
+        phi = gaussian_phi(stream(51, 0), 480, 600)
         col_sq = np.sum(phi**2, axis=0)
         assert col_sq.mean() == pytest.approx(1.0, abs=0.15)
 
     def test_entry_variance(self):
-        phi = gaussian_phi(Rng(52, 0), 100, 400)
+        phi = gaussian_phi(stream(52, 0), 100, 400)
         assert phi.var() == pytest.approx(1 / 100, rel=0.05)
         assert abs(phi.mean()) < 0.002
 
     def test_square_or_tall_rejected(self):
         with pytest.raises(ValueError):
-            gaussian_phi(Rng(53, 0), 600, 600)
+            gaussian_phi(stream(53, 0), 600, 600)
         with pytest.raises(ValueError):
-            gaussian_phi(Rng(53, 0), 10, 5)
+            gaussian_phi(stream(53, 0), 10, 5)
 
 
 class TestBases:
@@ -61,7 +61,7 @@ class TestBases:
 
     def test_dct_matches_scipy(self):
         n = 16
-        x = Rng(54, 0).standard_normal(n)
+        x = stream(54, 0).standard_normal(n)
         assert np.allclose(dct_basis(n) @ x, sfft.dct(x, norm="ortho"), atol=1e-12)
 
     def test_identity(self):
@@ -70,13 +70,13 @@ class TestBases:
     @pytest.mark.parametrize("builder", [dct_basis, identity_basis])
     def test_energy_conservation(self, builder):
         psi = builder(32)
-        x = sample_complex_gaussian(Rng(55, 0), 32, 1.0)
+        x = sample_complex_gaussian(stream(55, 0), 32, 1.0)
         assert np.linalg.norm(psi @ x) == pytest.approx(np.linalg.norm(x), abs=1e-10)
 
 
 class TestCompress:
     def _codec(self, m=480, n=600):
-        return CsCodec(gaussian_phi(Rng(56, 0), m, n), basis="dct", max_atoms=60)
+        return CsCodec(gaussian_phi(stream(56, 0), m, n), basis="dct", max_atoms=60)
 
     def test_zero_maps_to_zero(self):
         codec = self._codec()
@@ -84,7 +84,7 @@ class TestCompress:
 
     def test_linearity(self):
         codec = self._codec()
-        rng = Rng(57, 0)
+        rng = stream(57, 0)
         x1 = sample_complex_gaussian(rng, 600, 1.0)
         x2 = sample_complex_gaussian(rng, 600, 1.0)
         lhs = compress(2.5 * x1 + x2, codec)
@@ -93,7 +93,7 @@ class TestCompress:
 
     def test_output_length(self):
         codec = self._codec()
-        y = compress(sample_complex_gaussian(Rng(58, 0), 600, 1.0), codec)
+        y = compress(sample_complex_gaussian(stream(58, 0), 600, 1.0), codec)
         assert y.shape == (480,)
 
     def test_dimension_mismatch(self):
@@ -103,7 +103,7 @@ class TestCompress:
     @pytest.mark.parametrize("complex_input", [False, True])
     def test_block_rows_match_single_reports(self, complex_input):
         codec = self._codec()
-        block = sample_complex_gaussian(Rng(60, 0), 3 * 600, 1.0).reshape(3, 600)
+        block = sample_complex_gaussian(stream(60, 0), 3 * 600, 1.0).reshape(3, 600)
         block = block if complex_input else block.real.copy()
         y = compress(block, codec)
         assert y.shape == (3, 480)
@@ -112,7 +112,7 @@ class TestCompress:
 
     def test_report_validates_length(self):
         raw = self._codec()
-        decisions = CsCodec(gaussian_phi(Rng(56, 0), 480, 600), basis="identity", max_atoms=60)
+        decisions = CsCodec(gaussian_phi(stream(56, 0), 480, 600), basis="identity", max_atoms=60)
         for y in (np.zeros(3), np.zeros((2, 2, 480))):
             with pytest.raises(ValueError, match="trailing length"):
                 reconstruct_raw(y, raw)
@@ -122,81 +122,78 @@ class TestCompress:
 
 class TestCsCodec:
     def test_default_atom_budget(self):
-        codec = CsCodec(gaussian_phi(Rng(59, 0), 480, 600))
+        codec = CsCodec(gaussian_phi(stream(59, 0), 480, 600))
         assert codec.max_atoms == 60  # ceil(M/8)
 
     def test_non_orthonormal_guard(self):
         # a codec created with a good basis stores it verbatim; sanity-check
         # the validation machinery via a near-square phi and identity basis
-        codec = CsCodec(gaussian_phi(Rng(60, 0), 30, 40), basis="identity")
+        codec = CsCodec(gaussian_phi(stream(60, 0), 30, 40), basis="identity")
         assert np.array_equal(codec.psi, np.eye(40))
 
     def test_invalid_policies(self):
-        phi = gaussian_phi(Rng(61, 0), 30, 40)
+        phi = gaussian_phi(stream(61, 0), 30, 40)
         with pytest.raises(ValueError):
             CsCodec(phi, max_atoms=0)
         for tol in (-1.0, 1.0, 2.0, 1e300, float("nan")):  # OMP's tolerance is a fraction of ||y||
             with pytest.raises(ValueError, match="residual_tol"):
                 CsCodec(phi, residual_tol=tol)
-            with pytest.raises(ValueError, match="residual_tol"):
-                omp(phi[:, 0], phi, max_atoms=2, residual_tol=tol)
+
+    @pytest.mark.parametrize(
+        "entry, max_atoms, error",
+        [(1j, 4, ValueError), (np.nan, 4, ValueError), (np.inf, 4, ValueError), (0.0, 2.7, TypeError)],
+        ids=["complex", "nan", "inf", "fractional_atoms"],
+    )
+    def test_invalid_inputs_rejected(self, entry, max_atoms, error):
+        # each would otherwise be truncated, cast away or carried into the Gram matrix
+        phi = gaussian_phi(stream(61, 0), 30, 40).astype(np.result_type(entry))
+        phi[2, 5] += entry
+        with pytest.raises(error):
+            CsCodec(phi, max_atoms=max_atoms)
 
     def test_zero_column_rejected(self):
         # decision recovery on this dictionary would silently return all zeros
-        phi = gaussian_phi(Rng(62, 0), 7, 10)
+        phi = gaussian_phi(stream(62, 0), 7, 10)
         phi[:, 3] = 0.0
-        with pytest.raises(ValueError, match="zero column"):
-            omp(phi[:, 0], phi, max_atoms=4)
         with pytest.raises(ValueError, match="zero column"):
             CsCodec(phi, basis="identity", max_atoms=4)
 
 
 class TestOmp:
     def test_zero_input(self):
-        a = gaussian_phi(Rng(62, 0), 20, 40)
-        assert np.array_equal(omp(np.zeros(20), a, max_atoms=5), np.zeros(40))
+        codec = CsCodec(gaussian_phi(stream(62, 0), 20, 40), basis="identity", max_atoms=5)
+        assert np.array_equal(omp(np.zeros(20), codec), np.zeros(40))
 
     def test_single_atom_exact(self):
-        a = gaussian_phi(Rng(63, 0), 30, 60)
+        codec = CsCodec(gaussian_phi(stream(63, 0), 30, 60), basis="identity", max_atoms=5, residual_tol=1e-12)
         x = np.zeros(60)
         x[7] = 3.0
-        got = omp(a @ x, a, max_atoms=5, residual_tol=1e-12)
+        got = omp(codec.phi @ x, codec)
         assert np.abs(got - x).max() < 1e-10
 
     def test_noiseless_sparse_recovery(self):
-        a = gaussian_phi(Rng(64, 0), 480, 600)
-        gram = a.T @ a
+        codec = CsCodec(gaussian_phi(stream(64, 0), 480, 600), basis="identity", max_atoms=10, residual_tol=1e-10)
         failures = 0
         for t in range(100):
-            rng = Rng(65, t)
+            rng = stream(65, t)
             x = np.zeros(600)
-            idx = rng.generator.choice(600, 10, replace=False)
+            idx = rng.choice(600, 10, replace=False)
             x[idx] = rng.standard_normal(10)
-            got = omp(a @ x, a, max_atoms=10, residual_tol=1e-10, gram=gram)
+            got = omp(codec.phi @ x, codec)
             if np.abs(got - x).max() >= 1e-8:
                 failures += 1
         assert failures <= 1
 
-    def test_gram_and_direct_paths_agree(self):
-        a = gaussian_phi(Rng(66, 0), 40, 80)
-        rng = Rng(67, 0)
-        x = np.zeros(80)
-        x[[3, 40, 77]] = rng.standard_normal(3)
-        y = a @ x + 1e-3 * rng.standard_normal(40)
-        with_gram = omp(y, a, max_atoms=6, gram=a.T @ a)
-        without = omp(y, a, max_atoms=6)
-        assert np.allclose(with_gram, without, atol=1e-12)
-
     def test_complex_coefficients_real_dictionary(self):
-        a = gaussian_phi(Rng(68, 0), 40, 80)
+        codec = CsCodec(gaussian_phi(stream(68, 0), 40, 80), basis="identity", max_atoms=4, residual_tol=1e-12)
         x = np.zeros(80, dtype=complex)
         x[[5, 50]] = [2.0 + 1.0j, -0.5j]
-        got = omp(a @ x, a, max_atoms=4, residual_tol=1e-12)
+        got = omp(codec.phi @ x, codec)
         assert np.abs(got - x).max() < 1e-10
 
     def test_residual_monotone_and_support_unique(self):
-        a = gaussian_phi(Rng(69, 0), 60, 120)
-        y = Rng(70, 0).standard_normal(60)  # generic dense target
+        a = gaussian_phi(stream(69, 0), 60, 120)
+        y = stream(70, 0).standard_normal(60)  # generic dense target
         out = sparse._batch_omp(y[None], a, a.T @ a, 30, 0.0)
         support = out.support[0, : out.count[0]].tolist()
         res = np.sqrt(out.res2[0, : out.count[0] + 1]).tolist()
@@ -205,39 +202,31 @@ class TestOmp:
 
     def test_orthogonal_target_breaks_down(self):
         # atoms span only the first two coordinates; y sits in the third
-        a = np.zeros((3, 2))
-        a[0, 0] = 1.0
-        a[1, 1] = 1.0
-        y = np.array([0.0, 0.0, 1.0])
+        phi = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [0.0, 0.0, 0.0]])
+        codec = CsCodec(phi, basis="identity", max_atoms=2, residual_tol=0.0)
         with pytest.raises(RecoveryError) as err:
-            omp(y, a, max_atoms=2, residual_tol=0.0)
-        assert err.value.partial.shape == (2,)
-
-    def test_zero_column_rejected(self):
-        a = np.eye(3)
-        a[:, 1] = 0.0
-        with pytest.raises(ValueError):
-            omp(np.ones(3), a, max_atoms=2)
+            omp(np.array([0.0, 0.0, 1.0]), codec)
+        assert err.value.partial.shape == (3,)
 
 
 class TestReconstructRaw:
     def _codec(self):
-        return CsCodec(gaussian_phi(Rng(71, 0), 480, 600), basis="dct", max_atoms=60, residual_tol=1e-10)
+        return CsCodec(gaussian_phi(stream(71, 0), 480, 600), basis="dct", max_atoms=60, residual_tol=1e-10)
 
     def test_sparse_in_basis_roundtrip(self):
         codec = self._codec()
-        rng = Rng(72, 0)
+        rng = stream(72, 0)
         coeffs = np.zeros(600)
-        coeffs[rng.generator.choice(600, 20, replace=False)] = rng.standard_normal(20)
+        coeffs[rng.choice(600, 20, replace=False)] = rng.standard_normal(20)
         z = codec.psi.T @ coeffs  # exactly 20-sparse in the DCT domain
         z_hat = reconstruct_raw(compress(z, codec), codec)
         assert np.linalg.norm(z_hat - z) < 1e-8
 
     def test_error_hook(self):
         codec = self._codec()
-        rng = Rng(73, 0)
+        rng = stream(73, 0)
         coeffs = np.zeros(600)
-        coeffs[rng.generator.choice(600, 5, replace=False)] = rng.standard_normal(5)
+        coeffs[rng.choice(600, 5, replace=False)] = rng.standard_normal(5)
         z = codec.psi.T @ coeffs
         z_hat = reconstruct_raw(compress(z, codec), codec)
         err = np.sum(np.abs(z_hat - z) ** 2, axis=-1)
@@ -246,13 +235,13 @@ class TestReconstructRaw:
     def test_degenerate_identity_roundtrip(self):
         # square invertible projection in test mode: recovery is exact
         codec = CsCodec(np.eye(24), basis="identity", max_atoms=24, residual_tol=1e-12)
-        z = sample_complex_gaussian(Rng(74, 0), 24, 1.0)
+        z = sample_complex_gaussian(stream(74, 0), 24, 1.0)
         z_hat = reconstruct_raw(compress(z, codec), codec)
         assert np.abs(z_hat - z).max() < 1e-10
 
     def test_block_matches_single_reports(self):
         codec = self._codec()
-        block = sample_complex_gaussian(Rng(79, 0), 2 * 600, 1.0).reshape(2, 600)
+        block = sample_complex_gaussian(stream(79, 0), 2 * 600, 1.0).reshape(2, 600)
         z_hat = reconstruct_raw(compress(block, codec), codec)
         err = np.sum(np.abs(z_hat - block) ** 2, axis=-1)
         assert z_hat.shape == (2, 600) and err.shape == (2,)
@@ -264,7 +253,7 @@ class TestReconstructRaw:
 
     def test_codec_mismatch_rejected(self):
         codec = self._codec()
-        other = CsCodec(gaussian_phi(Rng(75, 0), 470, 600), basis="dct")
+        other = CsCodec(gaussian_phi(stream(75, 0), 470, 600), basis="dct")
         report = compress(np.zeros(600), codec)
         with pytest.raises(ValueError, match="trailing length 470"):
             reconstruct_raw(report, other)
@@ -272,7 +261,7 @@ class TestReconstructRaw:
 
 class TestReconstructDecisions:
     def _codec(self):
-        return CsCodec(gaussian_phi(Rng(76, 0), 70, 100), basis="identity", max_atoms=35)
+        return CsCodec(gaussian_phi(stream(76, 0), 70, 100), basis="identity", max_atoms=35)
 
     def test_all_zeros(self):
         codec = self._codec()
@@ -283,9 +272,9 @@ class TestReconstructDecisions:
         codec = self._codec()
         failures = 0
         for t in range(100):
-            rng = Rng(77, t)
+            rng = stream(77, t)
             u = np.zeros(100)
-            u[rng.generator.choice(100, 3, replace=False)] = 1.0
+            u[rng.choice(100, 3, replace=False)] = 1.0
             got = reconstruct_decisions(compress(u, codec), codec)
             failures += not np.array_equal(got, u.astype(np.int64))
         assert failures <= 5
@@ -307,7 +296,7 @@ class TestReconstructDecisions:
             assert np.array_equal(row, reconstruct_decisions(compress(want, codec), codec))
 
     def test_requires_identity_basis(self):
-        codec = CsCodec(gaussian_phi(Rng(78, 0), 70, 100), basis="dct", max_atoms=35)
+        codec = CsCodec(gaussian_phi(stream(78, 0), 70, 100), basis="dct", max_atoms=35)
         report = compress(np.zeros(100), codec)
         with pytest.raises(ValueError):
             reconstruct_decisions(report, codec)
@@ -318,7 +307,7 @@ class TestCorrelationHelpsCompression:
         # paired draws: only the node-correlation differs between runs
         from cirauth.channel import ChannelConfig, measure_block, noise_variance
 
-        codec = CsCodec(gaussian_phi(Rng(79, 0), 480, 600), basis="dct", max_atoms=60)
+        codec = CsCodec(gaussian_phi(stream(79, 0), 480, 600), basis="dct", max_atoms=60)
         normals = standard_normal_rows(80, range(60), 6 * 100 * 6)
         means = []
         for rho in (0.1, 0.9):
@@ -337,7 +326,7 @@ class TestCorrelationHelpsCompression:
 def _exact_codec(basis: str) -> CsCodec:
     # 120 x 128 Gaussian projection, a 60-atom budget: OMP may pick a few
     # wrong atoms but then fits them a zero coefficient
-    return CsCodec(gaussian_phi(Rng(3, 0), 120, 128), basis=basis, max_atoms=60, residual_tol=1e-12)
+    return CsCodec(gaussian_phi(stream(3, 0), 120, 128), basis=basis, max_atoms=60, residual_tol=1e-12)
 
 
 class TestOmpExactRecovery:
@@ -353,13 +342,7 @@ class TestOmpExactRecovery:
         signs = data.draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=k, max_size=k), label="signs")
         coeffs = np.zeros(codec.n)
         coeffs[support] = np.multiply(signs, magnitudes)
-        got = omp(
-            codec.dictionary @ coeffs,
-            codec.dictionary,
-            max_atoms=codec.max_atoms,
-            residual_tol=codec.residual_tol,
-            gram=codec.gram,
-        )
+        got = omp(codec.dictionary @ coeffs, codec)
         assert set(np.flatnonzero(np.abs(got) > 1e-8)) == set(support)
         assert np.abs(got - coeffs).max() < 1e-8
         # the same report through the codec's synthesis
@@ -434,22 +417,22 @@ def _reference_omp(y, a, max_atoms, residual_tol=1e-6, gram=None):
 
 @lru_cache(maxsize=None)
 def _fig4_codec() -> CsCodec:
-    return CsCodec(gaussian_phi(Rng(81, 0), 480, 600), basis="dct", max_atoms=60)
+    return CsCodec(gaussian_phi(stream(81, 0), 480, 600), basis="dct", max_atoms=60)
 
 
 @lru_cache(maxsize=None)
 def _fig5_codec() -> CsCodec:
-    return CsCodec(gaussian_phi(Rng(76, 0), 70, 100), basis="identity", max_atoms=35)
+    return CsCodec(gaussian_phi(stream(76, 0), 70, 100), basis="identity", max_atoms=35)
 
 
 def _fig4_reports() -> np.ndarray:
     """Complex (5, 480) block: dense noise (twice), DCT-sparse plus noise, exactly sparse, zero."""
     codec = _fig4_codec()
-    rng = Rng(83, 0)
+    rng = stream(83, 0)
     coeffs = np.zeros(600, dtype=complex)
-    coeffs[rng.generator.choice(600, 12, replace=False)] = sample_complex_gaussian(rng, 12, 4.0)
+    coeffs[rng.choice(600, 12, replace=False)] = sample_complex_gaussian(rng, 12, 4.0)
     sparse_z = codec.psi.T @ coeffs
-    rows = [sample_complex_gaussian(Rng(82, i), 600, 1.0) for i in range(2)]
+    rows = [sample_complex_gaussian(stream(82, i), 600, 1.0) for i in range(2)]
     rows += [sparse_z + sample_complex_gaussian(rng, 600, 0.05**2), sparse_z, np.zeros(600, dtype=complex)]
     return compress(np.array(rows), codec)
 
@@ -458,7 +441,7 @@ def _fig5_reports() -> np.ndarray:
     """(8, 70) block of decision vectors with 0 to 100 of the 100 nodes firing."""
     u = np.zeros((8, 100))
     for i, ones in enumerate((0, 1, 3, 10, 20, 30, 60, 100)):
-        u[i, Rng(84, i).generator.choice(100, ones, replace=False)] = 1.0
+        u[i, stream(84, i).choice(100, ones, replace=False)] = 1.0
     return compress(u, _fig5_codec())
 
 
@@ -548,9 +531,9 @@ class TestBlockRowsIndependent:
             sparsity = data.draw(st.lists(st.integers(0, 40), min_size=len(seeds), max_size=len(seeds)), label="k")
             x = np.zeros((len(seeds), codec.n), dtype=complex)
             for i, (seed, k) in enumerate(zip(seeds, sparsity)):
-                rng = Rng(seed, 0)
+                rng = stream(seed, 0)
                 noise = sample_complex_gaussian(rng, codec.n, 1.0)
-                x[i, rng.generator.choice(codec.n, k, replace=False)] = 10.0  # 0 spikes: pure noise
+                x[i, rng.choice(codec.n, k, replace=False)] = 10.0  # 0 spikes: pure noise
                 x[i] += noise
         y = codec.phi @ x.T  # one report per column, computed once and shared by every recovery below
         block = np.ascontiguousarray(y.T)
@@ -581,9 +564,9 @@ def _report_block(draw, decisions: bool) -> np.ndarray:
     sparsity = draw(st.lists(st.integers(0, 80), min_size=len(seeds), max_size=len(seeds)), label="k")
     x = np.zeros((len(seeds), 600), dtype=complex)
     for i, (seed, k) in enumerate(zip(seeds, sparsity)):
-        rng = Rng(seed, 0)
+        rng = stream(seed, 0)
         coeffs = np.zeros(600, dtype=complex)
-        coeffs[rng.generator.choice(600, k, replace=False)] = sample_complex_gaussian(rng, k, 25.0)
+        coeffs[rng.choice(600, k, replace=False)] = sample_complex_gaussian(rng, k, 25.0)
         x[i] = _fig4_codec().psi.T @ coeffs + sample_complex_gaussian(rng, 600, 1.0)  # 0 atoms: pure noise
     return x
 
@@ -665,7 +648,7 @@ class TestDecisionRecoveryAtomCap:
                          label="(ones, seed) per row")
         x = np.zeros((len(rows), 100))
         for i, (ones, seed) in enumerate(rows):
-            x[i, Rng(seed, 0).generator.choice(100, ones, replace=False)] = 1.0
+            x[i, stream(seed, 0).choice(100, ones, replace=False)] = 1.0
         u = reconstruct_decisions(compress(x, codec), codec)
         assert np.all(u.sum(axis=1) <= max_atoms)
 
@@ -786,7 +769,7 @@ def _kernel_case(draw):
         seed = draw(st.integers(0, 2**32 - 1), label="seed")
         x = np.zeros((len(ones), 100))
         for i, k in enumerate(ones):
-            x[i, Rng(seed, i).generator.choice(100, k, replace=False)] = 1.0
+            x[i, stream(seed, i).choice(100, k, replace=False)] = 1.0
         ys, a, gram = compress(x, codec), codec.dictionary, codec.gram
         max_atoms = draw(st.sampled_from([codec.max_atoms, 1, 12, codec.m]), label="max_atoms")
     elif kind == "raw":  # fig4-shaped complex reports
