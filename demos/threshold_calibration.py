@@ -10,8 +10,9 @@ import math
 
 import numpy as np
 
-from cirauth import sample_complex_gaussian, solve_threshold, stream
+from cirauth import solve_threshold, stream
 from cirauth.detect import quadratic_statistic
+from cirauth.numerics import complex_from_normals
 
 L = 6
 TRIALS = 400_000
@@ -26,7 +27,7 @@ for alpha in (0.05, 0.01, 0.001):
     delta = solve_threshold(alpha, 2 * L)
     alarms = 0
     for c in range(TRIALS // CHUNK):
-        noise = sample_complex_gaussian(stream(2000 + c, int(alpha * 1e6)), CHUNK * L, 1.0)
+        noise = complex_from_normals(stream(2000 + c, int(alpha * 1e6)).standard_normal(2 * CHUNK * L))  # CN(0, 1)
         u = quadratic_statistic(noise.reshape(CHUNK, L), np.zeros(L), 1.0) > delta
         alarms += int(u.sum())
     emp = alarms / TRIALS

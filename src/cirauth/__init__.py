@@ -10,7 +10,6 @@ curves by Monte Carlo.
 from .numerics import (
     DecompositionError,
     cholesky,
-    sample_complex_gaussian,
     stream,
 )
 from .channel import (
@@ -21,7 +20,6 @@ from .channel import (
 from .detect import (
     FusionKind,
     FusionRule,
-    fuse,
     fused_pfa_analytic,
     solve_threshold,
 )
@@ -32,7 +30,6 @@ from .sparse import (
     dct_basis,
     gaussian_phi,
     identity_basis,
-    omp,
     reconstruct_decisions,
     reconstruct_raw,
 )
@@ -67,14 +64,11 @@ __all__ = [
     "dct_basis",
     "estimate_curves",
     "exp_correlation_matrix",
-    "fuse",
     "fused_pfa_analytic",
     "gaussian_phi",
     "identity_basis",
-    "omp",
     "reconstruct_decisions",
     "reconstruct_raw",
-    "sample_complex_gaussian",
     "snr_margin",
     "solve_threshold",
     "stack_columns",

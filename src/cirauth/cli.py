@@ -28,7 +28,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__, detect, numerics, simkit, sparse
-from .channel import ChannelConfig
+from .channel import ChannelConfig, exp_correlation_matrix, measure_block
 from .detect import FusionKind, FusionRule
 from .simkit import CsCodecConfig, Scenario, Scheme, Variant
 
@@ -355,43 +355,69 @@ def _selfchecks():
             got = detect.solve_threshold(alpha, 12)
             _expect(abs(got - want) < 5e-3, f"threshold({alpha})={got}, want {want}")
 
-    def cholesky_roundtrip():
-        rng = numerics.stream(1234, 0)
-        for k in range(5):
-            b = numerics.sample_complex_gaussian(rng, 36, 1.0).reshape(6, 6)
-            a = b @ b.conj().T
-            L = numerics.cholesky(a)
-            err = np.abs(L @ L.conj().T - a).max() / np.abs(a).max()
-            _expect(err < 1e-10, f"round-trip error {err}")
+    def cholesky_roundtrip():  # the node correlation's factor; rho = 1 is singular and takes the clamped path
+        for n in (10, 100):
+            for rho in (0.0, 0.9, 1.0):
+                r = exp_correlation_matrix(n, rho)
+                factor = numerics.cholesky(r)
+                err = np.abs(factor @ factor.T - r).max()
+                _expect(err < 1e-10, f"round-trip error {err} at n={n}, rho={rho}")
 
-    def omp_single_atom():
+    def omp_single_atom():  # a one-hot report through both reconstructions
         phi = sparse.gaussian_phi(numerics.stream(7, 0), 32, 64)
         codec = sparse.CsCodec(phi, basis="identity", max_atoms=4, residual_tol=1e-10)
         x = np.zeros(64)
-        x[17] = 3.0
-        coeffs = sparse.omp(codec.phi @ x, codec)
-        _expect(np.abs(coeffs - x).max() < 1e-10, "single-atom recovery")
+        x[17] = 1.0
+        y = sparse.compress(x, codec)
+        _expect(np.abs(sparse.reconstruct_raw(3.0 * y, codec) - 3.0 * x).max() < 1e-10, "single-atom recovery")
+        _expect(np.array_equal(sparse.reconstruct_decisions(y, codec), x), "single-atom decision recovery")
 
     def dct_orthonormal():
-        psi = sparse.dct_basis(32)
-        _expect(np.abs(psi @ psi.T - np.eye(32)).max() < 1e-12, "dct orthonormality")
+        for n in (32, 600):
+            psi = sparse.dct_basis(n)
+            _expect(np.abs(psi @ psi.T - np.eye(n)).max() < 1e-12, f"dct orthonormality at n={n}")
 
-    def fusion_identities():
-        for n in (3, 5):
-            for bits in range(2**n):
-                u = [(bits >> i) & 1 for i in range(n)]
-                u_or = detect.fuse(u, FusionRule(kind=FusionKind.OR))
-                u_maj = detect.fuse(u, FusionRule(kind=FusionKind.MAJORITY))
-                u_and = detect.fuse(u, FusionRule(kind=FusionKind.AND))
-                _expect((not u_and or u_maj) and (not u_maj or u_or), "fusion dominance")
+    def fusion_identities():  # the vote-count cutoffs on every pattern: AND alarm => majority alarm => OR alarm
+        for n in range(1, 13):
+            u = (np.arange(2**n)[:, None] >> np.arange(n)) & 1
+            alarm_and, alarm_maj, alarm_or = (
+                u[:, :voters].sum(1) > k
+                for voters, k in (FusionRule(kind=kind).cutoff(n) for kind in ("and", "majority", "or"))
+            )
+            _expect(alarm_maj[alarm_and].all() and alarm_or[alarm_maj].all(), f"fusion dominance at n={n}")
 
-    def rng_determinism():
-        a = numerics.sample_complex_gaussian(numerics.stream(5, 9), 16, 1.0)
-        b = numerics.sample_complex_gaussian(numerics.stream(5, 9), 16, 1.0)
-        _expect(np.array_equal(a, b), "rng reproducibility")
+    def rng_determinism():  # row i of a trial block is stream i's draw
+        ids = [9, 0, 1 << 33, (1 << 64) - 1]
+        for row, i in zip(numerics.standard_normal_rows(5, ids, 60), ids):
+            _expect(row.tobytes() == numerics.stream(5, i).standard_normal(60).tobytes(), f"stream {i}")
+
+    def block_rows_exact():  # a run's counts are independent of its blocks and workers only if these hold
+        def rows_exact(name, block, rows):
+            _expect(all(a.tobytes() == b.tobytes() for a, b in zip(block, rows)), f"{name} rows differ by block")
+
+        for preset in ("fig2", "fig4", "fig5"):
+            run = build_run(parse_config(*load_config_file(preset)))
+            cfg, t = run.scenario.channel, 5
+            normals = numerics.standard_normal_rows(run.scenario.seed, range(t), 6 * cfg.n_nodes * cfg.n_taps)
+            eve, sigma2 = np.arange(t) % 2 == 0, np.logspace(-1, 1, t)
+            h, z = measure_block(normals, cfg, eve, sigma2)
+            h_one, z_one = zip(*(measure_block(normals[i : i + 1], cfg, eve[i : i + 1], sigma2[i : i + 1])
+                                 for i in range(t)))
+            rows_exact("measure_block", (*h, *z), (*h_one, *z_one))
+            if not run.scenario.scheme.compressed:
+                continue
+            codec = simkit.scenario_codec(run.scenario)
+            reports, recover = z, sparse.reconstruct_raw
+            if run.scenario.scheme.local:  # the nodes' decisions at the preset's threshold
+                shape = (t, cfg.n_nodes, cfg.n_taps)
+                stat = detect.quadratic_statistic(z.reshape(shape), h.reshape(shape), 1.0 / sigma2[:, None, None])
+                reports, recover = (stat > run.variants[0].threshold).astype(float), sparse.reconstruct_decisions
+            y = sparse.compress(reports, codec)
+            rows_exact("compress", y, [sparse.compress(row, codec) for row in reports])
+            rows_exact(recover.__name__, recover(y, codec), [recover(row, codec) for row in y])
 
     return [threshold_roundtrip, threshold_table, cholesky_roundtrip, omp_single_atom, dct_orthonormal,
-            fusion_identities, rng_determinism]
+            fusion_identities, rng_determinism, block_rows_exact]
 
 
 def cmd_selfcheck(args) -> int:

@@ -20,7 +20,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -92,23 +91,6 @@ def quadratic_statistic(z: np.ndarray, h_ref: np.ndarray, scale: np.ndarray | fl
         raise ValueError("quadratic form has a non-negligible imaginary part")
     stat = 2.0 * np.maximum(np.real(q), 0.0)
     return stat[()] if np.ndim(stat) == 0 else stat
-
-
-def fuse(u_star: Sequence[int] | np.ndarray, rule: FusionRule) -> bool:
-    """Combine per-node binary decisions into the fusion-center verdict.
-
-    H1 iff more than k of the first ``voters`` nodes fired, for
-    ``(voters, k) = rule.cutoff(N)``, so all ties resolve to H0.
-    Leading batch axes are supported: shape (..., N) returns (...).
-    """
-    u = np.asarray(u_star)
-    if u.ndim == 0 or u.shape[-1] == 0:
-        raise ValueError("u_star must be a nonempty decision vector")
-    if not ((u == 0) | (u == 1)).all():
-        raise ValueError("u_star entries must be 0 or 1")
-    voters, k = rule.cutoff(u.shape[-1])
-    out = u[..., :voters].sum(axis=-1) > k
-    return bool(out) if np.ndim(out) == 0 else out
 
 
 def fused_pfa_analytic(alpha_n: float, n: int, rule: FusionRule) -> float:

@@ -1,7 +1,8 @@
 """Numerical kernels shared by every other module.
 
 Counter-based random streams, circularly-symmetric complex Gaussian
-sampling, and the PSD Cholesky factorization the simulator needs.
+entries from standard normals, and the PSD Cholesky factorization the
+simulator needs.
 Everything here is a pure function of its inputs; a stream is numpy's
 ``Generator``, the only stateful object.
 :func:`standard_normal_rows` draws a block of per-trial streams at once
@@ -70,26 +71,17 @@ def standard_normal_rows(seed: int, stream_ids, width: int) -> np.ndarray:
 
 
 def complex_from_normals(parts: np.ndarray, variance: float = 1.0) -> np.ndarray:
-    """CN(0, variance) entries: the last axis' first half is real, its second half imaginary."""
+    """CN(0, variance) entries: the last axis' first half is real, its second half imaginary.
+
+    Each part is N(0, variance/2), the circularly-symmetric convention
+    where ``variance`` is E|x|^2.
+    """
     half = parts.shape[-1] // 2
     scale = math.sqrt(variance / 2.0)
     out = np.empty(parts.shape[:-1] + (half,), dtype=np.complex128)
     np.multiply(parts[..., :half], scale, out=out.real)
     np.multiply(parts[..., half:], scale, out=out.imag)
     return out
-
-
-def sample_complex_gaussian(rng: np.random.Generator, n: int, variance: float) -> np.ndarray:
-    """Draw ``n`` iid CN(0, variance) entries.
-
-    Real and imaginary parts are independent N(0, variance/2), i.e. the
-    circularly-symmetric convention where ``variance`` is E|x|^2.
-    """
-    if not 0 < variance < np.inf:
-        raise ValueError(f"variance must be positive, got {variance}")
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    return complex_from_normals(rng.standard_normal(2 * n), variance)
 
 
 def _require_hermitian(a: np.ndarray, rtol: float = 1e-12) -> np.ndarray:

@@ -320,7 +320,9 @@ def estimate_curves(
         plain = Scheme.FC_RAW if scenario.scheme is Scheme.FC_RAW_CS else Scheme.LOCAL_FUSION
         columns += [(plain, v.label + " no_cs") for v in variants]
     total = 2 * len(scenario.snr_grid_db) * scenario.trials
-    procs = min(workers, total, len(os.sched_getaffinity(0)))  # a pool forks all its workers at once
+    # a pool forks all its workers at once; os.sched_getaffinity exists only on Linux
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    procs = min(workers, total, cpus)
     bounds = [total * i // procs for i in range(procs + 1)]
     paths = (scenario.scheme.compressed,) + ((False,) if uncompressed_twin else ())
     tasks = [(scenario, *resolved, paths, lo, hi) for lo, hi in zip(bounds, bounds[1:])]

@@ -121,9 +121,6 @@ class CsCodec:
             raise ValueError(f"phi must be wide (M <= n), got {m}x{n}")
         self.basis = Basis(basis)
         psi = _BASIS_BUILDERS[self.basis](n)
-        err = np.abs(psi @ psi.conj().T - np.eye(n)).max()
-        if err > 1e-10:
-            raise ValueError(f"sparsifying basis is not orthonormal (error {err:.3g})")
         max_atoms = math.ceil(m / 8) if max_atoms is None else operator.index(max_atoms)
         if max_atoms < 1:
             raise ValueError(f"max_atoms must be positive, got {max_atoms}")
@@ -307,29 +304,16 @@ def _batch_omp(ys: np.ndarray, a: np.ndarray, gram: np.ndarray, max_atoms: int, 
     return _OmpResult(coeffs=coeffs, errors=errors, support=chosen, count=count, res2=history)
 
 
-def omp(y: np.ndarray, codec: CsCodec) -> np.ndarray:
-    """Greedy sparse recovery of the coefficients x from y ~= codec.dictionary @ x.
-
-    Repeatedly selects the atom with the largest norm-weighted correlation
-    |a_j^H r| / ||a_j|| against the residual, re-solves the least squares
-    over the selected support, and stops at ``codec.max_atoms`` atoms or
-    once ||r|| <= codec.residual_tol * ||y||.  This is the kernel behind
-    ``reconstruct_*``, without the basis synthesis; a (T, M) block gives
-    (T, n) coefficients.  Complex ``y`` gives complex coefficients;
-    selection uses correlation magnitudes.
-
-    Raises :class:`RecoveryError` (with a report's partial coefficients
-    attached) if the residual becomes orthogonal to every remaining atom
-    or the next atom is numerically dependent on the support, before
-    either stop fires.
-    """
-    return _recover(y, codec).coeffs.reshape(np.shape(y)[:-1] + (codec.n,))
-
-
 def _recover(y: np.ndarray, codec: CsCodec, keep_partial: bool = False) -> _OmpResult:
     """OMP of each distinct report (keyed by its bytes) once, copied to its duplicates.
 
-    ``keep_partial`` returns a breakdown's partial result instead of raising.
+    Each step selects the atom with the largest norm-weighted correlation
+    |a_j^H r| / ||a_j|| and re-solves the least squares over the support,
+    until ``codec.max_atoms`` atoms or ||r|| <= ``codec.residual_tol`` ||y||.
+    A report whose residual turns orthogonal to every remaining atom, or
+    whose next atom is numerically dependent on its support, breaks down
+    first: :class:`RecoveryError` carries its partial coefficients, unless
+    ``keep_partial`` returns them instead of raising.
     """
     if np.ndim(y) not in (1, 2) or np.shape(y)[-1] != codec.m:
         raise ValueError(f"y must have trailing length {codec.m}, got {np.shape(y)}")

@@ -1,0 +1,33 @@
+"""Reference code the tests hold the package against; pytest collects nothing here.
+
+``fuse`` is the per-vector fusion verdict the engine decided with before
+it tallied votes per block, kept frozen as the oracle of the engine's
+decisions.  ``complex_normals`` draws CN(0, variance) entries from a
+stream the way a trial's front end does, through ``complex_from_normals``.
+"""
+
+import numpy as np
+
+from cirauth.numerics import complex_from_normals
+
+
+def complex_normals(rng: np.random.Generator, n: int, variance: float = 1.0) -> np.ndarray:
+    """``n`` iid CN(0, variance) entries from the stream's next ``2 n`` standard normals."""
+    return complex_from_normals(rng.standard_normal(2 * n), variance)
+
+
+def fuse(u_star, rule) -> bool:
+    """Combine per-node binary decisions into the fusion-center verdict.
+
+    H1 iff more than k of the first ``voters`` nodes fired, for
+    ``(voters, k) = rule.cutoff(N)``, so all ties resolve to H0.
+    Leading batch axes are supported: shape (..., N) returns (...).
+    """
+    u = np.asarray(u_star)
+    if u.ndim == 0 or u.shape[-1] == 0:
+        raise ValueError("u_star must be a nonempty decision vector")
+    if not ((u == 0) | (u == 1)).all():
+        raise ValueError("u_star entries must be 0 or 1")
+    voters, k = rule.cutoff(u.shape[-1])
+    out = u[..., :voters].sum(axis=-1) > k
+    return bool(out) if np.ndim(out) == 0 else out

@@ -12,19 +12,20 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from cirauth import cli, simkit
+from cirauth import cli, simkit, sparse
 from cirauth.channel import ChannelConfig, measure_block, noise_variance
 from cirauth.detect import (
     FusionKind,
     FusionRule,
-    fuse,
     fused_pfa_analytic,
     quadratic_statistic,
     solve_threshold,
 )
-from cirauth.numerics import sample_complex_gaussian, standard_normal_rows, stream
+from cirauth.numerics import standard_normal_rows, stream
 from cirauth.simkit import Scheme, snr_margin
-from cirauth.sparse import CsCodec, compress, gaussian_phi, omp, reconstruct_raw
+from cirauth.sparse import CsCodec, compress, gaussian_phi, reconstruct_raw
+
+from oracles import complex_normals, fuse
 
 
 def _verdict(num: int, name: str, ok: bool, detail: str) -> None:
@@ -65,7 +66,7 @@ def test_02_local_false_alarm_calibration(capsys):
         delta = solve_threshold(alpha, 2 * n_taps)
         alarms = 0
         for c in range(trials // chunk):
-            noise = sample_complex_gaussian(stream(8100 + s, c), chunk * n_taps, sigma2)
+            noise = complex_normals(stream(8100 + s, c), chunk * n_taps, sigma2)
             u = quadratic_statistic(noise.reshape(chunk, n_taps), np.zeros(n_taps), 1.0 / sigma2) > delta
             alarms += int(u.sum())
         emp = alarms / trials
@@ -84,7 +85,7 @@ def test_03_fc_statistic_distribution(capsys):
     stats_all = []
     chunk = 10_000
     for c in range(trials // chunk):
-        v = sample_complex_gaussian(stream(8200, c), chunk * dim, sigma2).reshape(chunk, dim)
+        v = complex_normals(stream(8200, c), chunk * dim, sigma2).reshape(chunk, dim)
         stats_all.append(quadratic_statistic(v, np.zeros(dim), 1.0 / sigma2))
     sample = np.concatenate(stats_all)
     result = stats.kstest(sample, stats.chi2(2 * dim).cdf)
@@ -98,7 +99,7 @@ def test_04_fusion_identities(capsys):
     delta = solve_threshold(alpha, 12)
     counts = {FusionKind.OR: 0, FusionKind.MAJORITY: 0}
     for c in range(trials // chunk):
-        noise = sample_complex_gaussian(stream(8300, c), chunk * n * 6, 1.0).reshape(chunk, n, 6)
+        noise = complex_normals(stream(8300, c), chunk * n * 6, 1.0).reshape(chunk, n, 6)
         stat = 2.0 * np.sum(np.abs(noise) ** 2, axis=2)
         u = (stat > delta).astype(np.int64)
         for kind in counts:
@@ -167,7 +168,7 @@ def test_06_omp_recovery(capsys):
         support = rng.choice(n, k, replace=False)
         coeffs[support] = rng.standard_normal(k)
         y = codec.dictionary @ coeffs
-        got = omp(y, codec)
+        got = sparse._recover(y, codec).coeffs[0]
         support_ok = set(np.nonzero(got)[0]) == set(support)
         if not support_ok or np.abs(got - coeffs).max() >= 1e-8:
             failures += 1

@@ -15,7 +15,9 @@ from cirauth.channel import (
     stack_columns,
 )
 from cirauth.channel import _correlation_factor
-from cirauth.numerics import complex_from_normals, sample_complex_gaussian, standard_normal_rows, stream
+from cirauth.numerics import complex_from_normals, standard_normal_rows, stream
+
+from oracles import complex_normals
 
 
 class TestExpCorrelation:
@@ -75,8 +77,8 @@ class TestDrawChannel:
         # replay the draw stream by hand: alice's matrix comes first
         rng = stream(21, 0)
         scale = np.sqrt(cfg.pdp_array)[:, None]
-        h_alice = sample_complex_gaussian(rng, 15, 1.0).reshape(3, 5) * scale
-        h_eve = sample_complex_gaussian(rng, 15, 1.0).reshape(3, 5) * scale
+        h_alice = complex_normals(rng, 15, 1.0).reshape(3, 5) * scale
+        h_eve = complex_normals(rng, 15, 1.0).reshape(3, 5) * scale
         assert np.allclose(h_ab, h_alice, atol=1e-14)
         assert np.allclose(h_eb, h_eve, atol=1e-14)
 
@@ -129,7 +131,7 @@ class TestDrawChannel:
 
 class TestStacking:
     def test_roundtrip_exact(self):
-        h = sample_complex_gaussian(stream(27, 0), 12, 1.0).reshape(3, 4)
+        h = complex_normals(stream(27, 0), 12, 1.0).reshape(3, 4)
         assert np.array_equal(stack_columns(h).reshape(4, 3).T, h)
 
     def test_node_major_order(self):

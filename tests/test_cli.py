@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import os
 import re
 import subprocess
@@ -10,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cirauth
-from cirauth import cli, simkit
-from cirauth.detect import FusionKind, solve_threshold
+from cirauth import cli, numerics, simkit, sparse
+from cirauth.detect import FusionKind, FusionRule, solve_threshold
 from cirauth.cli import (
     ConfigError,
     PRESET_NAMES,
@@ -259,6 +261,11 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg), "--out", str(b), "--workers", "2"]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_workers_without_sched_getaffinity(self, tmp_path, monkeypatch):
+        # os.sched_getaffinity exists only on Linux; elsewhere the CPU count caps the pool
+        monkeypatch.delattr(os, "sched_getaffinity")
+        self.test_deterministic_across_workers(tmp_path)
+
     def test_seed_flag_overrides(self, tmp_path):
         cfg = tmp_path / "small.cfg"
         cfg.write_text(SMALL_CONFIG)
@@ -487,7 +494,7 @@ class TestSelfcheck:
         assert main(["selfcheck"]) == 0
         out = capsys.readouterr().out
         assert "FAIL" not in out
-        assert "7/7 checks passed" in out
+        assert "8/8 checks passed" in out
 
     def test_repeat_invocations_identical(self, capsys):
         main(["selfcheck"])
@@ -505,6 +512,55 @@ class TestSelfcheck:
         out = capsys.readouterr().out
         assert "FAIL threshold_roundtrip" in out or "FAIL threshold_table" in out
 
+    def test_broken_clamped_cholesky_detected(self, capsys, monkeypatch):
+        # positive-definite inputs factor as before; the singular rho = 1 matrix loses every column
+        def cholesky(a):
+            try:
+                return np.linalg.cholesky(a)
+            except np.linalg.LinAlgError:
+                return np.zeros_like(a)
+
+        monkeypatch.setattr(numerics, "cholesky", cholesky)
+        assert _selfcheck_failures(capsys)[0] == {"cholesky_roundtrip"}
+
+    def test_shifted_recovery_detected(self, capsys, monkeypatch):
+        real = sparse._batch_omp
+
+        def batch_omp(*args):  # every coefficient one atom to the right
+            res = real(*args)
+            return dataclasses.replace(res, coeffs=np.roll(res.coeffs, 1, axis=-1))
+
+        monkeypatch.setattr(sparse, "_batch_omp", batch_omp)
+        assert _selfcheck_failures(capsys)[0] == {"omp_single_atom"}
+
+    def test_swapped_cutoffs_detected(self, capsys, monkeypatch):
+        real, swap = FusionRule.cutoff, {FusionKind.AND: FusionKind.OR, FusionKind.OR: FusionKind.AND}
+        monkeypatch.setattr(FusionRule, "cutoff", lambda rule, n: real(FusionRule(swap.get(rule.kind, rule.kind)), n))
+        assert _selfcheck_failures(capsys)[0] == {"fusion_identities"}
+
+    def test_reordered_stream_rows_detected(self, capsys, monkeypatch):
+        real = numerics.standard_normal_rows
+        monkeypatch.setattr(numerics, "standard_normal_rows", lambda seed, ids, width: real(seed, list(ids)[::-1], width))
+        assert _selfcheck_failures(capsys)[0] == {"rng_determinism"}
+
+    @pytest.mark.parametrize("owner, name", [
+        (cli, "measure_block"), (sparse, "compress"), (sparse, "reconstruct_raw"), (sparse, "reconstruct_decisions"),
+    ])
+    def test_block_height_dependence_detected(self, capsys, monkeypatch, owner, name):
+        real = getattr(owner, name)
+
+        @functools.wraps(real)
+        def height_dependent(x, *args):  # a block's last output row moves; one-row calls are exact
+            out = real(x, *args)
+            if np.ndim(x) == 2 and len(x) > 1:
+                for part in out if isinstance(out, tuple) else (out,):
+                    part[-1] += 1
+            return out
+
+        monkeypatch.setattr(owner, name, height_dependent)
+        failed, out = _selfcheck_failures(capsys)
+        assert failed == {"block_rows_exact"} and f"FAIL block_rows_exact: {name} rows differ" in out
+
     def test_checks_hold_under_optimize(self):
         # python -O strips assert statements: the checks must still fail a perturbed quantile
         # and pass a clean build
@@ -513,7 +569,16 @@ class TestSelfcheck:
         assert "FAIL threshold_roundtrip" in perturbed.stdout
         clean = _run_fresh(["selfcheck"], flags=["-O"])
         assert clean.returncode == 0, clean.stdout + clean.stderr
-        assert "7/7 checks passed" in clean.stdout
+        assert "8/8 checks passed" in clean.stdout
+
+
+def _selfcheck_failures(capsys) -> tuple[set, str]:
+    """The names of the checks ``cirauth selfcheck`` fails, and its output; its exit code must say whether any did."""
+    rc = main(["selfcheck"])
+    out = capsys.readouterr().out
+    failed = {line.split()[1].rstrip(":") for line in out.splitlines() if line.startswith("FAIL ")}
+    assert rc == (1 if failed else 0)
+    return failed, out
 
 
 # Runs cli.main in a fresh interpreter, then lists the heavy modules it loaded.

@@ -7,16 +7,19 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from cirauth.channel import noise_variance
+from cirauth import simkit
+from cirauth.channel import ChannelConfig, noise_variance
 from cirauth.detect import (
     FusionKind,
     FusionRule,
-    fuse,
     fused_pfa_analytic,
     quadratic_statistic,
     solve_threshold,
 )
-from cirauth.numerics import sample_complex_gaussian, stream
+from cirauth.numerics import stream
+from cirauth.simkit import Scenario, Scheme, Variant
+
+from oracles import complex_normals
 
 
 class TestSolveThreshold:
@@ -58,7 +61,7 @@ class TestSolveThreshold:
 
 class TestFcStatistic:
     def test_zero_at_reference(self):
-        h = sample_complex_gaussian(stream(40, 0), 6, 1.0)
+        h = complex_normals(stream(40, 0), 6, 1.0)
         assert quadratic_statistic(h, h, 1.0) == 0.0
 
     def test_unit_vector_closed_form(self):
@@ -72,7 +75,7 @@ class TestFcStatistic:
         # H0: z - h is pure noise; doubled whitened energy averages 2NL
         n_taps, trials = 6, 20_000
         sigma2 = 0.37
-        draws = sample_complex_gaussian(stream(41, n_nodes), trials * n_nodes * n_taps, sigma2)
+        draws = complex_normals(stream(41, n_nodes), trials * n_nodes * n_taps, sigma2)
         z = draws.reshape(trials, n_nodes * n_taps)
         stat = quadratic_statistic(z, np.zeros(n_nodes * n_taps), 1.0 / sigma2)
         dof = 2 * n_nodes * n_taps
@@ -138,13 +141,13 @@ class TestNoiseScaling:
 
 class TestDecisions:
     def test_zero_deviation_accepts(self):
-        h = sample_complex_gaussian(stream(42, 0), 6, 1.0)
+        h = complex_normals(stream(42, 0), 6, 1.0)
         assert not quadratic_statistic(h, h, 1.0) > 26.2
 
     def test_batch_decisions_match_single_rows(self):
         rng = stream(43, 0)
-        z = sample_complex_gaussian(rng, 30, 1.0).reshape(5, 6)
-        h = sample_complex_gaussian(rng, 6, 1.0)
+        z = complex_normals(rng, 30, 1.0).reshape(5, 6)
+        h = complex_normals(rng, 6, 1.0)
         batch = quadratic_statistic(z, h, 1.0) > 9.0
         singles = [quadratic_statistic(z[i], h, 1.0) > 9.0 for i in range(5)]
         assert np.array_equal(batch, singles)
@@ -154,53 +157,74 @@ class TestDecisions:
         # smaller-scale twin of the acceptance criterion (10^5 vs 10^6 trials)
         n_taps, trials, sigma2 = 6, 100_000, 1.0
         delta = solve_threshold(alpha, 2 * n_taps)
-        noise = sample_complex_gaussian(stream(44, 0), trials * n_taps, sigma2)
+        noise = complex_normals(stream(44, 0), trials * n_taps, sigma2)
         u = quadratic_statistic(noise.reshape(trials, n_taps), np.zeros(n_taps), 1.0 / sigma2) > delta
         sig = math.sqrt(alpha * (1 - alpha) / trials)
         assert abs(u.mean() - alpha) < 5 * sig
 
 
+def _alarms(u, rule: FusionRule):
+    """``rule``'s H1 verdicts on decision vectors ``u`` (..., N), decided the way the engine decides a block.
+
+    Node n measures ``u[n]`` on one tap against a zero fingerprint, so its
+    statistic 2 u[n]^2 exceeds the threshold 1 exactly where it fired, and
+    the engine compares the block's vote tally with the rule's cutoff.
+    """
+    u = np.asarray(u)
+    n = u.shape[-1]
+    scenario = Scenario(Scheme.LOCAL_FUSION, ChannelConfig(n_nodes=n, n_taps=1), (0.0,), trials=1, seed=0)
+    z = u.reshape(-1, n).astype(float)
+    resolved = simkit._resolve(scenario, [Variant("v", 1.0, rule)])
+    decisions = simkit._block_decisions(scenario, *resolved, (False,), np.ones((len(z), 1)), np.zeros_like(z), z)
+    out = decisions[:, 0].reshape(u.shape[:-1])
+    return bool(out) if out.ndim == 0 else out
+
+
+def _patterns(n: int) -> np.ndarray:
+    """Every decision vector of ``n`` nodes, (2**n, n)."""
+    return (np.arange(2**n)[:, None] >> np.arange(n)) & 1
+
+
 class TestFusion:
+    """Each rule's vote-count cutoff, through the tally the engine decides with."""
+
     def test_or_and_majority_examples(self):
-        assert fuse([0, 0, 1], FusionRule(kind=FusionKind.OR)) is True
-        assert fuse([0, 0, 1], FusionRule(kind=FusionKind.AND)) is False
-        assert fuse([1, 1, 0, 0], FusionRule(kind=FusionKind.MAJORITY)) is False  # tie
+        assert _alarms([0, 0, 1], FusionRule(kind=FusionKind.OR)) is True
+        assert _alarms([0, 0, 1], FusionRule(kind=FusionKind.AND)) is False
+        assert _alarms([1, 1, 0, 0], FusionRule(kind=FusionKind.MAJORITY)) is False  # tie
 
     def test_weighted_average_matches_majority_odd_n(self):
         rule_avg = FusionRule(kind=FusionKind.WEIGHTED_AVERAGE)
         rule_maj = FusionRule(kind=FusionKind.MAJORITY)
         for n in (3, 5, 7):
-            for bits in range(2**n):
-                u = [(bits >> i) & 1 for i in range(n)]
-                assert fuse(u, rule_avg) == fuse(u, rule_maj)
+            assert np.array_equal(_alarms(_patterns(n), rule_avg), _alarms(_patterns(n), rule_maj))
 
     def test_weighted_average_even_tie_accepts(self):
         rule = FusionRule(kind=FusionKind.WEIGHTED_AVERAGE)
-        assert fuse([1, 1, 0, 0], rule) is False
+        assert _alarms([1, 1, 0, 0], rule) is False
 
     def test_dominance_exhaustive(self):
         # OR fires whenever MAJORITY does, MAJORITY whenever AND does
         for n in range(1, 13):
-            for bits in range(2**n):
-                u = [(bits >> i) & 1 for i in range(n)]
-                d_or = fuse(u, FusionRule(kind=FusionKind.OR))
-                d_maj = fuse(u, FusionRule(kind=FusionKind.MAJORITY))
-                d_and = fuse(u, FusionRule(kind=FusionKind.AND))
-                assert (not d_and or d_maj) and (not d_maj or d_or)
+            u = _patterns(n)
+            d_or = _alarms(u, FusionRule(kind=FusionKind.OR))
+            d_maj = _alarms(u, FusionRule(kind=FusionKind.MAJORITY))
+            d_and = _alarms(u, FusionRule(kind=FusionKind.AND))
+            assert d_maj[d_and].all() and d_or[d_maj].all()
+            assert np.array_equal(d_or, u.any(-1)) and np.array_equal(d_and, u.all(-1))
 
     def test_weight_validation(self):
         with pytest.raises(ValueError):
             FusionRule(kind=FusionKind.MAJORITY, avg_threshold=1.5)
 
-    def test_empty_and_nonbinary_rejected(self):
-        with pytest.raises(ValueError):
-            fuse([], FusionRule(kind=FusionKind.OR))
-        with pytest.raises(ValueError):
-            fuse([0, 2], FusionRule(kind=FusionKind.OR))
+    def test_empty_rejected(self):
+        for kind in FusionKind:
+            with pytest.raises(ValueError, match="n must be positive"):
+                FusionRule(kind=kind).cutoff(0)
 
     def test_batch_axis(self):
         u = np.array([[0, 0, 1], [0, 0, 0]])
-        got = fuse(u, FusionRule(kind=FusionKind.OR))
+        got = _alarms(u, FusionRule(kind=FusionKind.OR))
         assert np.array_equal(got, [True, False])
 
     @pytest.mark.parametrize("t", [0.3, 0.5, 0.6, 0.7, 0.9])
@@ -208,17 +232,16 @@ class TestFusion:
         # the mean vote of c votes is c / n: every pattern with the same count decides alike,
         # and a mean vote equal to the threshold (7 of 10 at 0.7) accepts
         rule = FusionRule(kind=FusionKind.WEIGHTED_AVERAGE, avg_threshold=t)
-        bits = np.arange(2**10)[:, None]
-        u = ((bits >> np.arange(10)) & 1).astype(np.int64)
-        assert np.array_equal(fuse(u, rule), u.sum(-1) / 10 > t)
+        u = _patterns(10)
+        assert np.array_equal(_alarms(u, rule), u.sum(-1) / 10 > t)
         u = (stream(46, 0).random((4000, 100)) < np.linspace(0.05, 0.95, 4000)[:, None]).astype(np.int64)
-        assert np.array_equal(fuse(u, rule), u.sum(-1) / 100 > t)
+        assert np.array_equal(_alarms(u, rule), u.sum(-1) / 100 > t)
 
     def test_single_reports_node_zero(self):
         rule = FusionRule(kind=FusionKind.SINGLE)
-        assert fuse([1, 0, 0], rule) is True
-        assert fuse([0, 1, 1], rule) is False
-        assert np.array_equal(fuse(np.array([[1, 0], [0, 1]]), rule), [True, False])
+        assert _alarms([1, 0, 0], rule) is True
+        assert _alarms([0, 1, 1], rule) is False
+        assert np.array_equal(_alarms(np.array([[1, 0], [0, 1]]), rule), [True, False])
 
 
 class TestFusedPfaAnalytic:
@@ -310,7 +333,7 @@ class TestFusedPfaAnalytic:
         alpha, n, trials = 0.05, 7, 200_000
         gen = stream(45, 0)
         u = (gen.random((trials, n)) < alpha).astype(np.int64)
-        emp = fuse(u, FusionRule(kind=kind)).mean()
+        emp = _alarms(u, FusionRule(kind=kind)).mean()
         want = fused_pfa_analytic(alpha, n, FusionRule(kind=kind))
         sig = math.sqrt(want * (1 - want) / trials)
         assert abs(emp - want) < 5 * sig

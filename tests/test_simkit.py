@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from cirauth import cli, simkit, sparse
 from cirauth.channel import ChannelConfig, measure_block, noise_variance
-from cirauth.detect import FusionKind, FusionRule, fuse, quadratic_statistic, solve_threshold
+from cirauth.detect import FusionKind, FusionRule, quadratic_statistic, solve_threshold
 from cirauth.numerics import standard_normal_rows
 from cirauth.simkit import (
     CsCodecConfig,
@@ -22,6 +22,8 @@ from cirauth.simkit import (
     snr_margin,
 )
 from cirauth.sparse import compress, reconstruct_decisions, reconstruct_raw
+
+from oracles import fuse
 
 CHANNEL = ChannelConfig(n_nodes=10, n_taps=6, rho=0.9, pdp=(1.0,) * 6, normalize_kronecker=False)
 
