@@ -70,14 +70,14 @@ def standard_normal_rows(seed: int, stream_ids, width: int) -> np.ndarray:
     return out
 
 
-def complex_from_normals(parts: np.ndarray, variance: float = 1.0) -> np.ndarray:
-    """CN(0, variance) entries: the last axis' first half is real, its second half imaginary.
+def complex_from_normals(parts: np.ndarray) -> np.ndarray:
+    """CN(0, 1) entries: the last axis' first half is real, its second half imaginary.
 
-    Each part is N(0, variance/2), the circularly-symmetric convention
-    where ``variance`` is E|x|^2.
+    Each part is N(0, 1/2), the circularly-symmetric convention where
+    E|x|^2 = 1.
     """
     half = parts.shape[-1] // 2
-    scale = math.sqrt(variance / 2.0)
+    scale = math.sqrt(0.5)
     out = np.empty(parts.shape[:-1] + (half,), dtype=np.complex128)
     np.multiply(parts[..., :half], scale, out=out.real)
     np.multiply(parts[..., half:], scale, out=out.imag)

@@ -129,7 +129,7 @@ class CsCodec:
         self.psi = psi
         self.max_atoms = max_atoms
         self.residual_tol = float(residual_tol)
-        self.dictionary = phi @ psi.conj().T
+        self.dictionary = phi @ psi.T
         self.gram = self.dictionary.conj().T @ self.dictionary
         if np.any(np.diagonal(self.gram) == 0):
             raise ValueError("dictionary contains a zero column")
@@ -171,7 +171,6 @@ class _OmpResult:
     errors: list  # (T,) None, or why the row broke down
     support: np.ndarray  # (T, budget) selected atoms in order; the first count[i] are valid
     count: np.ndarray  # (T,)
-    res2: np.ndarray  # (T, budget + 1) squared residual norm after each selection
 
 
 def _batch_omp(ys: np.ndarray, a: np.ndarray, gram: np.ndarray, max_atoms: int, residual_tol: float) -> _OmpResult:
@@ -187,14 +186,12 @@ def _batch_omp(ys: np.ndarray, a: np.ndarray, gram: np.ndarray, max_atoms: int, 
     residual are c = c0 - B^T z, the squared residual is ||y||^2 - |z|^2
     and the coefficients are L^-T z.
 
-    State is iteration-major: step k writes one contiguous slab of F, z,
-    the selections and |z|^2, and the residual history is derived from
-    |z|^2 when a row stops.  |z|^2 only grows, so that history never
-    rises and needs no runtime check.  Rows leave the active set on their
-    own stops or breakdowns.  A stopped row's slot is refilled from the
-    tail (swap-remove), so a stop copies only the filled slabs of the rows
-    that move; the live rows stay a contiguous prefix of every slab, but
-    not in their original order.
+    State is iteration-major: step k writes one contiguous slab of F, z
+    and the selections.  Rows leave the active set on their own stops or
+    breakdowns.  A stopped row's slot is refilled from the tail
+    (swap-remove), so a stop copies only the filled slabs of the rows that
+    move; the live rows stay a contiguous prefix of every slab, but not in
+    their original order.
     Every operation acts on one row at a time (elementwise, a reduction
     along a contiguous row, or one BLAS call per row), so a row's result
     does not depend on the rows recovered with it.
@@ -211,8 +208,6 @@ def _batch_omp(ys: np.ndarray, a: np.ndarray, gram: np.ndarray, max_atoms: int, 
     errors = [None] * t
     chosen = np.zeros((t, budget), dtype=np.intp)
     count = np.zeros(t, dtype=np.intp)
-    history = np.zeros((t, budget + 1))
-    history[:, 0] = ynorm2
 
     tol2 = residual_tol**2 * ynorm2
     rows = np.flatnonzero(ynorm2 > tol2)  # the active rows
@@ -227,7 +222,6 @@ def _batch_omp(ys: np.ndarray, a: np.ndarray, gram: np.ndarray, max_atoms: int, 
     f_flat, slabs = f.reshape(-1), np.arange(budget) * len(rows) * width  # flat offsets of the slabs
     z = np.zeros((budget, len(rows), p))
     js = np.zeros((budget, len(rows)), dtype=np.intp)
-    zzs = np.zeros((budget, len(rows)))
     sq, score, tmp = np.empty(c.shape), np.empty(weight.shape), np.empty((len(rows), 1, width))
     parts, ar = np.arange(p), np.arange(len(rows))
     row_n, row_c, row_f = ar * n, (ar[:, None] * p + parts) * n, ar * width + budget  # flat offsets of each slot
@@ -262,15 +256,12 @@ def _batch_omp(ys: np.ndarray, a: np.ndarray, gram: np.ndarray, max_atoms: int, 
         c -= sq
         z[k], js[k] = zk, j
         zz = zz + np.add.reduce(zk * zk, axis=1)
-        zzs[k] = zz
         weight.put(jn, 0.0)
         stop = broken | (yn2 - zz <= tol2) if k + 1 < budget else np.ones(len(rows), bool)
         if not np.logical_or.reduce(stop):
             continue
         ended = np.flatnonzero(stop)
-        r = rows[ended]
-        history[r, 1 : k + 2] = np.maximum(yn2[ended, None] - zzs[: k + 1, ended].T, 0.0)
-        chosen[r, : k + 1] = js[: k + 1, ended].T
+        chosen[rows[ended], : k + 1] = js[: k + 1, ended].T
         groups = ((ended, k + 1),)  # (rows, atoms kept): a broken row drops its dummy step k
         if np.logical_or.reduce(broken):
             for i in np.flatnonzero(broken):
@@ -295,13 +286,13 @@ def _batch_omp(ys: np.ndarray, a: np.ndarray, gram: np.ndarray, max_atoms: int, 
             for x in (rows, yn2, tol2, zz, c, weight):
                 x[holes] = x[movers]
             # slabs past k are set up at their own step, so only the filled ones move
-            for x in (f, z, js, zzs):
+            for x in (f, z, js):
                 x[: k + 1, holes] = x[: k + 1, movers]
         rows, yn2, tol2, zz, c, weight = (x[:na] for x in (rows, yn2, tol2, zz, c, weight))
-        f, z, js, zzs = (x[:, :na] for x in (f, z, js, zzs))
+        f, z, js = (x[:, :na] for x in (f, z, js))
         sq, score, tmp, row_n, row_c, row_f = (x[:na] for x in (sq, score, tmp, row_n, row_c, row_f))
     coeffs = coeffs[:, 0] + 1j * coeffs[:, 1] if complex_y else coeffs[:, 0]
-    return _OmpResult(coeffs=coeffs, errors=errors, support=chosen, count=count, res2=history)
+    return _OmpResult(coeffs=coeffs, errors=errors, support=chosen, count=count)
 
 
 def _recover(y: np.ndarray, codec: CsCodec, keep_partial: bool = False) -> _OmpResult:
@@ -322,7 +313,7 @@ def _recover(y: np.ndarray, codec: CsCodec, keep_partial: bool = False) -> _OmpR
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     res = _batch_omp(ys[first], codec.dictionary, codec.gram, codec.max_atoms, codec.residual_tol)
     res = _OmpResult(res.coeffs[inverse], [res.errors[i] for i in inverse],
-                     res.support[inverse], res.count[inverse], res.res2[inverse])
+                     res.support[inverse], res.count[inverse])
     if not keep_partial:
         for error, partial in zip(res.errors, res.coeffs):
             if error:

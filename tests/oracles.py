@@ -3,17 +3,22 @@
 ``fuse`` is the per-vector fusion verdict the engine decided with before
 it tallied votes per block, kept frozen as the oracle of the engine's
 decisions.  ``complex_normals`` draws CN(0, variance) entries from a
-stream the way a trial's front end does, through ``complex_from_normals``.
+stream the way a trial's front end does: at unit variance it equals
+``complex_from_normals`` of the same normals bit for bit.
 """
 
-import numpy as np
+import math
 
-from cirauth.numerics import complex_from_normals
+import numpy as np
 
 
 def complex_normals(rng: np.random.Generator, n: int, variance: float = 1.0) -> np.ndarray:
     """``n`` iid CN(0, variance) entries from the stream's next ``2 n`` standard normals."""
-    return complex_from_normals(rng.standard_normal(2 * n), variance)
+    parts, scale = rng.standard_normal(2 * n), math.sqrt(variance / 2.0)
+    out = np.empty(n, dtype=np.complex128)
+    np.multiply(parts[:n], scale, out=out.real)
+    np.multiply(parts[n:], scale, out=out.imag)
+    return out
 
 
 def fuse(u_star, rule) -> bool:

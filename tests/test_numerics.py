@@ -9,6 +9,7 @@ from scipy import stats
 from cirauth.numerics import (
     DecompositionError,
     cholesky,
+    complex_from_normals,
     standard_normal_rows,
     stream,
 )
@@ -72,12 +73,16 @@ class TestStandardNormalRows:
 
 
 class TestComplexGaussian:
-    """``complex_from_normals`` on a stream's normals, as a trial's front end feeds it."""
+    """The tests' ``complex_normals`` draws on a stream's normals, as a trial's front end feeds them."""
 
     def test_deterministic(self):
         a = complex_normals(stream(1, 0), 4, 1.0)
         b = complex_normals(stream(1, 0), 4, 1.0)
         assert np.array_equal(a, b)
+
+    def test_unit_variance_is_complex_from_normals(self):
+        got = complex_normals(stream(4, 0), 50, 1.0)
+        assert np.array_equal(got, complex_from_normals(stream(4, 0).standard_normal(100)))
 
     def test_moments(self):
         v = complex_normals(stream(2, 0), 100_000, 2.0)

@@ -192,13 +192,11 @@ class TestOmp:
         got = sparse._recover(codec.phi @ x, codec).coeffs[0]
         assert np.abs(got - x).max() < 1e-10
 
-    def test_residual_monotone_and_support_unique(self):
+    def test_dense_target_fills_budget_with_unique_support(self):
         a = gaussian_phi(stream(69, 0), 60, 120)
         y = stream(70, 0).standard_normal(60)  # generic dense target
         out = sparse._batch_omp(y[None], a, a.T @ a, 30, 0.0)
         support = out.support[0, : out.count[0]].tolist()
-        res = np.sqrt(out.res2[0, : out.count[0] + 1]).tolist()
-        assert all(b <= a_ + 1e-12 for a_, b in zip(res, res[1:]))
         assert len(set(support)) == len(support) == 30
 
     def test_orthogonal_target_breaks_down(self):
@@ -594,22 +592,16 @@ class TestBlockHeightExact:
             assert _same_bits(reconstruct_raw(y.copy(), codec), want)
 
 
-class TestOmpResidualInvariant:
-    """Every row's residual history never increases and its support never repeats an atom.
-
-    The kernel has no runtime no-decrease check: |z|^2 only grows, so the
-    residual max(||y||^2 - |z|^2, 0) cannot rise.  This holds it to that.
-    """
+class TestOmpSupportUnique:
+    """No row's support repeats an atom: a selected atom's weight drops to 0."""
 
     @settings(max_examples=30, deadline=None)
     @given(decisions=st.booleans(), data=st.data())
-    def test_history_non_increasing_support_unique(self, decisions, data):
+    def test_support_unique(self, decisions, data):
         codec = _fig5_codec() if decisions else _fig4_codec()
         ys = compress(data.draw(_report_block(decisions), label="block"), codec)
         res = sparse._batch_omp(ys, codec.dictionary, codec.gram, codec.max_atoms, codec.residual_tol)
         for i, k in enumerate(res.count):
-            history = res.res2[i, : k + 1]
-            assert np.all(history[1:] <= history[:-1]), f"row {i}: {history}"
             assert len(set(res.support[i, :k].tolist())) == k
 
 
@@ -631,7 +623,7 @@ class TestDistinctReportsOnce:
         for i, y in enumerate(base[picks]):
             alone = sparse._batch_omp(y[None], codec.dictionary, codec.gram, codec.max_atoms, codec.residual_tol)
             assert res.errors[i] == alone.errors[0]
-            for field in ("coeffs", "support", "count", "res2"):
+            for field in ("coeffs", "support", "count"):
                 assert _same_bits(getattr(res, field)[i], getattr(alone, field)[0]), (i, field)
 
 
@@ -670,8 +662,6 @@ def _ref_batch_omp(ys, a, gram, max_atoms, residual_tol):
     errors = [None] * t
     chosen = np.zeros((t, budget), dtype=np.intp)
     count = np.zeros(t, dtype=np.intp)
-    history = np.zeros((t, budget + 1))
-    history[:, 0] = ynorm2
 
     tol2 = residual_tol**2 * ynorm2
     rows = np.flatnonzero(ynorm2 > tol2)
@@ -684,7 +674,6 @@ def _ref_batch_omp(ys, a, gram, max_atoms, residual_tol):
     f_flat, slabs = f.reshape(-1), np.arange(budget) * len(rows) * width
     z = np.zeros((budget, len(rows), p))
     js = np.zeros((budget, len(rows)), dtype=np.intp)
-    zzs = np.zeros((budget, len(rows)))
     sq, score, tmp = np.empty(c.shape), np.empty(weight.shape), np.empty((len(rows), 1, width))
     parts, ar = np.arange(p), np.arange(0)
     for k in range(budget):
@@ -718,14 +707,12 @@ def _ref_batch_omp(ys, a, gram, max_atoms, residual_tol):
         c -= sq
         z[k], js[k] = zk, j
         zz = zz + np.add.reduce(zk * zk, axis=1)
-        zzs[k] = zz
         weight.put(jn, 0.0)
         stop = broken | (np.maximum(yn2 - zz, 0.0) <= tol2) if k + 1 < budget else np.ones(len(rows), bool)
         if not np.logical_or.reduce(stop):
             continue
         ended = np.flatnonzero(stop)
         r = rows[ended]
-        history[r, 1 : k + 2] = np.maximum(yn2[ended, None] - zzs[: k + 1, ended].T, 0.0)
         chosen[r, : k + 1] = js[: k + 1, ended].T
         groups = ((ended, k + 1),)
         if np.logical_or.reduce(broken):
@@ -745,12 +732,12 @@ def _ref_batch_omp(ys, a, gram, max_atoms, residual_tol):
         keep = ~stop
         rows, yn2, tol2, zz, c, weight = (x[keep] for x in (rows, yn2, tol2, zz, c, weight))
         na = len(rows)
-        for x in (f, z, js, zzs):
+        for x in (f, z, js):
             x[: k + 1, :na] = x[: k + 1, keep]
-        f, z, js, zzs = (x[:, :na] for x in (f, z, js, zzs))
+        f, z, js = (x[:, :na] for x in (f, z, js))
         sq, score, tmp = sq[:na], score[:na], tmp[:na]
     coeffs = coeffs[:, 0] + 1j * coeffs[:, 1] if complex_y else coeffs[:, 0]
-    return sparse._OmpResult(coeffs=coeffs, errors=errors, support=chosen, count=count, res2=history)
+    return sparse._OmpResult(coeffs=coeffs, errors=errors, support=chosen, count=count)
 
 
 def _padded_dependent_dictionary() -> np.ndarray:
@@ -803,5 +790,5 @@ class TestBatchOmpReference:
     def test_bit_identical(self, case):
         got, want = sparse._batch_omp(*case), _ref_batch_omp(*case)
         assert got.errors == want.errors
-        for field in ("coeffs", "support", "count", "res2"):
+        for field in ("coeffs", "support", "count"):
             assert _same_bits(getattr(got, field), getattr(want, field)), field
