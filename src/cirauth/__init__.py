@@ -7,11 +7,7 @@ compressed-sensing reporting channel, and estimates detection/false-alarm
 curves by Monte Carlo.
 """
 
-from .numerics import (
-    DecompositionError,
-    cholesky,
-    stream,
-)
+from .numerics import stream
 from .channel import (
     ChannelConfig,
     exp_correlation_matrix,
@@ -51,7 +47,6 @@ __all__ = [
     "CsCodec",
     "CsCodecConfig",
     "CurveComparisonError",
-    "DecompositionError",
     "DetectionCurve",
     "FusionKind",
     "FusionRule",
@@ -59,7 +54,6 @@ __all__ = [
     "Scenario",
     "Scheme",
     "Variant",
-    "cholesky",
     "compress",
     "dct_basis",
     "estimate_curves",

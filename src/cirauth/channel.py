@@ -4,10 +4,11 @@ Each transmitter (the legitimate "alice" or the intruder "eve") is seen by
 N sensor nodes through an L-tap multipath channel.  Per-node channels are
 drawn iid across taps with a configurable power delay profile and made
 correlated across nodes with the receive-side Kronecker construction: an
-iid L x N matrix right-multiplied by a square root of the exponential
-node-correlation matrix R (entries rho^|i-j|), optionally scaled by
-1/sqrt(tr R).  Measurements stack the per-node L-tap vectors node-major
-and add circularly-symmetric Gaussian estimation noise.
+iid L x N matrix right-multiplied by the transposed Cholesky factor of the
+exponential node-correlation matrix R (entries rho^|i-j|), optionally
+scaled by 1/sqrt(tr R).  R is an AR(1) covariance, so that factor has a
+closed form, rho = 1 included.  Measurements stack the per-node L-tap
+vectors node-major and add circularly-symmetric Gaussian estimation noise.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import numerics
 from .numerics import complex_from_normals
 
 
@@ -116,8 +116,16 @@ def exp_correlation_matrix(n: int, rho: float) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def _correlation_factor(n: int, rho: float) -> np.ndarray:
-    """Cached Cholesky factor of the node-correlation matrix."""
-    factor = numerics.cholesky(exp_correlation_matrix(n, rho))
+    """Cached lower Cholesky factor L of the node-correlation matrix, L @ L.T == R.
+
+    R = rho^|i-j| is the covariance of a unit-variance AR(1) sequence
+    x[i] = rho x[i-1] + sqrt(1 - rho^2) e[i], whose innovations give L in
+    closed form: L[i, 0] = rho^i and L[i, j] = rho^(i-j) sqrt(1 - rho^2)
+    for 0 < j <= i.  At rho = 1 (singular R) only the first column, all
+    ones, is nonzero.
+    """
+    factor = np.tril(exp_correlation_matrix(n, rho))
+    factor[:, 1:] *= math.sqrt((1.0 - rho) * (1.0 + rho))
     factor.setflags(write=False)
     return factor
 

@@ -27,7 +27,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import __version__, detect, numerics, simkit, sparse
+from . import __version__, channel, detect, numerics, simkit, sparse
 from .channel import ChannelConfig, exp_correlation_matrix, measure_block
 from .detect import FusionKind, FusionRule
 from .simkit import CsCodecConfig, Scenario, Scheme, Variant
@@ -355,13 +355,15 @@ def _selfchecks():
             got = detect.solve_threshold(alpha, 12)
             _expect(abs(got - want) < 5e-3, f"threshold({alpha})={got}, want {want}")
 
-    def cholesky_roundtrip():  # the node correlation's factor; rho = 1 is singular and takes the clamped path
+    def correlation_factor():  # the node correlation's closed-form factor; rho = 1 is singular
         for n in (10, 100):
             for rho in (0.0, 0.9, 1.0):
-                r = exp_correlation_matrix(n, rho)
-                factor = numerics.cholesky(r)
+                r, factor = exp_correlation_matrix(n, rho), channel._correlation_factor(n, rho)
                 err = np.abs(factor @ factor.T - r).max()
                 _expect(err < 1e-10, f"round-trip error {err} at n={n}, rho={rho}")
+                if rho != 0.9:  # exact: the identity, and a first column of ones with zeros elsewhere
+                    want = np.eye(n) if rho == 0.0 else np.eye(1, n).repeat(n, axis=0)
+                    _expect(np.array_equal(factor, want), f"inexact factor at n={n}, rho={rho}")
 
     def omp_single_atom():  # a one-hot report through both reconstructions
         phi = sparse.gaussian_phi(numerics.stream(7, 0), 32, 64)
@@ -416,7 +418,7 @@ def _selfchecks():
             rows_exact("compress", y, [sparse.compress(row, codec) for row in reports])
             rows_exact(recover.__name__, recover(y, codec), [recover(row, codec) for row in y])
 
-    return [threshold_roundtrip, threshold_table, cholesky_roundtrip, omp_single_atom, dct_orthonormal,
+    return [threshold_roundtrip, threshold_table, correlation_factor, omp_single_atom, dct_orthonormal,
             fusion_identities, rng_determinism, block_rows_exact]
 
 

@@ -80,16 +80,17 @@ def quadratic_statistic(z: np.ndarray, h_ref: np.ndarray, scale: np.ndarray | fl
     """Doubled whitened squared deviation 2 (z - h)^H Sigma^-1 (z - h).
 
     ``scale`` is the inverse noise variance 1/sigma2, per row or per node,
-    broadcast against ``z - h_ref``.  The sum runs over the trailing axis;
-    leading axes are a batch.  Under the null it is chi-squared with
-    2*(trailing length) degrees of freedom.
+    broadcast against ``z - h_ref``; it must be real, finite and positive.
+    The form is summed in real arithmetic, 2 sum (re^2 + im^2) scale, over
+    the trailing axis; leading axes are a batch.  Under the null it is
+    chi-squared with 2*(trailing length) degrees of freedom.
     """
+    scale = np.asarray(scale)
+    if np.iscomplexobj(scale) or not np.all((scale > 0.0) & (scale < math.inf)):  # else 0 or NaN: "accept"
+        raise ValueError("scale must be real, finite and positive")
     d = np.asarray(z) - np.asarray(h_ref)
-    q = (d.conj() * (d * scale)).sum(axis=-1)
-    q_im = np.abs(np.imag(q)) if np.iscomplexobj(q) else 0.0
-    if np.any(q_im > 1e-10 * np.maximum(1.0, np.abs(q))):
-        raise ValueError("quadratic form has a non-negligible imaginary part")
-    stat = 2.0 * np.maximum(np.real(q), 0.0)
+    re, im = d.real, d.imag  # scaled before squared: a small scale keeps a large deviation finite
+    stat = 2.0 * (re * (re * scale) + im * (im * scale)).sum(axis=-1)
     return stat[()] if np.ndim(stat) == 0 else stat
 
 

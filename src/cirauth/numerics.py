@@ -1,8 +1,7 @@
 """Numerical kernels shared by every other module.
 
-Counter-based random streams, circularly-symmetric complex Gaussian
-entries from standard normals, and the PSD Cholesky factorization the
-simulator needs.
+Counter-based random streams and circularly-symmetric complex Gaussian
+entries from standard normals.
 Everything here is a pure function of its inputs; a stream is numpy's
 ``Generator``, the only stateful object.
 :func:`standard_normal_rows` draws a block of per-trial streams at once
@@ -16,10 +15,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-
-class DecompositionError(ValueError):
-    """Matrix failed a factorization precondition (not Hermitian / not PSD)."""
 
 
 _U64 = 1 << 64
@@ -82,43 +77,3 @@ def complex_from_normals(parts: np.ndarray) -> np.ndarray:
     np.multiply(parts[..., :half], scale, out=out.real)
     np.multiply(parts[..., half:], scale, out=out.imag)
     return out
-
-
-def _require_hermitian(a: np.ndarray, rtol: float = 1e-12) -> np.ndarray:
-    a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DecompositionError(f"expected a square matrix, got shape {a.shape}")
-    scale = max(np.abs(a).max(), 1.0)
-    if np.abs(a - a.conj().T).max() > rtol * scale:
-        raise DecompositionError("matrix is not Hermitian within tolerance")
-    return a
-
-
-def cholesky(a: np.ndarray) -> np.ndarray:
-    """Lower-triangular L with ``L @ L.conj().T == a`` for Hermitian PSD ``a``.
-
-    Strictly positive-definite inputs go through LAPACK.  Semidefinite
-    inputs (pivots within ``1e-10 * max|a|`` of zero, such as the
-    rho = 1 node correlation) fall back to a clamped factorization:
-    non-positive pivots are set to zero together with the rest of their
-    column, which reproduces PSD inputs exactly up to roundoff.  Pivots
-    below ``-1e-10 * max|a|`` raise.
-    """
-    a = _require_hermitian(a)
-    try:
-        return np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
-        pass
-    n = a.shape[0]
-    tol = 1e-10 * max(np.abs(a).max(), 1.0)
-    L = np.zeros_like(a, dtype=np.result_type(a.dtype, np.float64))
-    for j in range(n):
-        col = a[j:, j] - L[j:, :j] @ L[j, :j].conj()
-        pivot = col[0].real
-        if pivot < -tol:
-            raise DecompositionError(f"matrix is indefinite (pivot {pivot:.3g} at index {j})")
-        if pivot <= tol:
-            continue  # semidefinite direction: pivot clamped to zero
-        L[j, j] = math.sqrt(pivot)
-        L[j + 1 :, j] = col[1:] / L[j, j]
-    return L

@@ -50,6 +50,20 @@ class TestExpCorrelation:
             exp_correlation_matrix(4, -0.1)
 
 
+class TestCorrelationFactor:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(1, 200),
+        rho=st.one_of(st.sampled_from([0.0, 1.0, 1.0 - 2.0**-52]), st.floats(0.0, 1.0)),
+    )
+    def test_closed_form_factors_r(self, n, rho):
+        factor, r = _correlation_factor(n, rho), exp_correlation_matrix(n, rho)
+        assert np.array_equal(factor, np.tril(factor))
+        assert np.abs(factor @ factor.T - r).max() <= 1e-13
+        if rho <= 0.99:  # away from singular R, where LAPACK's factor is well-conditioned
+            assert np.abs(factor - np.linalg.cholesky(r)).max() <= 1e-12
+
+
 class TestChannelConfig:
     def test_default_pdp_uniform_unit_energy(self):
         cfg = ChannelConfig(n_nodes=4, n_taps=6)

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cirauth
-from cirauth import cli, numerics, simkit, sparse
+from cirauth import channel, cli, numerics, simkit, sparse
 from cirauth.detect import FusionKind, FusionRule, solve_threshold
 from cirauth.cli import (
     ConfigError,
@@ -513,15 +513,10 @@ class TestSelfcheck:
         assert "FAIL threshold_roundtrip" in out or "FAIL threshold_table" in out
 
     def test_broken_clamped_cholesky_detected(self, capsys, monkeypatch):
-        # positive-definite inputs factor as before; the singular rho = 1 matrix loses every column
-        def cholesky(a):
-            try:
-                return np.linalg.cholesky(a)
-            except np.linalg.LinAlgError:
-                return np.zeros_like(a)
-
-        monkeypatch.setattr(numerics, "cholesky", cholesky)
-        assert _selfcheck_failures(capsys)[0] == {"cholesky_roundtrip"}
+        # positive-definite correlations factor as before; the singular rho = 1 one loses every column
+        real = channel._correlation_factor
+        monkeypatch.setattr(channel, "_correlation_factor", lambda n, rho: real(n, rho) * (rho < 1.0))
+        assert _selfcheck_failures(capsys)[0] == {"correlation_factor"}
 
     def test_shifted_recovery_detected(self, capsys, monkeypatch):
         real = sparse._batch_omp

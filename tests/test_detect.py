@@ -87,9 +87,11 @@ class TestFcStatistic:
             quadratic_statistic(np.zeros(4), np.zeros(5), 1.0)
 
     def test_non_hermitian_applier_rejected(self):
+        # complex, or not a finite positive 1/sigma2, whose statistic would read 0 or NaN: "accept"
         z = np.ones(2, dtype=complex)
-        with pytest.raises(ValueError):
-            quadratic_statistic(z, np.zeros(2), 1j)
+        for scale in (1j, np.nan, np.inf, 0.0, -1.0, np.array([[1.0], [np.nan]])):
+            with pytest.raises(ValueError):
+                quadratic_statistic(z, np.zeros(2), scale)
 
     def test_per_node_scale(self):
         # two nodes of two taps, sigma2 = 0.5 and 2: each node's doubled energy is scaled by its own 1/sigma2

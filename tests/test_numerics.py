@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from cirauth.numerics import (
-    DecompositionError,
-    cholesky,
     complex_from_normals,
     standard_normal_rows,
     stream,
@@ -107,45 +105,3 @@ class TestChi2:
         samples = 2.0 * np.sum(np.abs(draws) ** 2, axis=1)
         result = stats.kstest(samples, stats.chi2(2 * k).cdf)
         assert result.pvalue > 0.001
-
-
-class TestCholesky:
-    def test_identity(self):
-        assert np.array_equal(cholesky(np.eye(5)), np.eye(5))
-
-    def test_two_by_two_closed_form(self):
-        a = np.array([[1.0, 0.5], [0.5, 1.0]])
-        L = cholesky(a)
-        assert np.abs(L @ L.T - a).max() < 1e-12
-        assert L[0, 1] == 0.0
-
-    def test_construct_and_verify(self):
-        rng = stream(11, 0)
-        b = complex_normals(rng, 36, 1.0).reshape(6, 6)
-        a = b @ b.conj().T
-        L = cholesky(a)
-        assert np.abs(L @ L.conj().T - a).max() / np.abs(a).max() < 1e-10
-
-    def test_roundtrip_many_instances(self):
-        rng = stream(12, 0)
-        for k in range(100):
-            dim = 2 + k % 7
-            b = complex_normals(rng, dim * dim, 1.0).reshape(dim, dim)
-            a = b @ b.conj().T + 0.1 * np.eye(dim)
-            L = cholesky(a)
-            assert np.abs(L @ L.conj().T - a).max() / np.abs(a).max() < 1e-10
-
-    def test_semidefinite_clamped(self):
-        a = np.ones((5, 5))  # rank one, strictly semidefinite
-        L = cholesky(a)
-        assert np.abs(L @ L.T - a).max() < 1e-12
-        assert np.tril(L, -1)[1:, 1:].sum() == 0.0
-
-    def test_non_hermitian_rejected(self):
-        with pytest.raises(DecompositionError):
-            cholesky(np.array([[1.0, 0.2], [0.0, 1.0]]))
-
-    def test_indefinite_rejected(self):
-        with pytest.raises(DecompositionError):
-            cholesky(np.array([[1.0, 0.0], [0.0, -1.0]]))
-
