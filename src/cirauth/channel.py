@@ -8,7 +8,8 @@ iid L x N matrix right-multiplied by the transposed Cholesky factor of the
 exponential node-correlation matrix R (entries rho^|i-j|), optionally
 scaled by 1/sqrt(tr R).  R is an AR(1) covariance, so that factor has a
 closed form, rho = 1 included.  Measurements stack the per-node L-tap
-vectors node-major and add circularly-symmetric Gaussian estimation noise.
+vectors node-major and add circularly-symmetric Gaussian estimation noise,
+white with one variance per trial row.
 """
 
 from __future__ import annotations
@@ -62,37 +63,7 @@ class ChannelConfig:
         return np.asarray(self.pdp, dtype=np.float64)
 
 
-# Nothing in the engine uses this class and the package does not export
-# it: a block's rows carry their own noise variance.  It stays because
-# perfbench's tracer looks it up while it builds its patch list, and
-# crashes without it.
-@dataclass(frozen=True)
-class NoiseModel:
-    """White per-node measurement noise, Sigma_n = sigma2[n] * I.
-
-    Training is orthogonal and unit-energy, so the per-node SNR is
-    exactly 1/sigma2[n].
-    """
-
-    sigma2: tuple[float, ...]
-    n_taps: int
-
-    def __post_init__(self):
-        sigma2 = tuple(float(v) for v in self.sigma2)
-        if not sigma2:
-            raise ValueError("sigma2 must be nonempty")
-        if not all(0.0 < v < math.inf for v in sigma2):
-            raise ValueError("sigma2 entries must be finite and positive")
-        object.__setattr__(self, "sigma2", sigma2)
-
-    @classmethod
-    def from_snr_db(cls, snr_db: float, n_nodes: int, n_taps: int) -> "NoiseModel":
-        """Homogeneous noise with per-node SNR = 1/sigma2 set from dB."""
-        return cls(sigma2=(noise_variance(snr_db),) * n_nodes, n_taps=n_taps)
-
-    @property
-    def n_nodes(self) -> int:
-        return len(self.sigma2)
+NoiseModel = None  # perfbench/tracer.py dereferences this name while it builds its patch list
 
 
 def stack_columns(h: np.ndarray) -> np.ndarray:
@@ -154,14 +125,6 @@ def noise_variance(snr_db: float) -> float:
     return 10.0 ** (-snr_db / 10.0)
 
 
-def _noise_rows(normals: np.ndarray, sigma2: np.ndarray, n_taps: int) -> np.ndarray:
-    """Stacked noise rows (T, N*L) from (T, 2*N*L) normals; ``sigma2`` broadcasts to (T, N)."""
-    T, width = normals.shape
-    noise = complex_from_normals(normals).reshape(T, width // (2 * n_taps), n_taps)
-    noise *= np.sqrt(sigma2)[..., None]
-    return noise.reshape(T, width // 2)
-
-
 def measure_block(normals: np.ndarray, cfg: ChannelConfig, eve: np.ndarray, sigma2: np.ndarray):
     """Stacked alice channels and occupant measurements ``(h_ab, z)``, each (T, N*L).
 
@@ -171,6 +134,8 @@ def measure_block(normals: np.ndarray, cfg: ChannelConfig, eve: np.ndarray, sigm
     """
     k = 4 * cfg.n_taps * cfg.n_nodes
     h = stack_columns(channel_block(normals[:, :k], cfg))  # (T, 2, N*L): alice, eve
-    z = _noise_rows(normals[:, k:], np.asarray(sigma2)[:, None], cfg.n_taps)
+    z = complex_from_normals(normals[:, k:]).reshape(len(normals), cfg.n_nodes, cfg.n_taps)
+    z *= np.sqrt(np.asarray(sigma2))[:, None, None]
+    z = z.reshape(len(normals), cfg.n_nodes * cfg.n_taps)
     z += np.where(np.asarray(eve, dtype=bool)[:, None], h[:, 1], h[:, 0])
     return h[:, 0], z

@@ -272,7 +272,7 @@ def _csv_rows(curve) -> list[str]:
 
 
 def write_csv(path: str, curves: list, config_text: str, seed: int) -> None:
-    """Write curve rows atomically (temp file in the target dir + rename)."""
+    """Write curve rows atomically (temp file in the target's existing dir + rename)."""
     digest = hashlib.sha256(config_text.encode()).hexdigest()[:16]
     lines = [
         f"# cirauth {__version__}",
@@ -286,9 +286,7 @@ def write_csv(path: str, curves: list, config_text: str, seed: int) -> None:
             raise ValueError(f"curve identifiers must hold no comma or line break, got {curve.label!r}")
         lines += _csv_rows(curve)
     payload = "\n".join(lines) + "\n"
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".cirauth-", suffix=".tmp")
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".cirauth-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(payload)
@@ -308,6 +306,12 @@ def cmd_run(args) -> int:
         values["scenario.seed"] = args.seed
     values = apply_overrides(values, args.set or [])
     run = build_run(values)
+    try:  # before any trial runs: write_csv puts its temp file in this directory
+        os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
+    except (FileExistsError, NotADirectoryError):
+        raise ConfigError(f"--out {args.out}: a parent path is not a directory") from None
+    if os.path.isdir(args.out):
+        raise ConfigError(f"--out {args.out} is a directory")
     curves = simkit.estimate_curves(
         run.scenario, run.variants, workers=args.workers, uncompressed_twin=run.compare_uncompressed
     )

@@ -229,11 +229,8 @@ def _batch_omp(ys: np.ndarray, a: np.ndarray, gram: np.ndarray, max_atoms: int, 
         if not len(rows):
             break
         np.square(c, out=sq)
-        if p == 2:
-            np.add(sq[:, 0], sq[:, 1], out=score)
-            np.multiply(score, weight, out=score)
-        else:
-            np.multiply(sq[:, 0], weight, out=score)
+        np.add.reduce(sq, axis=1, out=score)
+        np.multiply(score, weight, out=score)
         j = score.argmax(axis=1)
         jn = row_n + j
         orthogonal = score.take(jn) <= 0.0

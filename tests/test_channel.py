@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from cirauth.channel import (
     ChannelConfig,
-    NoiseModel,
     channel_block,
     exp_correlation_matrix,
     measure_block,
@@ -155,17 +154,6 @@ class TestStacking:
     def test_batch_axes(self):
         h = np.arange(24.0).reshape(4, 2, 3)
         assert np.array_equal(stack_columns(h), np.stack([stack_columns(m) for m in h]))
-
-
-class TestNoiseModel:
-    def test_snr_definition(self):
-        nm = NoiseModel.from_snr_db(10.0, n_nodes=3, n_taps=2)
-        assert nm.sigma2 == (pytest.approx(0.1),) * 3
-
-    def test_invalid_sigma(self):
-        for bad in (0.0, float("nan"), float("inf")):
-            with pytest.raises(ValueError):
-                NoiseModel(sigma2=(bad,), n_taps=2)
 
 
 _MEASURE_CFG = ChannelConfig(n_nodes=4, n_taps=3, rho=0.5, normalize_kronecker=False)

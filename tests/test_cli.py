@@ -296,6 +296,26 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg), "--out", "/proc/nope/out.csv"]) == 1
         assert "runtime error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("target", ["dir", "file/x.csv", "file/sub/x.csv"])
+    def test_unusable_out_exit_2_before_any_trial(self, tmp_path, capsys, monkeypatch, target):
+        def no_trials(*args, **kwargs):
+            raise AssertionError("estimate_curves ran before --out was checked")
+
+        monkeypatch.setattr(simkit, "estimate_curves", no_trials)
+        (tmp_path / "dir").mkdir()
+        (tmp_path / "file").write_text("")
+        assert main(["run", "--config", "fig2", "--out", str(tmp_path / target)]) == 2
+        assert "error: --out" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "file"]
+        assert list((tmp_path / "dir").iterdir()) == []
+
+    def test_missing_out_directory_created(self, tmp_path):
+        cfg = tmp_path / "small.cfg"
+        cfg.write_text(SMALL_CONFIG)
+        out = tmp_path / "a" / "b" / "o.csv"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        assert out.read_text().startswith("# cirauth")
+
     @pytest.mark.parametrize(
         "preset, override",
         [

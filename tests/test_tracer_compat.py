@@ -2,7 +2,7 @@
 
 The tracer wraps names in ``cirauth``'s modules from outside ``src/``.  It
 skips a name that is gone, but it dereferences ``channel.NoiseModel`` while
-it builds its patch list, so deleting that class would crash every
+it builds its patch list, so deleting the placeholder would crash every
 ``perfbench/run.py --trace 1`` run.  This test imports the tracer as it is,
 runs one small preset under it (fig2, and fig5, whose run goes through
 ``sparse``), and checks that every attribute it patched is restored
