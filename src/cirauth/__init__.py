@@ -21,6 +21,7 @@ from .detect import (
 )
 from .sparse import (
     CsCodec,
+    CsCodecConfig,
     RecoveryError,
     compress,
     dct_basis,
@@ -31,7 +32,6 @@ from .sparse import (
 )
 from .simkit import (
     CurveComparisonError,
-    CsCodecConfig,
     DetectionCurve,
     Scenario,
     Scheme,

@@ -30,7 +30,8 @@ import numpy as np
 from . import __version__, channel, detect, numerics, simkit, sparse
 from .channel import ChannelConfig, exp_correlation_matrix, measure_block
 from .detect import FusionKind, FusionRule
-from .simkit import CsCodecConfig, Scenario, Scheme, Variant
+from .simkit import Scenario, Scheme, Variant
+from .sparse import CsCodecConfig
 
 PRESET_NAMES = ("fig2", "fig3", "fig4", "fig5")
 
@@ -301,17 +302,19 @@ def cmd_run(args) -> int:
     if args.workers < 1:
         raise ConfigError(f"--workers must be a positive integer, got {args.workers}")
     text, display = load_config_file(args.config)
-    values = parse_config(text, display)
-    if args.seed is not None:
-        values["scenario.seed"] = args.seed
-    values = apply_overrides(values, args.set or [])
-    run = build_run(values)
+    seed = [] if args.seed is None else [f"scenario.seed={args.seed}"]  # after --set, so the flag wins
+    run = build_run(apply_overrides(parse_config(text, display), (args.set or []) + seed))
     try:  # before any trial runs: write_csv puts its temp file in this directory
         os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
     except (FileExistsError, NotADirectoryError):
         raise ConfigError(f"--out {args.out}: a parent path is not a directory") from None
     if os.path.isdir(args.out):
         raise ConfigError(f"--out {args.out} is a directory")
+    if run.scenario.scheme is Scheme.LOCAL_FUSION_CS:  # a recovered decision vector has at most max_atoms ones
+        budget = simkit.scenario_codec(run.scenario).max_atoms
+        for v in run.variants:
+            if v.rule.cutoff(run.scenario.channel.n_nodes)[1] >= budget:
+                print(f"note: {v.label} is zero by construction: its rule needs over {budget} votes", file=sys.stderr)
     curves = simkit.estimate_curves(
         run.scenario, run.variants, workers=args.workers, uncompressed_twin=run.compare_uncompressed
     )
@@ -456,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--config", required=True,
                      help=f"config file path, or a bundled preset name {PRESET_NAMES}")
     run.add_argument("--out", required=True, help="output CSV path (written atomically)")
-    run.add_argument("--seed", type=int, default=None, help="override scenario.seed")
+    run.add_argument("--seed", type=int, default=None, help="override scenario.seed, also over --set")
     run.add_argument("--workers", type=int, default=1, help="worker processes, at most one per CPU and per trial")
     run.add_argument("--set", action="append", metavar="KEY=VALUE",
                      help="override a config key (repeatable)")

@@ -38,7 +38,7 @@ from . import detect, sparse
 from .channel import ChannelConfig, measure_block, noise_variance
 from .detect import FusionRule
 from .numerics import standard_normal_rows, stream
-from .sparse import Basis, CsCodec
+from .sparse import Basis, CsCodec, CsCodecConfig
 
 
 class CurveComparisonError(ValueError):
@@ -69,33 +69,10 @@ _MAX_TRIALS = 1 << 31
 _MAX_SNR_POINTS = 1 << 20
 # Bound on |SNR| in dB, inside which the noise variance and every stage after it stay finite.
 _MAX_ABS_SNR_DB = 1000.0
-# A block's height caps its standard normals (1 MiB) on an uncompressed
-# scheme, and on a CS scheme its Batch-OMP factor (reports x budget x
-# (budget + n) doubles, 11 MiB): 36 fig4 trials (60 x 660 each), 101 fig5
-# trials (3 x 35 x 135 each).  Counts depend on neither cap.
+# A block's height caps its standard normals (1 MiB) on an uncompressed scheme, and on a
+# CS scheme its reports to `sparse.batch_reports`: 36 fig4 trials, 101 fig5 trials of 3
+# reports.  Counts depend on neither cap.
 _BLOCK_NORMALS = 1 << 17
-_BATCH_FACTOR = 11 << 17
-
-
-@dataclass(frozen=True)
-class CsCodecConfig:
-    """Deterministic recipe for the scenario's compressed-sensing codec."""
-
-    m: int
-    basis: Basis = Basis.DCT
-    max_atoms: int | None = None
-    residual_tol: float = 1e-6
-
-    def __post_init__(self):
-        object.__setattr__(self, "basis", Basis(self.basis))
-        object.__setattr__(self, "m", operator.index(self.m))  # a float raises TypeError here, not mid-run
-        object.__setattr__(self, "max_atoms", None if self.max_atoms is None else operator.index(self.max_atoms))
-        if self.m < 1:
-            raise ValueError(f"m must be positive, got {self.m}")
-        if self.max_atoms is not None and not 1 <= self.max_atoms <= self.m:
-            # OMP places at most m independent atoms; past that it breaks down mid-run
-            raise ValueError(f"max_atoms must lie in [1, m={self.m}], got {self.max_atoms}")
-        sparse.check_residual_tol(self.residual_tol)
 
 
 @dataclass(frozen=True)
@@ -261,8 +238,8 @@ def _count_range(args) -> np.ndarray:
     Flat trial g = (2 s + h) * trials + t is trial t of hypothesis h (0:
     eve, 1: alice) at SNR index s; it owns stream (s << 33) | (eve << 32)
     | t and is counted in row 2 s + h.  The range runs in blocks of
-    near-equal height, under the ``_BATCH_FACTOR`` cap on a CS scheme
-    and the ``_BLOCK_NORMALS`` cap otherwise, and a block may span
+    near-equal height, under the ``sparse.batch_reports`` cap on a CS
+    scheme and the ``_BLOCK_NORMALS`` cap otherwise, and a block may span
     hypotheses and SNR points: every row carries its own occupant and
     noise variance.
     """
@@ -271,10 +248,8 @@ def _count_range(args) -> np.ndarray:
     sigma2 = np.array([noise_variance(snr) for snr in scenario.snr_grid_db])
     width = 6 * cfg.n_nodes * cfg.n_taps  # alice, eve, noise: 2NL normals each
     height = _BLOCK_NORMALS // width
-    if scenario.scheme.compressed:  # a trial's factor: reports x budget x (budget + n)
-        codec = scenario_codec(scenario)
-        budget = min(codec.max_atoms, codec.n)
-        height = _BATCH_FACTOR // ((len(levels) if scenario.scheme.local else 1) * budget * (budget + codec.n))
+    if scenario.scheme.compressed:  # a trial sends one report per level on a local scheme, one on an FC scheme
+        height = sparse.batch_reports(scenario_codec(scenario)) // (len(levels) if scenario.scheme.local else 1)
     n = hi - lo
     blocks = -(-n // max(1, height))
     counts = np.zeros((2 * len(sigma2), len(columns) * len(paths)), dtype=np.int64)

@@ -20,7 +20,8 @@ reports; the receiver already holds the codec.  OMP is one kernel call
 per block on its distinct reports only (a duplicate gets a copy of its
 twin's result), while projection and basis synthesis run one product per
 report (synthesis from the report's support only), so every row equals
-the one-report call bit for bit at any block height.
+the one-report call bit for bit at any block height.  `batch_reports`
+caps a call's height, and `CsCodecConfig` checks every codec's parameters.
 """
 
 from __future__ import annotations
@@ -46,14 +47,26 @@ class Basis(str, enum.Enum):
     IDENTITY = "identity"
 
 
-def check_residual_tol(residual_tol: float) -> None:
-    """Raise unless OMP's relative stop ``residual_tol`` lies in [0, 1).
+@dataclass(frozen=True)
+class CsCodecConfig:
+    """Deterministic recipe for the scenario's compressed-sensing codec."""
 
-    At 1 or more OMP would stop before its first atom, and far above 1 the
-    kernel's squared tolerance overflows.
-    """
-    if not 0.0 <= residual_tol < 1.0:
-        raise ValueError(f"residual_tol must lie in [0, 1), got {residual_tol}")
+    m: int
+    basis: Basis = Basis.DCT
+    max_atoms: int | None = None
+    residual_tol: float = 1e-6
+
+    def __post_init__(self):
+        object.__setattr__(self, "basis", Basis(self.basis))
+        object.__setattr__(self, "m", operator.index(self.m))  # a float raises TypeError here, not mid-run
+        object.__setattr__(self, "max_atoms", None if self.max_atoms is None else operator.index(self.max_atoms))
+        if self.m < 1:
+            raise ValueError(f"m must be positive, got {self.m}")
+        if self.max_atoms is not None and not 1 <= self.max_atoms <= self.m:
+            # OMP places at most m independent atoms; past that it breaks down mid-run
+            raise ValueError(f"max_atoms must lie in [1, m={self.m}], got {self.max_atoms}")
+        if not 0.0 <= self.residual_tol < 1.0:  # at 1 OMP stops before its first atom; far above, tol^2 overflows
+            raise ValueError(f"residual_tol must lie in [0, 1), got {self.residual_tol}")
 
 
 def gaussian_phi(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
@@ -95,10 +108,10 @@ _BASIS_BUILDERS = {
 
 
 class CsCodec:
-    """Measurement matrix + sparsifying basis + OMP stopping policy.
+    """Measurement matrix + sparsifying basis + OMP stopping policy, checked as a `CsCodecConfig`.
 
-    ``max_atoms`` defaults to ceil(M/8); recovery also stops once the
-    residual drops to ``residual_tol`` times ||y||, whichever comes first.
+    ``max_atoms`` (at most M) defaults to ceil(M/8); recovery also stops once
+    the residual drops to ``residual_tol`` times ||y||, whichever comes first.
     The OMP dictionary Phi Psi^H and its Gram matrix are precomputed so
     one codec can be shared across many Monte Carlo trials.
     """
@@ -119,17 +132,13 @@ class CsCodec:
         m, n = phi.shape
         if m > n:
             raise ValueError(f"phi must be wide (M <= n), got {m}x{n}")
-        self.basis = Basis(basis)
-        psi = _BASIS_BUILDERS[self.basis](n)
-        max_atoms = math.ceil(m / 8) if max_atoms is None else operator.index(max_atoms)
-        if max_atoms < 1:
-            raise ValueError(f"max_atoms must be positive, got {max_atoms}")
-        check_residual_tol(residual_tol)
+        cfg = CsCodecConfig(m, basis, max_atoms, residual_tol)
+        self.basis = cfg.basis
         self.phi = phi
-        self.psi = psi
-        self.max_atoms = max_atoms
+        self.psi = _BASIS_BUILDERS[self.basis](n)
+        self.max_atoms = math.ceil(m / 8) if cfg.max_atoms is None else cfg.max_atoms
         self.residual_tol = float(residual_tol)
-        self.dictionary = phi @ psi.T
+        self.dictionary = phi @ self.psi.T
         self.gram = self.dictionary.conj().T @ self.dictionary
         if np.any(np.diagonal(self.gram) == 0):
             raise ValueError("dictionary contains a zero column")
@@ -141,6 +150,14 @@ class CsCodec:
     @property
     def n(self) -> int:
         return self.phi.shape[1]
+
+
+_BATCH_FACTOR = 11 << 17  # doubles (11 MiB) of one Batch-OMP call's factor F
+
+
+def batch_reports(codec: CsCodec) -> int:
+    """Most reports whose factor F (budget x (budget + n) each) fits the cap: 36 on fig4, 305 on fig5."""
+    return _BATCH_FACTOR // (codec.max_atoms * (codec.max_atoms + codec.n))
 
 
 def _real_matmul(x: np.ndarray, a: np.ndarray) -> np.ndarray:

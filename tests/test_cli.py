@@ -273,6 +273,35 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg), "--out", str(out), "--seed", "99"]) == 0
         assert "# seed: 99" in out.read_text()
 
+    def test_seed_flag_wins_over_set(self, tmp_path):
+        cfg = tmp_path / "small.cfg"
+        cfg.write_text(SMALL_CONFIG)
+        both, flag = tmp_path / "both.csv", tmp_path / "flag.csv"
+        assert main(["run", "--config", str(cfg), "--out", str(both), "--seed", "5", "--set", "scenario.seed=9"]) == 0
+        assert main(["run", "--config", str(cfg), "--out", str(flag), "--seed", "5"]) == 0
+        assert both.read_text().splitlines()[2] == "# seed: 5"
+        assert both.read_bytes() == flag.read_bytes()
+
+    _MAJORITY = [f"delta_n={d} rule=majority" for d in ("39", "32.9", "26.2")]
+
+    @pytest.mark.parametrize("preset, overrides, noted", [
+        ("fig5", [], _MAJORITY),  # majority over 100 nodes needs 51 votes; recovery keeps at most 35 ones
+        ("fig5", ["detector.rules=single,and,or"], [f"delta_n={d} rule=and" for d in ("39", "32.9", "26.2")]),
+        ("fig5", ["cs.max_atoms=50"], _MAJORITY),
+        ("fig5", ["cs.max_atoms=51"], []),
+        ("fig2", [], []),
+        ("fig3", [], []),  # AND without compression can fire
+        ("fig4", [], []),
+    ])
+    def test_zero_by_construction_curves_noted(self, tmp_path, capsys, preset, overrides, noted):
+        out = tmp_path / "o.csv"
+        sets = [a for o in ["scenario.trials=1", "scenario.snr_db=0", *overrides] for a in ("--set", o)]
+        assert main(["run", "--config", preset, "--out", str(out), *sets]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert [re.fullmatch(r"note: (.*) is zero by construction: .*", line)[1] for line in err] == noted
+        rows = [line.split(",") for line in out.read_text().splitlines() if line.startswith("local_fusion_cs,")]
+        assert all(row[3] == row[5] == "0" for row in rows if row[1] in noted)
+
     def test_set_overrides_applied(self, tmp_path):
         cfg = tmp_path / "small.cfg"
         cfg.write_text(SMALL_CONFIG)

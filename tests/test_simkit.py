@@ -353,7 +353,7 @@ class TestEngineEquivalence:
     def test_counts_match_per_trial_oracle(self, case, monkeypatch):
         scenario, variants = _EQUIVALENCE_CASES[case]
         monkeypatch.setattr(simkit, "_BLOCK_NORMALS", _BLOCK_CAP)  # 23 trials end on a partial block
-        monkeypatch.setattr(simkit, "_BATCH_FACTOR", _BATCH_CAP)  # so do a CS scheme's
+        monkeypatch.setattr(sparse, "_BATCH_FACTOR", _BATCH_CAP)  # so do a CS scheme's
         twin = scenario.codec is not None
         curves = estimate_curves(scenario, variants, uncompressed_twin=twin)
         want_h1, want_h0 = _oracle_counts(scenario, variants)
@@ -374,20 +374,13 @@ class TestEngineEquivalence:
         twin = scenario.codec is not None
         one = estimate_curves(scenario, variants, workers=1, uncompressed_twin=twin)
         monkeypatch.setattr(simkit, "_BLOCK_NORMALS", 1)  # one trial per block
-        monkeypatch.setattr(simkit, "_BATCH_FACTOR", 0)  # on a CS scheme too
+        monkeypatch.setattr(sparse, "_BATCH_FACTOR", 0)  # on a CS scheme too
         assert estimate_curves(scenario, variants, workers=1, uncompressed_twin=twin) == one
         assert estimate_curves(scenario, variants, workers=2, uncompressed_twin=twin) == one
 
     def test_twin_requires_cs_scheme(self):
         with pytest.raises(ValueError):
             estimate_curves(fc_scenario(trials=1), FC, uncompressed_twin=True)
-
-
-def _trial_factor(scenario, levels):
-    """Batch-OMP factor of one trial's reports on a CS scenario: reports x budget x (budget + n)."""
-    codec = scenario_codec(scenario)
-    budget = min(codec.max_atoms, codec.n)
-    return (len(levels) if scenario.scheme.local else 1) * budget * (budget + codec.n)
 
 
 _PRESET_CHANNEL = ChannelConfig(n_nodes=100, n_taps=6, rho=0.9, pdp=(1.0,) * 6, normalize_kronecker=False)
@@ -422,14 +415,15 @@ class TestBlockSplitInvariance:
         blocks = -(-(hi - lo) // height)
         assume(all(lo + b * (hi - lo) // blocks != boundary for b in range(blocks)))
         task = (scenario, *resolved, (True, False), lo, hi)
-        with mock.patch.object(simkit, "_BATCH_FACTOR", height * _trial_factor(scenario, resolved[0])), \
+        reports = len(resolved[0]) if scenario.scheme.local else 1  # one per level on a local scheme
+        with mock.patch.object(sparse, "batch_reports", return_value=height * reports), \
                 mock.patch.object(simkit, "_block_decisions", wraps=simkit._block_decisions) as decide, \
                 mock.patch.object(simkit, "measure_block", wraps=simkit.measure_block) as spy:
             got = simkit._count_range(task)
         # some block mixes eve and alice rows and both SNR points (the grids' values differ)
         assert any(c.args[2].any() and not c.args[2].all() and len(set(c.args[3])) == 2 for c in spy.call_args_list)
         assert decide.call_count == blocks
-        with mock.patch.object(simkit, "_BATCH_FACTOR", 0):
+        with mock.patch.object(sparse, "_BATCH_FACTOR", 0):
             assert np.array_equal(got, simkit._count_range(task))  # one trial per block
 
     def test_rows_carry_occupant_and_variance(self):
@@ -459,7 +453,7 @@ class TestCountRange:
         hi = data.draw(st.integers(2 * trials + 1, 4 * trials), label="hi")
         height = data.draw(st.integers(1, hi - lo), label="trials per block")
         width = 6 * scenario.channel.n_nodes * scenario.channel.n_taps
-        factor = _trial_factor(scenario, resolved[0]) if compressed else 0
+        reports = len(resolved[0]) if scenario.scheme.local else 1  # one per level on a local scheme
         decisions, decide = [], simkit._block_decisions
 
         def spy(*args):
@@ -467,7 +461,7 @@ class TestCountRange:
             return decisions[-1]
 
         with mock.patch.object(simkit, "_BLOCK_NORMALS", height * width), \
-                mock.patch.object(simkit, "_BATCH_FACTOR", height * factor), \
+                mock.patch.object(sparse, "batch_reports", return_value=height * reports), \
                 mock.patch.object(simkit, "_block_decisions", spy):
             got = simkit._count_range((scenario, *resolved, paths, lo, hi))
         decided = np.concatenate(decisions)  # the flat trials in order, one row each
@@ -491,6 +485,11 @@ class TestRecoveryBatches:
         with mock.patch.object(sparse, "_batch_omp", wraps=sparse._batch_omp) as spy:
             assert cli.main(argv + [a for o in overrides for a in ("--set", o)]) == 0
         assert [len(c.args[0]) for c in spy.call_args_list] == rows_per_call
+
+    @pytest.mark.parametrize("preset, reports", [("fig4", 36), ("fig5", 305)])
+    def test_batch_reports_of_preset_codecs(self, preset, reports):
+        run = cli.build_run(cli.parse_config(*cli.load_config_file(preset)))
+        assert sparse.batch_reports(scenario_codec(run.scenario)) == reports
 
     def test_cs_block_height_from_factor_cap(self, tmp_path, capsys):
         # the factor cap fits 101 fig5 trials in a block (the normals cap 36), so 120 flat

@@ -140,6 +140,13 @@ class TestCsCodec:
             with pytest.raises(ValueError, match="residual_tol"):
                 CsCodec(phi, residual_tol=tol)
 
+    def test_budget_above_m_rejected(self):
+        # OMP places at most M independent atoms, so a larger budget could never be spent
+        phi = gaussian_phi(stream(61, 0), 30, 40)
+        assert CsCodec(phi, max_atoms=30).max_atoms == 30
+        with pytest.raises(ValueError, match=r"max_atoms must lie in \[1, m=30\], got 31"):
+            CsCodec(phi, max_atoms=31)
+
     @pytest.mark.parametrize(
         "entry, max_atoms, error",
         [(1j, 4, ValueError), (np.nan, 4, ValueError), (np.inf, 4, ValueError), (0.0, 2.7, TypeError)],
@@ -504,7 +511,7 @@ class TestBatchOmpEquivalence:
 
     def test_breakdown_raised_by_raw_kept_by_decisions(self):
         # three copies of e1: after one atom the residual e2 is orthogonal to the rest
-        codec = CsCodec(np.array([[1.0, 1.0, 1.0], [0.0, 0.0, 0.0]]), basis="identity", max_atoms=3)
+        codec = CsCodec(np.array([[1.0, 1.0, 1.0], [0.0, 0.0, 0.0]]), basis="identity", max_atoms=2)
         report = np.array([[2.0, 0.0], [1.0, 1.0]])
         with pytest.raises(RecoveryError, match="orthogonal") as err:
             reconstruct_raw(report, codec)
