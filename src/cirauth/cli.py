@@ -310,11 +310,10 @@ def cmd_run(args) -> int:
         raise ConfigError(f"--out {args.out}: a parent path is not a directory") from None
     if os.path.isdir(args.out):
         raise ConfigError(f"--out {args.out} is a directory")
-    if run.scenario.scheme is Scheme.LOCAL_FUSION_CS:  # a recovered decision vector has at most max_atoms ones
-        budget = simkit.scenario_codec(run.scenario).max_atoms
-        for v in run.variants:
-            if v.rule.cutoff(run.scenario.channel.n_nodes)[1] >= budget:
-                print(f"note: {v.label} is zero by construction: its rule needs over {budget} votes", file=sys.stderr)
+    for v in run.variants:
+        if simkit.zero_by_construction(run.scenario, v):
+            budget = simkit.scenario_codec(run.scenario).max_atoms
+            print(f"note: {v.label} is zero by construction: its rule needs over {budget} votes", file=sys.stderr)
     curves = simkit.estimate_curves(
         run.scenario, run.variants, workers=args.workers, uncompressed_twin=run.compare_uncompressed
     )

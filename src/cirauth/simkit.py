@@ -17,11 +17,12 @@ height under a fixed memory cap, so a block may span hypotheses and SNR
 points.  A block's substreams fill one (T, 6NL) array of normals, every
 later stage runs over a leading trial axis with each row's own occupant
 and noise variance (a CS scheme recovers the block's reports in one
-Batch-OMP call), and every stage is exact per row, so counts depend
-neither on the blocks nor on the worker count.  All detector variants
-(threshold sweeps, fusion rules) read the same block, and the paired
-"without CS" twin curves read its reports as measured; variants that
-share a threshold share its decisions.
+Batch-OMP call; on `local_fusion_cs`, only those of thresholds that some
+variant can read, see `zero_by_construction`), and every stage is exact
+per row, so counts depend neither on the blocks nor on the worker count.
+All detector variants (threshold sweeps, fusion rules) read the same
+block, and the paired "without CS" twin curves read its reports as
+measured; variants that share a threshold share its decisions.
 """
 
 from __future__ import annotations
@@ -179,15 +180,29 @@ def scenario_codec(scenario: Scenario) -> CsCodec:
     return _build_codec(scenario.seed, scenario.report_length, scenario.codec)
 
 
-def _resolve(scenario: Scenario, variants: list[Variant]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The distinct thresholds ``levels`` (D,) in first-occurrence order, and each variant's ``columns`` and ``cutoffs`` (V,).
+def zero_by_construction(scenario: Scenario, variant: Variant) -> bool:
+    """Whether the variant's curve on the scheme's own reports is 0 at every SNR and seed.
+
+    On `local_fusion_cs` a recovered decision vector holds at most
+    ``max_atoms`` ones (fewer after an OMP breakdown), so a rule that
+    needs more than ``max_atoms`` votes never fires; node 0's vote (cutoff
+    0) always can.  Every other scheme's curves can fire.
+    """
+    if scenario.scheme is not Scheme.LOCAL_FUSION_CS:
+        return False
+    return variant.rule.cutoff(scenario.channel.n_nodes)[1] >= scenario_codec(scenario).max_atoms
+
+
+def _resolve(scenario: Scenario, variants: list[Variant]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct thresholds ``levels`` (D,) in first-occurrence order, each variant's ``columns`` and ``cutoffs`` (V,), and ``live`` (D,).
 
     A threshold is the fusion center's, or the one all nodes share.  On an
     FC scheme a variant's column is its level's index.  On a local scheme
     it indexes a block's tally, the vote count at each level and then node
     0's vote at each level, and the variant declares H1 where its column
     of the tally exceeds its cutoff: ``(voters, k) = rule.cutoff(N)``
-    reads the count, or node 0's vote if ``voters`` is 1.
+    reads the count, or node 0's vote if ``voters`` is 1.  A level is
+    ``live`` if some variant reading it is not `zero_by_construction`.
     """
     labels = [v.label for v in variants]
     if not labels:
@@ -196,17 +211,19 @@ def _resolve(scenario: Scenario, variants: list[Variant]) -> tuple[np.ndarray, n
         raise ValueError(f"variant labels must be distinct, got {labels}")
     local, n = scenario.scheme.local, scenario.channel.n_nodes
     levels = list(dict.fromkeys(v.threshold for v in variants))
-    columns, cutoffs = [], []
+    columns, cutoffs, live = [], [], np.zeros(len(levels), dtype=bool)
     for v in variants:
         if local and v.rule is None:
             raise ValueError(f"variant {v.label!r} lacks a fusion rule")
         voters, k = v.rule.cutoff(n) if local else (n, 0)
-        columns.append(levels.index(v.threshold) + (len(levels) if voters < n else 0))
+        level = levels.index(v.threshold)
+        columns.append(level + (len(levels) if voters < n else 0))
         cutoffs.append(k)
-    return np.array(levels, dtype=float), np.array(columns), np.array(cutoffs)
+        live[level] |= not zero_by_construction(scenario, v)
+    return np.array(levels, dtype=float), np.array(columns), np.array(cutoffs), live
 
 
-def _block_decisions(scenario, levels, columns, cutoffs, paths, sigma2, h_ref, z) -> np.ndarray:
+def _block_decisions(scenario, levels, columns, cutoffs, live, paths, sigma2, h_ref, z) -> np.ndarray:
     """(T, V * len(paths)) H1-decisions of every variant on a block's stacked ``h_ref``/``z``, path by path.
 
     A True path sends the block's reports through the scenario's codec, a
@@ -214,7 +231,10 @@ def _block_decisions(scenario, levels, columns, cutoffs, paths, sigma2, h_ref, z
     noise variance.  Each report is compared with the D distinct
     ``levels`` once.  A local scheme then tallies each (T, D, N) plane of
     node decisions into (T, 2D) vote counts and node-0 votes, and
-    compares each variant's column of it with its cutoff.
+    compares each variant's column of it with its cutoff.  Only the
+    ``live`` levels' decision vectors cross the codec.  A dead level's
+    recovered plane is left all zeros: every variant reading it needs
+    more votes than a recovered vector holds, so it declares H0 either way.
     """
     codec = scenario_codec(scenario) if any(paths) else None
     scale = 1.0 / sigma2  # d / sigma2 divides complex by complex; d * scale differs only in signs of zero
@@ -226,8 +246,11 @@ def _block_decisions(scenario, levels, columns, cutoffs, paths, sigma2, h_ref, z
     stats_n = detect.quadratic_statistic(z.reshape(shape), h_ref.reshape(shape), scale[..., None])
     u = stats_n[:, None, :] > levels[:, None]  # (T, D, N)
     if codec is not None:
-        u_cs = sparse.reconstruct_decisions(sparse.compress(u.reshape(-1, n).astype(float), codec), codec)
-    planes = [u_cs.reshape(u.shape) if cs else u for cs in paths]
+        u_cs = np.zeros(u.shape, dtype=np.int64)
+        if live.any():  # else neither compress nor OMP runs
+            sent = u[:, live].reshape(-1, n).astype(float)
+            u_cs[:, live] = sparse.reconstruct_decisions(sparse.compress(sent, codec), codec).reshape(t, -1, n)
+    planes = [u_cs if cs else u for cs in paths]
     tallies = [np.hstack((plane.sum(-1), plane[..., 0])) for plane in planes]  # (T, 2D): counts, then node 0's votes
     return np.hstack([tally[:, columns] > cutoffs for tally in tallies])
 
@@ -243,7 +266,7 @@ def _count_range(args) -> np.ndarray:
     hypotheses and SNR points: every row carries its own occupant and
     noise variance.
     """
-    scenario, levels, columns, cutoffs, paths, lo, hi = args
+    scenario, levels, columns, cutoffs, live, paths, lo, hi = args
     cfg = scenario.channel
     sigma2 = np.array([noise_variance(snr) for snr in scenario.snr_grid_db])
     width = 6 * cfg.n_nodes * cfg.n_taps  # alice, eve, noise: 2NL normals each
@@ -258,7 +281,7 @@ def _count_range(args) -> np.ndarray:
         s, eve = row >> 1, row % 2 == 0
         streams = ((s << 33) | (eve.astype(np.int64) << 32) | t).tolist()
         h_ref, z = measure_block(standard_normal_rows(scenario.seed, streams, width), cfg, eve, sigma2[s])
-        decisions = _block_decisions(scenario, levels, columns, cutoffs, paths, sigma2[s, None], h_ref, z)
+        decisions = _block_decisions(scenario, levels, columns, cutoffs, live, paths, sigma2[s, None], h_ref, z)
         # a block's flat trials are consecutive, so ``row`` never decreases and runs through
         # every counts row from its first to its last: sum each run of it
         lo_row, hi_row = row[0], row[-1]

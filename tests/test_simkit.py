@@ -343,6 +343,14 @@ _EQUIVALENCE_CASES = {
         scheme=Scheme.LOCAL_FUSION_CS, channel=_SMALL_LOCAL, snr_grid_db=(-3.0, 3.0), trials=23, seed=504,
         codec=CsCodecConfig(m=6, basis="identity", max_atoms=3),
     ), _LOCAL_VARIANTS),
+    # level 3.0 is dead: majority and AND need over 4 and 7 of 8 votes, recovery keeps 3 ones
+    "local_fusion_cs_dead_level": (Scenario(
+        scheme=Scheme.LOCAL_FUSION_CS, channel=_SMALL_LOCAL, snr_grid_db=(-3.0, 3.0), trials=23, seed=507,
+        codec=CsCodecConfig(m=6, basis="identity", max_atoms=3),
+    ), [Variant(label=f"{d} {k.value}", threshold=d, rule=FusionRule(kind=k))
+        for d, kinds in ((3.0, (FusionKind.MAJORITY, FusionKind.AND)),
+                         (8.0, (FusionKind.OR, FusionKind.MAJORITY, FusionKind.SINGLE)))
+        for k in kinds]),
 }
 
 
@@ -381,6 +389,37 @@ class TestEngineEquivalence:
     def test_twin_requires_cs_scheme(self):
         with pytest.raises(ValueError):
             estimate_curves(fc_scenario(trials=1), FC, uncompressed_twin=True)
+
+    def test_dead_level_case_has_one_live_level(self):
+        scenario, variants = _EQUIVALENCE_CASES["local_fusion_cs_dead_level"]
+        assert simkit._resolve(scenario, variants)[3].tolist() == [False, True]
+
+
+# every kind, and weighted averages at three more mean-vote thresholds
+_RULES = [FusionRule(kind=k) for k in FusionKind] + [
+    FusionRule(kind=FusionKind.WEIGHTED_AVERAGE, avg_threshold=a) for a in (0.3, 0.6, 0.7)
+]
+
+
+class TestDeadLevels:
+    """Recovering only the levels some variant can read changes no count."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        pairs=st.lists(st.tuples(st.sampled_from([3.0, 5.0, 8.0]), st.sampled_from(_RULES)), min_size=1, max_size=8),
+        max_atoms=st.integers(1, 6),
+    )
+    def test_counts_equal_every_level_live(self, pairs, max_atoms):
+        scenario = Scenario(
+            scheme=Scheme.LOCAL_FUSION_CS, channel=_SMALL_LOCAL, snr_grid_db=(-3.0, 3.0), trials=6, seed=508,
+            codec=CsCodecConfig(m=6, basis="identity", max_atoms=max_atoms),
+        )
+        variants = [Variant(f"v{i}", d, rule=r) for i, (d, r) in enumerate(pairs)]
+        got = estimate_curves(scenario, variants, uncompressed_twin=True)
+        with mock.patch.object(simkit, "zero_by_construction", return_value=False):
+            assert simkit._resolve(scenario, variants)[3].all()
+            want = estimate_curves(scenario, variants, uncompressed_twin=True)
+        assert got == want
 
 
 _PRESET_CHANNEL = ChannelConfig(n_nodes=100, n_taps=6, rho=0.9, pdp=(1.0,) * 6, normalize_kronecker=False)
@@ -476,7 +515,9 @@ class TestRecoveryBatches:
     """Batch-OMP calls of preset runs: one per block under the factor cap, distinct reports only."""
 
     @pytest.mark.parametrize("preset, overrides, rows_per_call", [
-        ("fig5", ["scenario.trials=2"], [110]),  # one block of 84 trials, 252 reports, 110 distinct
+        # 51 atoms make fig5's majority (over 50 votes) live: 84 trials in two blocks
+        # of 42, each 126 reports, 63 and 49 distinct
+        ("fig5", ["scenario.trials=2", "cs.max_atoms=51"], [63, 49]),
         ("fig4", ["scenario.trials=1"], [21, 21]),  # two fig4 blocks never share a call
         ("fig4", ["scenario.trials=72", "scenario.snr_db=0"], [36] * 4),  # a full fig4 block fits alone
     ])
@@ -485,6 +526,15 @@ class TestRecoveryBatches:
         with mock.patch.object(sparse, "_batch_omp", wraps=sparse._batch_omp) as spy:
             assert cli.main(argv + [a for o in overrides for a in ("--set", o)]) == 0
         assert [len(c.args[0]) for c in spy.call_args_list] == rows_per_call
+
+    def test_fig5_preset_recovers_nothing(self, tmp_path, capsys):
+        # majority over 100 nodes needs 51 votes and 35 atoms recover at most 35 ones,
+        # so no level is live: no decision vector is compressed or recovered
+        argv = ["run", "--config", "fig5", "--out", str(tmp_path / "o.csv"), "--set", "scenario.trials=2"]
+        with mock.patch.object(sparse, "_batch_omp", wraps=sparse._batch_omp) as omp, \
+                mock.patch.object(sparse, "compress", wraps=sparse.compress) as project:
+            assert cli.main(argv) == 0
+        assert omp.call_count == project.call_count == 0
 
     @pytest.mark.parametrize("preset, reports", [("fig4", 36), ("fig5", 305)])
     def test_batch_reports_of_preset_codecs(self, preset, reports):
@@ -663,9 +713,7 @@ def _ref_variants(draw, local):
     if not local:
         deltas = draw(st.lists(st.sampled_from([12.0, 20.0, 45.0, 3.5]), min_size=1, max_size=5))
         return [Variant(f"v{i}", d) for i, d in enumerate(deltas)]
-    rules = [FusionRule(kind=k) for k in FusionKind] + [
-        FusionRule(kind=FusionKind.WEIGHTED_AVERAGE, avg_threshold=a) for a in (0.3, 0.6, 0.7)
-    ]
+    rules = _RULES
     if draw(st.booleans()):  # as cli._build_variants lays them out: level-major, every rule per level
         levels = draw(st.sampled_from([_REF_LEVELS[:3], _REF_LEVELS[2:], (8.0,)]))
         chosen = draw(st.lists(st.sampled_from(rules), min_size=1, max_size=5, unique=True))

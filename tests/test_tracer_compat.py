@@ -4,9 +4,9 @@ The tracer wraps names in ``cirauth``'s modules from outside ``src/``.  It
 skips a name that is gone, but it dereferences ``channel.NoiseModel`` while
 it builds its patch list, so deleting the placeholder would crash every
 ``perfbench/run.py --trace 1`` run.  This test imports the tracer as it is,
-runs one small preset under it (fig2, and fig5, whose run goes through
-``sparse``), and checks that every attribute it patched is restored
-afterwards.
+runs one small preset under it (fig2, and fig5 with 51 atoms, whose
+majority curves can fire, so its run goes through ``sparse``), and checks
+that every attribute it patched is restored afterwards.
 """
 
 import importlib.util
@@ -17,6 +17,8 @@ import pytest
 from cirauth import channel, cli, detect, simkit, sparse
 
 ROOT = Path(__file__).resolve().parent.parent
+# fig5's preset recovers nothing (every variant is zero by construction); 51 atoms make majority live
+SETS = {"fig5": ["cs.max_atoms=51"]}
 
 
 def _load_tracer():
@@ -44,6 +46,7 @@ def test_traced_preset_run_exits_0_and_restores_every_patch(preset, tmp_path):
         rc = cli.main([
             "run", "--config", preset, "--out", str(tmp_path / "o.csv"), "--workers", "1",
             "--set", "scenario.trials=1", "--set", "scenario.snr_db=0",
+            *(a for s in SETS.get(preset, []) for a in ("--set", s)),
         ])
     assert rc == 0
     patched = {key for key, value in during.items() if value is not before.get(key)}

@@ -17,7 +17,8 @@ names in ``simkit``'s namespace are wrapped with timers:
 Parts of a stage are timed as well, each under its bare name:
 
 * ``detect.quadratic_statistic`` and ``sparse._batch_omp`` (compressed
-  schemes), which ``_block_decisions`` calls;
+  schemes, where some variant can read a recovered report), which
+  ``_block_decisions`` calls;
 * ``cli.write_csv``, which runs after ``estimate_curves``.
 
 ``rest`` is the remainder of ``estimate_curves``: indices, stream ids and
