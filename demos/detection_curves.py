@@ -3,9 +3,10 @@
 
 A trimmed-down version of the bundled fig2/fig3 presets: the fusion
 center testing stacked raw measurements at several thresholds, then
-local decisions combined under each fusion rule.  Counts are exact
-reproductions of what `cirauth run --config fig2` / `fig3` compute,
-just with fewer trials.
+local decisions combined under each fusion rule.  The channel model is
+the presets', but the seeds (5000/5001, not 41002/41003), SNR grid,
+thresholds and trial counts are not, so the curves follow
+`cirauth run --config fig2` / `fig3` without reproducing their counts.
 """
 
 import numpy as np

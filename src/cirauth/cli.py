@@ -254,7 +254,7 @@ def load_config_file(spec: str) -> tuple[str, str]:
     try:
         with open(spec, "r", encoding="utf-8") as fh:
             return fh.read(), spec
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config: {exc}")
 
 
@@ -304,6 +304,8 @@ def cmd_run(args) -> int:
     text, display = load_config_file(args.config)
     seed = [] if args.seed is None else [f"scenario.seed={args.seed}"]  # after --set, so the flag wins
     run = build_run(apply_overrides(parse_config(text, display), (args.set or []) + seed))
+    if not os.path.basename(args.out):  # "" or a trailing separator: no file to write
+        raise ConfigError(f"--out {args.out!r} names no file")
     try:  # before any trial runs: write_csv puts its temp file in this directory
         os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
     except (FileExistsError, NotADirectoryError):

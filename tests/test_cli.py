@@ -319,21 +319,29 @@ class TestRunCommand:
     def test_missing_config_file_exit_2(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.cfg"), "--out", "o.csv"]) == 2
 
+    def test_non_utf8_config_file_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes(b"scenario.scheme = fc_raw\xff\n")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
+        assert "error: cannot read config" in capsys.readouterr().err
+
     def test_runtime_failure_exit_1(self, tmp_path, capsys):
         cfg = tmp_path / "small.cfg"
         cfg.write_text(SMALL_CONFIG)
         assert main(["run", "--config", str(cfg), "--out", "/proc/nope/out.csv"]) == 1
         assert "runtime error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("target", ["dir", "file/x.csv", "file/sub/x.csv"])
+    @pytest.mark.parametrize("target", ["dir", "file/x.csv", "file/sub/x.csv", "", "new/"])
     def test_unusable_out_exit_2_before_any_trial(self, tmp_path, capsys, monkeypatch, target):
         def no_trials(*args, **kwargs):
             raise AssertionError("estimate_curves ran before --out was checked")
 
         monkeypatch.setattr(simkit, "estimate_curves", no_trials)
+        monkeypatch.chdir(tmp_path)
         (tmp_path / "dir").mkdir()
         (tmp_path / "file").write_text("")
-        assert main(["run", "--config", "fig2", "--out", str(tmp_path / target)]) == 2
+        out = f"{tmp_path}/{target}" if target else ""  # plain strings: pathlib drops a trailing "/"
+        assert main(["run", "--config", "fig2", "--out", out]) == 2
         assert "error: --out" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "file"]
         assert list((tmp_path / "dir").iterdir()) == []
