@@ -26,7 +26,6 @@ from .sparse import (
     compress,
     dct_basis,
     gaussian_phi,
-    identity_basis,
     reconstruct_decisions,
     reconstruct_raw,
 )
@@ -60,7 +59,6 @@ __all__ = [
     "exp_correlation_matrix",
     "fused_pfa_analytic",
     "gaussian_phi",
-    "identity_basis",
     "reconstruct_decisions",
     "reconstruct_raw",
     "snr_margin",

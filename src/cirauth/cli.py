@@ -314,7 +314,7 @@ def cmd_run(args) -> int:
         raise ConfigError(f"--out {args.out} is a directory")
     for v in run.variants:
         if simkit.zero_by_construction(run.scenario, v):
-            budget = simkit.scenario_codec(run.scenario).max_atoms
+            budget = run.scenario.codec.max_atoms
             print(f"note: {v.label} is zero by construction: its rule needs over {budget} votes", file=sys.stderr)
     curves = simkit.estimate_curves(
         run.scenario, run.variants, workers=args.workers, uncompressed_twin=run.compare_uncompressed

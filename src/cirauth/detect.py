@@ -39,7 +39,8 @@ class FusionRule:
     Every rule is a cutoff on the vote count (see `cutoff`).
     WEIGHTED_AVERAGE declares H1 iff the mean vote ``c / n`` of c votes
     exceeds ``avg_threshold`` strictly, so at the default 0.5 it
-    coincides with majority voting for odd N.
+    coincides with majority voting for every N: c / n > 1/2 holds
+    exactly when c > N // 2.
     """
 
     kind: FusionKind

@@ -186,11 +186,12 @@ def zero_by_construction(scenario: Scenario, variant: Variant) -> bool:
     On `local_fusion_cs` a recovered decision vector holds at most
     ``max_atoms`` ones (fewer after an OMP breakdown), so a rule that
     needs more than ``max_atoms`` votes never fires; node 0's vote (cutoff
-    0) always can.  Every other scheme's curves can fire.
+    0) always can.  Every other scheme's curves can fire.  The budget
+    comes from the recipe, so the answer builds no codec.
     """
     if scenario.scheme is not Scheme.LOCAL_FUSION_CS:
         return False
-    return variant.rule.cutoff(scenario.channel.n_nodes)[1] >= scenario_codec(scenario).max_atoms
+    return variant.rule.cutoff(scenario.channel.n_nodes)[1] >= scenario.codec.max_atoms
 
 
 def _resolve(scenario: Scenario, variants: list[Variant]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -227,7 +228,8 @@ def _block_decisions(scenario, levels, columns, cutoffs, live, paths, sigma2, h_
     """(T, V * len(paths)) H1-decisions of every variant on a block's stacked ``h_ref``/``z``, path by path.
 
     A True path sends the block's reports through the scenario's codec, a
-    False one reads them as measured.  ``sigma2`` (T, 1) is each row's
+    False one reads them as measured; the codec is looked up only where a
+    report crosses it.  ``sigma2`` (T, 1) is each row's
     noise variance.  Each report is compared with the D distinct
     ``levels`` once.  A local scheme then tallies each (T, D, N) plane of
     node decisions into (T, 2D) vote counts and node-0 votes, and
@@ -236,18 +238,19 @@ def _block_decisions(scenario, levels, columns, cutoffs, live, paths, sigma2, h_
     recovered plane is left all zeros: every variant reading it needs
     more votes than a recovered vector holds, so it declares H0 either way.
     """
-    codec = scenario_codec(scenario) if any(paths) else None
     scale = 1.0 / sigma2  # d / sigma2 divides complex by complex; d * scale differs only in signs of zero
     if not scenario.scheme.local:
+        codec = scenario_codec(scenario) if any(paths) else None
         reports = [sparse.reconstruct_raw(sparse.compress(z, codec), codec) if cs else z for cs in paths]
         return np.hstack([(detect.quadratic_statistic(r, h_ref, scale)[:, None] > levels)[:, columns] for r in reports])
     t, n = len(z), scenario.channel.n_nodes
     shape = (t, n, scenario.channel.n_taps)
     stats_n = detect.quadratic_statistic(z.reshape(shape), h_ref.reshape(shape), scale[..., None])
     u = stats_n[:, None, :] > levels[:, None]  # (T, D, N)
-    if codec is not None:
+    if any(paths):
         u_cs = np.zeros(u.shape, dtype=np.int64)
-        if live.any():  # else neither compress nor OMP runs
+        if live.any():  # else no codec is built, and neither compress nor OMP runs
+            codec = scenario_codec(scenario)
             sent = u[:, live].reshape(-1, n).astype(float)
             u_cs[:, live] = sparse.reconstruct_decisions(sparse.compress(sent, codec), codec).reshape(t, -1, n)
     planes = [u_cs if cs else u for cs in paths]
@@ -272,7 +275,8 @@ def _count_range(args) -> np.ndarray:
     width = 6 * cfg.n_nodes * cfg.n_taps  # alice, eve, noise: 2NL normals each
     height = _BLOCK_NORMALS // width
     if scenario.scheme.compressed:  # a trial sends one report per level on a local scheme, one on an FC scheme
-        height = sparse.batch_reports(scenario_codec(scenario)) // (len(levels) if scenario.scheme.local else 1)
+        reports = len(levels) if scenario.scheme.local else 1
+        height = sparse.batch_reports(scenario.codec, scenario.report_length) // reports
     n = hi - lo
     blocks = -(-n // max(1, height))
     counts = np.zeros((2 * len(sigma2), len(columns) * len(paths)), dtype=np.int64)

@@ -21,7 +21,8 @@ per block on its distinct reports only (a duplicate gets a copy of its
 twin's result), while projection and basis synthesis run one product per
 report (synthesis from the report's support only), so every row equals
 the one-report call bit for bit at any block height.  `batch_reports`
-caps a call's height, and `CsCodecConfig` checks every codec's parameters.
+caps a call's height from the recipe alone, and `CsCodecConfig` checks and
+resolves every codec's parameters.
 """
 
 from __future__ import annotations
@@ -49,7 +50,11 @@ class Basis(str, enum.Enum):
 
 @dataclass(frozen=True)
 class CsCodecConfig:
-    """Deterministic recipe for the scenario's compressed-sensing codec."""
+    """Deterministic recipe for the scenario's compressed-sensing codec, and the one source of its parameters.
+
+    ``max_atoms=None`` resolves to ceil(M/8) here, so a recipe that leaves
+    the budget unset equals one that spells it out.
+    """
 
     m: int
     basis: Basis = Basis.DCT
@@ -59,10 +64,11 @@ class CsCodecConfig:
     def __post_init__(self):
         object.__setattr__(self, "basis", Basis(self.basis))
         object.__setattr__(self, "m", operator.index(self.m))  # a float raises TypeError here, not mid-run
-        object.__setattr__(self, "max_atoms", None if self.max_atoms is None else operator.index(self.max_atoms))
         if self.m < 1:
             raise ValueError(f"m must be positive, got {self.m}")
-        if self.max_atoms is not None and not 1 <= self.max_atoms <= self.m:
+        budget = -(-self.m // 8) if self.max_atoms is None else operator.index(self.max_atoms)
+        object.__setattr__(self, "max_atoms", budget)
+        if not 1 <= self.max_atoms <= self.m:
             # OMP places at most m independent atoms; past that it breaks down mid-run
             raise ValueError(f"max_atoms must lie in [1, m={self.m}], got {self.max_atoms}")
         if not 0.0 <= self.residual_tol < 1.0:  # at 1 OMP stops before its first atom; far above, tol^2 overflows
@@ -95,23 +101,12 @@ def dct_basis(n: int) -> np.ndarray:
     return psi
 
 
-def identity_basis(n: int) -> np.ndarray:
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    return np.eye(n)
-
-
-_BASIS_BUILDERS = {
-    Basis.DCT: dct_basis,
-    Basis.IDENTITY: identity_basis,
-}
-
-
 class CsCodec:
-    """Measurement matrix + sparsifying basis + OMP stopping policy, checked as a `CsCodecConfig`.
+    """Measurement matrix + sparsifying basis + OMP stopping policy, checked and resolved as a `CsCodecConfig`.
 
-    ``max_atoms`` (at most M) defaults to ceil(M/8); recovery also stops once
-    the residual drops to ``residual_tol`` times ||y||, whichever comes first.
+    Recovery stops after ``max_atoms`` atoms (at most M; `CsCodecConfig`
+    sets the default) or once the residual drops to ``residual_tol`` times
+    ||y||, whichever comes first.
     The OMP dictionary Phi Psi^H and its Gram matrix are precomputed so
     one codec can be shared across many Monte Carlo trials.
     """
@@ -133,11 +128,9 @@ class CsCodec:
         if m > n:
             raise ValueError(f"phi must be wide (M <= n), got {m}x{n}")
         cfg = CsCodecConfig(m, basis, max_atoms, residual_tol)
-        self.basis = cfg.basis
+        self.basis, self.max_atoms, self.residual_tol = cfg.basis, cfg.max_atoms, float(cfg.residual_tol)
         self.phi = phi
-        self.psi = _BASIS_BUILDERS[self.basis](n)
-        self.max_atoms = math.ceil(m / 8) if cfg.max_atoms is None else cfg.max_atoms
-        self.residual_tol = float(residual_tol)
+        self.psi = dct_basis(n) if self.basis is Basis.DCT else np.eye(n)
         self.dictionary = phi @ self.psi.T
         self.gram = self.dictionary.conj().T @ self.dictionary
         if np.any(np.diagonal(self.gram) == 0):
@@ -155,9 +148,9 @@ class CsCodec:
 _BATCH_FACTOR = 11 << 17  # doubles (11 MiB) of one Batch-OMP call's factor F
 
 
-def batch_reports(codec: CsCodec) -> int:
-    """Most reports whose factor F (budget x (budget + n) each) fits the cap: 36 on fig4, 305 on fig5."""
-    return _BATCH_FACTOR // (codec.max_atoms * (codec.max_atoms + codec.n))
+def batch_reports(cfg: CsCodecConfig, n: int) -> int:
+    """Most length-``n`` reports whose factor F (budget x (budget + n) each) fits the cap: 36 on fig4, 305 on fig5."""
+    return _BATCH_FACTOR // (cfg.max_atoms * (cfg.max_atoms + n))
 
 
 def _real_matmul(x: np.ndarray, a: np.ndarray) -> np.ndarray:

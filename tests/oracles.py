@@ -5,11 +5,14 @@ it tallied votes per block, kept frozen as the oracle of the engine's
 decisions.  ``complex_normals`` draws CN(0, variance) entries from a
 stream the way a trial's front end does: at unit variance it equals
 ``complex_from_normals`` of the same normals bit for bit.
+``conditional_fused_pd`` is a local scheme's fused detection probability
+given the channels, with the noise integrated out in closed form.
 """
 
 import math
 
 import numpy as np
+from scipy import special
 
 
 def complex_normals(rng: np.random.Generator, n: int, variance: float = 1.0) -> np.ndarray:
@@ -36,3 +39,25 @@ def fuse(u_star, rule) -> bool:
     voters, k = rule.cutoff(u.shape[-1])
     out = u[..., :voters].sum(axis=-1) > k
     return bool(out) if np.ndim(out) == 0 else out
+
+
+def conditional_fused_pd(d: np.ndarray, sigma2: float, delta: float, rule) -> np.ndarray:
+    """(T,) probability that the rule fires on each row, given its channels and no noise draw.
+
+    ``d`` (T, N, L) is eve's channel minus alice's at each node.  Given d,
+    node n's statistic is an independent noncentral chi-squared(2L,
+    lambda_n) with lambda_n = 2 ||d_n||^2 / sigma2, so it alarms with
+    p_n = 1 - chndtr(delta, 2L, lambda_n).  For ``(voters, k) =
+    rule.cutoff(N)`` the fused alarm is then the Poisson-binomial tail
+    P(more than k of the first ``voters`` nodes alarm), by a DP over nodes.
+    """
+    voters, k = rule.cutoff(d.shape[1])
+    lam = 2.0 * np.sum(np.abs(d[:, :voters]) ** 2, axis=-1) / sigma2
+    p = 1.0 - special.chndtr(delta, 2 * d.shape[-1], lam)
+    dist = np.zeros((len(d), k + 2))  # P(j alarms so far) for j <= k, then P(more than k)
+    dist[:, 0] = 1.0
+    for q in p.T[:, :, None]:
+        dist[:, -1:] += dist[:, -2:-1] * q
+        dist[:, 1:-1] = dist[:, 1:-1] * (1.0 - q) + dist[:, :-2] * q
+        dist[:, :1] *= 1.0 - q
+    return dist[:, -1]

@@ -201,6 +201,11 @@ class TestFusion:
         for n in (3, 5, 7):
             assert np.array_equal(_alarms(_patterns(n), rule_avg), _alarms(_patterns(n), rule_maj))
 
+    @pytest.mark.parametrize("n", range(1, 501))
+    def test_weighted_average_at_half_is_majority(self, n):
+        # for an integer vote count c, c / n > 1/2 holds exactly when c > n // 2, odd n or even
+        assert FusionRule(kind=FusionKind.WEIGHTED_AVERAGE).cutoff(n) == FusionRule(kind=FusionKind.MAJORITY).cutoff(n)
+
     def test_weighted_average_even_tie_accepts(self):
         rule = FusionRule(kind=FusionKind.WEIGHTED_AVERAGE)
         assert _alarms([1, 1, 0, 0], rule) is False

@@ -539,7 +539,7 @@ class TestRecoveryBatches:
     @pytest.mark.parametrize("preset, reports", [("fig4", 36), ("fig5", 305)])
     def test_batch_reports_of_preset_codecs(self, preset, reports):
         run = cli.build_run(cli.parse_config(*cli.load_config_file(preset)))
-        assert sparse.batch_reports(scenario_codec(run.scenario)) == reports
+        assert sparse.batch_reports(run.scenario.codec, run.scenario.report_length) == reports
 
     def test_cs_block_height_from_factor_cap(self, tmp_path, capsys):
         # the factor cap fits 101 fig5 trials in a block (the normals cap 36), so 120 flat
@@ -548,6 +548,39 @@ class TestRecoveryBatches:
         with mock.patch.object(simkit, "_block_decisions", wraps=simkit._block_decisions) as spy:
             assert cli.main(argv + ["--out", str(tmp_path / "o.csv")]) == 0
         assert [len(c.args[-1]) for c in spy.call_args_list] == [60, 60]
+
+
+class TestCodecFromRecipe:
+    """The recipe answers every question about the codec, and the measurement matrix is drawn only for a report."""
+
+    def test_equal_budgets_share_one_codec(self):
+        simkit._build_codec.cache_clear()
+        unset, spelled = (
+            Scenario(scheme=Scheme.LOCAL_FUSION_CS, channel=_PRESET_CHANNEL, snr_grid_db=(0.0,), trials=1, seed=41005,
+                     codec=CsCodecConfig(m=70, basis="identity", max_atoms=atoms))
+            for atoms in (None, 9)  # ceil(70 / 8) = 9
+        )
+        with mock.patch.object(sparse, "gaussian_phi", wraps=sparse.gaussian_phi) as draw:
+            assert scenario_codec(unset) is scenario_codec(spelled)
+        assert draw.call_count == 1
+
+    def test_zero_by_construction_draws_nothing(self):
+        run = cli.build_run(cli.parse_config(*cli.load_config_file("fig5")))
+        simkit._build_codec.cache_clear()
+        with mock.patch.object(sparse, "gaussian_phi", wraps=sparse.gaussian_phi) as draw:
+            assert all(simkit.zero_by_construction(run.scenario, v) for v in run.variants)
+        assert draw.call_count == 0
+
+    @pytest.mark.parametrize("preset, trials, draws", [
+        ("fig5", 2, 0),  # majority needs 51 votes and 35 atoms recover at most 35 ones: no report crosses the codec
+        ("fig4", 1, 1),
+    ])
+    def test_run_draws_phi_only_for_a_report(self, preset, trials, draws, tmp_path, capsys):
+        simkit._build_codec.cache_clear()
+        argv = ["run", "--config", preset, "--out", str(tmp_path / "o.csv"), "--set", f"scenario.trials={trials}"]
+        with mock.patch.object(sparse, "gaussian_phi", wraps=sparse.gaussian_phi) as draw:
+            assert cli.main(argv) == 0
+        assert draw.call_count == draws
 
 
 class TestSnrMargin:

@@ -12,11 +12,11 @@ from cirauth import sparse
 from cirauth.numerics import standard_normal_rows, stream
 from cirauth.sparse import (
     CsCodec,
+    CsCodecConfig,
     RecoveryError,
     compress,
     dct_basis,
     gaussian_phi,
-    identity_basis,
     reconstruct_decisions,
     reconstruct_raw,
 )
@@ -66,11 +66,11 @@ class TestBases:
         assert np.allclose(dct_basis(n) @ x, sfft.dct(x, norm="ortho"), atol=1e-12)
 
     def test_identity(self):
-        assert np.array_equal(identity_basis(3), np.eye(3))
+        assert np.array_equal(CsCodec(gaussian_phi(stream(54, 1), 2, 3), basis="identity").psi, np.eye(3))
 
-    @pytest.mark.parametrize("builder", [dct_basis, identity_basis])
-    def test_energy_conservation(self, builder):
-        psi = builder(32)
+    @pytest.mark.parametrize("basis", ["dct", "identity"], ids=["dct_basis", "identity_basis"])
+    def test_energy_conservation(self, basis):
+        psi = CsCodec(gaussian_phi(stream(55, 1), 4, 32), basis=basis).psi
         x = complex_normals(stream(55, 0), 32, 1.0)
         assert np.linalg.norm(psi @ x) == pytest.approx(np.linalg.norm(x), abs=1e-10)
 
@@ -125,6 +125,12 @@ class TestCsCodec:
     def test_default_atom_budget(self):
         codec = CsCodec(gaussian_phi(stream(59, 0), 480, 600))
         assert codec.max_atoms == 60  # ceil(M/8)
+
+    def test_recipe_resolves_default_budget(self):
+        # the recipe, not the codec, turns an unset budget into ceil(M/8), so equal budgets are equal recipes
+        assert CsCodecConfig(m=70).max_atoms == 9
+        assert CsCodecConfig(m=70) == CsCodecConfig(m=70, max_atoms=9)
+        assert hash(CsCodecConfig(m=480, basis="dct")) == hash(CsCodecConfig(m=480, max_atoms=60))
 
     def test_non_orthonormal_guard(self):
         # a codec created with a good basis stores it verbatim; sanity-check
