@@ -314,8 +314,9 @@ def cmd_run(args) -> int:
         raise ConfigError(f"--out {args.out} is a directory")
     for v in run.variants:
         if simkit.zero_by_construction(run.scenario, v):
-            budget = run.scenario.codec.max_atoms
-            print(f"note: {v.label} is zero by construction: its rule needs over {budget} votes", file=sys.stderr)
+            k, budget = v.rule.cutoff(run.scenario.channel.n_nodes)[1], run.scenario.codec.max_atoms
+            print(f"note: {v.label} is zero by construction: its rule needs over {k} votes; "
+                  f"a recovered vector holds at most {budget}", file=sys.stderr)
     curves = simkit.estimate_curves(
         run.scenario, run.variants, workers=args.workers, uncompressed_twin=run.compare_uncompressed
     )

@@ -70,9 +70,9 @@ _MAX_TRIALS = 1 << 31
 _MAX_SNR_POINTS = 1 << 20
 # Bound on |SNR| in dB, inside which the noise variance and every stage after it stay finite.
 _MAX_ABS_SNR_DB = 1000.0
-# A block's height caps its standard normals (1 MiB) on an uncompressed scheme, and on a
-# CS scheme its reports to `sparse.batch_reports`: 36 fig4 trials, 101 fig5 trials of 3
-# reports.  Counts depend on neither cap.
+# A block's height caps its standard normals (1 MiB): 36 trials at N=100, L=6.  A block
+# whose trials send reports through the codec caps them to `sparse.batch_reports`
+# instead: 36 fig4 trials.  Counts depend on neither cap.
 _BLOCK_NORMALS = 1 << 17
 
 
@@ -264,17 +264,20 @@ def _count_range(args) -> np.ndarray:
     Flat trial g = (2 s + h) * trials + t is trial t of hypothesis h (0:
     eve, 1: alice) at SNR index s; it owns stream (s << 33) | (eve << 32)
     | t and is counted in row 2 s + h.  The range runs in blocks of
-    near-equal height, under the ``sparse.batch_reports`` cap on a CS
-    scheme and the ``_BLOCK_NORMALS`` cap otherwise, and a block may span
-    hypotheses and SNR points: every row carries its own occupant and
-    noise variance.
+    near-equal height, and a block may span hypotheses and SNR points:
+    every row carries its own occupant and noise variance.  Where a trial
+    sends reports through the codec (on a compressed path, always on
+    `fc_raw_cs` and on `local_fusion_cs` if some level is ``live``), a
+    block holds at most ``sparse.batch_reports`` of them, counting one per
+    level, live or not, on a local scheme; otherwise ``_BLOCK_NORMALS``
+    caps its normals.
     """
     scenario, levels, columns, cutoffs, live, paths, lo, hi = args
     cfg = scenario.channel
     sigma2 = np.array([noise_variance(snr) for snr in scenario.snr_grid_db])
     width = 6 * cfg.n_nodes * cfg.n_taps  # alice, eve, noise: 2NL normals each
     height = _BLOCK_NORMALS // width
-    if scenario.scheme.compressed:  # a trial sends one report per level on a local scheme, one on an FC scheme
+    if any(paths) and live.any():  # a report crosses the codec: see `_block_decisions`
         reports = len(levels) if scenario.scheme.local else 1
         height = sparse.batch_reports(scenario.codec, scenario.report_length) // reports
     n = hi - lo

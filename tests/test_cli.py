@@ -282,12 +282,14 @@ class TestRunCommand:
         assert both.read_text().splitlines()[2] == "# seed: 5"
         assert both.read_bytes() == flag.read_bytes()
 
-    _MAJORITY = [f"delta_n={d} rule=majority" for d in ("39", "32.9", "26.2")]
+    _LEVELS = ("39", "32.9", "26.2")
 
+    # noted: (label, votes the rule needs more than, most ones a recovered vector holds)
     @pytest.mark.parametrize("preset, overrides, noted", [
-        ("fig5", [], _MAJORITY),  # majority over 100 nodes needs 51 votes; recovery keeps at most 35 ones
-        ("fig5", ["detector.rules=single,and,or"], [f"delta_n={d} rule=and" for d in ("39", "32.9", "26.2")]),
-        ("fig5", ["cs.max_atoms=50"], _MAJORITY),
+        # majority over 100 nodes needs 51 votes; recovery keeps at most 35 ones
+        ("fig5", [], [(f"delta_n={d} rule=majority", "50", "35") for d in _LEVELS]),
+        ("fig5", ["detector.rules=single,and,or"], [(f"delta_n={d} rule=and", "99", "35") for d in _LEVELS]),
+        ("fig5", ["cs.max_atoms=50"], [(f"delta_n={d} rule=majority", "50", "50") for d in _LEVELS]),
         ("fig5", ["cs.max_atoms=51"], []),
         ("fig2", [], []),
         ("fig3", [], []),  # AND without compression can fire
@@ -298,9 +300,10 @@ class TestRunCommand:
         sets = [a for o in ["scenario.trials=1", "scenario.snr_db=0", *overrides] for a in ("--set", o)]
         assert main(["run", "--config", preset, "--out", str(out), *sets]) == 0
         err = capsys.readouterr().err.splitlines()
-        assert [re.fullmatch(r"note: (.*) is zero by construction: .*", line)[1] for line in err] == noted
+        note = r"note: (.*) is zero by construction: its rule needs over (\d+) votes; a recovered vector holds at most (\d+)"
+        assert [re.fullmatch(note, line).groups() for line in err] == noted
         rows = [line.split(",") for line in out.read_text().splitlines() if line.startswith("local_fusion_cs,")]
-        assert all(row[3] == row[5] == "0" for row in rows if row[1] in noted)
+        assert all(row[3] == row[5] == "0" for row in rows if row[1] in {label for label, _, _ in noted})
 
     def test_set_overrides_applied(self, tmp_path):
         cfg = tmp_path / "small.cfg"

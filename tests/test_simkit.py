@@ -455,14 +455,17 @@ class TestBlockSplitInvariance:
         assume(all(lo + b * (hi - lo) // blocks != boundary for b in range(blocks)))
         task = (scenario, *resolved, (True, False), lo, hi)
         reports = len(resolved[0]) if scenario.scheme.local else 1  # one per level on a local scheme
-        with mock.patch.object(sparse, "batch_reports", return_value=height * reports), \
+        width = 6 * scenario.channel.n_nodes * scenario.channel.n_taps
+        # a block with no live level (fig5-shaped) takes the normals cap, any other the factor cap
+        with mock.patch.object(simkit, "_BLOCK_NORMALS", height * width), \
+                mock.patch.object(sparse, "batch_reports", return_value=height * reports), \
                 mock.patch.object(simkit, "_block_decisions", wraps=simkit._block_decisions) as decide, \
                 mock.patch.object(simkit, "measure_block", wraps=simkit.measure_block) as spy:
             got = simkit._count_range(task)
         # some block mixes eve and alice rows and both SNR points (the grids' values differ)
         assert any(c.args[2].any() and not c.args[2].all() and len(set(c.args[3])) == 2 for c in spy.call_args_list)
         assert decide.call_count == blocks
-        with mock.patch.object(sparse, "_BATCH_FACTOR", 0):
+        with mock.patch.object(simkit, "_BLOCK_NORMALS", 0), mock.patch.object(sparse, "_BATCH_FACTOR", 0):
             assert np.array_equal(got, simkit._count_range(task))  # one trial per block
 
     def test_rows_carry_occupant_and_variance(self):
@@ -512,7 +515,7 @@ class TestCountRange:
 
 
 class TestRecoveryBatches:
-    """Batch-OMP calls of preset runs: one per block under the factor cap, distinct reports only."""
+    """Block heights and Batch-OMP calls of preset runs: one call per block under the factor cap, distinct reports only."""
 
     @pytest.mark.parametrize("preset, overrides, rows_per_call", [
         # 51 atoms make fig5's majority (over 50 votes) live: 84 trials in two blocks
@@ -541,13 +544,25 @@ class TestRecoveryBatches:
         run = cli.build_run(cli.parse_config(*cli.load_config_file(preset)))
         assert sparse.batch_reports(run.scenario.codec, run.scenario.report_length) == reports
 
-    def test_cs_block_height_from_factor_cap(self, tmp_path, capsys):
-        # the factor cap fits 101 fig5 trials in a block (the normals cap 36), so 120 flat
-        # trials run as two blocks of 60, each measured and decided once
-        argv = ["run", "--config", "fig5", "--set", "scenario.trials=60", "--set", "scenario.snr_db=0"]
+    @pytest.mark.parametrize("preset, overrides, block_rows", [
+        # 51 atoms make a fig5 level live: the factor cap fits 187 // 3 = 62 trials in a
+        # block (the normals cap 36), so 120 flat trials run as two blocks of 60
+        ("fig5", ["scenario.trials=60", "scenario.snr_db=0", "cs.max_atoms=51"], [60, 60]),
+        # no report crosses the preset's codec: the normals cap, four blocks of 30
+        ("fig5", ["scenario.trials=60", "scenario.snr_db=0"], [30] * 4),
+        # the benchmark's runs: the normals cap fits 364 fig2/fig3 trials and 36 fig5
+        # trials, the factor cap 36 fig4 trials
+        ("fig2", ["scenario.trials=50"], [350] * 6),
+        ("fig3", ["scenario.trials=10"], [310] * 2),
+        ("fig4", ["scenario.trials=1"], [21] * 2),
+        ("fig5", ["scenario.trials=2"], [28] * 3),
+    ])
+    def test_block_height(self, preset, overrides, block_rows, tmp_path, capsys):
+        # each block is measured and decided once
+        argv = ["run", "--config", preset, "--out", str(tmp_path / "o.csv")]
         with mock.patch.object(simkit, "_block_decisions", wraps=simkit._block_decisions) as spy:
-            assert cli.main(argv + ["--out", str(tmp_path / "o.csv")]) == 0
-        assert [len(c.args[-1]) for c in spy.call_args_list] == [60, 60]
+            assert cli.main(argv + [a for o in overrides for a in ("--set", o)]) == 0
+        assert [len(c.args[-1]) for c in spy.call_args_list] == block_rows
 
 
 class TestCodecFromRecipe:
