@@ -22,7 +22,6 @@ from .detect import (
 from .sparse import (
     CsCodec,
     CsCodecConfig,
-    RecoveryError,
     compress,
     dct_basis,
     gaussian_phi,
@@ -49,7 +48,6 @@ __all__ = [
     "DetectionCurve",
     "FusionKind",
     "FusionRule",
-    "RecoveryError",
     "Scenario",
     "Scheme",
     "Variant",

@@ -114,6 +114,8 @@ class Scenario:
                 )
             if self.scheme.local and self.codec.basis is not Basis.IDENTITY:
                 raise ValueError(f"basis must be identity for decision recovery, got {self.codec.basis.value}")
+        elif self.codec is not None:
+            raise ValueError(f"codec is unused by the uncompressed scheme {self.scheme.value}")
 
     @property
     def report_length(self) -> int:
@@ -269,8 +271,8 @@ def _count_range(args) -> np.ndarray:
     sends reports through the codec (on a compressed path, always on
     `fc_raw_cs` and on `local_fusion_cs` if some level is ``live``), a
     block holds at most ``sparse.batch_reports`` of them, counting one per
-    level, live or not, on a local scheme; otherwise ``_BLOCK_NORMALS``
-    caps its normals.
+    live level on a local scheme; otherwise ``_BLOCK_NORMALS`` caps its
+    normals.
     """
     scenario, levels, columns, cutoffs, live, paths, lo, hi = args
     cfg = scenario.channel
@@ -278,7 +280,7 @@ def _count_range(args) -> np.ndarray:
     width = 6 * cfg.n_nodes * cfg.n_taps  # alice, eve, noise: 2NL normals each
     height = _BLOCK_NORMALS // width
     if any(paths) and live.any():  # a report crosses the codec: see `_block_decisions`
-        reports = len(levels) if scenario.scheme.local else 1
+        reports = int(live.sum()) if scenario.scheme.local else 1
         height = sparse.batch_reports(scenario.codec, scenario.report_length) // reports
     n = hi - lo
     blocks = -(-n // max(1, height))

@@ -22,7 +22,8 @@ twin's result), while projection and basis synthesis run one product per
 report (synthesis from the report's support only), so every row equals
 the one-report call bit for bit at any block height.  `batch_reports`
 caps a call's height from the recipe alone, and `CsCodecConfig` checks and
-resolves every codec's parameters.
+resolves every codec's parameters.  A report on which OMP breaks down
+(see `_recover`) keeps its partial estimate, and the call warns.
 """
 
 from __future__ import annotations
@@ -30,17 +31,10 @@ from __future__ import annotations
 import enum
 import math
 import operator
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
-
-
-class RecoveryError(RuntimeError):
-    """OMP could not make progress; ``partial`` holds the best coefficients."""
-
-    def __init__(self, message: str, partial: np.ndarray):
-        super().__init__(message)
-        self.partial = partial
 
 
 class Basis(str, enum.Enum):
@@ -302,7 +296,7 @@ def _batch_omp(ys: np.ndarray, a: np.ndarray, gram: np.ndarray, max_atoms: int, 
     return _OmpResult(coeffs=coeffs, errors=errors, support=chosen, count=count)
 
 
-def _recover(y: np.ndarray, codec: CsCodec, keep_partial: bool = False) -> _OmpResult:
+def _recover(y: np.ndarray, codec: CsCodec) -> _OmpResult:
     """OMP of each distinct report (keyed by its bytes) once, copied to its duplicates.
 
     Each step selects the atom with the largest norm-weighted correlation
@@ -310,8 +304,10 @@ def _recover(y: np.ndarray, codec: CsCodec, keep_partial: bool = False) -> _OmpR
     until ``codec.max_atoms`` atoms or ||r|| <= ``codec.residual_tol`` ||y||.
     A report whose residual turns orthogonal to every remaining atom, or
     whose next atom is numerically dependent on its support, breaks down
-    first: :class:`RecoveryError` carries its partial coefficients, unless
-    ``keep_partial`` returns them instead of raising.
+    first and keeps its partial coefficients, the least-squares fit on the
+    support it reached, as a report stopped by the budget keeps its own.
+    A call with a breakdown warns once, with how many of its reports broke
+    down and why the first did.
     """
     if np.ndim(y) not in (1, 2) or np.shape(y)[-1] != codec.m:
         raise ValueError(f"y must have trailing length {codec.m}, got {np.shape(y)}")
@@ -319,13 +315,12 @@ def _recover(y: np.ndarray, codec: CsCodec, keep_partial: bool = False) -> _OmpR
     keys = ys.view(np.dtype((np.void, ys.shape[1] * ys.itemsize)))[:, 0]
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     res = _batch_omp(ys[first], codec.dictionary, codec.gram, codec.max_atoms, codec.residual_tol)
-    res = _OmpResult(res.coeffs[inverse], [res.errors[i] for i in inverse],
-                     res.support[inverse], res.count[inverse])
-    if not keep_partial:
-        for error, partial in zip(res.errors, res.coeffs):
-            if error:
-                raise RecoveryError(error, partial)
-    return res
+    errors = [res.errors[i] for i in inverse]
+    broken = [error for error in errors if error]
+    if broken:
+        warnings.warn(f"OMP broke down on {len(broken)} of {len(errors)} reports, which keep their partial "
+                      f"estimates; the first: {broken[0]}", RuntimeWarning, stacklevel=3)
+    return _OmpResult(res.coeffs[inverse], errors, res.support[inverse], res.count[inverse])
 
 
 def reconstruct_raw(y: np.ndarray, codec: CsCodec) -> np.ndarray:
@@ -335,7 +330,8 @@ def reconstruct_raw(y: np.ndarray, codec: CsCodec) -> np.ndarray:
     through the basis (z_hat = Psi^H coeffs); a (T, M) report gives (T, n)
     estimates.  Each report is synthesized from its support S alone, as
     ``coeffs[S] @ Psi[S]`` in selection order, one product per report, so
-    a row of a block equals the one-report call bit for bit.
+    a row of a block equals the one-report call bit for bit.  A breakdown
+    is synthesized from its partial estimate (see `_recover`).
     """
     res = _recover(y, codec)
     z_hat = np.zeros_like(res.coeffs)
@@ -353,11 +349,12 @@ def reconstruct_decisions(y: np.ndarray, codec: CsCodec) -> np.ndarray:
     recovered coefficient exceeds 0.5.  Always returns length-N binary
     vectors (shape (T, N) for a (T, M) report).  A dense vector is not
     recoverable from M < N projections, but OMP does not break down on
-    it: it stops at its atom budget and that estimate is quantized.  If
-    OMP does break down (an orthogonal residual or a dependent atom), its
-    partial solution is quantized instead.
+    it: it stops at its atom budget and that estimate is quantized.  A
+    report on which OMP does break down (an orthogonal residual or a
+    dependent atom) has its partial estimate quantized, with a warning,
+    as in `reconstruct_raw`.
     """
     if codec.basis is not Basis.IDENTITY:
         raise ValueError("decision recovery requires the identity basis")
-    coeffs = _recover(y, codec, keep_partial=True).coeffs.reshape(np.shape(y)[:-1] + (codec.n,))
+    coeffs = _recover(y, codec).coeffs.reshape(np.shape(y)[:-1] + (codec.n,))
     return (np.real(coeffs) > 0.5).astype(np.int64)

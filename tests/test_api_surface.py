@@ -25,10 +25,14 @@ SLOW_DEMOS = {"cs_reporting_tradeoff.py"}
 
 
 def _run_fresh(args: list[str], cwd: Path) -> subprocess.CompletedProcess:
-    """Run ``python *args`` in a fresh interpreter that imports cirauth from the checkout."""
+    """Run ``python -W error *args`` in a fresh interpreter that imports cirauth from the checkout.
+
+    Warnings are errors, so a warning (an OMP breakdown, say) fails the run.
+    """
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=300)
+    return subprocess.run([sys.executable, "-W", "error", *args], cwd=cwd, env=env, capture_output=True, text=True,
+                          timeout=300)
 
 
 def _cirauth_imports(source: str) -> list[tuple[str, str]]:

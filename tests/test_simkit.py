@@ -73,6 +73,12 @@ class TestScenarioValidation:
         fusion_scenario(scheme=Scheme.LOCAL_FUSION_CS, codec=CsCodecConfig(m=7, basis="identity"))
         fc_scenario(scheme=Scheme.FC_RAW_CS, codec=CsCodecConfig(m=48, basis="dct"))
 
+    @pytest.mark.parametrize("build", [fc_scenario, fusion_scenario])
+    def test_uncompressed_scheme_rejects_codec(self, build):
+        # the engine never reads it, so it would be silently ignored
+        with pytest.raises(ValueError, match="^codec is unused"):
+            build(codec=CsCodecConfig(m=30))
+
     def test_scheme_families(self):
         assert [s.value for s in Scheme if s.local] == ["local_fusion", "local_fusion_cs"]
         assert [s.value for s in Scheme if s.compressed] == ["fc_raw_cs", "local_fusion_cs"]
@@ -515,7 +521,7 @@ class TestCountRange:
 
 
 class TestRecoveryBatches:
-    """Block heights and Batch-OMP calls of preset runs: one call per block under the factor cap, distinct reports only."""
+    """Block heights and Batch-OMP calls of runs: one call per block under the factor cap, distinct reports only."""
 
     @pytest.mark.parametrize("preset, overrides, rows_per_call", [
         # 51 atoms make fig5's majority (over 50 votes) live: 84 trials in two blocks
@@ -556,13 +562,44 @@ class TestRecoveryBatches:
         ("fig3", ["scenario.trials=10"], [310] * 2),
         ("fig4", ["scenario.trials=1"], [21] * 2),
         ("fig5", ["scenario.trials=2"], [28] * 3),
+        # a library run (every CLI rule applies at every level): only the middle of three
+        # levels is live, so the factor cap fits 305 // 1 trials, and 300 run as one block
+        pytest.param(None, (
+            Scenario(scheme=Scheme.LOCAL_FUSION_CS, channel=_PRESET_CHANNEL, snr_grid_db=(0.0,), trials=150,
+                     seed=41005, codec=CsCodecConfig(m=70, basis="identity", max_atoms=35)),
+            [Variant("majority@39", 39.0, FusionRule(kind=FusionKind.MAJORITY)),
+             Variant("single@26.2", 26.2, FusionRule(kind=FusionKind.SINGLE)),
+             Variant("majority@32.9", 32.9, FusionRule(kind=FusionKind.MAJORITY))],
+        ), [300], id="partially-live"),
     ])
     def test_block_height(self, preset, overrides, block_rows, tmp_path, capsys):
         # each block is measured and decided once
-        argv = ["run", "--config", preset, "--out", str(tmp_path / "o.csv")]
         with mock.patch.object(simkit, "_block_decisions", wraps=simkit._block_decisions) as spy:
-            assert cli.main(argv + [a for o in overrides for a in ("--set", o)]) == 0
+            if preset is None:  # overrides holds the scenario and variants
+                estimate_curves(*overrides, uncompressed_twin=True)
+            else:
+                argv = ["run", "--config", preset, "--out", str(tmp_path / "o.csv")]
+                assert cli.main(argv + [a for o in overrides for a in ("--set", o)]) == 0
         assert [len(c.args[-1]) for c in spy.call_args_list] == block_rows
+
+
+class TestOmpBreakdownRun:
+    """A run whose codec breaks OMP down finishes, keeps the partial estimates and warns."""
+
+    def test_fc_raw_cs_run_warns_and_returns_curves(self):
+        scenario = Scenario(
+            scheme=Scheme.FC_RAW_CS, snr_grid_db=(0.0, 10.0), trials=20, seed=7,
+            channel=ChannelConfig(n_nodes=1, n_taps=4, rho=0.9, pdp=(1.0,) * 4, normalize_kronecker=False),
+            codec=CsCodecConfig(m=3, basis="identity", max_atoms=3, residual_tol=0.0),
+        )
+        # columns e1, e2, e1 + 1e-7 e3 and e1 + e2: the third is almost in the span of the first
+        phi = np.array([[1.0, 0.0, 1.0, 1.0], [0.0, 1.0, 0.0, 1.0], [0.0, 0.0, 1e-7, 0.0]])
+        codec = sparse.CsCodec(phi, basis="identity", max_atoms=3, residual_tol=0.0)
+        with mock.patch.object(simkit, "scenario_codec", return_value=codec), \
+                pytest.warns(RuntimeWarning, match="of 80 reports") as record:
+            curves = estimate_curves(scenario, [Variant("fc", 8.0)], uncompressed_twin=True)
+        assert len(record) == 1  # one block, one Batch-OMP call
+        assert [c.label for c in curves] == ["fc", "fc no_cs"]
 
 
 class TestCodecFromRecipe:

@@ -13,7 +13,6 @@ from cirauth.numerics import standard_normal_rows, stream
 from cirauth.sparse import (
     CsCodec,
     CsCodecConfig,
-    RecoveryError,
     compress,
     dct_basis,
     gaussian_phi,
@@ -216,9 +215,10 @@ class TestOmp:
         # atoms span only the first two coordinates; y sits in the third
         phi = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [0.0, 0.0, 0.0]])
         codec = CsCodec(phi, basis="identity", max_atoms=2, residual_tol=0.0)
-        with pytest.raises(RecoveryError) as err:
-            sparse._recover(np.array([0.0, 0.0, 1.0]), codec)
-        assert err.value.partial.shape == (3,)
+        with pytest.warns(RuntimeWarning, match="1 of 1 reports.*orthogonal"):
+            res = sparse._recover(np.array([0.0, 0.0, 1.0]), codec)
+        assert res.errors == ["residual is orthogonal to every remaining atom"]
+        assert np.array_equal(res.coeffs, [[0.0, 0.0, 0.0]]) and res.count.tolist() == [0]  # no atom fits e3
 
 
 class TestReconstructRaw:
@@ -360,6 +360,14 @@ class TestOmpExactRecovery:
         # the same report through the codec's synthesis
         z = codec.psi.T @ coeffs
         assert np.abs(reconstruct_raw(compress(z, codec), codec) - z).max() < 1e-8
+
+
+class RecoveryError(RuntimeError):
+    """The scalar reference's breakdown; ``partial`` holds its coefficients so far."""
+
+    def __init__(self, message: str, partial: np.ndarray):
+        super().__init__(message)
+        self.partial = partial
 
 
 def _reference_omp(y, a, max_atoms, residual_tol=1e-6, gram=None):
@@ -515,14 +523,15 @@ class TestBatchOmpEquivalence:
         res = self._assert_matches_reference(ys, a, a.T @ a, max_atoms=3, residual_tol=0.0)
         assert [error is not None for error in res.errors] == flagged
 
-    def test_breakdown_raised_by_raw_kept_by_decisions(self):
+    def test_breakdown_kept_and_warned_by_both_reconstructions(self):
         # three copies of e1: after one atom the residual e2 is orthogonal to the rest
         codec = CsCodec(np.array([[1.0, 1.0, 1.0], [0.0, 0.0, 0.0]]), basis="identity", max_atoms=2)
         report = np.array([[2.0, 0.0], [1.0, 1.0]])
-        with pytest.raises(RecoveryError, match="orthogonal") as err:
-            reconstruct_raw(report, codec)
-        assert np.array_equal(err.value.partial, [1.0, 0.0, 0.0])
-        assert np.array_equal(reconstruct_decisions(report, codec), [[1, 0, 0], [1, 0, 0]])
+        with pytest.warns(RuntimeWarning, match="1 of 2 reports.*orthogonal") as raw:
+            assert np.array_equal(reconstruct_raw(report, codec), [[2.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        with pytest.warns(RuntimeWarning, match="1 of 2 reports.*orthogonal") as decisions:
+            assert np.array_equal(reconstruct_decisions(report, codec), [[1, 0, 0], [1, 0, 0]])
+        assert len(raw) == len(decisions) == 1  # once per call
 
 
 class TestBlockRowsIndependent:
@@ -549,12 +558,12 @@ class TestBlockRowsIndependent:
                 x[i] += noise
         y = codec.phi @ x.T  # one report per column, computed once and shared by every recovery below
         block = np.ascontiguousarray(y.T)
-        got = sparse._recover(block, codec, keep_partial=True).coeffs
+        got = sparse._recover(block, codec).coeffs
         perm = data.draw(st.permutations(range(len(x))), label="perm")
-        permuted = sparse._recover(block[perm], codec, keep_partial=True).coeffs
+        permuted = sparse._recover(block[perm], codec).coeffs
         assert np.array_equal(permuted, got[perm])
         for i, row in enumerate(block):
-            alone = sparse._recover(row.copy(), codec, keep_partial=True).coeffs
+            alone = sparse._recover(row.copy(), codec).coeffs
             assert np.array_equal(alone[0], got[i])
 
 
@@ -629,7 +638,7 @@ class TestDistinctReportsOnce:
         extra = data.draw(st.lists(st.integers(0, len(base) - 1), min_size=1, max_size=12), label="duplicates")
         picks = data.draw(st.permutations(list(range(len(base))) + extra), label="order")
         with mock.patch.object(sparse, "_batch_omp", wraps=sparse._batch_omp) as spy:
-            res = sparse._recover(base[picks], codec, keep_partial=True)
+            res = sparse._recover(base[picks], codec)
         (call,) = spy.call_args_list
         seen = [row.tobytes() for row in call.args[0]]
         assert sorted(seen) == sorted({row.tobytes() for row in base})  # every distinct row, once
