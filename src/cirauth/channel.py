@@ -102,22 +102,25 @@ def _correlation_factor(n: int, rho: float) -> np.ndarray:
 
 
 def channel_block(normals: np.ndarray, cfg: ChannelConfig) -> np.ndarray:
-    """Alice's and eve's channel matrices, (T, 2, L, N), from (T, 4*L*N) normals.
+    """Channel matrices of S senders, (T, S, L, N), from (T, 2*S*L*N) normals.
 
-    Each row holds one draw: alice's 2LN normals, then eve's.  For each
-    sender an iid L x N matrix with tap-k entries CN(0, pdp[k]) is
-    right-multiplied by the transposed Cholesky factor of R (any factor
-    F with F^H F = R gives the same output distribution), then scaled by
-    1/sqrt(tr R) = 1/sqrt(N) when ``normalize_kronecker`` is on.
+    Each row holds one draw, 2LN normals per sender.  For each sender an
+    iid L x N matrix with tap-k entries CN(0, pdp[k]) is right-multiplied
+    by the transposed Cholesky factor of R (any factor F with F^H F = R
+    gives the same output distribution), then scaled by 1/sqrt(tr R) =
+    1/sqrt(N) when ``normalize_kronecker`` is on.
     """
     T, L, n = len(normals), cfg.n_taps, cfg.n_nodes
+    senders = normals.shape[-1] // (2 * L * n)
     # splitting the last axis is a view, even of the engine's strided slice of its normals
-    iid = complex_from_normals(normals.reshape(T, 2, 2 * L * n)).reshape(2 * T, L, n)
+    iid = complex_from_normals(normals.reshape(T, senders, 2 * L * n)).reshape(T * senders, L, n)
     iid *= np.sqrt(cfg.pdp_array)[:, None]
-    h = iid.reshape(2 * T * L, n) @ _correlation_factor(n, cfg.rho).T
+    rows = iid.reshape(-1, n)
+    # a one-row product takes numpy's gemv path, whose bits differ from the row's in any taller product
+    h = (np.vstack((rows, rows)) if len(rows) == 1 else rows) @ _correlation_factor(n, cfg.rho).T
     if cfg.normalize_kronecker:
         h /= math.sqrt(n)
-    return h.reshape(T, 2, L, n)
+    return h[: len(rows)].reshape(T, senders, L, n)
 
 
 def noise_variance(snr_db: float) -> float:
@@ -125,17 +128,20 @@ def noise_variance(snr_db: float) -> float:
     return 10.0 ** (-snr_db / 10.0)
 
 
-def measure_block(normals: np.ndarray, cfg: ChannelConfig, eve: np.ndarray, sigma2: np.ndarray):
-    """Stacked alice channels and occupant measurements ``(h_ab, z)``, each (T, N*L).
+def measure_block(normals: np.ndarray, cfg: ChannelConfig, eve: np.ndarray, sigma2: np.ndarray) -> np.ndarray:
+    """Deviations d = z - h_ab, (T, N*L), of the occupants' stacked measurements z from alice's channels.
 
     Row i of ``normals`` (T, 6LN) is trial i's stream: alice 2LN | eve 2LN | noise 2LN,
-    the channels as :func:`channel_block` reads them.  Row i measures eve's channel
-    where ``eve[i]``, else alice's, under noise variance ``sigma2[i]``.
+    the channels as :func:`channel_block` reads them.  Row i's noise has variance
+    ``sigma2[i]``, and is its whole deviation where alice transmits.  Where ``eve[i]``,
+    the row adds h_eb - h_ab, which is linear in the normals: one channel product of
+    eve's normals minus alice's.
     """
-    k = 4 * cfg.n_taps * cfg.n_nodes
-    h = stack_columns(channel_block(normals[:, :k], cfg))  # (T, 2, N*L): alice, eve
-    z = complex_from_normals(normals[:, k:]).reshape(len(normals), cfg.n_nodes, cfg.n_taps)
-    z *= np.sqrt(np.asarray(sigma2))[:, None, None]
-    z = z.reshape(len(normals), cfg.n_nodes * cfg.n_taps)
-    z += np.where(np.asarray(eve, dtype=bool)[:, None], h[:, 1], h[:, 0])
-    return h[:, 0], z
+    t, k = len(normals), 2 * cfg.n_taps * cfg.n_nodes
+    d = complex_from_normals(normals[:, 2 * k :]).reshape(t, cfg.n_nodes, cfg.n_taps)
+    d *= np.sqrt(np.asarray(sigma2))[:, None, None]
+    d = d.reshape(t, k // 2)
+    rows = np.flatnonzero(eve)
+    if rows.size:
+        d[rows] += stack_columns(channel_block(normals[rows, k : 2 * k] - normals[rows, :k], cfg)[:, 0])
+    return d

@@ -28,7 +28,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__, channel, detect, numerics, simkit, sparse
-from .channel import ChannelConfig, exp_correlation_matrix, measure_block
+from .channel import ChannelConfig, channel_block, exp_correlation_matrix, measure_block, stack_columns
 from .detect import FusionKind, FusionRule
 from .simkit import Scenario, Scheme, Variant
 from .sparse import CsCodecConfig
@@ -406,23 +406,31 @@ def _selfchecks():
         def rows_exact(name, block, rows):
             _expect(all(a.tobytes() == b.tobytes() for a, b in zip(block, rows)), f"{name} rows differ by block")
 
+        def measured(cfg, seed, eve):  # each row of a 5-row block against its one-row call
+            normals = numerics.standard_normal_rows(seed, range(len(eve)), 6 * cfg.n_nodes * cfg.n_taps)
+            d = measure_block(normals, cfg, eve, sigma2)
+            rows_exact("measure_block", d, [measure_block(normals[i : i + 1], cfg, eve[i : i + 1], sigma2[i : i + 1])[0]
+                                            for i in range(len(eve))])
+            return normals, d
+
+        t, sigma2 = 5, np.logspace(-1, 1, 5)
+        # one tap: a block's eve rows are its whole channel product, and a lone eve row's
+        # is one row, which numpy would multiply on its gemv path, in other bits
+        for eve in (np.arange(t) == 2, np.ones(t, dtype=bool)):
+            measured(ChannelConfig(n_nodes=3, n_taps=1), 3, eve)
         for preset in ("fig2", "fig4", "fig5"):
             run = build_run(parse_config(*load_config_file(preset)))
-            cfg, t = run.scenario.channel, 5
-            normals = numerics.standard_normal_rows(run.scenario.seed, range(t), 6 * cfg.n_nodes * cfg.n_taps)
-            eve, sigma2 = np.arange(t) % 2 == 0, np.logspace(-1, 1, t)
-            h, z = measure_block(normals, cfg, eve, sigma2)
-            h_one, z_one = zip(*(measure_block(normals[i : i + 1], cfg, eve[i : i + 1], sigma2[i : i + 1])
-                                 for i in range(t)))
-            rows_exact("measure_block", (*h, *z), (*h_one, *z_one))
+            cfg = run.scenario.channel
+            normals, d = measured(cfg, run.scenario.seed, np.arange(t) % 2 == 0)
             if not run.scenario.scheme.compressed:
                 continue
             codec = simkit.scenario_codec(run.scenario)
-            reports, recover = z, sparse.reconstruct_raw
             if run.scenario.scheme.local:  # the nodes' decisions at the preset's threshold
-                shape = (t, cfg.n_nodes, cfg.n_taps)
-                stat = detect.quadratic_statistic(z.reshape(shape), h.reshape(shape), 1.0 / sigma2[:, None, None])
+                stat = detect.quadratic_statistic(d.reshape(t, cfg.n_nodes, cfg.n_taps), 1.0 / sigma2[:, None, None])
                 reports, recover = (stat > run.variants[0].threshold).astype(float), sparse.reconstruct_decisions
+            else:  # the measurements themselves, alice's channels plus d
+                h_ab = stack_columns(channel_block(normals[:, : 2 * cfg.n_nodes * cfg.n_taps], cfg)[:, 0])
+                reports, recover = h_ab + d, sparse.reconstruct_raw
             y = sparse.compress(reports, codec)
             rows_exact("compress", y, [sparse.compress(row, codec) for row in reports])
             rows_exact(recover.__name__, recover(y, codec), [recover(row, codec) for row in y])

@@ -77,19 +77,20 @@ def solve_threshold(alpha: float, dof: int) -> float:
     return 2.0 * float(special.gammainccinv(dof / 2.0, alpha))
 
 
-def quadratic_statistic(z: np.ndarray, h_ref: np.ndarray, scale: np.ndarray | float) -> np.ndarray | float:
-    """Doubled whitened squared deviation 2 (z - h)^H Sigma^-1 (z - h).
+def quadratic_statistic(d: np.ndarray, scale: np.ndarray | float) -> np.ndarray | float:
+    """Doubled whitened squared deviation 2 d^H Sigma^-1 d of a measurement from its reference, d = z - h.
 
     ``scale`` is the inverse noise variance 1/sigma2, per row or per node,
-    broadcast against ``z - h_ref``; it must be real, finite and positive.
-    The form is summed in real arithmetic, 2 sum (re^2 + im^2) scale, over
-    the trailing axis; leading axes are a batch.  Under the null it is
-    chi-squared with 2*(trailing length) degrees of freedom.
+    broadcast against ``d``; it must be real, finite and positive.  The
+    form is summed in real arithmetic, 2 sum (re^2 + im^2) scale, over the
+    trailing axis; leading axes are a batch.  Under the null d is the
+    noise alone, and the statistic is chi-squared with 2*(trailing
+    length) degrees of freedom.
     """
     scale = np.asarray(scale)
     if np.iscomplexobj(scale) or not np.all((scale > 0.0) & (scale < math.inf)):  # else 0 or NaN: "accept"
         raise ValueError("scale must be real, finite and positive")
-    d = np.asarray(z) - np.asarray(h_ref)
+    d = np.asarray(d)
     re, im = d.real, d.imag  # scaled before squared: a small scale keeps a large deviation finite
     stat = 2.0 * (re * (re * scale) + im * (im * scale)).sum(axis=-1)
     return stat[()] if np.ndim(stat) == 0 else stat

@@ -14,12 +14,17 @@ reduces integer decision counts.  The trials of the whole grid form one
 flat range, SNR point by SNR point and H1 before H0.  Workers split it
 into contiguous ranges, and each range runs in blocks of near-equal
 height under a fixed memory cap, so a block may span hypotheses and SNR
-points.  A block's substreams fill one (T, 6NL) array of normals, every
-later stage runs over a leading trial axis with each row's own occupant
-and noise variance (a CS scheme recovers the block's reports in one
-Batch-OMP call; on `local_fusion_cs`, only those of thresholds that some
-variant can read, see `zero_by_construction`), and every stage is exact
-per row, so counts depend neither on the blocks nor on the worker count.
+points.  A block's substreams fill one (T, 6NL) array of normals, which
+is measured as each row's deviation from alice's channel, the only
+quantity every test reads: the noise alone on an H0 row, and the noise
+plus one channel product of eve's normals minus alice's on an H1 row.
+Every later stage runs over a leading trial axis with each row's own
+occupant and noise variance (a CS scheme recovers the block's reports in
+one Batch-OMP call; on `local_fusion_cs`, only those of thresholds that
+some variant can read, see `zero_by_construction`; `fc_raw_cs` alone
+adds alice's channel back to send the measurement itself), and every
+stage is exact per row, so counts depend neither on the blocks nor on
+the worker count.
 All detector variants (threshold sweeps, fusion rules) read the same
 block, and the paired "without CS" twin curves read its reports as
 measured; variants that share a threshold share its decisions.
@@ -36,7 +41,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import detect, sparse
-from .channel import ChannelConfig, measure_block, noise_variance
+from .channel import ChannelConfig, channel_block, measure_block, noise_variance, stack_columns
 from .detect import FusionRule
 from .numerics import standard_normal_rows, stream
 from .sparse import Basis, CsCodec, CsCodecConfig
@@ -71,8 +76,8 @@ _MAX_SNR_POINTS = 1 << 20
 # Bound on |SNR| in dB, inside which the noise variance and every stage after it stay finite.
 _MAX_ABS_SNR_DB = 1000.0
 # A block's height caps its standard normals (1 MiB): 36 trials at N=100, L=6.  A block
-# whose trials send reports through the codec caps them to `sparse.batch_reports`
-# instead: 36 fig4 trials.  Counts depend on neither cap.
+# whose trials send reports through the codec also caps them to `sparse.batch_reports`:
+# 36 fig4 trials.  Counts depend on neither cap.
 _BLOCK_NORMALS = 1 << 17
 
 
@@ -226,11 +231,14 @@ def _resolve(scenario: Scenario, variants: list[Variant]) -> tuple[np.ndarray, n
     return np.array(levels, dtype=float), np.array(columns), np.array(cutoffs), live
 
 
-def _block_decisions(scenario, levels, columns, cutoffs, live, paths, sigma2, h_ref, z) -> np.ndarray:
-    """(T, V * len(paths)) H1-decisions of every variant on a block's stacked ``h_ref``/``z``, path by path.
+def _block_decisions(scenario, levels, columns, cutoffs, live, paths, sigma2, h_ab, d) -> np.ndarray:
+    """(T, V * len(paths)) H1-decisions of every variant on a block's stacked deviations ``d``, path by path.
 
-    A True path sends the block's reports through the scenario's codec, a
-    False one reads them as measured; the codec is looked up only where a
+    ``d`` is each row's measurement z minus alice's channel ``h_ab``.
+    Only `fc_raw_cs` reads ``h_ab`` (None elsewhere): it sends z itself
+    through the codec and tests the recovered z minus ``h_ab``.  A True
+    path sends the block's reports through the scenario's codec, a False
+    one reads them as measured; the codec is looked up only where a
     report crosses it.  ``sigma2`` (T, 1) is each row's
     noise variance.  Each report is compared with the D distinct
     ``levels`` once.  A local scheme then tallies each (T, D, N) plane of
@@ -243,11 +251,10 @@ def _block_decisions(scenario, levels, columns, cutoffs, live, paths, sigma2, h_
     scale = 1.0 / sigma2  # d / sigma2 divides complex by complex; d * scale differs only in signs of zero
     if not scenario.scheme.local:
         codec = scenario_codec(scenario) if any(paths) else None
-        reports = [sparse.reconstruct_raw(sparse.compress(z, codec), codec) if cs else z for cs in paths]
-        return np.hstack([(detect.quadratic_statistic(r, h_ref, scale)[:, None] > levels)[:, columns] for r in reports])
-    t, n = len(z), scenario.channel.n_nodes
-    shape = (t, n, scenario.channel.n_taps)
-    stats_n = detect.quadratic_statistic(z.reshape(shape), h_ref.reshape(shape), scale[..., None])
+        reports = [sparse.reconstruct_raw(sparse.compress(h_ab + d, codec), codec) - h_ab if cs else d for cs in paths]
+        return np.hstack([(detect.quadratic_statistic(r, scale)[:, None] > levels)[:, columns] for r in reports])
+    t, n = len(d), scenario.channel.n_nodes
+    stats_n = detect.quadratic_statistic(d.reshape(t, n, scenario.channel.n_taps), scale[..., None])
     u = stats_n[:, None, :] > levels[:, None]  # (T, D, N)
     if any(paths):
         u_cs = np.zeros(u.shape, dtype=np.int64)
@@ -270,18 +277,19 @@ def _count_range(args) -> np.ndarray:
     every row carries its own occupant and noise variance.  Where a trial
     sends reports through the codec (on a compressed path, always on
     `fc_raw_cs` and on `local_fusion_cs` if some level is ``live``), a
-    block holds at most ``sparse.batch_reports`` of them, counting one per
-    live level on a local scheme; otherwise ``_BLOCK_NORMALS`` caps its
+    block also holds at most ``sparse.batch_reports`` of them, counting one
+    per live level on a local scheme; ``_BLOCK_NORMALS`` always caps its
     normals.
     """
     scenario, levels, columns, cutoffs, live, paths, lo, hi = args
     cfg = scenario.channel
     sigma2 = np.array([noise_variance(snr) for snr in scenario.snr_grid_db])
     width = 6 * cfg.n_nodes * cfg.n_taps  # alice, eve, noise: 2NL normals each
+    raw_cs = scenario.scheme is Scheme.FC_RAW_CS
     height = _BLOCK_NORMALS // width
     if any(paths) and live.any():  # a report crosses the codec: see `_block_decisions`
         reports = int(live.sum()) if scenario.scheme.local else 1
-        height = sparse.batch_reports(scenario.codec, scenario.report_length) // reports
+        height = min(height, sparse.batch_reports(scenario.codec, scenario.report_length) // reports)
     n = hi - lo
     blocks = -(-n // max(1, height))
     counts = np.zeros((2 * len(sigma2), len(columns) * len(paths)), dtype=np.int64)
@@ -289,8 +297,12 @@ def _count_range(args) -> np.ndarray:
         row, t = np.divmod(np.arange(lo + b * n // blocks, lo + (b + 1) * n // blocks), scenario.trials)
         s, eve = row >> 1, row % 2 == 0
         streams = ((s << 33) | (eve.astype(np.int64) << 32) | t).tolist()
-        h_ref, z = measure_block(standard_normal_rows(scenario.seed, streams, width), cfg, eve, sigma2[s])
-        decisions = _block_decisions(scenario, levels, columns, cutoffs, live, paths, sigma2[s, None], h_ref, z)
+        normals = standard_normal_rows(scenario.seed, streams, width)
+        d = measure_block(normals, cfg, eve, sigma2[s])
+        # only `fc_raw_cs` sends the measurement itself, alice's channel plus d, through the codec
+        h_ab = stack_columns(channel_block(normals[:, : width // 3], cfg)[:, 0]) if raw_cs else None
+        del normals  # a block's normals are dead once measured
+        decisions = _block_decisions(scenario, levels, columns, cutoffs, live, paths, sigma2[s, None], h_ab, d)
         # a block's flat trials are consecutive, so ``row`` never decreases and runs through
         # every counts row from its first to its last: sum each run of it
         lo_row, hi_row = row[0], row[-1]

@@ -13,7 +13,7 @@ import pytest
 from scipy import stats
 
 from cirauth import cli, simkit, sparse
-from cirauth.channel import ChannelConfig, measure_block, noise_variance
+from cirauth.channel import ChannelConfig, channel_block, measure_block, noise_variance, stack_columns
 from cirauth.detect import (
     FusionKind,
     FusionRule,
@@ -67,7 +67,7 @@ def test_02_local_false_alarm_calibration(capsys):
         alarms = 0
         for c in range(trials // chunk):
             noise = complex_normals(stream(8100 + s, c), chunk * n_taps, sigma2)
-            u = quadratic_statistic(noise.reshape(chunk, n_taps), np.zeros(n_taps), 1.0 / sigma2) > delta
+            u = quadratic_statistic(noise.reshape(chunk, n_taps), 1.0 / sigma2) > delta
             alarms += int(u.sum())
         emp = alarms / trials
         sig = math.sqrt(alpha * (1 - alpha) / trials)
@@ -86,7 +86,7 @@ def test_03_fc_statistic_distribution(capsys):
     chunk = 10_000
     for c in range(trials // chunk):
         v = complex_normals(stream(8200, c), chunk * dim, sigma2).reshape(chunk, dim)
-        stats_all.append(quadratic_statistic(v, np.zeros(dim), 1.0 / sigma2))
+        stats_all.append(quadratic_statistic(v, 1.0 / sigma2))
     sample = np.concatenate(stats_all)
     result = stats.kstest(sample, stats.chi2(2 * dim).cdf)
     ok = result.pvalue > 0.001
@@ -208,7 +208,8 @@ def test_08_correlation_error_monotonicity(capsys):
             n_nodes=100, n_taps=6, rho=rho, pdp=(1.0,) * 6, normalize_kronecker=False
         )
         total = 0.0
-        for z in measure_block(normals, cfg, alice, sigma2)[1]:
+        h_ab = stack_columns(channel_block(normals[:, : 2 * 100 * 6], cfg)[:, 0])
+        for z in h_ab + measure_block(normals, cfg, alice, sigma2):
             z_hat = reconstruct_raw(compress(z, codec), codec)
             total += np.sum(np.abs(z_hat - z) ** 2, axis=-1)
         means.append(total / 500)

@@ -133,6 +133,21 @@ class TestDrawChannel:
             power_e += np.sum(np.abs(h_eb) ** 2)
         assert abs(acc) / np.sqrt(power_a * power_e) < 0.05
 
+    @pytest.mark.parametrize("senders", [1, 2, 3])
+    @pytest.mark.parametrize("n_taps", [1, 3])
+    def test_any_number_of_senders(self, senders, n_taps):
+        # each sender's channels come from its own 2LN normals alone, bit for bit, in
+        # blocks of one row or several
+        cfg = ChannelConfig(n_nodes=5, n_taps=n_taps, rho=0.9)
+        k = 2 * n_taps * 5
+        normals = standard_normal_rows(20, range(4), senders * k)
+        h = channel_block(normals, cfg)
+        assert h.shape == (4, senders, n_taps, 5)
+        for j in range(senders):
+            assert np.array_equal(h[:, j], channel_block(normals[:, j * k : (j + 1) * k], cfg)[:, 0])
+            for i in range(4):
+                assert np.array_equal(h[i, j], channel_block(normals[i : i + 1, j * k : (j + 1) * k], cfg)[0, 0])
+
     def test_tap_variances_follow_pdp(self):
         cfg = ChannelConfig(
             n_nodes=3, n_taps=4, rho=0.0, pdp=(0.4, 0.3, 0.2, 0.1), normalize_kronecker=False
@@ -166,29 +181,26 @@ class TestMeasure:
         channel = np.tile(stream(30, 0).standard_normal(4 * 4 * 3), (len(noise_normals), 1))
         h_ab, h_eb = stack_columns(channel_block(channel[:1], _MEASURE_CFG)[0])
         t = len(noise_normals)
-        z = measure_block(np.hstack([channel, noise_normals]), _MEASURE_CFG, np.full(t, eve), np.full(t, sigma2))[1]
-        return h_ab, h_eb, z
+        d = measure_block(np.hstack([channel, noise_normals]), _MEASURE_CFG, np.full(t, eve), np.full(t, sigma2))
+        return h_ab, h_eb, d
 
     def test_noiseless_limit(self):
-        h_ab, _, z = self._measure(stream(31, 0).standard_normal((1, 24)), False, 1e-30)
-        assert np.abs(z[0] - h_ab).max() < 1e-12
+        _, _, d = self._measure(stream(31, 0).standard_normal((1, 24)), False, 1e-30)
+        assert np.abs(d[0]).max() < 1e-12
 
     def test_noise_energy_accounting(self):
         trials = 10_000
-        h, _, z = self._measure(standard_normal_rows(32, range(trials), 24), False, 1.0)
-        acc = 0.0
-        for z_t in z:
-            acc += np.sum(np.abs(z_t - h) ** 2)
-        assert acc / trials == pytest.approx(4 * 3, rel=0.03)
+        _, _, d = self._measure(standard_normal_rows(32, range(trials), 24), False, 1.0)
+        assert np.sum(np.abs(d) ** 2) / trials == pytest.approx(4 * 3, rel=0.03)
 
     def test_occupant_selects_channel(self):
-        _, h_eb, z = self._measure(stream(33, 0).standard_normal((1, 24)), True, 1e-30)
-        assert np.abs(z[0] - h_eb).max() < 1e-12
+        h_ab, h_eb, d = self._measure(stream(33, 0).standard_normal((1, 24)), True, 1e-30)
+        assert np.abs(d[0] - (h_eb - h_ab)).max() < 1e-12
 
     def test_stream_advances_between_calls(self):
         # one stream's first and second 24 noise normals, as two rows
-        _, _, z = self._measure(stream(34, 0).standard_normal((2, 24)), False, 1.0)
-        assert not np.array_equal(z[0], z[1])
+        _, _, d = self._measure(stream(34, 0).standard_normal((2, 24)), False, 1.0)
+        assert not np.array_equal(d[0], d[1])
 
     def test_dimension_mismatch(self):
         # noise normals for 5 nodes against a 4-node channel
@@ -209,11 +221,22 @@ class TestMeasureBlock:
         eve = np.array([0, 1, 1, 0, 1, 0], dtype=bool) ^ (occupant == "eve")
         sigma2 = np.array([noise_variance(s) for s in snrs])
         assert not np.array_equal(10.0 ** (-np.array(snrs) / 10.0), sigma2)
-        h_ab, z = measure_block(standard_normal_rows(36, streams, 6 * 5 * 3), cfg, eve, sigma2)
+        d = measure_block(standard_normal_rows(36, streams, 6 * 5 * 3), cfg, eve, sigma2)
         for i, sid in enumerate(streams):
             row = stream(36, sid).standard_normal((1, 6 * 5 * 3))
-            want_h_ab, want_z = _ref_measure_block(row, cfg, eve[i : i + 1], sigma2[i : i + 1])
-            assert np.array_equal(h_ab[i], want_h_ab[0]) and np.array_equal(z[i], want_z[0])
+            assert np.array_equal(d[i], _ref_measure_block(row, cfg, eve[i : i + 1], sigma2[i : i + 1])[0])
+
+    def test_alice_rows_are_scaled_noise(self):
+        # an H0 row's deviation is its noise times sigma, with no channel term: not
+        # (noise + h_ab) - h_ab, which rounds a few ulps off the noise
+        cfg = ChannelConfig(n_nodes=10, n_taps=6, rho=0.9)
+        t, k = 40, 2 * 10 * 6
+        normals = standard_normal_rows(37, range(t), 3 * k)
+        eve, sigma2 = np.arange(t) % 3 == 0, np.array([noise_variance(s) for s in np.linspace(-20, 20, t)])
+        d = measure_block(normals, cfg, eve, sigma2)
+        noise = _ref_noise_rows(normals[:, 2 * k :], sigma2[:, None], cfg.n_taps)
+        assert np.array_equal(d[~eve], noise[~eve])
+        assert not np.array_equal(d[eve], noise[eve])
 
 
 # The measurement front end as first written (scaled copies, ``1j * x`` sums and masked
@@ -239,28 +262,42 @@ def _ref_noise_rows(normals, sigma2, n_taps):
 
 
 def _ref_measure_block(normals, cfg, eve, sigma2):
-    k = 4 * cfg.n_taps * cfg.n_nodes
-    h = stack_columns(_ref_channel_block(normals[:, :k], cfg))
-    z = _ref_noise_rows(normals[:, k:], np.asarray(sigma2)[:, None], cfg.n_taps)
-    eve = np.asarray(eve, dtype=bool)[:, None]
-    np.add(z, h[:, 0], out=z, where=~eve)
-    np.add(z, h[:, 1], out=z, where=eve)
-    return h[:, 0], z
+    """Deviations z - h_ab: the noise, plus on eve's rows h_eb - h_ab as the channel of eve's normals minus alice's.
+
+    Every row's difference channel is formed, each row twice over, so the product never
+    runs on one row (numpy's gemv path, whose bits differ), and then masked in.
+    """
+    L, n = cfg.n_taps, cfg.n_nodes
+    k = 2 * L * n
+    d = _ref_noise_rows(normals[:, 2 * k :], np.asarray(sigma2)[:, None], L)
+    iid = _ref_complex_from_normals(normals[:, k : 2 * k] - normals[:, :k]).reshape(-1, L, n)
+    iid = (iid * np.sqrt(cfg.pdp_array)[:, None]).reshape(-1, n)
+    h = (np.vstack([iid, iid]) @ _correlation_factor(n, cfg.rho).T)[: len(iid)]
+    if cfg.normalize_kronecker:
+        h = h / math.sqrt(n)
+    h = stack_columns(h.reshape(-1, L, n))
+    np.add(d, h, out=d, where=np.asarray(eve, dtype=bool)[:, None])
+    return d
 
 
 _POSITIVE = st.floats(1e-3, 1e3)
 
 
 @st.composite
-def _front_end_cases(draw):
+def _channel_configs(draw):
     n, L = draw(st.integers(1, 6), label="nodes"), draw(st.integers(1, 4), label="taps")
-    cfg = ChannelConfig(
+    return ChannelConfig(
         n_nodes=n,
         n_taps=L,
         rho=draw(st.sampled_from([0.0, 0.5, 1.0]), label="rho"),
         pdp=draw(st.lists(st.floats(0.0, 4.0), min_size=L, max_size=L), label="pdp"),
         normalize_kronecker=draw(st.booleans(), label="normalize"),
     )
+
+
+@st.composite
+def _front_end_cases(draw):
+    cfg = draw(_channel_configs(), label="channel")
     t = draw(st.integers(1, 5), label="trials")
     eve = np.array(draw(st.lists(st.booleans(), min_size=t, max_size=t), label="eve"), dtype=bool)
     sigma2 = np.array(draw(st.lists(_POSITIVE, min_size=t, max_size=t), label="sigma2"))
@@ -284,13 +321,13 @@ class TestFrontEndReference:
         cfg, eve, sigma2, seed = case
         t, width = len(eve), 2 * cfg.n_nodes * cfg.n_taps
         normals = np.random.default_rng(seed).standard_normal((t, 3 * width))
-        h_ab, z = measure_block(normals, cfg, eve, sigma2)
-        want_h_ab, want_z = _ref_measure_block(normals, cfg, eve, sigma2)
-        assert h_ab.shape == z.shape == (t, width // 2)
-        assert np.array_equal(h_ab, want_h_ab) and np.array_equal(z, want_z)
+        d = measure_block(normals, cfg, eve, sigma2)
+        assert d.shape == (t, width // 2)
+        assert np.array_equal(d, _ref_measure_block(normals, cfg, eve, sigma2))
+        assert np.array_equal(channel_block(normals[:, : 2 * width], cfg), _ref_channel_block(normals[:, : 2 * width], cfg))
         # an empty block keeps its shapes (the reference reshapes cannot infer them)
-        h_ab, z = measure_block(normals[:0], cfg, eve[:0], sigma2[:0])
-        assert h_ab.shape == z.shape == (0, width // 2) and z.dtype == np.complex128
+        d = measure_block(normals[:0], cfg, eve[:0], sigma2[:0])
+        assert d.shape == (0, width // 2) and d.dtype == np.complex128
         assert channel_block(normals[:0, : 2 * width], cfg).shape == (0, 2, cfg.n_taps, cfg.n_nodes)
 
         # one trial drawn as per trial: its stream's channel normals, then its noise normals,
@@ -299,6 +336,25 @@ class TestFrontEndReference:
             ref = stream(seed, 5)
             want = _ref_channel_block(ref.standard_normal((1, 2 * width)), cfg)[0]
             v = _ref_noise_rows(ref.standard_normal((1, width)), sigma2[:1, None], cfg.n_taps)[0]
-            h_ab, z = measure_block(standard_normal_rows(seed, [5], 3 * width), cfg, [occupant], sigma2[:1])
-            assert np.array_equal(h_ab[0], stack_columns(want[0]))
-            assert np.array_equal(z[0], stack_columns(want[int(occupant)]) + v)
+            d = measure_block(standard_normal_rows(seed, [5], 3 * width), cfg, [occupant], sigma2[:1])
+            if occupant:  # the same deviation up to rounding: h_eb - h_ab is one product here
+                assert np.allclose(d[0], stack_columns(want[1]) - stack_columns(want[0]) + v, rtol=0, atol=1e-12)
+            else:
+                assert np.array_equal(d[0], v)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_rows_equal_one_row_calls(self, data):
+        # blocks with no eve row, one, or only eve rows: a lone eve row at one tap is a
+        # one-row channel product, which must still take the bits of a taller one
+        cfg = data.draw(_channel_configs(), label="channel")
+        t = data.draw(st.integers(1, 6), label="trials")
+        eve = data.draw(st.sampled_from(["none", "one", "all"]), label="eve rows")
+        eve = np.arange(t) == data.draw(st.integers(0, t - 1), label="eve row") if eve == "one" else \
+            np.full(t, eve == "all")
+        sigma2 = np.array(data.draw(st.lists(_POSITIVE, min_size=t, max_size=t), label="sigma2"))
+        normals = standard_normal_rows(data.draw(st.integers(0, 1 << 32), label="seed"), range(t),
+                                       6 * cfg.n_nodes * cfg.n_taps)
+        d = measure_block(normals, cfg, eve, sigma2)
+        for i in range(t):
+            assert d[i].tobytes() == measure_block(normals[i : i + 1], cfg, eve[i : i + 1], sigma2[i : i + 1])[0].tobytes()

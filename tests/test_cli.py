@@ -616,6 +616,17 @@ class TestSelfcheck:
         failed, out = _selfcheck_failures(capsys)
         assert failed == {"block_rows_exact"} and f"FAIL block_rows_exact: {name} rows differ" in out
 
+    def test_one_row_channel_product_detected(self, capsys, monkeypatch):
+        real = channel.channel_block
+
+        def gemv_bits(normals, cfg):  # a one-row product one ulp off the same row in a taller one
+            h = real(normals, cfg)
+            return h + np.spacing(h.real) if h.shape[:3] == (1, 1, 1) else h
+
+        monkeypatch.setattr(channel, "channel_block", gemv_bits)
+        failed, out = _selfcheck_failures(capsys)
+        assert failed == {"block_rows_exact"} and "FAIL block_rows_exact: measure_block rows differ" in out
+
     def test_checks_hold_under_optimize(self):
         # python -O strips assert statements: the checks must still fail a perturbed quantile
         # and pass a clean build

@@ -58,12 +58,12 @@ def test_correlated_fusion_pd_matches_conditional_reference(tmp_path):
         sigma2 = noise_variance(snr)
         # the engine's H1 (eve) trials at SNR index s
         normals = standard_normal_rows(seed, [(s << 33) | (1 << 32) | t for t in range(TRIALS)], 6 * n * taps)
-        h_ab, z = measure_block(normals, cfg, np.ones(TRIALS, dtype=bool), np.full(TRIALS, sigma2))
-        stats = quadratic_statistic(z.reshape(-1, n, taps), h_ab.reshape(-1, n, taps), 1.0 / sigma2)
+        d = measure_block(normals, cfg, np.ones(TRIALS, dtype=bool), np.full(TRIALS, sigma2))
+        stats = quadratic_statistic(d.reshape(-1, n, taps), 1.0 / sigma2)
         h = stack_columns(channel_block(normals[:, : 4 * n * taps], cfg))  # (T, 2, NL): alice, eve
-        d = (h[:, 1] - h[:, 0]).reshape(-1, n, taps)
+        mean_d = (h[:, 1] - h[:, 0]).reshape(-1, n, taps)  # h_eb - h_ab, d given the channels
         for v in run.variants:
             alarm = fuse((stats > v.threshold).astype(np.int64), v.rule)
             assert alarm.sum() / TRIALS == p_d[v.label, snr]  # these are the engine's trials
-            gap = alarm - conditional_fused_pd(d, sigma2, v.threshold, v.rule)
+            gap = alarm - conditional_fused_pd(mean_d, sigma2, v.threshold, v.rule)
             assert abs(gap.mean()) <= 5.0 * math.sqrt(gap.var() / TRIALS), (v.label, snr, gap.mean())

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cirauth import cli, simkit, sparse
-from cirauth.channel import ChannelConfig, measure_block, noise_variance
+from cirauth.channel import ChannelConfig, channel_block, measure_block, noise_variance, stack_columns
 from cirauth.detect import FusionKind, FusionRule, quadratic_statistic, solve_threshold
 from cirauth.numerics import standard_normal_rows
 from cirauth.simkit import (
@@ -282,7 +282,9 @@ def _oracle_counts(scenario: Scenario, variants: list[Variant]) -> tuple[np.ndar
     """(H1, H0) counts, shape (SNR points, 2V), one trial at a time.
 
     Each trial is a one-row block of the public pieces: its stream's
-    normals, ``measure_block``, the statistic, and the fusion rule.
+    normals, ``measure_block`` (and alice's channel, which `fc_raw_cs`
+    adds back to send the measurement), the statistic, and the fusion
+    rule.
     Columns are every variant on the scheme's report, then every variant
     on the uncompressed report (the ``no_cs`` twin).  Trial t at SNR
     index s under hypothesis h (1 = eve) owns stream (s << 33) | (h << 32) | t.
@@ -297,13 +299,13 @@ def _oracle_counts(scenario: Scenario, variants: list[Variant]) -> tuple[np.ndar
         for bit in (1, 0):
             for t in range(scenario.trials):
                 normals = standard_normal_rows(scenario.seed, [(si << 33) | (bit << 32) | t], 6 * n * L)
-                (h,), (z,) = measure_block(normals, cfg, [bit], [sigma2])
+                (h,), (d,) = _measured(cfg, normals, [bit], [sigma2])
                 if not local:
-                    z_cs = z if codec is None else reconstruct_raw(compress(z, codec), codec)
-                    stats = [quadratic_statistic(r, h, 1.0 / sigma2) for r in (z_cs, z)]
+                    d_cs = d if codec is None else reconstruct_raw(compress(h + d, codec), codec) - h
+                    stats = [quadratic_statistic(r, 1.0 / sigma2) for r in (d_cs, d)]
                     row = [stat > v.threshold for stat in stats for v in variants]
                 else:
-                    stats_n = quadratic_statistic(z.reshape(n, L), h.reshape(n, L), 1.0 / sigma2)
+                    stats_n = quadratic_statistic(d.reshape(n, L), 1.0 / sigma2)
                     us = [(stats_n > v.threshold).astype(np.int64) for v in variants]
                     if codec is not None:
                         us_cs = [reconstruct_decisions(compress(u.astype(float), codec), codec) for u in us]
@@ -312,6 +314,12 @@ def _oracle_counts(scenario: Scenario, variants: list[Variant]) -> tuple[np.ndar
                     row = [fuse(u, v.rule) for u_list in (us_cs, us) for u, v in zip(u_list, variants)]
                 counts[bit, si] += np.asarray(row, dtype=np.int64)
     return counts[1], counts[0]
+
+
+def _measured(cfg, normals, eve, sigma2):
+    """A block's alice channels ``h_ab`` and deviations ``d``, the two arrays ``_block_decisions`` reads."""
+    h_ab = stack_columns(channel_block(normals[:, : 2 * cfg.n_nodes * cfg.n_taps], cfg)[:, 0])
+    return h_ab, measure_block(normals, cfg, eve, sigma2)
 
 
 def _engine_counts(curves: list[DetectionCurve]) -> tuple[np.ndarray, np.ndarray]:
@@ -462,7 +470,7 @@ class TestBlockSplitInvariance:
         task = (scenario, *resolved, (True, False), lo, hi)
         reports = len(resolved[0]) if scenario.scheme.local else 1  # one per level on a local scheme
         width = 6 * scenario.channel.n_nodes * scenario.channel.n_taps
-        # a block with no live level (fig5-shaped) takes the normals cap, any other the factor cap
+        # both caps allow ``height`` trials: a block with no live level (fig5-shaped) has only the normals cap
         with mock.patch.object(simkit, "_BLOCK_NORMALS", height * width), \
                 mock.patch.object(sparse, "batch_reports", return_value=height * reports), \
                 mock.patch.object(simkit, "_block_decisions", wraps=simkit._block_decisions) as decide, \
@@ -524,9 +532,9 @@ class TestRecoveryBatches:
     """Block heights and Batch-OMP calls of runs: one call per block under the factor cap, distinct reports only."""
 
     @pytest.mark.parametrize("preset, overrides, rows_per_call", [
-        # 51 atoms make fig5's majority (over 50 votes) live: 84 trials in two blocks
-        # of 42, each 126 reports, 63 and 49 distinct
-        ("fig5", ["scenario.trials=2", "cs.max_atoms=51"], [63, 49]),
+        # 51 atoms make fig5's majority (over 50 votes) live: the normals cap puts 84
+        # trials in three blocks of 28, each 84 reports, 38, 51 and 25 distinct
+        ("fig5", ["scenario.trials=2", "cs.max_atoms=51"], [38, 51, 25]),
         ("fig4", ["scenario.trials=1"], [21, 21]),  # two fig4 blocks never share a call
         ("fig4", ["scenario.trials=72", "scenario.snr_db=0"], [36] * 4),  # a full fig4 block fits alone
     ])
@@ -552,8 +560,8 @@ class TestRecoveryBatches:
 
     @pytest.mark.parametrize("preset, overrides, block_rows", [
         # 51 atoms make a fig5 level live: the factor cap fits 187 // 3 = 62 trials in a
-        # block (the normals cap 36), so 120 flat trials run as two blocks of 60
-        ("fig5", ["scenario.trials=60", "scenario.snr_db=0", "cs.max_atoms=51"], [60, 60]),
+        # block and the normals cap 36, so 120 flat trials run as four blocks of 30
+        ("fig5", ["scenario.trials=60", "scenario.snr_db=0", "cs.max_atoms=51"], [30] * 4),
         # no report crosses the preset's codec: the normals cap, four blocks of 30
         ("fig5", ["scenario.trials=60", "scenario.snr_db=0"], [30] * 4),
         # the benchmark's runs: the normals cap fits 364 fig2/fig3 trials and 36 fig5
@@ -563,14 +571,15 @@ class TestRecoveryBatches:
         ("fig4", ["scenario.trials=1"], [21] * 2),
         ("fig5", ["scenario.trials=2"], [28] * 3),
         # a library run (every CLI rule applies at every level): only the middle of three
-        # levels is live, so the factor cap fits 305 // 1 trials, and 300 run as one block
+        # levels is live, so the factor cap fits 305 // 1 trials, but the normals cap 36,
+        # and 300 run as nine blocks
         pytest.param(None, (
             Scenario(scheme=Scheme.LOCAL_FUSION_CS, channel=_PRESET_CHANNEL, snr_grid_db=(0.0,), trials=150,
                      seed=41005, codec=CsCodecConfig(m=70, basis="identity", max_atoms=35)),
             [Variant("majority@39", 39.0, FusionRule(kind=FusionKind.MAJORITY)),
              Variant("single@26.2", 26.2, FusionRule(kind=FusionKind.SINGLE)),
              Variant("majority@32.9", 32.9, FusionRule(kind=FusionKind.MAJORITY))],
-        ), [300], id="partially-live"),
+        ), [33, 33, 34] * 3, id="partially-live"),
     ])
     def test_block_height(self, preset, overrides, block_rows, tmp_path, capsys):
         # each block is measured and decided once
@@ -581,6 +590,19 @@ class TestRecoveryBatches:
                 argv = ["run", "--config", preset, "--out", str(tmp_path / "o.csv")]
                 assert cli.main(argv + [a for o in overrides for a in ("--set", o)]) == 0
         assert [len(c.args[-1]) for c in spy.call_args_list] == block_rows
+
+    @pytest.mark.parametrize("case", ["fc_raw", "fc_raw_cs", "local_fusion", "local_fusion_cs"])
+    def test_normals_cap_bounds_every_scheme(self, case):
+        # a normals cap of five trials under a factor cap that would fit the whole run:
+        # the 92 flat trials run in 19 blocks, none of more than five trials' normals
+        scenario, variants = _EQUIVALENCE_CASES[case]
+        cap = 5 * 6 * scenario.channel.n_nodes * scenario.channel.n_taps
+        with mock.patch.object(simkit, "_BLOCK_NORMALS", cap), \
+                mock.patch.object(sparse, "batch_reports", return_value=1 << 20), \
+                mock.patch.object(simkit, "measure_block", wraps=simkit.measure_block) as spy:
+            estimate_curves(scenario, variants, uncompressed_twin=scenario.scheme.compressed)
+        sizes = [c.args[0].size for c in spy.call_args_list]
+        assert len(sizes) == 19 and max(sizes) <= cap
 
 
 class TestOmpBreakdownRun:
@@ -703,8 +725,10 @@ class TestCurveStructure:
 # Frozen reference: the engine's threshold resolution, block decisions and
 # curve arithmetic as they were when every variant compared and fused its
 # own copy of the node decisions, with the statistic in its first form (a
-# callable applier of the inverse covariance, dividing by sigma2).  The
-# engine must match it bit for bit.
+# callable applier of the inverse covariance, dividing by sigma2).  It
+# reads a block's deviations d = z - h_ab as its reports, where fc_raw_cs
+# sends z = h_ab + d through the codec and tests the recovered z against
+# h_ab.  The engine must match it bit for bit.
 def _ref_resolve(scenario, variants):
     local = scenario.scheme.local
     thresholds, groups = [], {}
@@ -731,18 +755,19 @@ def _ref_fc_raw_statistic(z_star, h_ab_star, sigma_star_inv_applier):
     return _ref_quadratic_statistic(z_star, h_ab_star, sigma_star_inv_applier)
 
 
-def _ref_block_decisions(scenario, thresholds, rule_groups, twin, sigma2, h_ref, z):
+def _ref_block_decisions(scenario, thresholds, rule_groups, twin, sigma2, h_ab, d):
     codec = scenario_codec(scenario) if scenario.scheme.compressed else None
+    zero = np.zeros(d.shape[-1])
     if not scenario.scheme.local:
-        reports = [z] if codec is None else [reconstruct_raw(compress(z, codec), codec)]
+        reports = [(d, zero)] if codec is None else [(reconstruct_raw(compress(h_ab + d, codec), codec), h_ab)]
         if twin:
-            reports.append(z)
+            reports.append((d, zero))
         return np.hstack([
-            _ref_fc_raw_statistic(r, h_ref, lambda d: d / sigma2)[:, None] > thresholds for r in reports
+            _ref_fc_raw_statistic(r, h, lambda x: x / sigma2)[:, None] > thresholds for r, h in reports
         ])
-    t, n = len(z), scenario.channel.n_nodes
+    t, n = len(d), scenario.channel.n_nodes
     shape = (t, n, scenario.channel.n_taps)
-    stats_n = _ref_quadratic_statistic(z.reshape(shape), h_ref.reshape(shape), lambda d: d / sigma2[..., None])
+    stats_n = _ref_quadratic_statistic(d.reshape(shape), zero.reshape(shape[1:]), lambda x: x / sigma2[..., None])
     u = (stats_n[:, None, :] > thresholds[:, None]).astype(np.int64)  # (T, V, N)
     planes = [u]
     if codec is not None:
@@ -824,10 +849,10 @@ class TestDecisionReference:
         streams = data.draw(st.lists(st.integers(0, 1 << 40), min_size=t, max_size=t), label="streams")
         cfg = scenario.channel
         sigma2 = np.array([noise_variance(s) for s in snr])
-        h_ref, z = measure_block(standard_normal_rows(scenario.seed, streams, 6 * cfg.n_nodes * cfg.n_taps), cfg, eve, sigma2)
-        want = _ref_block_decisions(scenario, *_ref_resolve(scenario, variants), twin, sigma2[:, None], h_ref, z)
+        h_ab, d = _measured(cfg, standard_normal_rows(scenario.seed, streams, 6 * cfg.n_nodes * cfg.n_taps), eve, sigma2)
+        want = _ref_block_decisions(scenario, *_ref_resolve(scenario, variants), twin, sigma2[:, None], h_ab, d)
         paths = (scenario.scheme.compressed,) + ((False,) if twin else ())
-        got = simkit._block_decisions(scenario, *simkit._resolve(scenario, variants), paths, sigma2[:, None], h_ref, z)
+        got = simkit._block_decisions(scenario, *simkit._resolve(scenario, variants), paths, sigma2[:, None], h_ab, d)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.array_equal(got, want)
 
@@ -842,9 +867,9 @@ class TestDecisionReference:
         t, cfg = 2000, scenario.channel
         sigma2 = np.full(t, noise_variance(0.0))
         normals = standard_normal_rows(scenario.seed, range(t), 6 * cfg.n_nodes * cfg.n_taps)
-        h_ref, z = measure_block(normals, cfg, np.zeros(t, dtype=bool), sigma2)
-        want = _ref_block_decisions(scenario, *_ref_resolve(scenario, variants), False, sigma2[:, None], h_ref, z)
-        got = simkit._block_decisions(scenario, *simkit._resolve(scenario, variants), (False,), sigma2[:, None], h_ref, z)
+        d = measure_block(normals, cfg, np.zeros(t, dtype=bool), sigma2)
+        want = _ref_block_decisions(scenario, *_ref_resolve(scenario, variants), False, sigma2[:, None], None, d)
+        got = simkit._block_decisions(scenario, *simkit._resolve(scenario, variants), (False,), sigma2[:, None], None, d)
         assert np.array_equal(got, want)
 
     @settings(max_examples=40, deadline=None)
@@ -889,9 +914,8 @@ class TestCountRule:
         t, cfg = 2000, scenario.channel
         sigma2 = np.full((t, 1), noise_variance(0.0))
         normals = standard_normal_rows(scenario.seed, range(t), 6 * cfg.n_nodes * cfg.n_taps)
-        h_ref, z = measure_block(normals, cfg, np.zeros(t, dtype=bool), sigma2[:, 0])
-        shape = (t, cfg.n_nodes, cfg.n_taps)
-        stats_n = quadratic_statistic(z.reshape(shape), h_ref.reshape(shape), 1.0 / sigma2[..., None])
+        d = measure_block(normals, cfg, np.zeros(t, dtype=bool), sigma2[:, 0])
+        stats_n = quadratic_statistic(d.reshape(t, cfg.n_nodes, cfg.n_taps), 1.0 / sigma2[..., None])
         want = np.stack([(stats_n > d).sum(-1) / cfg.n_nodes > a for d, a in pairs], axis=1)
-        got = simkit._block_decisions(scenario, *simkit._resolve(scenario, variants), (False,), sigma2, h_ref, z)
+        got = simkit._block_decisions(scenario, *simkit._resolve(scenario, variants), (False,), sigma2, None, d)
         assert np.array_equal(got, want)

@@ -317,7 +317,7 @@ class TestReconstructDecisions:
 class TestCorrelationHelpsCompression:
     def test_reconstruction_error_decreases_with_rho(self):
         # paired draws: only the node-correlation differs between runs
-        from cirauth.channel import ChannelConfig, measure_block, noise_variance
+        from cirauth.channel import ChannelConfig, channel_block, measure_block, noise_variance, stack_columns
 
         codec = CsCodec(gaussian_phi(stream(79, 0), 480, 600), basis="dct", max_atoms=60)
         normals = standard_normal_rows(80, range(60), 6 * 100 * 6)
@@ -327,7 +327,8 @@ class TestCorrelationHelpsCompression:
                 n_nodes=100, n_taps=6, rho=rho, pdp=(1.0,) * 6, normalize_kronecker=False
             )
             errs = []
-            for z in measure_block(normals, cfg, np.zeros(60, dtype=bool), np.full(60, noise_variance(20.0)))[1]:
+            h_ab = stack_columns(channel_block(normals[:, : 2 * 100 * 6], cfg)[:, 0])
+            for z in h_ab + measure_block(normals, cfg, np.zeros(60, dtype=bool), np.full(60, noise_variance(20.0))):
                 err = np.sum(np.abs(reconstruct_raw(compress(z, codec), codec) - z) ** 2, axis=-1)
                 errs.append(err)
             means.append(np.mean(errs))

@@ -15,7 +15,8 @@ or module bodies) is reported under its bare name, same-named functions
 summed, with its inclusive time.  ``estimate_curves`` runs three stages,
 ``standard_normal_rows``, ``measure_block`` and ``_block_decisions``;
 ``rest`` is the remainder (indices, stream ids and counts in
-``_count_range``, and the curves).  The README maps the paper's layers
+``_count_range``, alice's ``channel_block`` on ``fc_raw_cs``, and the
+curves).  The README maps the paper's layers
 to these names.  The profiler adds a cost per Python call, so compare
 the fastest of several runs.  The first repeat warms up and is dropped.
 The last line of output is one JSON object with the median over the
