@@ -19,12 +19,12 @@ is measured as each row's deviation from alice's channel, the only
 quantity every test reads: the noise alone on an H0 row, and the noise
 plus one channel product of eve's normals minus alice's on an H1 row.
 Every later stage runs over a leading trial axis with each row's own
-occupant and noise variance (a CS scheme recovers the block's reports in
-one Batch-OMP call; on `local_fusion_cs`, only those of thresholds that
-some variant can read, see `zero_by_construction`; `fc_raw_cs` alone
-adds alice's channel back to send the measurement itself), and every
-stage is exact per row, so counts depend neither on the blocks nor on
-the worker count.
+occupant and noise variance (a CS scheme recovers the block's reports by
+Batch-OMP, in calls that `sparse` sizes; on `local_fusion_cs`, only those
+of thresholds that some variant can read, see `zero_by_construction`;
+`fc_raw_cs` alone adds alice's channel back to send the measurement
+itself), and every stage is exact per row, so counts depend neither on
+the blocks nor on the worker count.
 All detector variants (threshold sweeps, fusion rules) read the same
 block, and the paired "without CS" twin curves read its reports as
 measured; variants that share a threshold share its decisions.
@@ -75,9 +75,8 @@ _MAX_TRIALS = 1 << 31
 _MAX_SNR_POINTS = 1 << 20
 # Bound on |SNR| in dB, inside which the noise variance and every stage after it stay finite.
 _MAX_ABS_SNR_DB = 1000.0
-# A block's height caps its standard normals (1 MiB): 36 trials at N=100, L=6.  A block
-# whose trials send reports through the codec also caps them to `sparse.batch_reports`:
-# 36 fig4 trials.  Counts depend on neither cap.
+# A block's height caps its standard normals (1 MiB): 36 trials at N=100, L=6.  Counts do not
+# depend on it.
 _BLOCK_NORMALS = 1 << 17
 
 
@@ -274,24 +273,16 @@ def _count_range(args) -> np.ndarray:
     eve, 1: alice) at SNR index s; it owns stream (s << 33) | (eve << 32)
     | t and is counted in row 2 s + h.  The range runs in blocks of
     near-equal height, and a block may span hypotheses and SNR points:
-    every row carries its own occupant and noise variance.  Where a trial
-    sends reports through the codec (on a compressed path, always on
-    `fc_raw_cs` and on `local_fusion_cs` if some level is ``live``), a
-    block also holds at most ``sparse.batch_reports`` of them, counting one
-    per live level on a local scheme; ``_BLOCK_NORMALS`` always caps its
-    normals.
+    every row carries its own occupant and noise variance.  ``_BLOCK_NORMALS``
+    caps a block's normals.
     """
     scenario, levels, columns, cutoffs, live, paths, lo, hi = args
     cfg = scenario.channel
     sigma2 = np.array([noise_variance(snr) for snr in scenario.snr_grid_db])
     width = 6 * cfg.n_nodes * cfg.n_taps  # alice, eve, noise: 2NL normals each
     raw_cs = scenario.scheme is Scheme.FC_RAW_CS
-    height = _BLOCK_NORMALS // width
-    if any(paths) and live.any():  # a report crosses the codec: see `_block_decisions`
-        reports = int(live.sum()) if scenario.scheme.local else 1
-        height = min(height, sparse.batch_reports(scenario.codec, scenario.report_length) // reports)
     n = hi - lo
-    blocks = -(-n // max(1, height))
+    blocks = -(-n // max(1, _BLOCK_NORMALS // width))
     counts = np.zeros((2 * len(sigma2), len(columns) * len(paths)), dtype=np.int64)
     for b in range(blocks):
         row, t = np.divmod(np.arange(lo + b * n // blocks, lo + (b + 1) * n // blocks), scenario.trials)

@@ -16,14 +16,15 @@ step), so an iteration costs O(n*K) per report and calls no LAPACK
 routine.
 
 A compressed report is the plain array y, (M,) or a block (T, M) of T
-reports; the receiver already holds the codec.  OMP is one kernel call
-per block on its distinct reports only (a duplicate gets a copy of its
-twin's result), while projection and basis synthesis run one product per
+reports; the receiver already holds the codec.  OMP runs on a block's
+distinct reports only (a duplicate gets a copy of its twin's result), in
+near-equal kernel calls of at most `batch_reports` each, which bounds a
+call's factor F; projection and basis synthesis run one product per
 report (synthesis from the report's support only), so every row equals
-the one-report call bit for bit at any block height.  `batch_reports`
-caps a call's height from the recipe alone, and `CsCodecConfig` checks and
-resolves every codec's parameters.  A report on which OMP breaks down
-(see `_recover`) keeps its partial estimate, and the call warns.
+the one-report call bit for bit at any block height and any split.
+`CsCodecConfig` checks and resolves every codec's parameters.  A report
+on which OMP breaks down (see `_recover`) keeps its partial estimate, and
+the recovery warns.
 """
 
 from __future__ import annotations
@@ -142,7 +143,7 @@ class CsCodec:
 _BATCH_FACTOR = 11 << 17  # doubles (11 MiB) of one Batch-OMP call's factor F
 
 
-def batch_reports(cfg: CsCodecConfig, n: int) -> int:
+def batch_reports(cfg: CsCodecConfig | CsCodec, n: int) -> int:
     """Most length-``n`` reports whose factor F (budget x (budget + n) each) fits the cap: 36 on fig4, 305 on fig5."""
     return _BATCH_FACTOR // (cfg.max_atoms * (cfg.max_atoms + n))
 
@@ -203,11 +204,11 @@ def _batch_omp(ys: np.ndarray, a: np.ndarray, gram: np.ndarray, max_atoms: int, 
     complex_y = np.iscomplexobj(ys)
     ys = np.stack((ys.real, ys.imag), axis=1) if complex_y else ys[:, None, :]
     ys = ys.astype(np.float64)  # (T, P, M)
-    t, p, _ = ys.shape
+    t, p, m = ys.shape
     n = gram.shape[0]
     budget = min(int(max_atoms), n)
     gdiag = gram.diagonal().copy()
-    ynorm2 = np.sum(np.square(ys).reshape(t, -1), axis=1)
+    ynorm2 = np.sum(np.square(ys).reshape(t, p * m), axis=1)
     coeffs = np.zeros((t, p, n))
     errors = [None] * t
     chosen = np.zeros((t, budget), dtype=np.intp)
@@ -306,15 +307,22 @@ def _recover(y: np.ndarray, codec: CsCodec) -> _OmpResult:
     whose next atom is numerically dependent on its support, breaks down
     first and keeps its partial coefficients, the least-squares fit on the
     support it reached, as a report stopped by the budget keeps its own.
-    A call with a breakdown warns once, with how many of its reports broke
-    down and why the first did.
+    The distinct reports run in as few near-equal `_batch_omp` calls as
+    `batch_reports` allows, at least one.  A call with a breakdown warns
+    once, with how many of its reports broke down and why the first did.
     """
     if np.ndim(y) not in (1, 2) or np.shape(y)[-1] != codec.m:
         raise ValueError(f"y must have trailing length {codec.m}, got {np.shape(y)}")
     ys = np.ascontiguousarray(np.atleast_2d(y))
     keys = ys.view(np.dtype((np.void, ys.shape[1] * ys.itemsize)))[:, 0]
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    res = _batch_omp(ys[first], codec.dictionary, codec.gram, codec.max_atoms, codec.residual_tol)
+    calls = max(1, -(-len(first) // max(1, batch_reports(codec, codec.n))))
+    edges = np.arange(calls + 1) * len(first) // calls
+    parts = [_batch_omp(ys[first[lo:hi]], codec.dictionary, codec.gram, codec.max_atoms, codec.residual_tol)
+             for lo, hi in zip(edges[:-1], edges[1:])]
+    res = parts[0] if calls == 1 else _OmpResult(
+        np.concatenate([r.coeffs for r in parts]), [e for r in parts for e in r.errors],
+        np.concatenate([r.support for r in parts]), np.concatenate([r.count for r in parts]))
     errors = [res.errors[i] for i in inverse]
     broken = [error for error in errors if error]
     if broken:

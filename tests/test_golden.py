@@ -5,8 +5,10 @@ hash to the reference sha256 values listed in ``perfbench/README.md``,
 serially and with two worker processes.  The same runs at ``--seed 7``,
 and fig5 at 40 trials per point (24 normals-capped blocks per worker,
 recovering no report), are pinned too, and so are fig2 and fig3 with their thresholds
-given as target false-alarm rates instead.  An engine change that renumbers a draw,
-reorders a reduction or perturbs a report's bits shows here.
+given as target false-alarm rates instead, and fig4 at 120 atoms, where the
+Batch-OMP factor cap splits each block's recovery into two calls.  An engine
+change that renumbers a draw, reorders a reduction or perturbs a report's bits
+shows here.
 """
 
 import hashlib
@@ -37,19 +39,23 @@ GOLDEN_TARGET_RATE = {
     ("fig2", 50): "6ec6e11ef6ed3f67a3d46418dac3ccecad84bd02e9aac1742b3067ae8211fd2d",
     ("fig3", 10): "64573bc2989e5f9174edb28094818325545e6d2fe59c379a5e85b42826665af6",
 }
+# (preset, trials, --set overrides) -> sha256
+GOLDEN_SET = {
+    ("fig4", 1, ("cs.max_atoms=120",)): "9f5f38e0fbce3408b8cbfcd384198140b32a884fae44e53aa1686126eeb262da",
+}
 TARGET_RATE_LINES = {
     "fig2": ("detector.delta", "detector.target_pfa = 1e-2,1e-3"),
     "fig3": ("detector.delta_n", "detector.target_pfa_n = 1e-2,1e-3"),
 }
 
 
-def _digests(tmp_path, config, trials, seed=None) -> list[str]:
+def _digests(tmp_path, config, trials, seed=None, sets=()) -> list[str]:
     """sha256 of the run's CSV at --workers 1 and 2."""
     digests = []
     for workers in (1, 2):
         out = tmp_path / f"w{workers}.csv"
-        argv = ["run", "--config", config, "--out", str(out), "--workers", str(workers),
-                "--set", f"scenario.trials={trials}"]
+        argv = ["run", "--config", config, "--out", str(out), "--workers", str(workers)]
+        argv += [a for o in (f"scenario.trials={trials}", *sets) for a in ("--set", o)]
         if seed is not None:
             argv += ["--seed", str(seed)]
         assert cli.main(argv) == 0
@@ -75,3 +81,8 @@ def test_target_rate_csv_matches_reference(preset, trials, tmp_path, capsys):
     cfg = tmp_path / f"{preset}-target-rate.cfg"
     cfg.write_text(text)
     assert _digests(tmp_path, str(cfg), trials) == [GOLDEN_TARGET_RATE[preset, trials]] * 2
+
+
+@pytest.mark.parametrize("preset, trials, sets", sorted(GOLDEN_SET))
+def test_overridden_csv_matches_reference(preset, trials, sets, tmp_path, capsys):
+    assert _digests(tmp_path, preset, trials, sets=sets) == [GOLDEN_SET[preset, trials, sets]] * 2

@@ -331,7 +331,7 @@ def _engine_counts(curves: list[DetectionCurve]) -> tuple[np.ndarray, np.ndarray
 _SMALL = ChannelConfig(n_nodes=4, n_taps=3, rho=0.8, pdp=(1.0,) * 3, normalize_kronecker=False)
 _SMALL_LOCAL = ChannelConfig(n_nodes=8, n_taps=2, rho=0.8, pdp=(1.0,) * 2, normalize_kronecker=False)
 _BLOCK_CAP = 504  # normals: blocks of 7 trials on _SMALL, 5 on _SMALL_LOCAL
-_BATCH_CAP = 595  # Batch-OMP factor: blocks of 7 trials on fc_raw_cs, 9 on local_fusion_cs
+_BATCH_CAP = 255  # Batch-OMP factor: splits a block's recovery into calls of at most 3 reports on fc_raw_cs, 7 on local_fusion_cs
 _FC_VARIANTS = [
     Variant(label="delta=20", threshold=20.0),
     Variant(label="pfa=0.05", threshold=solve_threshold(0.05, 2 * 4 * 3)),  # 2NL dof on _SMALL
@@ -375,7 +375,7 @@ class TestEngineEquivalence:
     def test_counts_match_per_trial_oracle(self, case, monkeypatch):
         scenario, variants = _EQUIVALENCE_CASES[case]
         monkeypatch.setattr(simkit, "_BLOCK_NORMALS", _BLOCK_CAP)  # 23 trials end on a partial block
-        monkeypatch.setattr(sparse, "_BATCH_FACTOR", _BATCH_CAP)  # so do a CS scheme's
+        monkeypatch.setattr(sparse, "_BATCH_FACTOR", _BATCH_CAP)  # and a CS block's recovery runs in several calls
         twin = scenario.codec is not None
         curves = estimate_curves(scenario, variants, uncompressed_twin=twin)
         want_h1, want_h0 = _oracle_counts(scenario, variants)
@@ -396,7 +396,7 @@ class TestEngineEquivalence:
         twin = scenario.codec is not None
         one = estimate_curves(scenario, variants, workers=1, uncompressed_twin=twin)
         monkeypatch.setattr(simkit, "_BLOCK_NORMALS", 1)  # one trial per block
-        monkeypatch.setattr(sparse, "_BATCH_FACTOR", 0)  # on a CS scheme too
+        monkeypatch.setattr(sparse, "_BATCH_FACTOR", 0)  # and one report per Batch-OMP call
         assert estimate_curves(scenario, variants, workers=1, uncompressed_twin=twin) == one
         assert estimate_curves(scenario, variants, workers=2, uncompressed_twin=twin) == one
 
@@ -468,11 +468,8 @@ class TestBlockSplitInvariance:
         blocks = -(-(hi - lo) // height)
         assume(all(lo + b * (hi - lo) // blocks != boundary for b in range(blocks)))
         task = (scenario, *resolved, (True, False), lo, hi)
-        reports = len(resolved[0]) if scenario.scheme.local else 1  # one per level on a local scheme
         width = 6 * scenario.channel.n_nodes * scenario.channel.n_taps
-        # both caps allow ``height`` trials: a block with no live level (fig5-shaped) has only the normals cap
         with mock.patch.object(simkit, "_BLOCK_NORMALS", height * width), \
-                mock.patch.object(sparse, "batch_reports", return_value=height * reports), \
                 mock.patch.object(simkit, "_block_decisions", wraps=simkit._block_decisions) as decide, \
                 mock.patch.object(simkit, "measure_block", wraps=simkit.measure_block) as spy:
             got = simkit._count_range(task)
@@ -480,7 +477,7 @@ class TestBlockSplitInvariance:
         assert any(c.args[2].any() and not c.args[2].all() and len(set(c.args[3])) == 2 for c in spy.call_args_list)
         assert decide.call_count == blocks
         with mock.patch.object(simkit, "_BLOCK_NORMALS", 0), mock.patch.object(sparse, "_BATCH_FACTOR", 0):
-            assert np.array_equal(got, simkit._count_range(task))  # one trial per block
+            assert np.array_equal(got, simkit._count_range(task))  # one trial per block, one report per call
 
     def test_rows_carry_occupant_and_variance(self):
         # flat order is point-major, eve first; each row's sigma2 has noise_variance's
@@ -509,7 +506,6 @@ class TestCountRange:
         hi = data.draw(st.integers(2 * trials + 1, 4 * trials), label="hi")
         height = data.draw(st.integers(1, hi - lo), label="trials per block")
         width = 6 * scenario.channel.n_nodes * scenario.channel.n_taps
-        reports = len(resolved[0]) if scenario.scheme.local else 1  # one per level on a local scheme
         decisions, decide = [], simkit._block_decisions
 
         def spy(*args):
@@ -517,7 +513,6 @@ class TestCountRange:
             return decisions[-1]
 
         with mock.patch.object(simkit, "_BLOCK_NORMALS", height * width), \
-                mock.patch.object(sparse, "batch_reports", return_value=height * reports), \
                 mock.patch.object(simkit, "_block_decisions", spy):
             got = simkit._count_range((scenario, *resolved, paths, lo, hi))
         decided = np.concatenate(decisions)  # the flat trials in order, one row each
@@ -529,7 +524,7 @@ class TestCountRange:
 
 
 class TestRecoveryBatches:
-    """Block heights and Batch-OMP calls of runs: one call per block under the factor cap, distinct reports only."""
+    """Block heights and Batch-OMP calls of runs: the normals cap sizes a block, the factor cap its calls, distinct reports only."""
 
     @pytest.mark.parametrize("preset, overrides, rows_per_call", [
         # 51 atoms make fig5's majority (over 50 votes) live: the normals cap puts 84
@@ -537,6 +532,8 @@ class TestRecoveryBatches:
         ("fig5", ["scenario.trials=2", "cs.max_atoms=51"], [38, 51, 25]),
         ("fig4", ["scenario.trials=1"], [21, 21]),  # two fig4 blocks never share a call
         ("fig4", ["scenario.trials=72", "scenario.snr_db=0"], [36] * 4),  # a full fig4 block fits alone
+        # 120 atoms: the factor cap fits 16 reports, so each 21-trial block runs as two calls
+        ("fig4", ["scenario.trials=1", "cs.max_atoms=120"], [10, 11, 10, 11]),
     ])
     def test_calls_and_rows(self, preset, overrides, rows_per_call, tmp_path, capsys):
         argv = ["run", "--config", preset, "--out", str(tmp_path / "o.csv")]
@@ -559,20 +556,21 @@ class TestRecoveryBatches:
         assert sparse.batch_reports(run.scenario.codec, run.scenario.report_length) == reports
 
     @pytest.mark.parametrize("preset, overrides, block_rows", [
-        # 51 atoms make a fig5 level live: the factor cap fits 187 // 3 = 62 trials in a
-        # block and the normals cap 36, so 120 flat trials run as four blocks of 30
+        # 51 atoms make a fig5 level live, and the normals cap alone sizes the blocks:
+        # 36 trials, so 120 flat trials run as four blocks of 30
         ("fig5", ["scenario.trials=60", "scenario.snr_db=0", "cs.max_atoms=51"], [30] * 4),
         # no report crosses the preset's codec: the normals cap, four blocks of 30
         ("fig5", ["scenario.trials=60", "scenario.snr_db=0"], [30] * 4),
-        # the benchmark's runs: the normals cap fits 364 fig2/fig3 trials and 36 fig5
-        # trials, the factor cap 36 fig4 trials
+        # the benchmark's runs: the normals cap fits 364 fig2/fig3 trials and 36 fig4/fig5
+        # trials
         ("fig2", ["scenario.trials=50"], [350] * 6),
         ("fig3", ["scenario.trials=10"], [310] * 2),
         ("fig4", ["scenario.trials=1"], [21] * 2),
         ("fig5", ["scenario.trials=2"], [28] * 3),
+        # 120 atoms: the factor cap fits 16 fig4 reports, which splits calls, not blocks
+        ("fig4", ["scenario.trials=1", "cs.max_atoms=120"], [21] * 2),
         # a library run (every CLI rule applies at every level): only the middle of three
-        # levels is live, so the factor cap fits 305 // 1 trials, but the normals cap 36,
-        # and 300 run as nine blocks
+        # levels is live, and the normals cap's 36 trials run 300 as nine blocks
         pytest.param(None, (
             Scenario(scheme=Scheme.LOCAL_FUSION_CS, channel=_PRESET_CHANNEL, snr_grid_db=(0.0,), trials=150,
                      seed=41005, codec=CsCodecConfig(m=70, basis="identity", max_atoms=35)),
@@ -593,16 +591,19 @@ class TestRecoveryBatches:
 
     @pytest.mark.parametrize("case", ["fc_raw", "fc_raw_cs", "local_fusion", "local_fusion_cs"])
     def test_normals_cap_bounds_every_scheme(self, case):
-        # a normals cap of five trials under a factor cap that would fit the whole run:
-        # the 92 flat trials run in 19 blocks, none of more than five trials' normals
+        # a normals cap of five trials: the 92 flat trials run in 19 blocks, none of more
+        # than five trials' normals
         scenario, variants = _EQUIVALENCE_CASES[case]
         cap = 5 * 6 * scenario.channel.n_nodes * scenario.channel.n_taps
         with mock.patch.object(simkit, "_BLOCK_NORMALS", cap), \
-                mock.patch.object(sparse, "batch_reports", return_value=1 << 20), \
                 mock.patch.object(simkit, "measure_block", wraps=simkit.measure_block) as spy:
             estimate_curves(scenario, variants, uncompressed_twin=scenario.scheme.compressed)
         sizes = [c.args[0].size for c in spy.call_args_list]
         assert len(sizes) == 19 and max(sizes) <= cap
+
+
+# columns e1, e2, e1 + 1e-7 e3 and e1 + e2: the third is almost in the span of the first
+_NEAR_DEPENDENT_PHI = np.array([[1.0, 0.0, 1.0, 1.0], [0.0, 1.0, 0.0, 1.0], [0.0, 0.0, 1e-7, 0.0]])
 
 
 class TestOmpBreakdownRun:
@@ -614,14 +615,40 @@ class TestOmpBreakdownRun:
             channel=ChannelConfig(n_nodes=1, n_taps=4, rho=0.9, pdp=(1.0,) * 4, normalize_kronecker=False),
             codec=CsCodecConfig(m=3, basis="identity", max_atoms=3, residual_tol=0.0),
         )
-        # columns e1, e2, e1 + 1e-7 e3 and e1 + e2: the third is almost in the span of the first
-        phi = np.array([[1.0, 0.0, 1.0, 1.0], [0.0, 1.0, 0.0, 1.0], [0.0, 0.0, 1e-7, 0.0]])
-        codec = sparse.CsCodec(phi, basis="identity", max_atoms=3, residual_tol=0.0)
+        codec = sparse.CsCodec(_NEAR_DEPENDENT_PHI, basis="identity", max_atoms=3, residual_tol=0.0)
         with mock.patch.object(simkit, "scenario_codec", return_value=codec), \
                 pytest.warns(RuntimeWarning, match="of 80 reports") as record:
             curves = estimate_curves(scenario, [Variant("fc", 8.0)], uncompressed_twin=True)
         assert len(record) == 1  # one block, one Batch-OMP call
         assert [c.label for c in curves] == ["fc", "fc no_cs"]
+
+
+class TestSplitRecovery:
+    """Under the factor cap a recovery runs as near-equal Batch-OMP calls, and equals one call bit for bit."""
+
+    def test_split_equals_one_call(self):
+        codec = sparse.CsCodec(_NEAR_DEPENDENT_PHI, basis="identity", max_atoms=3, residual_tol=0.0)
+        ys = standard_normal_rows(12, list(range(40)), 3)  # 40 distinct reports
+        with pytest.warns(RuntimeWarning, match="of 40 reports") as record:
+            one = sparse._recover(ys, codec)
+        assert len(record) == 1
+        batch_omp, calls = sparse._batch_omp, []
+
+        def spy(*args):
+            calls.append(batch_omp(*args))
+            return calls[-1]
+
+        # a call's factor F holds 7 reports of 3 x (3 + 4) doubles each
+        with mock.patch.object(sparse, "_BATCH_FACTOR", 7 * 3 * (3 + 4)), mock.patch.object(sparse, "_batch_omp", spy), \
+                pytest.warns(RuntimeWarning, match="of 40 reports") as record:
+            split = sparse._recover(ys, codec)
+        assert [len(res.count) for res in calls] == [6, 7, 7, 6, 7, 7]
+        assert sum(any(res.errors) for res in calls) > 1  # reports break down in several calls
+        assert len(record) == 1  # and the recovery warns once
+        for field in ("coeffs", "support", "count"):
+            got, want = getattr(split, field), getattr(one, field)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert split.errors == one.errors
 
 
 class TestCodecFromRecipe:

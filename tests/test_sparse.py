@@ -314,6 +314,19 @@ class TestReconstructDecisions:
             reconstruct_decisions(report, codec)
 
 
+class TestZeroReportBlock:
+    """A block of no reports recovers to no estimates, as ``compress`` of no reports gives none."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_both_reconstructions_return_no_rows(self, dtype):
+        codec = CsCodec(gaussian_phi(stream(76, 0), 70, 100), basis="identity", max_atoms=35)
+        y = compress(np.zeros((0, 100), dtype), codec)
+        assert y.shape == (0, 70) and y.dtype == dtype
+        z_hat = reconstruct_raw(y, codec)
+        assert z_hat.shape == (0, 100) and z_hat.dtype == dtype
+        assert reconstruct_decisions(y, codec).shape == (0, 100)
+
+
 class TestCorrelationHelpsCompression:
     def test_reconstruction_error_decreases_with_rho(self):
         # paired draws: only the node-correlation differs between runs
