@@ -336,9 +336,10 @@ def cmd_thresholds(args) -> int:
         thresholds = [detect.solve_threshold(alpha, args.dof) for alpha in alphas]
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    print(f"{'alpha':>12}  {'dof':>5}  {'threshold':>12}")
-    for alpha, threshold in zip(alphas, thresholds):
-        print(f"{alpha:>12g}  {args.dof:>5d}  {threshold:>12.4f}")
+    rows = [("alpha", "dof", "threshold")] + [(f"{a:g}", str(args.dof), f"{t:.4f}") for a, t in zip(alphas, thresholds)]
+    widths = [max(least, *map(len, column)) for least, column in zip((12, 5, 12), zip(*rows))]  # widest entry, at least
+    for row in rows:
+        print("  ".join(cell.rjust(width) for cell, width in zip(row, widths)))
     return 0
 
 

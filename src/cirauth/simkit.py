@@ -20,11 +20,11 @@ quantity every test reads: the noise alone on an H0 row, and the noise
 plus one channel product of eve's normals minus alice's on an H1 row.
 Every later stage runs over a leading trial axis with each row's own
 occupant and noise variance (a CS scheme recovers the block's reports by
-Batch-OMP, in calls that `sparse` sizes; on `local_fusion_cs`, only those
-of thresholds that some variant can read, see `zero_by_construction`;
-`fc_raw_cs` alone adds alice's channel back to send the measurement
-itself), and every stage is exact per row, so counts depend neither on
-the blocks nor on the worker count.
+Batch-OMP, in calls that `sparse` sizes; `fc_raw_cs` alone adds
+alice's channel back to send the measurement itself), and every stage is
+exact per row, so counts depend neither on the blocks nor on the worker
+count.  A `local_fusion_cs` run whose variants are all
+`zero_by_construction` leaves the codec path out, and its counts stay 0.
 All detector variants (threshold sweeps, fusion rules) read the same
 block, and the paired "without CS" twin curves read its reports as
 measured; variants that share a threshold share its decisions.
@@ -48,7 +48,7 @@ from .sparse import Basis, CsCodec, CsCodecConfig
 
 
 class CurveComparisonError(ValueError):
-    """A curve never reaches the requested detection level."""
+    """A curve does not cross the requested detection level inside its grid."""
 
 
 class Scheme(str, enum.Enum):
@@ -200,16 +200,16 @@ def zero_by_construction(scenario: Scenario, variant: Variant) -> bool:
     return variant.rule.cutoff(scenario.channel.n_nodes)[1] >= scenario.codec.max_atoms
 
 
-def _resolve(scenario: Scenario, variants: list[Variant]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The distinct thresholds ``levels`` (D,) in first-occurrence order, each variant's ``columns`` and ``cutoffs`` (V,), and ``live`` (D,).
+def _resolve(scenario: Scenario, variants: list[Variant]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct thresholds ``levels`` (D,) in first-occurrence order, and each variant's ``columns`` and ``cutoffs`` (V,).
 
-    A threshold is the fusion center's, or the one all nodes share.  On an
-    FC scheme a variant's column is its level's index.  On a local scheme
-    it indexes a block's tally, the vote count at each level and then node
-    0's vote at each level, and the variant declares H1 where its column
-    of the tally exceeds its cutoff: ``(voters, k) = rule.cutoff(N)``
-    reads the count, or node 0's vote if ``voters`` is 1.  A level is
-    ``live`` if some variant reading it is not `zero_by_construction`.
+    A threshold is the fusion center's, or the one all nodes share.  A
+    block's tally holds, on an FC scheme, the statistic's comparison with
+    each level, and on a local scheme the vote count at each level and
+    then node 0's vote at each level.  A variant declares H1 where its
+    column of the tally exceeds its cutoff: 0 on an FC scheme, and on a
+    local one ``(voters, k) = rule.cutoff(N)`` reads the count, or node
+    0's vote if ``voters`` is 1.
     """
     labels = [v.label for v in variants]
     if not labels:
@@ -218,19 +218,17 @@ def _resolve(scenario: Scenario, variants: list[Variant]) -> tuple[np.ndarray, n
         raise ValueError(f"variant labels must be distinct, got {labels}")
     local, n = scenario.scheme.local, scenario.channel.n_nodes
     levels = list(dict.fromkeys(v.threshold for v in variants))
-    columns, cutoffs, live = [], [], np.zeros(len(levels), dtype=bool)
+    columns, cutoffs = [], []
     for v in variants:
         if local and v.rule is None:
             raise ValueError(f"variant {v.label!r} lacks a fusion rule")
         voters, k = v.rule.cutoff(n) if local else (n, 0)
-        level = levels.index(v.threshold)
-        columns.append(level + (len(levels) if voters < n else 0))
+        columns.append(levels.index(v.threshold) + (len(levels) if voters < n else 0))
         cutoffs.append(k)
-        live[level] |= not zero_by_construction(scenario, v)
-    return np.array(levels, dtype=float), np.array(columns), np.array(cutoffs), live
+    return np.array(levels, dtype=float), np.array(columns), np.array(cutoffs)
 
 
-def _block_decisions(scenario, levels, columns, cutoffs, live, paths, sigma2, h_ab, d) -> np.ndarray:
+def _block_decisions(scenario, levels, columns, cutoffs, paths, sigma2, h_ab, d) -> np.ndarray:
     """(T, V * len(paths)) H1-decisions of every variant on a block's stacked deviations ``d``, path by path.
 
     ``d`` is each row's measurement z minus alice's channel ``h_ab``.
@@ -238,31 +236,27 @@ def _block_decisions(scenario, levels, columns, cutoffs, live, paths, sigma2, h_
     through the codec and tests the recovered z minus ``h_ab``.  A True
     path sends the block's reports through the scenario's codec, a False
     one reads them as measured; the codec is looked up only where a
-    report crosses it.  ``sigma2`` (T, 1) is each row's
-    noise variance.  Each report is compared with the D distinct
-    ``levels`` once.  A local scheme then tallies each (T, D, N) plane of
-    node decisions into (T, 2D) vote counts and node-0 votes, and
-    compares each variant's column of it with its cutoff.  Only the
-    ``live`` levels' decision vectors cross the codec.  A dead level's
-    recovered plane is left all zeros: every variant reading it needs
-    more votes than a recovered vector holds, so it declares H0 either way.
+    report crosses it.  ``sigma2`` (T, 1) is each row's noise variance.
+    Each report is compared with the D distinct ``levels`` once: on an FC
+    scheme that comparison is the (T, D) tally, and a local scheme
+    tallies each (T, D, N) plane of node decisions, every level's
+    recovered on a codec path, into (T, 2D) vote counts and node-0 votes.
+    Each variant then compares its column of the tally with its cutoff.
     """
     scale = 1.0 / sigma2  # d / sigma2 divides complex by complex; d * scale differs only in signs of zero
+    codec = scenario_codec(scenario) if any(paths) else None
     if not scenario.scheme.local:
-        codec = scenario_codec(scenario) if any(paths) else None
         reports = [sparse.reconstruct_raw(sparse.compress(h_ab + d, codec), codec) - h_ab if cs else d for cs in paths]
-        return np.hstack([(detect.quadratic_statistic(r, scale)[:, None] > levels)[:, columns] for r in reports])
-    t, n = len(d), scenario.channel.n_nodes
-    stats_n = detect.quadratic_statistic(d.reshape(t, n, scenario.channel.n_taps), scale[..., None])
-    u = stats_n[:, None, :] > levels[:, None]  # (T, D, N)
-    if any(paths):
-        u_cs = np.zeros(u.shape, dtype=np.int64)
-        if live.any():  # else no codec is built, and neither compress nor OMP runs
-            codec = scenario_codec(scenario)
-            sent = u[:, live].reshape(-1, n).astype(float)
-            u_cs[:, live] = sparse.reconstruct_decisions(sparse.compress(sent, codec), codec).reshape(t, -1, n)
-    planes = [u_cs if cs else u for cs in paths]
-    tallies = [np.hstack((plane.sum(-1), plane[..., 0])) for plane in planes]  # (T, 2D): counts, then node 0's votes
+        tallies = [detect.quadratic_statistic(r, scale)[:, None] > levels for r in reports]
+    else:
+        t, n = len(d), scenario.channel.n_nodes
+        stats_n = detect.quadratic_statistic(d.reshape(t, n, scenario.channel.n_taps), scale[..., None])
+        u = stats_n[:, None, :] > levels[:, None]  # (T, D, N)
+        if codec is not None:
+            sent = u.reshape(-1, n).astype(float)
+            u_cs = sparse.reconstruct_decisions(sparse.compress(sent, codec), codec).reshape(u.shape)
+        planes = [u_cs if cs else u for cs in paths]
+        tallies = [np.hstack((plane.sum(-1), plane[..., 0])) for plane in planes]  # counts, then node 0's votes
     return np.hstack([tally[:, columns] > cutoffs for tally in tallies])
 
 
@@ -276,7 +270,7 @@ def _count_range(args) -> np.ndarray:
     every row carries its own occupant and noise variance.  ``_BLOCK_NORMALS``
     caps a block's normals.
     """
-    scenario, levels, columns, cutoffs, live, paths, lo, hi = args
+    scenario, levels, columns, cutoffs, paths, lo, hi = args
     cfg = scenario.channel
     sigma2 = np.array([noise_variance(snr) for snr in scenario.snr_grid_db])
     width = 6 * cfg.n_nodes * cfg.n_taps  # alice, eve, noise: 2NL normals each
@@ -293,7 +287,7 @@ def _count_range(args) -> np.ndarray:
         # only `fc_raw_cs` sends the measurement itself, alice's channel plus d, through the codec
         h_ab = stack_columns(channel_block(normals[:, : width // 3], cfg)[:, 0]) if raw_cs else None
         del normals  # a block's normals are dead once measured
-        decisions = _block_decisions(scenario, levels, columns, cutoffs, live, paths, sigma2[s, None], h_ab, d)
+        decisions = _block_decisions(scenario, levels, columns, cutoffs, paths, sigma2[s, None], h_ab, d)
         # a block's flat trials are consecutive, so ``row`` never decreases and runs through
         # every counts row from its first to its last: sum each run of it
         lo_row, hi_row = row[0], row[-1]
@@ -329,20 +323,23 @@ def estimate_curves(
     if uncompressed_twin:
         plain = Scheme.FC_RAW if scenario.scheme is Scheme.FC_RAW_CS else Scheme.LOCAL_FUSION
         columns += [(plain, v.label + " no_cs") for v in variants]
+    paths = (scenario.scheme.compressed,) + ((False,) if uncompressed_twin else ())
+    if all(zero_by_construction(scenario, v) for v in variants):
+        paths = paths[1:]  # no variant can read the codec path: its counts stay 0, and without the twin no trial runs
     total = 2 * len(scenario.snr_grid_db) * scenario.trials
     # a pool forks all its workers at once; os.sched_getaffinity exists only on Linux
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    procs = min(workers, total, cpus)
-    bounds = [total * i // procs for i in range(procs + 1)]
-    paths = (scenario.scheme.compressed,) + ((False,) if uncompressed_twin else ())
-    tasks = [(scenario, *resolved, paths, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    procs = min(workers, total, cpus) if paths else 0
+    tasks = [(scenario, *resolved, paths, total * i // procs, total * (i + 1) // procs) for i in range(procs)]
     if procs > 1:
         from concurrent.futures import ProcessPoolExecutor  # lazy: a serial run skips its imports
 
         with ProcessPoolExecutor(max_workers=procs) as pool:
-            counts = sum(pool.map(_count_range, tasks))
+            ran = sum(pool.map(_count_range, tasks))
     else:
-        counts = _count_range(tasks[0])
+        ran = sum(map(_count_range, tasks))  # one task, or none
+    counts = np.zeros((2 * len(scenario.snr_grid_db), len(columns)), dtype=np.int64)
+    counts[:, len(columns) - len(variants) * len(paths) :] = ran  # a left-out codec path's columns stay 0
     # row 2 s of counts is point s's H1 count, row 2 s + 1 its H0 count
     t = scenario.trials
     p = counts.T / t
@@ -368,8 +365,9 @@ def snr_margin(curve_a: DetectionCurve, curve_b: DetectionCurve, target_pd: floa
     Linear interpolation in dB of each curve's first upward crossing of
     ``target_pd``; positive means curve_a needs more SNR.  Raises
     :class:`CurveComparisonError` when a curve never reaches the target
-    inside its grid, and ``ValueError`` when a curve's grid is not
-    strictly increasing.
+    inside its grid, or meets it already at its first point (its crossing
+    then lies at or below the grid, so the margin would be only a bound),
+    and ``ValueError`` when a curve's grid is not strictly increasing.
     """
     return _crossing(curve_a, target_pd) - _crossing(curve_b, target_pd)
 
@@ -379,13 +377,11 @@ def _crossing(curve: DetectionCurve, target: float) -> float:
     pd = np.asarray(curve.p_d)
     if np.any(np.diff(snr) <= 0):
         raise ValueError(f"curve '{curve.label}' needs a strictly increasing SNR grid, got {curve.snr_db}")
-    if pd[0] >= target:
-        return float(snr[0])
     above = np.nonzero(pd >= target)[0]
     if above.size == 0:
-        raise CurveComparisonError(
-            f"curve '{curve.label}' never reaches P_d={target} on its grid"
-        )
+        raise CurveComparisonError(f"curve '{curve.label}' never reaches P_d={target} on its grid")
     i = int(above[0])
+    if i == 0:
+        raise CurveComparisonError(f"curve '{curve.label}' meets P_d={target} at its first point, at or above its crossing")
     x0, x1, y0, y1 = snr[i - 1], snr[i], pd[i - 1], pd[i]
     return float(x0 + (target - y0) * (x1 - x0) / (y1 - y0))

@@ -219,6 +219,13 @@ class TestThresholdsCommand:
         assert main(["thresholds", "--alpha", "0.5", "--dof", "2"]) == 0
         assert "1.3863" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("dof", [12, 123456, 12345678901])
+    def test_columns_aligned(self, capsys, dof):
+        # a wide --dof or threshold widens its column instead of shifting its row
+        assert main(["thresholds", "--alpha", "1e-3,1e-300", "--dof", str(dof)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 3 and len({len(line) for line in lines}) == 1
+
     def test_bad_alpha_exit_2(self, capsys):
         assert main(["thresholds", "--alpha", "1.5", "--dof", "12"]) == 2
         assert "alpha" in capsys.readouterr().err

@@ -1,3 +1,4 @@
+import inspect
 import math
 from unittest import mock
 
@@ -404,10 +405,6 @@ class TestEngineEquivalence:
         with pytest.raises(ValueError):
             estimate_curves(fc_scenario(trials=1), FC, uncompressed_twin=True)
 
-    def test_dead_level_case_has_one_live_level(self):
-        scenario, variants = _EQUIVALENCE_CASES["local_fusion_cs_dead_level"]
-        assert simkit._resolve(scenario, variants)[3].tolist() == [False, True]
-
 
 # every kind, and weighted averages at three more mean-vote thresholds
 _RULES = [FusionRule(kind=k) for k in FusionKind] + [
@@ -415,8 +412,12 @@ _RULES = [FusionRule(kind=k) for k in FusionKind] + [
 ]
 
 
+# every variant of a local_fusion_cs run on _SMALL_LOCAL at 3 atoms needs more votes than recovery keeps
+_ALL_DEAD = [Variant(k.value, 3.0, FusionRule(kind=k)) for k in (FusionKind.MAJORITY, FusionKind.AND)]
+
+
 class TestDeadLevels:
-    """Recovering only the levels some variant can read changes no count."""
+    """Leaving out the codec path of a run whose variants are all zero by construction changes no count."""
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -431,9 +432,29 @@ class TestDeadLevels:
         variants = [Variant(f"v{i}", d, rule=r) for i, (d, r) in enumerate(pairs)]
         got = estimate_curves(scenario, variants, uncompressed_twin=True)
         with mock.patch.object(simkit, "zero_by_construction", return_value=False):
-            assert simkit._resolve(scenario, variants)[3].all()
             want = estimate_curves(scenario, variants, uncompressed_twin=True)
         assert got == want
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_all_dead_run_runs_no_trial(self, workers, monkeypatch):
+        # majority and AND need over 4 and 7 of 8 votes, and recovery keeps at most 3 ones
+        scenario = _EQUIVALENCE_CASES["local_fusion_cs_dead_level"][0]
+        monkeypatch.setattr(simkit.os, "sched_getaffinity", lambda pid: {0, 1})
+        with mock.patch.object(simkit, "_count_range", side_effect=AssertionError("a trial ran")) as spy:
+            curves = estimate_curves(scenario, _ALL_DEAD, workers=workers)
+        assert spy.call_count == 0
+        assert [c.label for c in curves] == [v.label for v in _ALL_DEAD]
+        assert all(c.p_d == c.p_fa == (0.0, 0.0) for c in curves)
+
+    def test_all_dead_run_reads_the_twin_only(self):
+        scenario = _EQUIVALENCE_CASES["local_fusion_cs_dead_level"][0]
+        with mock.patch.object(simkit, "_block_decisions", wraps=simkit._block_decisions) as spy:
+            curves = estimate_curves(scenario, _ALL_DEAD, uncompressed_twin=True)
+        signature = inspect.signature(simkit._block_decisions)
+        assert spy.call_count > 0
+        assert all(signature.bind(*c.args).arguments["paths"] == (False,) for c in spy.call_args_list)
+        assert all(c.p_d == c.p_fa == (0.0, 0.0) for c in curves[: len(_ALL_DEAD)])
+        assert any(c.p_d != (0.0, 0.0) for c in curves[len(_ALL_DEAD) :])
 
 
 _PRESET_CHANNEL = ChannelConfig(n_nodes=100, n_taps=6, rho=0.9, pdp=(1.0,) * 6, normalize_kronecker=False)
@@ -708,6 +729,15 @@ class TestSnrMargin:
         a = self._curve(pd, snr=[0.5, 1.5, 2.5, 3.5])
         b = self._curve(pd, snr=[0.0, 1.0, 2.0, 3.0])
         assert snr_margin(a, b, 0.9) == pytest.approx(0.5, abs=1e-12)
+
+    def test_target_met_at_first_point(self):
+        # the crossing lies at or below 0 dB, so 0 - 1.889 dB would be only a bound
+        a = self._curve([0.95, 0.99, 1.0], label="early")
+        b = self._curve([0.1, 0.5, 0.95])
+        with pytest.raises(CurveComparisonError, match="'early'"):
+            snr_margin(a, b, 0.9)
+        with pytest.raises(CurveComparisonError, match="'early'"):
+            snr_margin(b, a, 0.9)
 
     def test_unreachable_target(self):
         a = self._curve([0.1, 0.2, 0.3, 0.4])
