@@ -58,10 +58,6 @@ class ChannelConfig:
                 raise ValueError("pdp entries must be finite and nonnegative")
             object.__setattr__(self, "pdp", pdp)
 
-    @property
-    def pdp_array(self) -> np.ndarray:
-        return np.asarray(self.pdp, dtype=np.float64)
-
 
 NoiseModel = None  # perfbench/tracer.py dereferences this name while it builds its patch list
 
@@ -102,25 +98,23 @@ def _correlation_factor(n: int, rho: float) -> np.ndarray:
 
 
 def channel_block(normals: np.ndarray, cfg: ChannelConfig) -> np.ndarray:
-    """Channel matrices of S senders, (T, S, L, N), from (T, 2*S*L*N) normals.
+    """One sender's stacked node-major channels, (T, N*L), from its (T, 2*L*N) normals.
 
-    Each row holds one draw, 2LN normals per sender.  For each sender an
-    iid L x N matrix with tap-k entries CN(0, pdp[k]) is right-multiplied
-    by the transposed Cholesky factor of R (any factor F with F^H F = R
-    gives the same output distribution), then scaled by 1/sqrt(tr R) =
-    1/sqrt(N) when ``normalize_kronecker`` is on.
+    Each row holds one draw.  An iid L x N matrix with tap-k entries
+    CN(0, pdp[k]) is right-multiplied by the transposed Cholesky factor of
+    R (any factor F with F^H F = R gives the same output distribution),
+    scaled by 1/sqrt(tr R) = 1/sqrt(N) when ``normalize_kronecker`` is
+    on, and stacked by :func:`stack_columns`.
     """
     T, L, n = len(normals), cfg.n_taps, cfg.n_nodes
-    senders = normals.shape[-1] // (2 * L * n)
-    # splitting the last axis is a view, even of the engine's strided slice of its normals
-    iid = complex_from_normals(normals.reshape(T, senders, 2 * L * n)).reshape(T * senders, L, n)
-    iid *= np.sqrt(cfg.pdp_array)[:, None]
+    iid = complex_from_normals(normals).reshape(T, L, n)
+    iid *= np.sqrt(cfg.pdp)[:, None]
     rows = iid.reshape(-1, n)
     # a one-row product takes numpy's gemv path, whose bits differ from the row's in any taller product
     h = (np.vstack((rows, rows)) if len(rows) == 1 else rows) @ _correlation_factor(n, cfg.rho).T
     if cfg.normalize_kronecker:
         h /= math.sqrt(n)
-    return h[: len(rows)].reshape(T, senders, L, n)
+    return stack_columns(h[: len(rows)].reshape(T, L, n))
 
 
 def noise_variance(snr_db: float) -> float:
@@ -143,5 +137,5 @@ def measure_block(normals: np.ndarray, cfg: ChannelConfig, eve: np.ndarray, sigm
     d = d.reshape(t, k // 2)
     rows = np.flatnonzero(eve)
     if rows.size:
-        d[rows] += stack_columns(channel_block(normals[rows, k : 2 * k] - normals[rows, :k], cfg)[:, 0])
+        d[rows] += channel_block(normals[rows, k : 2 * k] - normals[rows, :k], cfg)
     return d

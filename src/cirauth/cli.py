@@ -28,7 +28,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__, channel, detect, numerics, simkit, sparse
-from .channel import ChannelConfig, channel_block, exp_correlation_matrix, measure_block, stack_columns
+from .channel import ChannelConfig, channel_block, exp_correlation_matrix, measure_block
 from .detect import FusionKind, FusionRule
 from .simkit import Scenario, Scheme, Variant
 from .sparse import CsCodecConfig
@@ -430,7 +430,7 @@ def _selfchecks():
                 stat = detect.quadratic_statistic(d.reshape(t, cfg.n_nodes, cfg.n_taps), 1.0 / sigma2[:, None, None])
                 reports, recover = (stat > run.variants[0].threshold).astype(float), sparse.reconstruct_decisions
             else:  # the measurements themselves, alice's channels plus d
-                h_ab = stack_columns(channel_block(normals[:, : 2 * cfg.n_nodes * cfg.n_taps], cfg)[:, 0])
+                h_ab = channel_block(normals[:, : 2 * cfg.n_nodes * cfg.n_taps], cfg)
                 reports, recover = h_ab + d, sparse.reconstruct_raw
             y = sparse.compress(reports, codec)
             rows_exact("compress", y, [sparse.compress(row, codec) for row in reports])

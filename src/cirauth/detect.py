@@ -92,8 +92,7 @@ def quadratic_statistic(d: np.ndarray, scale: np.ndarray | float) -> np.ndarray 
         raise ValueError("scale must be real, finite and positive")
     d = np.asarray(d)
     re, im = d.real, d.imag  # scaled before squared: a small scale keeps a large deviation finite
-    stat = 2.0 * (re * (re * scale) + im * (im * scale)).sum(axis=-1)
-    return stat[()] if np.ndim(stat) == 0 else stat
+    return 2.0 * (re * (re * scale) + im * (im * scale)).sum(axis=-1)
 
 
 def fused_pfa_analytic(alpha_n: float, n: int, rule: FusionRule) -> float:

@@ -41,7 +41,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import detect, sparse
-from .channel import ChannelConfig, channel_block, measure_block, noise_variance, stack_columns
+from .channel import ChannelConfig, channel_block, measure_block, noise_variance
 from .detect import FusionRule
 from .numerics import standard_normal_rows, stream
 from .sparse import Basis, CsCodec, CsCodecConfig
@@ -285,7 +285,7 @@ def _count_range(args) -> np.ndarray:
         normals = standard_normal_rows(scenario.seed, streams, width)
         d = measure_block(normals, cfg, eve, sigma2[s])
         # only `fc_raw_cs` sends the measurement itself, alice's channel plus d, through the codec
-        h_ab = stack_columns(channel_block(normals[:, : width // 3], cfg)[:, 0]) if raw_cs else None
+        h_ab = channel_block(normals[:, : width // 3], cfg) if raw_cs else None
         del normals  # a block's normals are dead once measured
         decisions = _block_decisions(scenario, levels, columns, cutoffs, paths, sigma2[s, None], h_ab, d)
         # a block's flat trials are consecutive, so ``row`` never decreases and runs through

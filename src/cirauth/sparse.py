@@ -143,9 +143,9 @@ class CsCodec:
 _BATCH_FACTOR = 11 << 17  # doubles (11 MiB) of one Batch-OMP call's factor F
 
 
-def batch_reports(cfg: CsCodecConfig | CsCodec, n: int) -> int:
-    """Most length-``n`` reports whose factor F (budget x (budget + n) each) fits the cap: 36 on fig4, 305 on fig5."""
-    return _BATCH_FACTOR // (cfg.max_atoms * (cfg.max_atoms + n))
+def batch_reports(codec: CsCodec) -> int:
+    """Most reports whose factor F (budget x (budget + n) each) fits the cap: 36 on fig4, 305 on fig5."""
+    return _BATCH_FACTOR // (codec.max_atoms * (codec.max_atoms + codec.n))
 
 
 def _real_matmul(x: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -316,13 +316,12 @@ def _recover(y: np.ndarray, codec: CsCodec) -> _OmpResult:
     ys = np.ascontiguousarray(np.atleast_2d(y))
     keys = ys.view(np.dtype((np.void, ys.shape[1] * ys.itemsize)))[:, 0]
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    calls = max(1, -(-len(first) // max(1, batch_reports(codec, codec.n))))
+    calls = max(1, -(-len(first) // max(1, batch_reports(codec))))
     edges = np.arange(calls + 1) * len(first) // calls
     parts = [_batch_omp(ys[first[lo:hi]], codec.dictionary, codec.gram, codec.max_atoms, codec.residual_tol)
              for lo, hi in zip(edges[:-1], edges[1:])]
-    res = parts[0] if calls == 1 else _OmpResult(
-        np.concatenate([r.coeffs for r in parts]), [e for r in parts for e in r.errors],
-        np.concatenate([r.support for r in parts]), np.concatenate([r.count for r in parts]))
+    res = _OmpResult(np.concatenate([r.coeffs for r in parts]), [e for r in parts for e in r.errors],
+                     np.concatenate([r.support for r in parts]), np.concatenate([r.count for r in parts]))
     errors = [res.errors[i] for i in inverse]
     broken = [error for error in errors if error]
     if broken:

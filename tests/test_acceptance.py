@@ -13,7 +13,7 @@ import pytest
 from scipy import stats
 
 from cirauth import cli, simkit, sparse
-from cirauth.channel import ChannelConfig, channel_block, measure_block, noise_variance, stack_columns
+from cirauth.channel import ChannelConfig, channel_block, measure_block, noise_variance
 from cirauth.detect import (
     FusionKind,
     FusionRule,
@@ -208,7 +208,7 @@ def test_08_correlation_error_monotonicity(capsys):
             n_nodes=100, n_taps=6, rho=rho, pdp=(1.0,) * 6, normalize_kronecker=False
         )
         total = 0.0
-        h_ab = stack_columns(channel_block(normals[:, : 2 * 100 * 6], cfg)[:, 0])
+        h_ab = channel_block(normals[:, : 2 * 100 * 6], cfg)
         for z in h_ab + measure_block(normals, cfg, alice, sigma2):
             z_hat = reconstruct_raw(compress(z, codec), codec)
             total += np.sum(np.abs(z_hat - z) ** 2, axis=-1)

@@ -83,32 +83,38 @@ class TestChannelConfig:
                 ChannelConfig(n_nodes=4, n_taps=2, pdp=(1.0, bad))
 
 
+def _alice_eve(normals, cfg):
+    """Alice's and eve's stacked channels, (T, 2, N*L), from each row's 2LN normals for alice, then eve's 2LN."""
+    k = 2 * cfg.n_taps * cfg.n_nodes
+    return np.stack([channel_block(normals[:, :k], cfg), channel_block(normals[:, k : 2 * k], cfg)], axis=1)
+
+
 class TestDrawChannel:
     def test_rho_zero_unnormalized_equals_iid_draw(self):
         cfg = ChannelConfig(n_nodes=5, n_taps=3, rho=0.0, normalize_kronecker=False)
-        h_ab, h_eb = channel_block(standard_normal_rows(21, [0], 4 * 3 * 5), cfg)[0]
+        h_ab, h_eb = _alice_eve(standard_normal_rows(21, [0], 4 * 3 * 5), cfg)[0]
         # replay the draw stream by hand: alice's matrix comes first
         rng = stream(21, 0)
-        scale = np.sqrt(cfg.pdp_array)[:, None]
+        scale = np.sqrt(cfg.pdp)[:, None]
         h_alice = complex_normals(rng, 15, 1.0).reshape(3, 5) * scale
         h_eve = complex_normals(rng, 15, 1.0).reshape(3, 5) * scale
-        assert np.allclose(h_ab, h_alice, atol=1e-14)
-        assert np.allclose(h_eb, h_eve, atol=1e-14)
+        assert np.allclose(h_ab, stack_columns(h_alice), atol=1e-14)
+        assert np.allclose(h_eb, stack_columns(h_eve), atol=1e-14)
 
     def test_rho_zero_normalized_scales_by_sqrt_n(self):
         base = ChannelConfig(n_nodes=5, n_taps=3, rho=0.0, normalize_kronecker=False)
         norm = ChannelConfig(n_nodes=5, n_taps=3, rho=0.0, normalize_kronecker=True)
-        normals = standard_normal_rows(22, [0], 4 * 3 * 5)
-        a = channel_block(normals, base)[0, 0]
-        b = channel_block(normals, norm)[0, 0]
+        normals = standard_normal_rows(22, [0], 2 * 3 * 5)
+        a = channel_block(normals, base)[0]
+        b = channel_block(normals, norm)[0]
         assert np.allclose(b, a / np.sqrt(5), atol=1e-14)
 
     def test_adjacent_column_correlation(self):
         cfg = ChannelConfig(n_nodes=100, n_taps=6, rho=0.9, normalize_kronecker=False)
         num = 0.0
         den = 0.0
-        for h in channel_block(standard_normal_rows(23, range(2000), 4 * 6 * 100), cfg)[:, 0]:
-            num += np.real(np.sum(h[:, :-1].conj() * h[:, 1:]))
+        for h in channel_block(standard_normal_rows(23, range(2000), 2 * 6 * 100), cfg).reshape(-1, 100, 6):
+            num += np.real(np.sum(h[:-1].conj() * h[1:]))
             den += np.sum(np.abs(h) ** 2)
         corr = num / (den * 99 / 100)
         assert corr == pytest.approx(0.9, abs=0.05)
@@ -118,7 +124,7 @@ class TestDrawChannel:
         # the pdp total independently of rho
         for rho in (0.0, 0.9):
             cfg = ChannelConfig(n_nodes=10, n_taps=6, rho=rho, normalize_kronecker=True)
-            draws = channel_block(standard_normal_rows(24, range(3000), 4 * 6 * 10), cfg)[:, 0]
+            draws = channel_block(standard_normal_rows(24, range(3000), 2 * 6 * 10), cfg)
             power = np.mean([np.sum(np.abs(h) ** 2) for h in draws])
             assert power == pytest.approx(sum(cfg.pdp), rel=0.03)
 
@@ -127,33 +133,29 @@ class TestDrawChannel:
         acc = 0.0
         power_a = 0.0
         power_e = 0.0
-        for h_ab, h_eb in channel_block(standard_normal_rows(25, range(10_000), 4 * 3 * 4), cfg):
-            acc += np.real(np.vdot(stack_columns(h_ab), stack_columns(h_eb)))
+        for h_ab, h_eb in _alice_eve(standard_normal_rows(25, range(10_000), 4 * 3 * 4), cfg):
+            acc += np.real(np.vdot(h_ab, h_eb))
             power_a += np.sum(np.abs(h_ab) ** 2)
             power_e += np.sum(np.abs(h_eb) ** 2)
         assert abs(acc) / np.sqrt(power_a * power_e) < 0.05
 
-    @pytest.mark.parametrize("senders", [1, 2, 3])
     @pytest.mark.parametrize("n_taps", [1, 3])
-    def test_any_number_of_senders(self, senders, n_taps):
-        # each sender's channels come from its own 2LN normals alone, bit for bit, in
-        # blocks of one row or several
+    def test_rows_equal_one_row_calls(self, n_taps):
+        # a row's channels come from its own 2LN normals alone, bit for bit, in a block of
+        # one row or several (a one-tap row is one row of the product)
         cfg = ChannelConfig(n_nodes=5, n_taps=n_taps, rho=0.9)
-        k = 2 * n_taps * 5
-        normals = standard_normal_rows(20, range(4), senders * k)
+        normals = standard_normal_rows(20, range(4), 2 * n_taps * 5)
         h = channel_block(normals, cfg)
-        assert h.shape == (4, senders, n_taps, 5)
-        for j in range(senders):
-            assert np.array_equal(h[:, j], channel_block(normals[:, j * k : (j + 1) * k], cfg)[:, 0])
-            for i in range(4):
-                assert np.array_equal(h[i, j], channel_block(normals[i : i + 1, j * k : (j + 1) * k], cfg)[0, 0])
+        assert h.shape == (4, 5 * n_taps)
+        for i in range(4):
+            assert h[i].tobytes() == channel_block(normals[i : i + 1], cfg)[0].tobytes()
 
     def test_tap_variances_follow_pdp(self):
         cfg = ChannelConfig(
             n_nodes=3, n_taps=4, rho=0.0, pdp=(0.4, 0.3, 0.2, 0.1), normalize_kronecker=False
         )
-        draws = channel_block(standard_normal_rows(26, range(4000), 4 * 4 * 3), cfg)[:, 0]
-        tap_power = np.mean(np.abs(draws) ** 2, axis=(0, 2))
+        draws = channel_block(standard_normal_rows(26, range(4000), 2 * 4 * 3), cfg).reshape(-1, 3, 4)
+        tap_power = np.mean(np.abs(draws) ** 2, axis=(0, 1))
         assert np.allclose(tap_power, cfg.pdp, rtol=0.08)
 
 
@@ -179,7 +181,7 @@ class TestMeasure:
 
     def _measure(self, noise_normals, eve, sigma2):
         channel = np.tile(stream(30, 0).standard_normal(4 * 4 * 3), (len(noise_normals), 1))
-        h_ab, h_eb = stack_columns(channel_block(channel[:1], _MEASURE_CFG)[0])
+        h_ab, h_eb = _alice_eve(channel[:1], _MEASURE_CFG)[0]
         t = len(noise_normals)
         d = measure_block(np.hstack([channel, noise_normals]), _MEASURE_CFG, np.full(t, eve), np.full(t, sigma2))
         return h_ab, h_eb, d
@@ -250,7 +252,7 @@ def _ref_complex_from_normals(parts):
 def _ref_channel_block(normals, cfg):
     L, n = cfg.n_taps, cfg.n_nodes
     iid = _ref_complex_from_normals(normals.reshape(-1, 2 * L * n)).reshape(-1, L, n)
-    h = (iid * np.sqrt(cfg.pdp_array)[:, None]).reshape(-1, n) @ _correlation_factor(n, cfg.rho).T
+    h = (iid * np.sqrt(cfg.pdp)[:, None]).reshape(-1, n) @ _correlation_factor(n, cfg.rho).T
     if cfg.normalize_kronecker:
         h = h / math.sqrt(n)
     return h.reshape(-1, 2, L, n)
@@ -271,7 +273,7 @@ def _ref_measure_block(normals, cfg, eve, sigma2):
     k = 2 * L * n
     d = _ref_noise_rows(normals[:, 2 * k :], np.asarray(sigma2)[:, None], L)
     iid = _ref_complex_from_normals(normals[:, k : 2 * k] - normals[:, :k]).reshape(-1, L, n)
-    iid = (iid * np.sqrt(cfg.pdp_array)[:, None]).reshape(-1, n)
+    iid = (iid * np.sqrt(cfg.pdp)[:, None]).reshape(-1, n)
     h = (np.vstack([iid, iid]) @ _correlation_factor(n, cfg.rho).T)[: len(iid)]
     if cfg.normalize_kronecker:
         h = h / math.sqrt(n)
@@ -324,11 +326,12 @@ class TestFrontEndReference:
         d = measure_block(normals, cfg, eve, sigma2)
         assert d.shape == (t, width // 2)
         assert np.array_equal(d, _ref_measure_block(normals, cfg, eve, sigma2))
-        assert np.array_equal(channel_block(normals[:, : 2 * width], cfg), _ref_channel_block(normals[:, : 2 * width], cfg))
+        want = stack_columns(_ref_channel_block(normals[:, : 2 * width], cfg))  # (T, 2, NL): alice, eve
+        assert np.array_equal(_alice_eve(normals[:, : 2 * width], cfg), want)
         # an empty block keeps its shapes (the reference reshapes cannot infer them)
         d = measure_block(normals[:0], cfg, eve[:0], sigma2[:0])
         assert d.shape == (0, width // 2) and d.dtype == np.complex128
-        assert channel_block(normals[:0, : 2 * width], cfg).shape == (0, 2, cfg.n_taps, cfg.n_nodes)
+        assert channel_block(normals[:0, :width], cfg).shape == (0, width // 2)
 
         # one trial drawn as per trial: its stream's channel normals, then its noise normals,
         # in two calls, against the same stream as a one-row block

@@ -15,7 +15,7 @@ import numpy as np
 from scipy import special
 
 from cirauth import cli
-from cirauth.channel import channel_block, measure_block, noise_variance, stack_columns
+from cirauth.channel import channel_block, measure_block, noise_variance
 from cirauth.detect import quadratic_statistic
 from cirauth.numerics import standard_normal_rows
 
@@ -60,8 +60,9 @@ def test_correlated_fusion_pd_matches_conditional_reference(tmp_path):
         normals = standard_normal_rows(seed, [(s << 33) | (1 << 32) | t for t in range(TRIALS)], 6 * n * taps)
         d = measure_block(normals, cfg, np.ones(TRIALS, dtype=bool), np.full(TRIALS, sigma2))
         stats = quadratic_statistic(d.reshape(-1, n, taps), 1.0 / sigma2)
-        h = stack_columns(channel_block(normals[:, : 4 * n * taps], cfg))  # (T, 2, NL): alice, eve
-        mean_d = (h[:, 1] - h[:, 0]).reshape(-1, n, taps)  # h_eb - h_ab, d given the channels
+        k = 2 * n * taps
+        h_ab, h_eb = channel_block(normals[:, :k], cfg), channel_block(normals[:, k : 2 * k], cfg)
+        mean_d = (h_eb - h_ab).reshape(-1, n, taps)  # d given the channels
         for v in run.variants:
             alarm = fuse((stats > v.threshold).astype(np.int64), v.rule)
             assert alarm.sum() / TRIALS == p_d[v.label, snr]  # these are the engine's trials

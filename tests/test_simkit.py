@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cirauth import cli, simkit, sparse
-from cirauth.channel import ChannelConfig, channel_block, measure_block, noise_variance, stack_columns
+from cirauth.channel import ChannelConfig, channel_block, measure_block, noise_variance
 from cirauth.detect import FusionKind, FusionRule, quadratic_statistic, solve_threshold
 from cirauth.numerics import standard_normal_rows
 from cirauth.simkit import (
@@ -319,7 +319,7 @@ def _oracle_counts(scenario: Scenario, variants: list[Variant]) -> tuple[np.ndar
 
 def _measured(cfg, normals, eve, sigma2):
     """A block's alice channels ``h_ab`` and deviations ``d``, the two arrays ``_block_decisions`` reads."""
-    h_ab = stack_columns(channel_block(normals[:, : 2 * cfg.n_nodes * cfg.n_taps], cfg)[:, 0])
+    h_ab = channel_block(normals[:, : 2 * cfg.n_nodes * cfg.n_taps], cfg)
     return h_ab, measure_block(normals, cfg, eve, sigma2)
 
 
@@ -574,7 +574,7 @@ class TestRecoveryBatches:
     @pytest.mark.parametrize("preset, reports", [("fig4", 36), ("fig5", 305)])
     def test_batch_reports_of_preset_codecs(self, preset, reports):
         run = cli.build_run(cli.parse_config(*cli.load_config_file(preset)))
-        assert sparse.batch_reports(run.scenario.codec, run.scenario.report_length) == reports
+        assert sparse.batch_reports(simkit.scenario_codec(run.scenario)) == reports
 
     @pytest.mark.parametrize("preset, overrides, block_rows", [
         # 51 atoms make a fig5 level live, and the normals cap alone sizes the blocks:

@@ -330,7 +330,7 @@ class TestZeroReportBlock:
 class TestCorrelationHelpsCompression:
     def test_reconstruction_error_decreases_with_rho(self):
         # paired draws: only the node-correlation differs between runs
-        from cirauth.channel import ChannelConfig, channel_block, measure_block, noise_variance, stack_columns
+        from cirauth.channel import ChannelConfig, channel_block, measure_block, noise_variance
 
         codec = CsCodec(gaussian_phi(stream(79, 0), 480, 600), basis="dct", max_atoms=60)
         normals = standard_normal_rows(80, range(60), 6 * 100 * 6)
@@ -340,7 +340,7 @@ class TestCorrelationHelpsCompression:
                 n_nodes=100, n_taps=6, rho=rho, pdp=(1.0,) * 6, normalize_kronecker=False
             )
             errs = []
-            h_ab = stack_columns(channel_block(normals[:, : 2 * 100 * 6], cfg)[:, 0])
+            h_ab = channel_block(normals[:, : 2 * 100 * 6], cfg)
             for z in h_ab + measure_block(normals, cfg, np.zeros(60, dtype=bool), np.full(60, noise_variance(20.0))):
                 err = np.sum(np.abs(reconstruct_raw(compress(z, codec), codec) - z) ** 2, axis=-1)
                 errs.append(err)
