@@ -16,6 +16,7 @@ Exit codes: 0 success, 1 runtime failure, 2 usage/config error.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import math
 import os
@@ -298,6 +299,25 @@ def write_csv(path: str, curves: list, config_text: str, seed: int) -> None:
         raise
 
 
+@functools.cache  # once per process
+def _pin_malloc() -> None:
+    """Keep glibc from trimming or unmapping a block's freed arrays, which the next block would fault back in.
+
+    Both thresholds are set, since setting either turns off glibc's dynamic adjustment of both.
+    """
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return
+    except (AttributeError, ValueError, OSError):  # no confstr, or a C library that does not know the name
+        return
+    import ctypes  # lazy: only a glibc run needs it
+
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-1, 256 << 20)  # M_TRIM_THRESHOLD
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD, glibc's ceiling on 64-bit systems
+
+
 def cmd_run(args) -> int:
     if args.workers < 1:
         raise ConfigError(f"--workers must be a positive integer, got {args.workers}")
@@ -317,6 +337,7 @@ def cmd_run(args) -> int:
             k, budget = v.rule.cutoff(run.scenario.channel.n_nodes)[1], run.scenario.codec.max_atoms
             print(f"note: {v.label} is zero by construction: its rule needs over {k} votes; "
                   f"a recovered vector holds at most {budget}", file=sys.stderr)
+    _pin_malloc()  # before estimate_curves forks any worker, which inherits it
     curves = simkit.estimate_curves(
         run.scenario, run.variants, workers=args.workers, uncompressed_twin=run.compare_uncompressed
     )

@@ -1,3 +1,4 @@
+import ctypes
 import dataclasses
 import functools
 import os
@@ -5,6 +6,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -710,3 +712,69 @@ class TestRunPathImports:
         ])
         assert proc.returncode == 0, proc.stderr
         assert "fc_raw,pfa=0.001,0," in out.read_text()
+
+
+def _glibc_version() -> str | None:
+    try:
+        return os.confstr("CS_GNU_LIBC_VERSION")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+# Three runs of cli.main in one fresh interpreter; prints each run's minor page faults.
+_STEADY_FAULTS_SCRIPT = """
+import io, resource, sys
+from contextlib import redirect_stdout
+from cirauth import cli
+faults = []
+for _ in range(3):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    with redirect_stdout(io.StringIO()):
+        if cli.main(sys.argv[1:]) != 0:
+            sys.exit(1)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(*faults)
+"""
+
+
+class TestMallocPin:
+    """``run`` keeps freed arrays in glibc's heap, so a steady process does not re-fault them."""
+
+    @pytest.mark.skipif(not _glibc_version(), reason="the pin is glibc's mallopt")
+    def test_steady_run_does_not_refault_its_arrays(self, tmp_path):
+        proc = _run_fresh([
+            "run", "--config", "fig2", "--set", "scenario.trials=50", "--out", str(tmp_path / "o.csv"),
+            "--workers", "1",
+        ], script=_STEADY_FAULTS_SCRIPT)
+        assert proc.returncode == 0, proc.stderr
+        faults = [int(n) for n in proc.stdout.split()]
+        assert faults[2] < 64, faults  # pages; about 600 when each block's arrays are trimmed and faulted back
+
+    @pytest.fixture
+    def libc_calls(self, monkeypatch):
+        """A fresh process's pin, and every ctypes call it makes."""
+        cli._pin_malloc.cache_clear()
+        calls = []
+        symbols = SimpleNamespace(mallopt=lambda param, value: calls.append((param, value)) or 1)
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: calls.append(name) or symbols)
+        yield calls
+        cli._pin_malloc.cache_clear()  # the next run pins for real
+
+    @pytest.mark.parametrize("confstr", ["missing", ValueError, OSError, None])
+    def test_without_glibc_touches_no_ctypes(self, monkeypatch, libc_calls, confstr):
+        if confstr == "missing":  # Windows
+            monkeypatch.delattr(os, "confstr")
+        elif confstr is None:  # a C library that knows the name but has no value for it
+            monkeypatch.setattr(os, "confstr", lambda name: None)
+        else:  # a C library that does not know the name
+            def unknown(name):
+                raise confstr(name)
+            monkeypatch.setattr(os, "confstr", unknown)
+        cli._pin_malloc()
+        assert libc_calls == []
+
+    def test_pins_both_thresholds_once(self, monkeypatch, libc_calls):
+        monkeypatch.setattr(os, "confstr", lambda name: "glibc 2.36")
+        cli._pin_malloc()
+        cli._pin_malloc()  # a second call in the same process does nothing
+        assert libc_calls == [None, (-1, 256 << 20), (-3, 32 << 20)]

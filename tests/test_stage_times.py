@@ -33,6 +33,7 @@ def test_every_stage_the_preset_runs_records_calls(preset):
     assert all(n > 0 for n in calls.values())
     assert EVERY_RUN <= set(calls)
     assert RECOVERY & set(calls) == (RECOVERY if preset in RECOVERS else set())
+    assert out["minor_faults_per_run"] >= 0 and out["system_s_per_run"] >= 0  # the kernel's share of the run
 
 
 @pytest.mark.parametrize("flag", ["--trials", "--repeats"])

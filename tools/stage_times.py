@@ -20,7 +20,12 @@ curves).  The README maps the paper's layers
 to these names.  The profiler adds a cost per Python call, so compare
 the fastest of several runs.  The first repeat warms up and is dropped.
 The last line of output is one JSON object with the median over the
-repeats of each function's microseconds per trial, and its calls per run.
+repeats of each function's microseconds per trial, and its calls per run,
+and the median over the repeats of the run's minor page faults and
+system seconds (``resource.getrusage`` of the process around each
+profiled call).  cProfile charges a fault's kernel time to whichever
+function first touches the page, so these two say how much of the
+functions' times is the kernel's.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ import io
 import json
 import os
 import pstats
+import resource
 import statistics
 import sys
 import tempfile
@@ -52,21 +58,25 @@ def _at_least_one(text: str) -> int:
     return value
 
 
-def _profile(argv_run: list[str]) -> dict | None:
-    """{name: [calls, inclusive s]} of cirauth's functions over one run, or None if the run failed."""
+def _profile(argv_run: list[str]) -> tuple[dict, tuple[int, float]] | None:
+    """{name: [calls, inclusive s]} of cirauth's functions over one run and the run's (minor faults, system s),
+    or None if the run failed."""
     profiler, err = cProfile.Profile(builtins=False), io.StringIO()
     with redirect_stdout(io.StringIO()), redirect_stderr(err):  # the run's summary and notes
+        before = resource.getrusage(resource.RUSAGE_SELF)
         code = profiler.runcall(cli.main, argv_run)
+        after = resource.getrusage(resource.RUSAGE_SELF)
     if code != 0:
         sys.stderr.write(err.getvalue())
         return None
+    kernel = (after.ru_minflt - before.ru_minflt, after.ru_stime - before.ru_stime)
     package = os.path.dirname(cli.__file__) + os.sep
     spent = defaultdict(lambda: [0, 0.0])
     for (path, _, name), (_, calls, _, inclusive, _) in pstats.Stats(profiler).stats.items():
         if path.startswith(package) and not name.startswith("<"):
             spent[name][0] += calls
             spent[name][1] += inclusive
-    return spent
+    return spent, kernel
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -78,23 +88,27 @@ def main(argv: list[str] | None = None) -> int:
 
     grid = cli.parse_config(*cli.load_config_file(args.preset))["scenario.snr_db"]
     trials = 2 * len(grid) * args.trials
-    per_trial = defaultdict(list)
+    per_trial, kernel = defaultdict(list), []
     with tempfile.TemporaryDirectory() as work:
         argv_run = ["run", "--config", args.preset, "--out", str(Path(work) / "o.csv"), "--workers", "1",
                     "--set", f"scenario.trials={args.trials}"]
         for repeat in range(args.repeats + 1):
-            if (spent := _profile(argv_run)) is None:
+            if (profiled := _profile(argv_run)) is None:
                 return 1
             if repeat == 0:
                 continue  # warm-up
+            spent, run_kernel = profiled
+            kernel.append(run_kernel)
             us = {name: s / trials * 1e6 for name, (_, s) in spent.items()}
             us["rest"] = us["estimate_curves"] - sum(us[stage] for stage in STAGES)
             for name, value in us.items():
                 per_trial[name].append(value)
+    faults, system_s = zip(*kernel)
     print(json.dumps({
         "preset": args.preset, "trials_per_run": trials, "repeats": args.repeats,
         "us_per_trial_median": {name: round(statistics.median(v), 3) for name, v in sorted(per_trial.items())},
         "calls_per_run": {name: n for name, (n, _) in sorted(spent.items())},
+        "minor_faults_per_run": statistics.median(faults), "system_s_per_run": round(statistics.median(system_s), 6),
     }))
     return 0
 
