@@ -424,7 +424,7 @@ def _selfchecks():
         for row, i in zip(numerics.standard_normal_rows(5, ids, 60), ids):
             _expect(row.tobytes() == numerics.stream(5, i).standard_normal(60).tobytes(), f"stream {i}")
 
-    def block_rows_exact():  # a run's counts are independent of its blocks and workers only if these hold
+    def block_rows_exact():  # a run's counts are independent of its block height only if these hold
         def rows_exact(name, block, rows):
             _expect(all(a.tobytes() == b.tobytes() for a, b in zip(block, rows)), f"{name} rows differ by block")
 
@@ -492,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help=f"config file path, or a bundled preset name {PRESET_NAMES}")
     run.add_argument("--out", required=True, help="output CSV path (written atomically)")
     run.add_argument("--seed", type=int, default=None, help="override scenario.seed, also over --set")
-    run.add_argument("--workers", type=int, default=1, help="worker processes, at most one per CPU and per trial")
+    run.add_argument("--workers", type=int, default=1, help="worker processes, at most one per CPU and per block")
     run.add_argument("--set", action="append", metavar="KEY=VALUE",
                      help="override a config key (repeatable)")
     run.set_defaults(func=cmd_run)

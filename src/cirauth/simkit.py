@@ -11,10 +11,11 @@ Every trial owns a counter-based RNG substream addressed by
 (seed, snr index, hypothesis, trial index), so results are bit-identical
 across runs and worker counts; fan-out over a process pool only ever
 reduces integer decision counts.  The trials of the whole grid form one
-flat range, SNR point by SNR point and H1 before H0.  Workers split it
-into contiguous ranges, and each range runs in blocks of near-equal
-height under a fixed memory cap, so a block may span hypotheses and SNR
-points.  A block's substreams fill one (T, 6NL) array of normals, which
+flat range, SNR point by SNR point and H1 before H0.  `estimate_curves`
+cuts it once into blocks of near-equal height under a fixed memory cap,
+so a block may span hypotheses and SNR points, and each worker runs a
+contiguous run of whole blocks: every worker count runs the same blocks.
+A block's substreams fill one (T, 6NL) array of normals, which
 is measured as each row's deviation from alice's channel, the only
 quantity every test reads: the noise alone on an H0 row, and the noise
 plus one channel product of eve's normals minus alice's on an H1 row.
@@ -22,9 +23,9 @@ Every later stage runs over a leading trial axis with each row's own
 occupant and noise variance (a CS scheme recovers the block's reports by
 Batch-OMP, in calls that `sparse` sizes; `fc_raw_cs` alone adds
 alice's channel back to send the measurement itself), and every stage is
-exact per row, so counts depend neither on the blocks nor on the worker
-count.  A `local_fusion_cs` run whose variants are all
-`zero_by_construction` leaves the codec path out, and its counts stay 0.
+exact per row, so counts do not depend on the block height either.  A
+`local_fusion_cs` run whose variants are all `zero_by_construction`
+leaves the codec path out, and its counts stay 0.
 All detector variants (threshold sweeps, fusion rules) read the same
 block, and the paired "without CS" twin curves read its reports as
 measured; variants that share a threshold share its decisions.
@@ -75,8 +76,8 @@ _MAX_TRIALS = 1 << 31
 _MAX_SNR_POINTS = 1 << 20
 # Bound on |SNR| in dB, inside which the noise variance and every stage after it stay finite.
 _MAX_ABS_SNR_DB = 1000.0
-# A block's height caps its standard normals (1 MiB): 36 trials at N=100, L=6.  Counts do not
-# depend on it.
+# A block's height caps its standard normals (1 MiB): 36 trials at N=100, L=6.  It fixes a run's
+# block grid, and per-row exact stages keep counts independent of it.
 _BLOCK_NORMALS = 1 << 17
 
 
@@ -261,25 +262,24 @@ def _block_decisions(scenario, levels, columns, cutoffs, paths, sigma2, h_ab, d)
 
 
 def _count_range(args) -> np.ndarray:
-    """Decision counts, shape (2 * SNR points, columns x paths), of the flat trials ``[lo, hi)``.
+    """Decision counts, shape (2 * SNR points, columns x paths), of blocks ``[first, last)`` of a grid of ``blocks``.
 
     Flat trial g = (2 s + h) * trials + t is trial t of hypothesis h (0:
     eve, 1: alice) at SNR index s; it owns stream (s << 33) | (eve << 32)
-    | t and is counted in row 2 s + h.  The range runs in blocks of
-    near-equal height, and a block may span hypotheses and SNR points:
-    every row carries its own occupant and noise variance.  ``_BLOCK_NORMALS``
-    caps a block's normals.
+    | t and is counted in row 2 s + h.  Block b of the run's ``total``
+    flat trials holds ``[b total // blocks, (b + 1) total // blocks)``,
+    and may span hypotheses and SNR points: every row carries its own
+    occupant and noise variance.
     """
-    scenario, levels, columns, cutoffs, paths, lo, hi = args
+    scenario, levels, columns, cutoffs, paths, first, last, blocks = args
     cfg = scenario.channel
     sigma2 = np.array([noise_variance(snr) for snr in scenario.snr_grid_db])
     width = 6 * cfg.n_nodes * cfg.n_taps  # alice, eve, noise: 2NL normals each
     raw_cs = scenario.scheme is Scheme.FC_RAW_CS
-    n = hi - lo
-    blocks = -(-n // max(1, _BLOCK_NORMALS // width))
+    total = 2 * len(sigma2) * scenario.trials
     counts = np.zeros((2 * len(sigma2), len(columns) * len(paths)), dtype=np.int64)
-    for b in range(blocks):
-        row, t = np.divmod(np.arange(lo + b * n // blocks, lo + (b + 1) * n // blocks), scenario.trials)
+    for b in range(first, last):
+        row, t = np.divmod(np.arange(b * total // blocks, (b + 1) * total // blocks), scenario.trials)
         s, eve = row >> 1, row % 2 == 0
         streams = ((s << 33) | (eve.astype(np.int64) << 32) | t).tolist()
         normals = standard_normal_rows(scenario.seed, streams, width)
@@ -307,8 +307,8 @@ def estimate_curves(
     For each SNR point: ``trials`` H1 trials (intruder transmitting)
     estimate P_d and ``trials`` H0 trials (legitimate transmitter)
     estimate the empirical false-alarm rate.  Binomial standard errors
-    are attached.  Output is bit-identical for fixed scenario regardless
-    of ``workers``.
+    are attached.  Each of at most ``workers`` processes runs whole blocks
+    of the run's one grid, so output is bit-identical regardless of them.
 
     With ``uncompressed_twin`` (CS schemes only) every variant also gets
     a ``"<label> no_cs"`` curve of the uncompressed scheme, read from the
@@ -316,6 +316,7 @@ def estimate_curves(
     """
     if uncompressed_twin and not scenario.scheme.compressed:
         raise ValueError(f"scheme {scenario.scheme.value} has no uncompressed twin")
+    workers = operator.index(workers)  # a float raises TypeError here, on any CPU count
     if workers < 1:
         raise ValueError(f"workers must be positive, got {workers}")
     resolved = _resolve(scenario, variants)
@@ -327,10 +328,11 @@ def estimate_curves(
     if all(zero_by_construction(scenario, v) for v in variants):
         paths = paths[1:]  # no variant can read the codec path: its counts stay 0, and without the twin no trial runs
     total = 2 * len(scenario.snr_grid_db) * scenario.trials
+    blocks = -(-total // max(1, _BLOCK_NORMALS // (6 * scenario.channel.n_nodes * scenario.channel.n_taps)))
     # a pool forks all its workers at once; os.sched_getaffinity exists only on Linux
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    procs = min(workers, total, cpus) if paths else 0
-    tasks = [(scenario, *resolved, paths, total * i // procs, total * (i + 1) // procs) for i in range(procs)]
+    procs = min(workers, blocks, cpus) if paths else 0
+    tasks = [(scenario, *resolved, paths, blocks * i // procs, blocks * (i + 1) // procs, blocks) for i in range(procs)]
     if procs > 1:
         from concurrent.futures import ProcessPoolExecutor  # lazy: a serial run skips its imports
 

@@ -3,8 +3,8 @@
 fig2-fig5 at the benchmark's reduced trial counts and preset seeds must
 hash to the reference sha256 values listed in ``perfbench/README.md``,
 serially and with two worker processes.  The same runs at ``--seed 7``,
-and fig5 at 40 trials per point (24 normals-capped blocks per worker,
-recovering no report), are pinned too, and so are fig2 and fig3 with their thresholds
+and fig5 at 40 trials per point (47 normals-capped blocks, 23 + 24 at two
+workers, recovering no report), are pinned too, and so are fig2 and fig3 with their thresholds
 given as target false-alarm rates instead, and fig4 at 120 atoms, where the
 Batch-OMP factor cap splits each block's recovery into two calls.  An engine
 change that renumbers a draw, reorders a reduction or perturbs a report's bits

@@ -164,6 +164,34 @@ class TestRunTrial:
             assert curve.p_d[0] in (0.0, 1.0) and curve.p_fa[0] in (0.0, 1.0)
 
 
+def _in_process_pool(monkeypatch, cpus: int) -> list[int]:
+    """Runs `estimate_curves`'s process pool serially in this process, on ``cpus`` patched CPUs.
+
+    Returns the list that records each pool's size.  A patch of `simkit`
+    then reaches every worker, on any runner.
+    """
+    import concurrent.futures
+
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(simkit.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    return sizes
+
+
 class TestEstimateCurve:
     def test_single_trial_degenerate(self):
         (curve,) = estimate_curves(fc_scenario(trials=1), FC)
@@ -187,32 +215,45 @@ class TestEstimateCurve:
 
     def test_pool_no_larger_than_tasks_or_cpus(self, monkeypatch):
         # a fork pool starts every worker at its first submit, so --workers 64 on
-        # 2 trials must ask for 2 processes, and a single CPU for none
-        import concurrent.futures
-
-        sizes = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        # 2 blocks (a cap of one trial's normals on 2 trials) must ask for 2
+        # processes, and a single CPU for none
         sc = fc_scenario(trials=1, snr_grid_db=(5.0,))
+        monkeypatch.setattr(simkit, "_BLOCK_NORMALS", 6 * sc.channel.n_nodes * sc.channel.n_taps)
         one = estimate_curves(sc, FC, workers=1)
         for cpus, want in ((64, [2]), (1, [])):
-            sizes.clear()
-            monkeypatch.setattr(simkit.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            sizes = _in_process_pool(monkeypatch, cpus)
             assert estimate_curves(sc, FC, workers=64) == one
             assert sizes == want
+
+    def test_workers_run_the_serial_blocks(self, tmp_path, monkeypatch, capsys):
+        # a stand-in for a BLAS whose row bits depend on the call height: the CSV stays
+        # the same across worker counts only if each runs the serial run's blocks
+        def height_dependent(normals, *args):
+            return measure_block(normals, *args) * (1 + 1e-3 * (len(normals) % 7))
+
+        def run(workers):
+            out = tmp_path / "o.csv"
+            argv = ["run", "--config", "fig2", "--set", "scenario.trials=300", "--workers", workers, "--out", str(out)]
+            assert cli.main(argv) == 0
+            return out.read_bytes()
+
+        exact = run("1")
+        monkeypatch.setattr(simkit, "measure_block", height_dependent)
+        sizes = _in_process_pool(monkeypatch, 2)
+        serial = run("1")
+        assert serial != exact  # the patch moves some count: the comparison has teeth
+        assert run("2") == serial
+        assert sizes == [2]
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_workers_must_be_an_integer(self, cpus, monkeypatch):
+        # one CPU caps a float's pool at the integer CPU count, so the float must be
+        # rejected before the pool is sized, not only where range() meets it
+        monkeypatch.setattr(simkit.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        sc = fc_scenario(trials=1)
+        with pytest.raises(TypeError):
+            estimate_curves(sc, FC, workers=2.0)
+        assert estimate_curves(sc, FC, workers=np.int64(2)) == estimate_curves(sc, FC)
 
     def test_h0_calibration_tracks_alpha(self):
         # solved threshold at alpha: empirical false-alarm within 5 sigma,
@@ -480,25 +521,26 @@ class TestBlockSplitInvariance:
     def test_count_range_any_split(self, case, data):
         scenario, variants = _SPLIT_CASES[case]
         resolved = simkit._resolve(scenario, variants)
-        # flat trial g = (2 s + h) * trials + t; the range holds point 1's first trial
-        # 2 * trials, and the drawn split puts it inside a block, not at an edge
+        # flat trial g = (2 s + h) * trials + t; the drawn grid of at least 2 trials per
+        # block puts point 1's first trial 2 * trials inside block k, not at an edge,
+        # and the drawn run of blocks [first, last) holds block k
         total, boundary = 4 * scenario.trials, 2 * scenario.trials
-        lo = data.draw(st.integers(0, boundary - 1), label="lo")
-        hi = data.draw(st.integers(boundary + 1, total), label="hi")
-        height = data.draw(st.integers(2, hi - lo), label="trials per block")
-        blocks = -(-(hi - lo) // height)
-        assume(all(lo + b * (hi - lo) // blocks != boundary for b in range(blocks)))
-        task = (scenario, *resolved, (True, False), lo, hi)
-        width = 6 * scenario.channel.n_nodes * scenario.channel.n_taps
-        with mock.patch.object(simkit, "_BLOCK_NORMALS", height * width), \
-                mock.patch.object(simkit, "_block_decisions", wraps=simkit._block_decisions) as decide, \
+        blocks = data.draw(st.integers(1, total // 2), label="blocks")
+        edges = [b * total // blocks for b in range(blocks + 1)]
+        k = max(b for b in range(blocks) if edges[b] <= boundary)
+        assume(edges[k] != boundary)
+        first = data.draw(st.integers(0, k), label="first")
+        last = data.draw(st.integers(k + 1, blocks), label="last")
+        with mock.patch.object(simkit, "_block_decisions", wraps=simkit._block_decisions) as decide, \
                 mock.patch.object(simkit, "measure_block", wraps=simkit.measure_block) as spy:
-            got = simkit._count_range(task)
+            got = simkit._count_range((scenario, *resolved, (True, False), first, last, blocks))
         # some block mixes eve and alice rows and both SNR points (the grids' values differ)
         assert any(c.args[2].any() and not c.args[2].all() and len(set(c.args[3])) == 2 for c in spy.call_args_list)
-        assert decide.call_count == blocks
-        with mock.patch.object(simkit, "_BLOCK_NORMALS", 0), mock.patch.object(sparse, "_BATCH_FACTOR", 0):
-            assert np.array_equal(got, simkit._count_range(task))  # one trial per block, one report per call
+        assert decide.call_count == last - first
+        # the same trials on the grid of one trial per block, one report per call
+        with mock.patch.object(sparse, "_BATCH_FACTOR", 0):
+            one = simkit._count_range((scenario, *resolved, (True, False), edges[first], edges[last], total))
+        assert np.array_equal(got, one)
 
     def test_rows_carry_occupant_and_variance(self):
         # flat order is point-major, eve first; each row's sigma2 has noise_variance's
@@ -522,20 +564,23 @@ class TestCountRange:
         resolved = simkit._resolve(scenario, variants)
         trials, compressed = scenario.trials, scenario.scheme.compressed
         paths = (True, False) if compressed else (False,)
-        # [lo, hi) starts in point 0's eve trials and ends in point 1's
-        lo = data.draw(st.integers(0, trials - 1), label="lo")
-        hi = data.draw(st.integers(2 * trials + 1, 4 * trials), label="hi")
-        height = data.draw(st.integers(1, hi - lo), label="trials per block")
-        width = 6 * scenario.channel.n_nodes * scenario.channel.n_taps
+        # on a drawn grid, the run of blocks [first, last), the flat trials [lo, hi), starts
+        # in point 0's eve trials and ends in point 1's
+        total = 4 * trials
+        blocks = data.draw(st.integers(1, total), label="blocks")
+        edges = [b * total // blocks for b in range(blocks + 1)]
+        first = data.draw(st.sampled_from([b for b in range(blocks) if edges[b] < trials]), label="first")
+        last = data.draw(st.sampled_from([b for b in range(first + 1, blocks + 1) if edges[b] > 2 * trials]),
+                         label="last")
+        lo, hi = edges[first], edges[last]
         decisions, decide = [], simkit._block_decisions
 
         def spy(*args):
             decisions.append(decide(*args))
             return decisions[-1]
 
-        with mock.patch.object(simkit, "_BLOCK_NORMALS", height * width), \
-                mock.patch.object(simkit, "_block_decisions", spy):
-            got = simkit._count_range((scenario, *resolved, paths, lo, hi))
+        with mock.patch.object(simkit, "_block_decisions", spy):
+            got = simkit._count_range((scenario, *resolved, paths, first, last, blocks))
         decided = np.concatenate(decisions)  # the flat trials in order, one row each
         assert decided.shape == (hi - lo, len(variants) * len(paths))
         want = np.zeros_like(got)
@@ -600,15 +645,18 @@ class TestRecoveryBatches:
              Variant("majority@32.9", 32.9, FusionRule(kind=FusionKind.MAJORITY))],
         ), [33, 33, 34] * 3, id="partially-live"),
     ])
-    def test_block_height(self, preset, overrides, block_rows, tmp_path, capsys):
-        # each block is measured and decided once
-        with mock.patch.object(simkit, "_block_decisions", wraps=simkit._block_decisions) as spy:
-            if preset is None:  # overrides holds the scenario and variants
-                estimate_curves(*overrides, uncompressed_twin=True)
-            else:
-                argv = ["run", "--config", preset, "--out", str(tmp_path / "o.csv")]
-                assert cli.main(argv + [a for o in overrides for a in ("--set", o)]) == 0
-        assert [len(c.args[-1]) for c in spy.call_args_list] == block_rows
+    def test_block_height(self, preset, overrides, block_rows, tmp_path, monkeypatch, capsys):
+        # each block is measured and decided once, and two workers run the serial run's blocks
+        sizes = _in_process_pool(monkeypatch, 2)
+        for workers in (1, 2):
+            with mock.patch.object(simkit, "_block_decisions", wraps=simkit._block_decisions) as spy:
+                if preset is None:  # overrides holds the scenario and variants
+                    estimate_curves(*overrides, workers=workers, uncompressed_twin=True)
+                else:
+                    argv = ["run", "--config", preset, "--out", str(tmp_path / "o.csv"), "--workers", str(workers)]
+                    assert cli.main(argv + [a for o in overrides for a in ("--set", o)]) == 0
+            assert [len(c.args[-1]) for c in spy.call_args_list] == block_rows, f"--workers {workers}"
+        assert sizes == [2]
 
     @pytest.mark.parametrize("case", ["fc_raw", "fc_raw_cs", "local_fusion", "local_fusion_cs"])
     def test_normals_cap_bounds_every_scheme(self, case):

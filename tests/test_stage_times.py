@@ -36,6 +36,18 @@ def test_every_stage_the_preset_runs_records_calls(preset):
     assert out["minor_faults_per_run"] >= 0 and out["system_s_per_run"] >= 0  # the kernel's share of the run
 
 
+def test_set_overrides_reach_the_run():
+    # 51 atoms make fig5's majority live, so its decision vectors are recovered, which
+    # the preset's are not
+    proc = subprocess.run(
+        [sys.executable, TOOL, "--preset", "fig5", "--trials", "1", "--repeats", "1", "--set", "cs.max_atoms=51"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    calls = json.loads(proc.stdout.splitlines()[-1])["calls_per_run"]
+    assert {"compress", "_recover", "_batch_omp", "reconstruct_decisions"} <= set(calls)
+
+
 @pytest.mark.parametrize("flag", ["--trials", "--repeats"])
 def test_count_below_one_is_a_usage_error(flag):
     proc = subprocess.run([sys.executable, TOOL, flag, "0"], capture_output=True, text=True, timeout=60)

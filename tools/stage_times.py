@@ -5,11 +5,14 @@ Run from the root of a source checkout (it imports ``src/`` next to this
 directory):
 
     python3 tools/stage_times.py --preset fig2 --trials 50 --repeats 20
+    python3 tools/stage_times.py --preset fig5 --trials 2 --set cs.max_atoms=51
 
 Each repeat is one serial ``cirauth run`` of the preset at the given
-``scenario.trials``, writing its CSV to a temporary directory, under
-``cProfile.Profile(builtins=False)``: C functions, numpy's included, are
-not profiled, so their time counts in their Python caller.  Every
+``scenario.trials`` and then each ``--set KEY=VALUE`` override in order
+(so a non-preset setting can be profiled too), writing its CSV to a
+temporary directory, under ``cProfile.Profile(builtins=False)``: C
+functions, numpy's included, are not profiled, so their time counts in
+their Python caller.  Every
 function defined in the ``cirauth`` package (not comprehensions, lambdas
 or module bodies) is reported under its bare name, same-named functions
 summed, with its inclusive time.  ``estimate_curves`` runs three stages,
@@ -84,6 +87,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--preset", choices=cli.PRESET_NAMES, default="fig2")
     parser.add_argument("--trials", type=_at_least_one, default=50, help="scenario.trials of one run")
     parser.add_argument("--repeats", type=_at_least_one, default=20)
+    parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
+                        help="a config override passed to each run after scenario.trials (repeatable)")
     args = parser.parse_args(argv)
 
     grid = cli.parse_config(*cli.load_config_file(args.preset))["scenario.snr_db"]
@@ -91,7 +96,7 @@ def main(argv: list[str] | None = None) -> int:
     per_trial, kernel = defaultdict(list), []
     with tempfile.TemporaryDirectory() as work:
         argv_run = ["run", "--config", args.preset, "--out", str(Path(work) / "o.csv"), "--workers", "1",
-                    "--set", f"scenario.trials={args.trials}"]
+                    *(a for o in (f"scenario.trials={args.trials}", *args.set) for a in ("--set", o))]
         for repeat in range(args.repeats + 1):
             if (profiled := _profile(argv_run)) is None:
                 return 1
